@@ -58,6 +58,10 @@ class RunConfig:
             raise ValueError("--lmax must be nonnegative")
         if self.samples < 0:
             raise ValueError("--samples must be nonnegative")
+        if (self.n == 2 and self.lam is not None and self.lam != 2
+                and self.suite in ("invariance", "independence", "all")):
+            raise ValueError("at --n 2 the T2 family is defined only at "
+                             "--lambda 2 (or formal)")
         if self.fmt not in ("text", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
 

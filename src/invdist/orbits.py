@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CplxPairElement, cplx_pair_times_eps_power
 from .records import FAIL, PASS, CheckRecord
-from .scalars import GaussianRational, Scalar
+from .scalars import GR_I, GaussianRational, Scalar, integer_rank
 
 __all__ = [
     "ProjPoint",
@@ -93,66 +93,39 @@ def stratum_dimension(j: int) -> int:
 # Exact tangent rank
 # ---------------------------------------------------------------------------
 
-def _rank_rational(rows: List[List[Fraction]]) -> int:
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    rows = [list(r) for r in rows]
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = Fraction(1) / pr[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _interleave(re: Sequence[int], im: Sequence[int]) -> List[int]:
+    return [x for pair in zip(re, im) for x in pair]
 
 
-def _real_vector(coords: Sequence[GaussianRational]) -> List[Fraction]:
-    out: List[Fraction] = []
-    for c in coords:
-        out.extend((c.re, c.im))
-    return out
-
-
-def _lie_directions(p: ProjPoint) -> List[List[Fraction]]:
+def _lie_directions(p: ProjPoint) -> List[List[int]]:
     """Images of the point under a basis of the (2n-1)-dimensional Lie
     algebra: the i-rotation direction and both real directions of every
-    superdiagonal coefficient, plus the point itself (radial direction)."""
+    superdiagonal coefficient, plus the point itself (radial direction).
+
+    The point is first scaled by the lcm of its denominators, a positive
+    real scale that names the same projective point, so each image is an
+    integer vector (re, im interleaved): multiplying by i and conjugating
+    only permute and negate components."""
     n = p.n
-    z = p.coords
-    i_unit = GaussianRational.of(0, 1)
-    vectors = [list(z)]
-    vectors.append([i_unit * c for c in z])
+    scale = math.lcm(*[part.denominator for c in p.coords
+                       for part in (c.re, c.im)])
+    xs = [int(c.re * scale) for c in p.coords]
+    ys = [int(c.im * scale) for c in p.coords]
+    vectors = [_interleave(xs, ys), _interleave([-y for y in ys], xs)]
     for k in range(1, n):
-        for coeff in (GaussianRational.of(1), i_unit):
-            img = []
-            for m in range(1, n + 1):
-                if m + k <= n:
-                    src = z[m + k - 1]
-                    if k % 2 == 1:
-                        src = src.conj()
-                    img.append(coeff * src)
-                else:
-                    img.append(GaussianRational())
-            vectors.append(img)
-    return [_real_vector(v) for v in vectors]
+        # component m is z_{m+k}, conjugated for odd k, or 0 past the end
+        sign = -1 if k % 2 else 1
+        re = xs[k:] + [0] * k
+        im = [sign * y for y in ys[k:]] + [0] * k
+        vectors.append(_interleave(re, im))
+        vectors.append(_interleave([-y for y in im], re))
+    return vectors
 
 
 def orbit_dimension(p: ProjPoint) -> int:
     """Exact rank of the tangent directions together with the radial
     direction, minus one."""
-    return _rank_rational(_lie_directions(p)) - 1
+    return integer_rank(_lie_directions(p)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +296,21 @@ def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
     max_residual = 0.0
     witness_failures = 0
     cross_failures = 0
+    pairs_tested: Dict[str, int] = {}
     for j, bucket in buckets.items():
-        for _ in range(witness_pairs):
-            if len(bucket) < 2:
-                break
-            a, b = rng.sample(bucket, 2)
+        # one fixed exact pair e_j -> i*e_j, drawn without the rng, so no
+        # stratum passes without a witness even at samples=0
+        e_j = points[j - 1]
+        pairs = [(e_j, ProjPoint(tuple(GR_I * c for c in e_j.coords)))]
+        if len(bucket) >= 2:
+            pairs.extend(rng.sample(bucket, 2) for _ in range(witness_pairs))
+        for a, b in pairs:
             w = transitivity_witness(a, b)
             if w is None or w.residual > residual_tol:
                 witness_failures += 1
             else:
                 max_residual = max(max_residual, w.residual)
+        pairs_tested[str(j)] = len(pairs)
     # cross-stratum pairs must fail
     for j in range(1, n):
         if buckets[j] and buckets[j + 1]:
@@ -341,6 +319,7 @@ def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
                 cross_failures += 1
     labels = sorted(j for j, b in buckets.items() if b)
     ok = (labels == list(range(1, n + 1)) and not dim_failures
+          and all(pairs_tested.values())
           and witness_failures == 0 and cross_failures == 0)
     return CheckRecord(
         check_id=f"orbits.census.n{n}",
@@ -356,6 +335,7 @@ def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
             "max_residual": max_residual,
             "dim_failures": dim_failures,
             "witness_failures": witness_failures,
+            "witness_pairs": pairs_tested,
             "cross_failures": cross_failures,
             "samples": samples,
             "seed": seed,

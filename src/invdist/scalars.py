@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "AffineExponent",
     "generalized_binomial",
     "falling_factorial",
+    "integer_rank",
     "rank_over_function_field",
 ]
 
@@ -452,92 +453,75 @@ def generalized_binomial(sigma: AffineExponent, k: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Generic rank over Q(i)(lam) via fraction-free elimination
+# Exact rank: one fraction-free integer kernel
 # ---------------------------------------------------------------------------
 
-Poly = List[GaussianRational]
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix, by Bareiss (1968) fraction-free
+    elimination.
 
-
-def _poly_trim(p: Poly) -> Poly:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return []
-    out = [GR_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero():
+    Each step replaces the rows below the pivot by 2x2 cross products
+    divided by the previous pivot; by Sylvester's identity every entry is
+    then a minor of the input, so the division is exact and the numbers
+    stay bounded by Hadamard's bound.  Rows that become zero are dropped.
+    """
+    active = [list(r) for r in rows if any(r)]
+    rank, prev = 0, 1
+    while active and active[0]:
+        k = next((i for i, r in enumerate(active) if r[0]), None)
+        if k is None:
+            active = [r[1:] for r in active]
             continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _poly_trim(out)
+        pivot_row = active.pop(k)
+        pivot, tail = pivot_row[0], pivot_row[1:]
+        rank += 1
+        active = [new for new in (
+            [(pivot * x - r[0] * y) // prev for x, y in zip(r[1:], tail)]
+            for r in active) if any(new)]
+        prev = pivot
+    return rank
 
 
-def _poly_sub(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        ca = a[k] if k < len(a) else GR_ZERO
-        cb = b[k] if k < len(b) else GR_ZERO
-        out.append(ca - cb)
-    return _poly_trim(out)
-
-
-def _poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division a / b; raises if the division leaves a remainder."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
-    rem = list(a)
-    quot = [GR_ZERO] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] / lead
-        quot[k] = c
-        if not c.is_zero():
-            for j, cb in enumerate(b):
-                rem[k + j] = rem[k + j] - c * cb
-    if any(not c.is_zero() for c in rem):
-        raise ArithmeticError("inexact polynomial division in elimination")
-    return _poly_trim(quot)
+def _horner(coeffs: Sequence[int], t: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
 def rank_over_function_field(matrix: Sequence[Sequence[Scalar]]) -> int:
     """Exact generic rank of a matrix of lam-polynomials over Q(i)(lam).
 
-    Uses Bareiss-style fraction-free elimination with the pivot taken as
-    the first nonzero entry in column order.  Entries containing symbols
-    other than lam are rejected.
+    Every minor is a polynomial in lam of degree at most D, the sum over
+    rows of each row's largest lam-degree.  A nonzero minor vanishes at no
+    more than D of the points lam = 0, 1, ..., D, and specialising lam never
+    raises the rank, so the generic rank is the largest specialised rank
+    over these D + 1 points.  Each specialised rank over Q(i) is half the
+    integer rank of the realified matrix [[A, -B], [B, A]], with each row's
+    denominators cleared.  Entries containing symbols other than lam are
+    rejected.
     """
-    rows = [[entry.lam_coeffs() for entry in row] for row in matrix]
+    rows = []
+    degree = 0
+    for row in matrix:
+        coeffs = [entry.lam_coeffs() for entry in row]
+        scale = lcm(*[part.denominator for cs in coeffs for c in cs
+                      for part in (c.re, c.im)])
+        rows.append([([int(c.re * scale) for c in cs],
+                      [int(c.im * scale) for c in cs]) for cs in coeffs])
+        degree += max([0] + [len(cs) - 1 for cs in coeffs])
     if not rows:
         return 0
-    n_cols = len(rows[0])
-    rank = 0
-    prev_pivot: Poly = [GR_ONE]
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            target = rows[r]
-            head = target[col]
-            for cc in range(n_cols):
-                num = _poly_sub(_poly_mul(pivot, target[cc]),
-                                _poly_mul(head, rows[rank][cc]))
-                target[cc] = _poly_divexact(num, prev_pivot)
-        prev_pivot = pivot
-        rank += 1
-        if rank == len(rows):
+    full = min(len(rows), len(rows[0]))
+    best = 0
+    for t in range(degree + 1):
+        if best == full:
             break
-    return rank
+        realified = []
+        for row in rows:
+            re = [_horner(a, t) for a, _ in row]
+            im = [_horner(b, t) for _, b in row]
+            realified.append(re + [-x for x in im])
+            realified.append(im + re)
+        best = max(best, integer_rank(realified) // 2)
+    return best

@@ -4,6 +4,7 @@ codes."""
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -127,6 +128,18 @@ class TestMain:
         assert res.returncode == 2
         res = run_cli("verify", "algebra", "--lambda", "x/y")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("suite", ["invariance", "independence", "all"])
+    def test_n2_lambda_other_than_two_is_usage_error(self, suite):
+        # T2 exists only at lam = 2; the run must not report another value
+        res = run_cli("verify", suite, "--n", "2", "--lambda", "5")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
+        assert res.stdout == ""
+
+    def test_n2_lambda_ignored_by_suites_without_families(self):
+        RunConfig(suite="orbits", n=2, lam=Fraction(5)).validate()
+        RunConfig(suite="invariance", n=2, lam=Fraction(2)).validate()
 
     def test_help_documents_defaults(self):
         res = run_cli("verify", "--help")

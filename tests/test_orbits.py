@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from invdist.orbits import (CplxProjPoint, ProjPoint, _symbolic_zeta_check,
+from invdist.orbits import (CplxProjPoint, ProjPoint, _apply_group_exact,
+                            _lie_directions, _symbolic_zeta_check,
                             complex_orbit_check, enumerate_strata,
                             orbit_dimension, stratum_dimension, stratum_of,
                             transitivity_witness, zeta_invariant)
@@ -53,6 +54,27 @@ class TestStrata:
             assert stratum_of(p) == j
             assert orbit_dimension(p) == 2 * j - 1
 
+    def test_lie_directions_are_group_derivatives(self):
+        # The group action is linear in the phase and in each shift
+        # coefficient, so each tangent direction is the action of one
+        # basis element minus the identity, here recomputed through the
+        # witness code's exact action on the point scaled to integers
+        # (the lcm of its denominators is 12).
+        p = point((1, 2), (Fraction(-3, 4), 5), (2, Fraction(1, 3)), (0, -1))
+        z = [G(c.re * 12, c.im * 12) for c in p.coords]
+
+        def real(v):
+            return [int(x) for c in v for x in (c.re, c.im)]
+
+        expected = [real(z), real(_apply_group_exact(G(0, 1), [], z))]
+        for k in range(1, p.n):
+            for coeff in (G(1), G(0, 1)):
+                shifts = [G(0)] * (p.n - 1)
+                shifts[k - 1] = coeff
+                image = _apply_group_exact(G(1), shifts, z)
+                expected.append(real([a - b for a, b in zip(image, z)]))
+        assert _lie_directions(p) == expected
+
 
 class TestWitness:
     def test_exact_witness_same_stratum(self):
@@ -88,6 +110,14 @@ class TestCensus:
         assert rec.passed, rec.details
         assert rec.details["dimensions"] == {
             str(j): 2 * j - 1 for j in range(1, n + 1)}
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_census_without_samples_tests_a_pair_per_stratum(self, n):
+        rec = enumerate_strata(n, samples=0)
+        assert rec.passed, rec.details
+        pairs = rec.details["witness_pairs"]
+        assert set(pairs) == {str(j) for j in range(1, n + 1)}
+        assert all(count >= 1 for count in pairs.values())
 
     def test_census_deterministic(self):
         a = enumerate_strata(3, samples=30, seed=9)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
                              falling_factorial, generalized_binomial,
-                             rank_over_function_field, LAM, U)
+                             integer_rank, rank_over_function_field, LAM, U)
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -174,6 +174,45 @@ class TestRank:
         for perm in itertools.permutations(range(4)):
             m = [[row[p] for p in perm] for row in base]
             assert rank_over_function_field(m) == 3
+
+    @given(st.lists(st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+                    min_size=1, max_size=6))
+    @settings(max_examples=60)
+    def test_integer_rank_matches_fraction_oracle(self, rows):
+        assert integer_rank(rows) == _frac_rank(rows)
+
+    def test_integer_rank_of_dependent_rows(self):
+        rows = [[2, -3, 5, 7], [1, 4, -2, 0]]
+        rows.append([3 * a - 5 * b for a, b in zip(*rows)])
+        assert integer_rank(rows) == 2
+        assert integer_rank([[0, 0], [0, 0]]) == 0
+        assert integer_rank([]) == 0
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 6])
+    def test_nonzero_only_at_the_last_point(self, degree):
+        # prod_{k<D}(lam - k) has degree D and vanishes at lam = 0..D-1,
+        # so only the (D+1)-th evaluation point shows rank 1
+        entry = Scalar.one()
+        for k in range(degree):
+            entry = entry * (LAM - k)
+        assert rank_over_function_field([[entry]]) == 1
+
+    def test_determinant_vanishing_at_all_but_the_last_point(self):
+        # row degrees 1 + 2 = D = 3; det = lam(lam-1)(lam-2)
+        one = Scalar.one()
+        m = [[LAM, one], [LAM * LAM, LAM * LAM - LAM * 2 + 2]]
+        assert rank_over_function_field(m) == 2
+        for t in range(3):
+            special = [[e.substitute({"lam": Scalar.of(t)}) for e in row]
+                       for row in m]
+            assert rank_over_function_field(special) == 1
+
+    def test_gaussian_entries_use_the_realified_rank(self):
+        # rows (1, i) and (i, -1) are dependent over Q(i), although their
+        # real and imaginary parts are independent over Q
+        one, i = Scalar.one(), Scalar.i()
+        assert rank_over_function_field([[one, i], [i, -one]]) == 1
+        assert rank_over_function_field([[one, i], [i, one]]) == 2
 
     def test_rejects_foreign_symbols(self):
         with pytest.raises(ValueError):
