@@ -33,6 +33,9 @@ SUITES = ("algebra", "lemma-d", "invariance", "independence", "support",
 
 REPORT_SCHEMA_VERSION = 1
 
+# Suites that build the T / T2 families and so run at RunConfig.family_lam.
+FAMILY_SUITES = ("invariance", "independence", "all")
+
 FORMAT_ENV_VAR = "INVDIST_FORMAT"
 
 
@@ -59,18 +62,25 @@ class RunConfig:
         if self.samples < 0:
             raise ValueError("--samples must be nonnegative")
         if (self.n == 2 and self.lam is not None and self.lam != 2
-                and self.suite in ("invariance", "independence", "all")):
+                and self.suite in FAMILY_SUITES):
             raise ValueError("at --n 2 the T2 family is defined only at "
                              "--lambda 2 (or formal)")
         if self.fmt not in ("text", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
 
+    @property
+    def family_lam(self) -> Optional[Fraction]:
+        """The lam the invariance and independence families run at: the
+        n = 2 family T2 exists only at lam = 2."""
+        return self.lam if self.n >= 3 else Fraction(2)
+
     def to_dict(self) -> dict:
+        lam = self.family_lam if self.suite in FAMILY_SUITES else self.lam
         return {
             "suite": self.suite,
             "n": self.n,
             "lmax": self.lmax,
-            "lambda": "formal" if self.lam is None else str(self.lam),
+            "lambda": "formal" if lam is None else str(lam),
             "seed": self.seed,
             "samples": self.samples,
         }
@@ -124,7 +134,7 @@ def _zeta_labels(count: int) -> List[GaussianRational]:
 
 
 def _plan(config: RunConfig) -> List[Planned]:
-    n, lmax, lam = config.n, config.lmax, config.lam
+    n, lmax = config.n, config.lmax
     seed, samples = config.seed, config.samples
     plan: List[Planned] = []
     want = lambda s: config.suite in (s, "all")
@@ -142,17 +152,15 @@ def _plan(config: RunConfig) -> List[Planned]:
                          lambda: verify_lemma_d(2, "Dprime")))
     if want("invariance"):
         fam = "T" if n >= 3 else "T2"
-        fam_lam = lam if n >= 3 else Fraction(2)
-        for l in range(min(lmax, 3) + 1):
-            spec = FamilySpec(n, fam, l, lam=fam_lam)
+        for l in range(lmax + 1):
+            spec = FamilySpec(n, fam, l, lam=config.family_lam)
             plan.append((f"invariance.{fam}.n{n}.l{l}",
                          lambda s=spec: verify_invariance(
                              s, composite_samples=min(samples, 5),
                              seed=seed)))
     if want("independence"):
         fam = "T" if n >= 3 else "T2"
-        fam_lam = lam if n >= 3 else Fraction(2)
-        spec = FamilySpec(n, fam, 0, lam=fam_lam)
+        spec = FamilySpec(n, fam, 0, lam=config.family_lam)
         plan.append((f"independence.{fam}.n{n}.lmax{lmax}",
                      lambda: verify_independence(spec, lmax)))
     if want("support"):

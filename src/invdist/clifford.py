@@ -326,7 +326,8 @@ def reduce_rotation(x: Scalar) -> Scalar:
 
 def group_inverse(g: REpsMatrix) -> REpsMatrix:
     """Inverse of g = D(I + N) with D a constant unit-phase diagonal and N
-    strictly upper triangular, via the finite Neumann series."""
+    strictly upper triangular, by back substitution on g x = I:
+    x_jj = d^-1 and x_ij = -d^-1 * sum_{i<k<=j} g_ik x_kj."""
     n = g.n
     d = g.entries[0][0]
     if not d.b.is_zero() or not d.a.is_monomial():
@@ -338,25 +339,19 @@ def group_inverse(g: REpsMatrix) -> REpsMatrix:
             if not g.entries[i][j].is_zero():
                 raise ValueError("matrix must be upper triangular")
     d_inv = REpsElement(d.a.inverse_unit())
-    # N = D^-1 (g - D); strictly upper triangular
     zero = REpsElement()
-    nrows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(d_inv * g.entries[i][j] if j > i else zero)
-        nrows.append(tuple(row))
-    N = REpsMatrix(n, tuple(nrows))
-    # (I + N)^-1 = sum_k (-N)^k, terminating after n terms
-    acc = REpsMatrix.identity(n)
-    power = REpsMatrix.identity(n)
-    for _ in range(1, n):
-        power = power * (-N)
-        acc = acc + power
-    # g^-1 = (I + N)^-1 D^-1
-    dinv_rows = tuple(
-        tuple(d_inv if i == j else zero for j in range(n)) for i in range(n))
-    return acc * REpsMatrix(n, dinv_rows)
+    x = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        x[j][j] = d_inv
+        for i in range(j - 1, -1, -1):
+            acc = zero
+            for k in range(i + 1, j + 1):
+                e, f = g.entries[i][k], x[k][j]
+                if not e.is_zero() and not f.is_zero():
+                    acc = acc + e * f
+            if not acc.is_zero():
+                x[i][j] = -(d_inv * acc)
+    return REpsMatrix.from_rows(x)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "verify_invariance",
     "verify_independence",
     "verify_support_filtration",
-    "theorem_main_report",
 ]
 
 
@@ -329,27 +328,3 @@ def verify_support_filtration(n: int, j: int, lmax: int) -> CheckRecord:
                 "analytic content, recorded but not formally verified"),
         },
     )
-
-
-def theorem_main_report(n: int, lmax: int,
-                        composite_samples: int = 0,
-                        seed: int = 0) -> List[CheckRecord]:
-    """Invariance plus unbounded-rank checks for the main statement: the
-    formal-parameter branch for n >= 3, the fixed-parameter branch at
-    lam = 2 for n = 2."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    records: List[CheckRecord] = []
-    if n >= 3:
-        for l in range(min(lmax, 3) + 1):
-            records.append(verify_invariance(
-                FamilySpec(n, "T", l), composite_samples, seed))
-        records.append(verify_independence(FamilySpec(n, "T", 0), lmax))
-    else:
-        lam2 = Fraction(2)
-        for l in range(min(lmax, 3) + 1):
-            records.append(verify_invariance(
-                FamilySpec(n, "T2", l, lam=lam2), composite_samples, seed))
-        records.append(verify_independence(FamilySpec(n, "T2", 0, lam=lam2),
-                                           lmax))
-    return records

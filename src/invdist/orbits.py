@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .clifford import CplxPairElement, cplx_pair_times_eps_power
 from .records import FAIL, PASS, CheckRecord
 from .scalars import GR_I, GaussianRational, Scalar, integer_rank
 
@@ -357,38 +356,28 @@ def zeta_invariant(p: CplxProjPoint) -> Optional[GaussianRational]:
     return z_prev / z_n
 
 
-def _cplx_group_rows(n: int, diag: CplxPairElement,
-                     super_pairs: Sequence[Tuple[Scalar, Scalar]]
-                     ) -> List[List[CplxPairElement]]:
-    zero = CplxPairElement()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == i:
-                row.append(diag)
-            elif j > i:
-                a, b = super_pairs[j - i - 1]
-                row.append(cplx_pair_times_eps_power(a, b, j - i))
-            else:
-                row.append(zero)
-        rows.append(row)
-    return rows
+def _cplx_apply(diag, super_pairs, pairs):
+    """Image of the pairs (z_j, w_j) under the complexified Toeplitz element
+    with diagonal pair diag = (t, s) and k-th superdiagonal entry
+    (a_k, b_k)*eps^k.
 
-
-def _cplx_apply(rows, pairs: Sequence[Tuple[Scalar, Scalar]]
-                ) -> List[Tuple[Scalar, Scalar]]:
-    n = len(rows)
+    (a, b)*eps^k sends (z, w) to (a z, b w) for even k and to
+    (a conj(w), b conj(z)) for odd k.  Works over any ring with
+    ``conjugate``: formal Scalars or plain Gaussian rationals.
+    """
+    t, s = diag
+    n = len(pairs)
     out = []
     for i in range(n):
-        z_acc, w_acc = Scalar.zero(), Scalar.zero()
-        for j in range(n):
-            e = rows[i][j]
-            if e.is_zero():
-                continue
-            z, w = e.act(pairs[j][0], pairs[j][1])
-            z_acc = z_acc + z
-            w_acc = w_acc + w
+        z, w = pairs[i]
+        z_acc, w_acc = t * z, s * w
+        for k in range(1, n - i):
+            a, b = super_pairs[k - 1]
+            z, w = pairs[i + k]
+            if k % 2:
+                z, w = w.conjugate(), z.conjugate()
+            z_acc = z_acc + a * z
+            w_acc = w_acc + b * w
         out.append((z_acc, w_acc))
     return out
 
@@ -398,10 +387,9 @@ def _symbolic_zeta_check(n: int) -> bool:
     locus, the last pair scales by the diagonal phase and the ratio of the
     last two z-components is unchanged (checked by cross-multiplication)."""
     t = Scalar.var("t")
-    diag = CplxPairElement.diagonal(t, Scalar.var("tdual"))
+    diag = (t, Scalar.var("tdual"))
     super_pairs = [(Scalar.var(f"A{k}"), Scalar.var(f"B{k}"))
                    for k in range(1, n)]
-    rows = _cplx_group_rows(n, diag, super_pairs)
     zeta = Scalar.var("zeta")
     zn = Scalar.var("q")
     pairs: List[Tuple[Scalar, Scalar]] = []
@@ -409,7 +397,7 @@ def _symbolic_zeta_check(n: int) -> bool:
         pairs.append((Scalar.var(f"Z{i}"), Scalar.var(f"W{i}")))
     pairs.append((zeta * zn, Scalar.var(f"W{n - 1}")))
     pairs.append((zn, Scalar.zero()))  # the locus w_n = 0
-    image = _cplx_apply(rows, pairs)
+    image = _cplx_apply(diag, super_pairs, pairs)
     z_last, w_last = image[-1]
     z_prev, _ = image[-2]
     if not w_last.is_zero():
@@ -454,20 +442,11 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
             continue
         for _ in range(samples):
             t = _random_cplx_unit(rng)
-            diag = CplxPairElement.diagonal(
-                Scalar.from_gauss(t),
-                Scalar.from_gauss(t.conj().inverse()))
-            super_pairs = [
-                (Scalar.from_gauss(_random_cplx_unit(rng)),
-                 Scalar.from_gauss(_random_cplx_unit(rng)))
-                for _ in range(n - 1)]
-            rows = _cplx_group_rows(n, diag, super_pairs)
-            pairs = [(Scalar.from_gauss(z), Scalar.from_gauss(w))
-                     for z, w in point.coords]
-            image = _cplx_apply(rows, pairs)
+            diag = (t, t.conj().inverse())
+            super_pairs = [(_random_cplx_unit(rng), _random_cplx_unit(rng))
+                           for _ in range(n - 1)]
             moved = CplxProjPoint(tuple(
-                (z.constant_value(), w.constant_value())
-                for z, w in image))
+                _cplx_apply(diag, super_pairs, point.coords)))
             if zeta_invariant(moved) != zeta:
                 numeric_failures += 1
                 break

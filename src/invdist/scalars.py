@@ -64,6 +64,8 @@ class GaussianRational:
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
+    conjugate = conj
+
     def norm2(self) -> Fraction:
         """The multiplicative norm re^2 + im^2."""
         return self.re * self.re + self.im * self.im

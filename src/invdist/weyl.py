@@ -12,11 +12,12 @@ Symbol indexing: variable j (1-based, matching the usual z_j) owns symbol
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import product
+from math import comb, perm
 from typing import Dict, List, Sequence, Tuple
 
 from .clifford import REpsMatrix, group_inverse
-from .scalars import Scalar, falling_factorial, AffineExponent
+from .scalars import Scalar
 
 __all__ = [
     "WeylOp",
@@ -138,46 +139,35 @@ class WeylOp:
     # -- composition ------------------------------------------------------
 
     def compose(self, other: "WeylOp") -> "WeylOp":
-        """Normal-ordered product self o other."""
+        """Normal-ordered product self o other.
+
+        Per symbol, d^b z^m = sum_k C(b, k) m!/(m-k)! z^(m-k) d^(b-k); the
+        exponents are integers, so each contraction factor is an int and
+        each output term costs at most one scalar product.
+        """
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        width = 2 * self.n
         acc: Dict[Tuple[Expo, Expo], Scalar] = {}
         for (m1, d1), c1 in self.terms.items():
             for (m2, d2), c2 in other.terms.items():
-                # push d1 through m2, one symbol at a time
                 base = c1 * c2
-                # enumerate per-symbol contraction orders
-                choices: List[List[Tuple[int, Scalar]]] = []
-                for s in range(width):
-                    b, m = d1[s], m2[s]
-                    opts = []
-                    for k in range(min(b, m) + 1):
-                        factor = Scalar.of(comb(b, k)) * falling_factorial(
-                            AffineExponent.of(m), k)
-                        opts.append((k, factor))
-                    choices.append(opts)
-                self._accumulate(acc, base, m1, d1, m2, d2, choices)
+                mono0 = tuple(a + b for a, b in zip(m1, m2))
+                deriv0 = tuple(a + b for a, b in zip(d1, d2))
+                # symbols where a derivative of self meets a monomial of other
+                syms = [s for s, (b, m) in enumerate(zip(d1, m2)) if b and m]
+                for ks in product(*(range(min(d1[s], m2[s]) + 1)
+                                    for s in syms)):
+                    mono, deriv, f = list(mono0), list(deriv0), 1
+                    for s, k in zip(syms, ks):
+                        if k:
+                            mono[s] -= k
+                            deriv[s] -= k
+                            f *= comb(d1[s], k) * perm(m2[s], k)
+                    key = (tuple(mono), tuple(deriv))
+                    coeff = base if f == 1 else base * Scalar.of(f)
+                    prev = acc.get(key)
+                    acc[key] = coeff if prev is None else prev + coeff
         return WeylOp(self.n, acc)
-
-    @staticmethod
-    def _accumulate(acc, base, m1, d1, m2, d2, choices):
-        width = len(m1)
-
-        def rec(s, coeff, ks):
-            if s == width:
-                mono = tuple(m1[i] + m2[i] - ks[i] for i in range(width))
-                deriv = tuple(d1[i] - ks[i] + d2[i] for i in range(width))
-                key = (mono, deriv)
-                prev = acc.get(key)
-                acc[key] = coeff if prev is None else prev + coeff
-                return
-            for k, factor in choices[s]:
-                ks.append(k)
-                rec(s + 1, coeff * factor, ks)
-                ks.pop()
-
-        rec(0, base, [])
 
     def __pow__(self, e: int) -> "WeylOp":
         out = WeylOp.identity(self.n)
@@ -322,7 +312,7 @@ def _rows_from_matrix(g: REpsMatrix) -> Tuple[Dict[int, Scalar], ...]:
 def substitution_from_group(g: REpsMatrix,
                             unimodular: bool = True) -> Substitution:
     """The substitution on (z, zbar) induced by g, with its exact inverse
-    from the finite Neumann series."""
+    from ``group_inverse``."""
     g_inv = group_inverse(g)
     sub = Substitution(g.n, _rows_from_matrix(g), _rows_from_matrix(g_inv),
                        unimodular)

@@ -41,6 +41,18 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             RunConfig(suite="algebra", lmax=-1).validate()
 
+    def test_all_suite_main_theorem(self):
+        # invariance of T^0..T^2 and rank 3, formal lam for n = 3 and the
+        # lam = 2 branch for n = 2 (where support does not apply)
+        for n in (2, 3):
+            fam = "T" if n >= 3 else "T2"
+            report = run_suite(RunConfig(suite="all", n=n, lmax=2))
+            ids = {c.check_id for c in report.checks}
+            assert {f"invariance.{fam}.n{n}.l{l}" for l in range(3)} <= ids
+            assert f"independence.{fam}.n{n}.lmax2" in ids
+            assert all(c.status == PASS for c in report.checks
+                       if c.check_id != "support.n2")
+
     def test_zeta_labels_distinct(self):
         labels = _zeta_labels(100)
         assert len(labels) == 100
@@ -140,6 +152,25 @@ class TestMain:
     def test_n2_lambda_ignored_by_suites_without_families(self):
         RunConfig(suite="orbits", n=2, lam=Fraction(5)).validate()
         RunConfig(suite="invariance", n=2, lam=Fraction(2)).validate()
+
+    def test_invariance_covers_every_order_up_to_lmax(self):
+        res = run_cli("verify", "invariance", "--n", "3", "--lmax", "5",
+                      "--format", "json")
+        assert res.returncode == 0
+        checks = json.loads(res.stdout)["checks"]
+        assert [c["id"] for c in checks] == [
+            f"invariance.T.n3.l{l}" for l in range(6)]
+        assert all(c["status"] == PASS for c in checks)
+
+    def test_n2_reports_the_lambda_it_runs(self):
+        # T2 runs at lam = 2 even with the default --lambda formal; suites
+        # without families keep reporting the value given
+        for suite, want in (("invariance", "2"), ("independence", "2"),
+                            ("all", "2"), ("lemma-d", "formal")):
+            res = run_cli("verify", suite, "--n", "2", "--lmax", "1",
+                          "--samples", "2", "--format", "json")
+            assert res.returncode == 0
+            assert json.loads(res.stdout)["config"]["lambda"] == want
 
     def test_help_documents_defaults(self):
         res = run_cli("verify", "--help")

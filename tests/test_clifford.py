@@ -17,6 +17,44 @@ def scal(re, im=0):
     return Scalar.from_gauss(GaussianRational.of(Fraction(re), Fraction(im)))
 
 
+def _neumann_inverse(g):
+    """g^-1 = (I + N)^-1 D^-1 with N = D^-1 (g - D), from the finite
+    Neumann series sum_k (-N)^k (the former kernel)."""
+    n = g.n
+    d_inv = REpsElement(g.entries[0][0].a.inverse_unit())
+    zero = REpsElement()
+    N = REpsMatrix.from_rows([[d_inv * g.entries[i][j] if j > i else zero
+                               for j in range(n)] for i in range(n)])
+    acc = power = REpsMatrix.identity(n)
+    for _ in range(1, n):
+        power = power * (-N)
+        acc = acc + power
+    return acc * REpsMatrix.from_rows(
+        [[d_inv if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def formal_triangular(n, rng):
+    """Upper-triangular matrix with the formal unit diagonal 3/5 u^2 and
+    independent formal entries above it (so not Toeplitz), some zero."""
+    diag = REpsElement(Scalar.var(
+        "u", 2, GaussianRational.of(Fraction(3, 5), Fraction(4, 5))))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if j == i:
+                row.append(diag)
+            elif j > i and rng.random() < 0.8:
+                row.append(REpsElement(
+                    Scalar.var(f"x{i}{j}") + scal(rng.randint(-2, 2)),
+                    Scalar.var(f"y{i}{j}", coeff=GaussianRational.of(
+                        0, rng.randint(1, 3)))))
+            else:
+                row.append(REpsElement())
+        rows.append(row)
+    return REpsMatrix.from_rows(rows)
+
+
 def rand_elem(rng):
     def g():
         return GaussianRational.of(
@@ -112,6 +150,29 @@ class TestGroup:
                 g = g * h_shift(n, j, Scalar.from_gauss(a))
             assert g * group_inverse(g) == REpsMatrix.identity(n)
             assert group_inverse(g) * g == REpsMatrix.identity(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_group_inverse_matches_neumann_series(self, n):
+        rng = random.Random(50 + n)
+        identity = REpsMatrix.identity(n)
+        for _ in range(3):
+            g = formal_triangular(n, rng)
+            inv = group_inverse(g)
+            assert inv == _neumann_inverse(g)
+            assert g * inv == identity
+            assert inv * g == identity
+
+    def test_group_inverse_rejects_non_group_input(self):
+        one, x = REpsElement.one(), REpsElement(Scalar.var("x"))
+        zero = REpsElement()
+        lower = REpsMatrix.from_rows([[one, zero], [x, one]])
+        unequal = REpsMatrix.from_rows([[one, x], [zero, REpsElement.i_unit()]])
+        not_unit = REpsMatrix.from_rows([[x + one, zero], [zero, x + one]])
+        eps_diag = REpsMatrix.from_rows(
+            [[REpsElement.eps(), zero], [zero, REpsElement.eps()]])
+        for g in (lower, unequal, not_unit, eps_diag):
+            with pytest.raises(ValueError):
+                group_inverse(g)
 
     def test_formal_phase_inverse(self):
         g = h_phase(3)

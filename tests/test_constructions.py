@@ -8,7 +8,7 @@ import pytest
 from invdist.constructions import (FamilySpec, build_family,
                                    build_vector_field,
                                    generator_substitutions,
-                                   random_group_element, theorem_main_report,
+                                   random_group_element,
                                    verify_independence, verify_invariance,
                                    verify_lemma_d, verify_support_filtration)
 from invdist.distributions import DistExpr
@@ -157,8 +157,3 @@ class TestVerifiers:
         rec = verify_support_filtration(n, j, lmax=3)
         assert rec.passed, rec.details
         assert rec.details["supports"] == [f"X{j}"] * 4
-
-    def test_theorem_main_report(self):
-        for n in (2, 3):
-            records = theorem_main_report(n, lmax=2)
-            assert records and all(r.passed for r in records)

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from invdist.clifford import CplxPairElement, cplx_pair_times_eps_power
 from invdist.orbits import (CplxProjPoint, ProjPoint, _apply_group_exact,
-                            _lie_directions, _symbolic_zeta_check,
+                            _cplx_apply, _lie_directions,
+                            _symbolic_zeta_check,
                             complex_orbit_check, enumerate_strata,
                             orbit_dimension, stratum_dimension, stratum_of,
                             transitivity_witness, zeta_invariant)
-from invdist.scalars import GaussianRational
+from invdist.scalars import GaussianRational, Scalar
 
 
 def G(re, im=0):
@@ -125,7 +127,48 @@ class TestCensus:
         assert a.to_dict() == b.to_dict()
 
 
+def _cplx_apply_by_rows(diag, super_pairs, pairs):
+    """The complexified action through the full matrix of algebra elements
+    (a_k, b_k)*eps^k and CplxPairElement.act, entry by entry."""
+    n = len(pairs)
+    out = []
+    for i in range(n):
+        z_acc = w_acc = Scalar.zero()
+        for j in range(i, n):
+            e = CplxPairElement.diagonal(*diag) if j == i else \
+                cplx_pair_times_eps_power(*super_pairs[j - i - 1], j - i)
+            z, w = e.act(*pairs[j])
+            z_acc, w_acc = z_acc + z, w_acc + w
+        out.append((z_acc, w_acc))
+    return out
+
+
 class TestComplexOrbits:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_toeplitz_action_matches_matrix_action(self, n):
+        diag = (Scalar.var("t"), Scalar.var("tdual"))
+        super_pairs = [(Scalar.var(f"A{k}"), Scalar.var(f"B{k}"))
+                       for k in range(1, n)]
+        pairs = [(Scalar.var(f"Z{j}"), Scalar.var(f"W{j}"))
+                 for j in range(1, n + 1)]
+        assert _cplx_apply(diag, super_pairs, pairs) \
+            == _cplx_apply_by_rows(diag, super_pairs, pairs)
+        # the numeric samples run the same routine on plain Q(i)
+        rng = random.Random(n)
+
+        def gauss():
+            return G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                     Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+        diag = (gauss(), gauss())
+        super_pairs = [(gauss(), gauss()) for _ in range(n - 1)]
+        pairs = [(gauss(), gauss()) for _ in range(n)]
+        lift = lambda pair: tuple(Scalar.from_gauss(x) for x in pair)
+        want = _cplx_apply_by_rows(lift(diag), [lift(p) for p in super_pairs],
+                                   [lift(p) for p in pairs])
+        assert _cplx_apply(diag, super_pairs, pairs) == [
+            (z.constant_value(), w.constant_value()) for z, w in want]
+
     def test_zeta_on_locus(self):
         p = CplxProjPoint(((G(1), G(2)), (G(3), G(1)), (G(6), G(0))))
         assert zeta_invariant(p) == G(Fraction(1, 2))

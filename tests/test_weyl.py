@@ -3,11 +3,13 @@ operator conjugation."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from invdist.clifford import h_phase, h_shift, h_shift_formal
-from invdist.scalars import GaussianRational, Scalar
+from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
+                             falling_factorial)
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitute_poly, substitution_from_group, sym_name,
                           sym_z, sym_zbar)
@@ -32,6 +34,50 @@ def rand_op(n, rng, nterms=2, max_ord=2):
         c = Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
         op = op + WeylOp.term(n, c, mono, deriv)
     return op
+
+
+def rand_lam_op(n, rng, nterms=3, max_ord=3):
+    """Random operator with lam-polynomial Gaussian coefficients; sparse
+    exponents up to max_ord, so contraction factors above 1 occur."""
+    lam = Scalar.var("lam")
+    op = WeylOp.zero(n)
+    for _ in range(nterms):
+        mono = {s: rng.randint(0, max_ord) for s in range(2 * n)
+                if rng.random() < 0.6}
+        deriv = {s: rng.randint(0, max_ord) for s in range(2 * n)
+                 if rng.random() < 0.6}
+        c = Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                      rng.randint(-2, 2)) \
+            + Scalar.of(rng.randint(-2, 2)) * lam \
+            + Scalar.of(Fraction(1, rng.randint(1, 3))) * lam * lam
+        op = op + WeylOp.term(n, c, mono, deriv)
+    return op
+
+
+def _compose_reference(a, b):
+    """Normal-ordered a o b by recursion over the symbols, multiplying one
+    Scalar factor C(b, k) * falling(m, k) per symbol (the former kernel)."""
+    width = 2 * a.n
+    acc = {}
+    for (m1, d1), c1 in a.terms.items():
+        for (m2, d2), c2 in b.terms.items():
+            choices = [[(k, Scalar.of(comb(d1[s], k)) * falling_factorial(
+                AffineExponent.of(m2[s]), k))
+                for k in range(min(d1[s], m2[s]) + 1)]
+                for s in range(width)]
+
+            def rec(s, coeff, ks):
+                if s == width:
+                    key = (tuple(m1[i] + m2[i] - ks[i] for i in range(width)),
+                           tuple(d1[i] - ks[i] + d2[i] for i in range(width)))
+                    prev = acc.get(key)
+                    acc[key] = coeff if prev is None else prev + coeff
+                    return
+                for k, factor in choices[s]:
+                    rec(s + 1, coeff * factor, ks + [k])
+
+            rec(0, c1 * c2, [])
+    return WeylOp(a.n, acc)
 
 
 def polys_equal(p, q):
@@ -76,6 +122,21 @@ class TestWeylOp:
             p = rand_poly(n, rng)
             assert polys_equal(a.compose(b).apply_poly(p),
                                a.apply_poly(b.apply_poly(p)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_compose_matches_reference(self, n):
+        rng = random.Random(200 + n)
+        big_factor = False
+        for _ in range(12):
+            a, b = rand_lam_op(n, rng), rand_lam_op(n, rng)
+            got, want = a.compose(b), _compose_reference(a, b)
+            assert got == want
+            # same term order too, so downstream iteration is unchanged
+            assert list(got.terms) == list(want.terms)
+            big_factor = big_factor or any(
+                d * m > 1 for _, d1 in a.terms for m2, _ in b.terms
+                for d, m in zip(d1, m2))
+        assert big_factor
 
     def test_compose_associative(self):
         rng = random.Random(5)
