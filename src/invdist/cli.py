@@ -75,7 +75,12 @@ class RunConfig:
         return self.lam if self.n >= 3 else Fraction(2)
 
     def to_dict(self) -> dict:
-        lam = self.family_lam if self.suite in FAMILY_SUITES else self.lam
+        if self.suite in FAMILY_SUITES:
+            lam = self.family_lam
+        elif self.suite == "support":
+            lam = None  # the support filtration is checked at formal lam
+        else:
+            lam = self.lam
         return {
             "suite": self.suite,
             "n": self.n,

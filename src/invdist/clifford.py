@@ -59,10 +59,6 @@ class REpsElement:
     def eps() -> "REpsElement":
         return REpsElement(Scalar.zero(), Scalar.one())
 
-    @staticmethod
-    def from_scalar(a: Scalar) -> "REpsElement":
-        return REpsElement(a)
-
     def __add__(self, other: "REpsElement") -> "REpsElement":
         return REpsElement(self.a + other.a, self.b + other.b)
 
@@ -123,12 +119,6 @@ class REpsMatrix:
         return REpsMatrix(n, tuple(
             tuple(one if i == j else zero for j in range(n))
             for i in range(n)))
-
-    @staticmethod
-    def zeros(n: int) -> "REpsMatrix":
-        zero = REpsElement()
-        return REpsMatrix(n, tuple(tuple(zero for _ in range(n))
-                                   for _ in range(n)))
 
     def __add__(self, other: "REpsMatrix") -> "REpsMatrix":
         return REpsMatrix(self.n, tuple(

@@ -303,7 +303,8 @@ def verify_independence(spec: FamilySpec, lmax: int) -> CheckRecord:
 def verify_support_filtration(n: int, j: int, lmax: int) -> CheckRecord:
     """The order-j family is supported on the closure of the (2j-1)-
     dimensional stratum and stays independent, witnessing the infinite-
-    dimensional quotient of the support filtration."""
+    dimensional quotient of the support filtration.  Proposition 4.8 holds
+    for generic lam, so the family is built at formal lam."""
     if n < 3 or not 2 <= j <= n - 1:
         raise ValueError("need n >= 3 and 2 <= j <= n-1")
     family = [build_family(FamilySpec(n, "Tj", l, j)) for l in range(lmax + 1)]
@@ -322,6 +323,7 @@ def verify_support_filtration(n: int, j: int, lmax: int) -> CheckRecord:
             "supports": [s.label() for s in supports],
             "rank": rank,
             "expected_rank": lmax + 1,
+            "lambda": "formal",
             "excluded_lambda": excluded,
             "excluded_lambda_note": (
                 "support equality at the excluded spectral values is "

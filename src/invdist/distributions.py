@@ -245,9 +245,6 @@ class DistExpr:
     def act_group(self, sub: Substitution) -> "DistExpr":
         """Pullback of the expression along the substitution (the group
         action on distributions; no Jacobian factor by unimodularity)."""
-        if not sub.unimodular:
-            raise UnsupportedSubstitutionError(
-                "action requires a unimodular substitution")
         if self.factored is not None:
             op, power, base = self.factored
             moved = conjugate_op(op, sub) ** power

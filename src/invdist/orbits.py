@@ -4,12 +4,12 @@ complexified picture with its continuum of orbit labels.
 Points carry Gaussian-rational coordinates.  Strata are labelled by the
 index of the last nonzero complex coordinate; the stratum of index j is a
 (2j-1)-dimensional orbit, which we certify by exact tangent-space rank at
-the point, plus constructive reachability witnesses.
+the point, plus reachability witnesses: integer certificates G p = s q
+over the Gaussian integers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -96,20 +96,27 @@ def _interleave(re: Sequence[int], im: Sequence[int]) -> List[int]:
     return [x for pair in zip(re, im) for x in pair]
 
 
+GaussInt = Tuple[int, int]  # re + i*im with integer parts
+
+
+def _integer_coords(p: ProjPoint) -> List[GaussInt]:
+    """The coordinates scaled by the lcm of their denominators: a positive
+    real scale, so they name the same projective point."""
+    scale = math.lcm(*[part.denominator for c in p.coords
+                       for part in (c.re, c.im)])
+    return [(int(c.re * scale), int(c.im * scale)) for c in p.coords]
+
+
 def _lie_directions(p: ProjPoint) -> List[List[int]]:
     """Images of the point under a basis of the (2n-1)-dimensional Lie
     algebra: the i-rotation direction and both real directions of every
     superdiagonal coefficient, plus the point itself (radial direction).
 
-    The point is first scaled by the lcm of its denominators, a positive
-    real scale that names the same projective point, so each image is an
-    integer vector (re, im interleaved): multiplying by i and conjugating
-    only permute and negate components."""
+    On the integer coordinates each image is an integer vector (re, im
+    interleaved): multiplying by i and conjugating only permute and negate
+    components."""
     n = p.n
-    scale = math.lcm(*[part.denominator for c in p.coords
-                       for part in (c.re, c.im)])
-    xs = [int(c.re * scale) for c in p.coords]
-    ys = [int(c.im * scale) for c in p.coords]
+    xs, ys = (list(part) for part in zip(*_integer_coords(p)))
     vectors = [_interleave(xs, ys), _interleave([-y for y in ys], xs)]
     for k in range(1, n):
         # component m is z_{m+k}, conjugated for odd k, or 0 past the end
@@ -131,121 +138,79 @@ def orbit_dimension(p: ProjPoint) -> int:
 # Transitivity witnesses
 # ---------------------------------------------------------------------------
 
+def _mul(a: GaussInt, b: GaussInt) -> GaussInt:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _conj(a: GaussInt) -> GaussInt:
+    return a[0], -a[1]
+
+
+def _toeplitz_row(u: GaussInt, shifts: Sequence[GaussInt],
+                  z: Sequence[GaussInt]) -> GaussInt:
+    """First coordinate of the image: u z_1 + sum_k v_k eps^k(z_{1+k}),
+    where eps acts on C by conjugation."""
+    re, im = _mul(u, z[0])
+    for k, (v, src) in enumerate(zip(shifts, z[1:]), 1):
+        a, b = _mul(v, _conj(src) if k % 2 else src)
+        re, im = re + a, im + b
+    return re, im
+
+
+def _apply_toeplitz(u: GaussInt, shifts: Sequence[GaussInt],
+                    z: Sequence[GaussInt]) -> List[GaussInt]:
+    """Image of z under the upper-triangular Toeplitz matrix over Z[i] with
+    diagonal u and k-th superdiagonal shifts[k-1]*eps^k (missing shifts are
+    zero): (G z)_m = u z_m + sum_k v_k eps^k(z_{m+k})."""
+    return [_toeplitz_row(u, shifts, z[m:]) for m in range(len(z))]
+
+
 @dataclass
 class Witness:
-    theta: float
-    shifts: List[complex]
-    scale: float
-    residual: float
-    exact: bool = False
+    """An integer certificate G p = scale * q on the integer coordinates
+    of p and q, with G the Toeplitz matrix over Z[i] of ``diagonal`` and
+    ``shifts`` (see ``_apply_toeplitz``).  G/|diagonal| lies in H and maps
+    p to the positive multiple scale/|diagonal| of q, so the projective
+    points agree.  ``residual`` counts the coordinates where the identity
+    fails, recomputed from G after the solve."""
 
-
-def _eps_pow(v: complex, k: int) -> complex:
-    return v.conjugate() if k % 2 else v
-
-
-def _apply_group_float(theta: float, shifts: Sequence[complex],
-                       z: Sequence[complex]) -> List[complex]:
-    n = len(z)
-    phase = cmath.exp(1j * theta)
-    out = []
-    for m in range(1, n + 1):
-        acc = phase * z[m - 1]
-        for k in range(1, n - m + 1):
-            if k - 1 < len(shifts):
-                acc += shifts[k - 1] * _eps_pow(z[m + k - 1], k)
-        out.append(acc)
-    return out
-
-
-def _sqrt_fraction(f: Fraction) -> Optional[Fraction]:
-    if f < 0:
-        return None
-    num = math.isqrt(f.numerator)
-    den = math.isqrt(f.denominator)
-    if num * num == f.numerator and den * den == f.denominator:
-        return Fraction(num, den)
-    return None
+    diagonal: GaussInt
+    shifts: List[GaussInt]
+    scale: int
+    residual: int
+    exact: bool = True
 
 
 def transitivity_witness(p: ProjPoint, q: ProjPoint) -> Optional[Witness]:
-    """A group element (phase, shift coefficients) and a real scale mapping
-    p to q, or None when the strata differ.
+    """A fraction-free solve of G p = s q over Z[i], or None when the
+    strata differ.
 
-    When the required phase happens to be a Gaussian-rational unit the
-    witness is computed exactly (residual 0); otherwise the solve is done
-    in floating point with the residual reported.
+    With c = p_j (j the common stratum) and N = |c|^2, the diagonal
+    q_j conj(c) and s = N solve the last row.  Each row above solves for
+    one new shift v_k: u, s and the earlier shifts are multiplied by N,
+    which keeps the rows below satisfied, and v_k is the row's residual
+    times conj(eps^k(c)), since v_k eps^k(c) must then equal N times it.
     """
     if p.n != q.n:
         raise ValueError("dimension mismatch")
-    jp, jq = stratum_of(p), stratum_of(q)
-    if jp != jq:
+    j = stratum_of(p)
+    if stratum_of(q) != j:
         return None
-    j = jp
-    ratio = q.coords[j - 1] / p.coords[j - 1]
-    r_exact = _sqrt_fraction(ratio.norm2())
-    if r_exact is not None:
-        return _exact_witness(p, q, j, ratio, r_exact)
-    return _float_witness(p, q, j)
-
-
-def _exact_witness(p: ProjPoint, q: ProjPoint, j: int,
-                   ratio: GaussianRational, r: Fraction) -> Witness:
-    phase = GaussianRational(ratio.re / r, ratio.im / r)
-    shifts: List[GaussianRational] = [GaussianRational()] * (j - 1)
-    inv_r = GaussianRational.of(Fraction(1) / r)
-    for m in range(j - 1, 0, -1):
-        k_new = j - m
-        rhs = inv_r * q.coords[m - 1] - phase * p.coords[m - 1]
-        for k in range(1, k_new):
-            src = p.coords[m + k - 1]
-            rhs = rhs - shifts[k - 1] * (src.conj() if k % 2 else src)
-        pj = p.coords[j - 1]
-        coeff = pj.conj() if k_new % 2 else pj
-        shifts[k_new - 1] = rhs / coeff
-    # confirm exactly
-    scaled = _apply_group_exact(phase, shifts, p.coords)
-    ok = all((GaussianRational.of(r) * a - b).is_zero()
-             for a, b in zip(scaled, q.coords))
-    theta = math.atan2(float(phase.im), float(phase.re))
-    return Witness(theta, [complex(a) for a in shifts], float(r),
-                   0.0 if ok else float("inf"), exact=True)
-
-
-def _apply_group_exact(phase: GaussianRational,
-                       shifts: Sequence[GaussianRational],
-                       z: Sequence[GaussianRational]) -> List[GaussianRational]:
-    n = len(z)
-    out = []
-    for m in range(1, n + 1):
-        acc = phase * z[m - 1]
-        for k in range(1, n - m + 1):
-            if k - 1 < len(shifts):
-                src = z[m + k - 1]
-                acc = acc + shifts[k - 1] * (src.conj() if k % 2 else src)
-        out.append(acc)
-    return out
-
-
-def _float_witness(p: ProjPoint, q: ProjPoint, j: int) -> Witness:
-    pz = [complex(c) for c in p.coords]
-    qz = [complex(c) for c in q.coords]
-    ratio = qz[j - 1] / pz[j - 1]
-    r = abs(ratio)
-    phase = ratio / r
-    theta = cmath.phase(phase)
-    shifts: List[complex] = [0j] * (j - 1)
-    for m in range(j - 1, 0, -1):
-        k_new = j - m
-        rhs = qz[m - 1] / r - phase * pz[m - 1]
-        for k in range(1, k_new):
-            rhs -= shifts[k - 1] * _eps_pow(pz[m + k - 1], k)
-        coeff = _eps_pow(pz[j - 1], k_new)
-        shifts[k_new - 1] = rhs / coeff
-    image = _apply_group_float(theta, shifts, pz)
-    residual = math.sqrt(sum(abs(r * a - b) ** 2
-                             for a, b in zip(image, qz)))
-    return Witness(theta, shifts, r, residual)
+    z, w = _integer_coords(p), _integer_coords(q)
+    c = z[j - 1]
+    norm = c[0] * c[0] + c[1] * c[1]
+    u, s = _mul(w[j - 1], _conj(c)), norm
+    shifts: List[GaussInt] = []
+    for k in range(1, j):
+        m = j - 1 - k  # the 0-based row that fixes v_k
+        image = _toeplitz_row(u, shifts, z[m:])
+        rest = (s * w[m][0] - image[0], s * w[m][1] - image[1])
+        u, s = (u[0] * norm, u[1] * norm), s * norm
+        shifts = [(a * norm, b * norm) for a, b in shifts]
+        shifts.append(_mul(rest, c if k % 2 else _conj(c)))
+    image = _apply_toeplitz(u, shifts, z)
+    residual = sum(g != (s * a, s * b) for g, (a, b) in zip(image, w))
+    return Witness(u, shifts, s, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +234,11 @@ def _random_point(n: int, rng: random.Random) -> ProjPoint:
 
 def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
                      witness_pairs: int = 50,
-                     residual_tol: float = 1e-9) -> CheckRecord:
+                     residual_tol: int = 0) -> CheckRecord:
     """Random census of the orbit structure: exactly n stratum labels, each
     with exact tangent dimension 2j-1, and reachability witnesses inside
-    each stratum."""
+    each stratum.  A witness fails when more than ``residual_tol`` of its
+    coordinates miss the integer identity G p = s q."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = random.Random(seed)
@@ -292,7 +258,7 @@ def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
             dim_failures.append({"point": [str(c) for c in p.coords],
                                  "rank_dim": d,
                                  "expected": stratum_dimension(j)})
-    max_residual = 0.0
+    max_residual = 0
     witness_failures = 0
     cross_failures = 0
     pairs_tested: Dict[str, int] = {}

@@ -85,9 +85,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def __complex__(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)

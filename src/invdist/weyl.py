@@ -7,6 +7,14 @@ commutators are [d/dz_j, z_j] = 1 and [d/dzbar_j, zbar_j] = 1.
 
 Symbol indexing: variable j (1-based, matching the usual z_j) owns symbol
 2*(j-1) for z_j and 2*(j-1)+1 for zbar_j.
+
+Group conventions: g acts on C^n by (g z)_i = sum_j g_ij . z_j.  The
+forward rows of ``substitution_from_group(g)`` send z_i to (g z)_i, so
+substituting them into f gives f o g, and the inverse rows give f o g^-1.
+The group acts on the left: g.f = f o g^-1 on functions and distributions
+(``DistExpr.act_group``) and g.D = g o D o g^-1 on operators
+(``conjugate_op``), so (g.D)(f) = g.(D(g^-1.f)), and acting by g1 and
+then by g2 is acting by the product g2 * g1.
 """
 
 from __future__ import annotations
@@ -245,7 +253,6 @@ class Substitution:
     n: int
     fwd: Tuple[Dict[int, Scalar], ...]
     inv: Tuple[Dict[int, Scalar], ...]
-    unimodular: bool = True
 
     @staticmethod
     def identity(n: int) -> "Substitution":
@@ -264,29 +271,7 @@ class Substitution:
         return True
 
     def inverse(self) -> "Substitution":
-        return Substitution(self.n, self.inv, self.fwd, self.unimodular)
-
-    def then(self, second: "Substitution") -> "Substitution":
-        """The substitution of the product group element g2*g1 when self
-        belongs to g1 and second to g2 (coordinates map by g2 after g1)."""
-        def compose_rows(outer, inner):
-            rows = []
-            for s in range(2 * self.n):
-                form: Dict[int, Scalar] = {}
-                for t, c in outer[s].items():
-                    for r, d in inner[t].items():
-                        prev = form.get(r)
-                        val = c * d
-                        form[r] = val if prev is None else prev + val
-                rows.append({r: v for r, v in form.items() if v})
-            return tuple(rows)
-
-        # forward: x -> g2*(g1*x): row of the composite = second.fwd applied
-        # to self.fwd
-        fwd = compose_rows(second.fwd, self.fwd)
-        inv = compose_rows(self.inv, second.inv)
-        return Substitution(self.n, fwd, inv,
-                            self.unimodular and second.unimodular)
+        return Substitution(self.n, self.inv, self.fwd)
 
 
 def _rows_from_matrix(g: REpsMatrix) -> Tuple[Dict[int, Scalar], ...]:
@@ -309,13 +294,11 @@ def _rows_from_matrix(g: REpsMatrix) -> Tuple[Dict[int, Scalar], ...]:
     return tuple(rows)
 
 
-def substitution_from_group(g: REpsMatrix,
-                            unimodular: bool = True) -> Substitution:
+def substitution_from_group(g: REpsMatrix) -> Substitution:
     """The substitution on (z, zbar) induced by g, with its exact inverse
     from ``group_inverse``."""
     g_inv = group_inverse(g)
-    sub = Substitution(g.n, _rows_from_matrix(g), _rows_from_matrix(g_inv),
-                       unimodular)
+    sub = Substitution(g.n, _rows_from_matrix(g), _rows_from_matrix(g_inv))
     if not sub.check_reality():
         raise ValueError("substitution violates the reality constraint")
     return sub

@@ -1,8 +1,8 @@
 """Acceptance criteria for the verification engine.
 
-Each test pins one headline claim at its stated tolerance; all algebraic
-identities are exact, and only orbit-reachability witnesses carry a float
-tolerance (1e-9).  Timed criteria assert their wall-clock budget.
+Each test pins one headline claim; every identity is exact, orbit
+reachability included (an integer certificate G p = s q over the Gaussian
+integers).  Timed criteria assert their wall-clock budget.
 """
 
 import random
@@ -133,16 +133,16 @@ def test_07_n_equals_2_branch():
 
 def test_08_orbit_census():
     """Exactly n strata with exact tangent-rank dimensions 2j-1 for
-    n in {2,3,4,5}; 50 same-stratum witness pairs per stratum with
-    residual <= 1e-9; < 30 s."""
+    n in {2,3,4,5}; 50 same-stratum witness pairs per stratum, each an
+    exact integer certificate (residual 0); < 30 s."""
     start = time.monotonic()
     for n in (2, 3, 4, 5):
         record = enumerate_strata(n, samples=100, seed=0, witness_pairs=50,
-                                  residual_tol=1e-9)
+                                  residual_tol=0)
         assert record.passed, record.details
         assert record.details["dimensions"] == {
             str(j): 2 * j - 1 for j in range(1, n + 1)}
-        assert record.details["max_residual"] <= 1e-9
+        assert record.details["max_residual"] == 0
     assert elapsed(start) < 30.0
 
 

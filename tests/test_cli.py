@@ -172,6 +172,18 @@ class TestMain:
             assert res.returncode == 0
             assert json.loads(res.stdout)["config"]["lambda"] == want
 
+    def test_support_runs_at_formal_lambda(self):
+        # the support filtration is a statement for generic lam: --lambda
+        # changes neither the checks nor the reported config
+        args = ["verify", "support", "--n", "3", "--lmax", "2",
+                "--format", "json"]
+        formal, given = run_cli(*args), run_cli(*args, "--lambda", "4")
+        assert formal.returncode == given.returncode == 0
+        assert formal.stdout == given.stdout
+        data = json.loads(formal.stdout)
+        assert data["config"]["lambda"] == "formal"
+        assert all(c["details"]["lambda"] == "formal" for c in data["checks"])
+
     def test_help_documents_defaults(self):
         res = run_cli("verify", "--help")
         assert res.returncode == 0

@@ -181,18 +181,6 @@ class TestSubstitution:
         for g in (h_phase(n), h_shift_formal(n, 1), h_shift_formal(n, 2)):
             assert substitution_from_group(g).check_reality()
 
-    def test_then_composes(self):
-        n = 3
-        rng = random.Random(17)
-        s = substitution_from_group(h_shift_formal(n, 1))
-        t = substitution_from_group(h_phase(n))
-        p = rand_poly(n, rng)
-        via_then = substitute_poly(p, s.then(t).fwd, 2 * n)
-        via_steps = substitute_poly(substitute_poly(p, t.fwd, 2 * n), s.fwd, 2 * n)
-        # composition order: one of the two bracketings must agree
-        alt = substitute_poly(substitute_poly(p, s.fwd, 2 * n), t.fwd, 2 * n)
-        assert polys_equal(via_then, via_steps) or polys_equal(via_then, alt)
-
 
 class TestConjugateOp:
     def test_identity_substitution_fixes_ops(self):
@@ -222,17 +210,21 @@ class TestConjugateOp:
         assert back == op
 
     def test_oracle_on_polynomials(self):
-        # conjugate_op(D, s) applied to p must equal s^{-1} . D . s
-        # applied to p, for the shift substitution
+        # (g.D)(p) = g.(D(g^-1.p)) with g.f = f o g^-1, that is, substitute
+        # the forward rows, apply D, then substitute the inverse rows
         n = 3
         s = substitution_from_group(h_shift_formal(n, 1))
         rng = random.Random(41)
+        reversed_differs = False
         for _ in range(10):
             op = rand_op(n, rng, nterms=2, max_ord=1)
             p = rand_poly(n, rng)
             lhs = conjugate_op(op, s).apply_poly(p)
             rhs = substitute_poly(
+                op.apply_poly(substitute_poly(p, s.fwd, 2 * n)), s.inv, 2 * n)
+            assert polys_equal(lhs, rhs)
+            reversed_order = substitute_poly(
                 op.apply_poly(substitute_poly(p, s.inv, 2 * n)), s.fwd, 2 * n)
-            assert polys_equal(lhs, rhs) or polys_equal(
-                lhs, substitute_poly(
-                    op.apply_poly(substitute_poly(p, s.fwd, 2 * n)), s.inv, 2 * n))
+            reversed_differs |= not polys_equal(lhs, reversed_order)
+        # the samples tell the two orders apart
+        assert reversed_differs
