@@ -75,12 +75,9 @@ class RunConfig:
         return self.lam if self.n >= 3 else Fraction(2)
 
     def to_dict(self) -> dict:
-        if self.suite in FAMILY_SUITES:
-            lam = self.family_lam
-        elif self.suite == "support":
-            lam = None  # the support filtration is checked at formal lam
-        else:
-            lam = self.lam
+        # only the family suites read --lambda; the support filtration is
+        # checked at formal lam, and the other suites have no lam at all
+        lam = self.family_lam if self.suite in FAMILY_SUITES else None
         return {
             "suite": self.suite,
             "n": self.n,
@@ -165,9 +162,9 @@ def _plan(config: RunConfig) -> List[Planned]:
                              seed=seed)))
     if want("independence"):
         fam = "T" if n >= 3 else "T2"
-        spec = FamilySpec(n, fam, 0, lam=config.family_lam)
+        spec = FamilySpec(n, fam, lmax, lam=config.family_lam)
         plan.append((f"independence.{fam}.n{n}.lmax{lmax}",
-                     lambda: verify_independence(spec, lmax)))
+                     lambda: verify_independence(spec)))
     if want("support"):
         if n >= 3:
             for j in range(2, n):

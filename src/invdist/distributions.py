@@ -22,17 +22,20 @@ identity verified here is linear, so it is immaterial.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import perm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import AffineExponent, Scalar, generalized_binomial, \
     rank_over_function_field
-from .weyl import Expo, Poly, Substitution, WeylOp, conjugate_op, poly_linear, \
-    poly_mul, poly_pow, sym_conj, sym_z, sym_zbar, sym_name
+from .weyl import Expo, Poly, Substitution, WeylOp, columns, conjugate_op, \
+    poly_linear, poly_mul, substitute_poly, sym_conj, sym_z, sym_zbar, \
+    sym_name
 
 __all__ = [
     "DistExpr",
     "UnsupportedSubstitutionError",
     "SupportDescriptor",
+    "act_on_power",
     "independence_rank",
 ]
 
@@ -78,11 +81,7 @@ def _canonical_key(t: RawTerm) -> Optional[Tuple[TermKey, Scalar]]:
         if p > alpha or q > beta:
             return None
         if p or q:
-            f = 1
-            for step in range(p):
-                f *= alpha - step
-            for step in range(q):
-                f *= beta - step
+            f = perm(alpha, p) * perm(beta, q)
             if (p + q) % 2:
                 f = -f
             coeff = coeff * Scalar.of(f)
@@ -116,16 +115,13 @@ def _canonical_key(t: RawTerm) -> Optional[Tuple[TermKey, Scalar]]:
 
 
 class DistExpr:
-    """Canonical sum of distribution terms, optionally with a factored
-    form (operator^power applied to a base expression)."""
+    """Canonical sum of distribution terms."""
 
-    __slots__ = ("n", "terms", "factored")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Dict[TermKey, Scalar] | None = None,
-                 factored: Optional[Tuple[WeylOp, int, "DistExpr"]] = None):
+    def __init__(self, n: int, terms: Dict[TermKey, Scalar] | None = None):
         self.n = n
         self.terms = {k: c for k, c in (terms or {}).items() if c}
-        self.factored = factored
 
     # -- construction -----------------------------------------------------
 
@@ -134,8 +130,7 @@ class DistExpr:
         return DistExpr(n)
 
     @staticmethod
-    def from_raw(n: int, raws: Iterable[RawTerm],
-                 factored=None) -> "DistExpr":
+    def from_raw(n: int, raws: Iterable[RawTerm]) -> "DistExpr":
         acc: Dict[TermKey, Scalar] = {}
         for t in raws:
             if not t.coeff:
@@ -146,20 +141,18 @@ class DistExpr:
             key, coeff = normalized
             prev = acc.get(key)
             acc[key] = coeff if prev is None else prev + coeff
-        return DistExpr(n, acc, factored)
+        return DistExpr(n, acc)
 
     @staticmethod
     def single(n: int, coeff: Scalar = Scalar.one(),
                mono: Dict[int, int] | None = None,
                powers: Dict[int, AffineExponent] | None = None,
-               delta: Dict[int, Tuple[int, int]] | None = None,
-               factored=None) -> "DistExpr":
+               delta: Dict[int, Tuple[int, int]] | None = None) -> "DistExpr":
         m = [0] * (2 * n)
         for s, e in (mono or {}).items():
             m[s] = e
         return DistExpr.from_raw(
-            n, [RawTerm(m, dict(powers or {}), dict(delta or {}), coeff)],
-            factored)
+            n, [RawTerm(m, dict(powers or {}), dict(delta or {}), coeff)])
 
     def raw_terms(self) -> List[RawTerm]:
         out = []
@@ -189,9 +182,6 @@ class DistExpr:
     def __eq__(self, other) -> bool:
         return (isinstance(other, DistExpr) and self.n == other.n
                 and self.terms == other.terms)
-
-    def without_factored(self) -> "DistExpr":
-        return DistExpr(self.n, self.terms)
 
     # -- differential operators -------------------------------------------
 
@@ -243,12 +233,9 @@ class DistExpr:
     # -- group action -----------------------------------------------------
 
     def act_group(self, sub: Substitution) -> "DistExpr":
-        """Pullback of the expression along the substitution (the group
-        action on distributions; no Jacobian factor by unimodularity)."""
-        if self.factored is not None:
-            op, power, base = self.factored
-            moved = conjugate_op(op, sub) ** power
-            return base.act_group(sub).apply_weyl(moved)
+        """Pullback of the terms along the substitution by jet expansion
+        (the group action on distributions; no Jacobian factor by
+        unimodularity)."""
         width = 2 * self.n
         raws: List[RawTerm] = []
         for t in self.raw_terms():
@@ -260,7 +247,6 @@ class DistExpr:
         dset = set(t.delta)
         dsyms = {s for k in dset for s in (sym_z(k), sym_zbar(k))}
         # -- delta block: triangular with unit-modulus diagonal ------------
-        diag: Dict[int, Scalar] = {}
         for k in sorted(dset):
             row = sub.inv[sym_z(k)]
             for s in row:
@@ -276,19 +262,13 @@ class DistExpr:
             if c * c.conjugate() != Scalar.one():
                 raise UnsupportedSubstitutionError(
                     f"delta variable z{k} has non-unit diagonal ({c})")
-            diag[k] = c
             for s in sub.fwd[sym_z(k)]:
                 if s // 2 + 1 not in dset:
                     raise UnsupportedSubstitutionError(
                         f"forward image of delta variable z{k} leaves the "
                         "delta block")
         delta_sum = self._transform_delta(t.delta, sub)
-        # -- monomial part -------------------------------------------------
-        poly: Poly = {tuple([0] * width): Scalar.one()}
-        for s, e in enumerate(t.mono):
-            if e:
-                poly = poly_mul(poly, poly_pow(
-                    poly_linear(sub.inv[s], width), e, width))
+        poly = substitute_poly({tuple(t.mono): Scalar.one()}, sub.inv, width)
         # -- power factors: jet expansion up to the delta order ------------
         jet_order = sum(a + b for a, b in t.delta.values())
         partials: List[Tuple[Scalar, Poly, Dict[int, AffineExponent]]] = [
@@ -356,35 +336,19 @@ class DistExpr:
     def _transform_delta(self, delta: Dict[int, Tuple[int, int]],
                          sub: Substitution) -> Dict[Delta, Scalar]:
         """Pull the derivative block through the linear map restricted to
-        the delta variables: d_j goes to sum_k F[k][j] d_k with F the
-        forward map, and the underived block is fixed (unit determinant)."""
-        base: Dict[Delta, Scalar] = {
-            tuple(sorted((k, 0, 0) for k in delta)): Scalar.one()}
-        for k, (alpha, beta) in delta.items():
-            for s, count in ((sym_z(k), alpha), (sym_zbar(k), beta)):
-                col: Dict[int, Scalar] = {}
-                for r in delta:
-                    for rs in (sym_z(r), sym_zbar(r)):
-                        cc = sub.fwd[rs].get(s)
-                        if cc:
-                            col[rs] = cc
-                for _ in range(count):
-                    nxt: Dict[Delta, Scalar] = {}
-                    for dkey, dc in base.items():
-                        orders = {kk: (a, b) for kk, a, b in dkey}
-                        for rs, cc in col.items():
-                            kk = rs // 2 + 1
-                            a, b = orders[kk]
-                            orders2 = dict(orders)
-                            orders2[kk] = (a + 1, b) if rs % 2 == 0 \
-                                else (a, b + 1)
-                            key2 = tuple(sorted(
-                                (m, x, y) for m, (x, y) in orders2.items()))
-                            val = dc * cc
-                            prev = nxt.get(key2)
-                            nxt[key2] = val if prev is None else prev + val
-                    base = {kk: vv for kk, vv in nxt.items() if vv}
-        return base
+        the delta variables: d_t goes to sum_r F[r][t] d_r over the delta
+        symbols r, with F the forward map, and the underived block is
+        fixed (unit determinant)."""
+        width = 2 * self.n
+        ks = sorted(delta)
+        orders = [0] * width
+        for k in ks:
+            orders[sym_z(k)], orders[sym_zbar(k)] = delta[k]
+        dsyms = [s for k in ks for s in (sym_z(k), sym_zbar(k))]
+        pulled = substitute_poly({tuple(orders): Scalar.one()},
+                                 columns(sub.fwd, dsyms, width), width)
+        return {tuple((k, m[sym_z(k)], m[sym_zbar(k)]) for k in ks): c
+                for m, c in pulled.items()}
 
     # -- gradings ----------------------------------------------------------
 
@@ -493,6 +457,13 @@ class SupportDescriptor:
 
     def label(self) -> str:
         return f"X{self.stratum}" if self.stratum is not None else "irregular"
+
+
+def act_on_power(op: WeylOp, power: int, base: DistExpr,
+                 sub: Substitution) -> DistExpr:
+    """The action on op^power applied to base, derived without acting on
+    that expansion: g.(D^l T) = (g.D)^l (g.T) (Proposition 4.5)."""
+    return base.act_group(sub).apply_weyl(conjugate_op(op, sub) ** power)
 
 
 # ---------------------------------------------------------------------------

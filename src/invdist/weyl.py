@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb, perm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import REpsMatrix, group_inverse
 from .scalars import Scalar
@@ -320,6 +320,17 @@ def substitute_poly(p: Poly, rows: Sequence[Dict[int, Scalar]],
     return {m: c for m, c in out.items() if c}
 
 
+def columns(rows: Sequence[Dict[int, Scalar]], among: Iterable[int],
+            width: int) -> List[Dict[int, Scalar]]:
+    """The transpose of the rows indexed by ``among``: ``cols[t][r]`` is
+    the coefficient of symbol t in row r."""
+    cols: List[Dict[int, Scalar]] = [{} for _ in range(width)]
+    for r in among:
+        for t, c in rows[r].items():
+            cols[t][r] = c
+    return cols
+
+
 def conjugate_op(d: WeylOp, s: Substitution) -> WeylOp:
     """The transformed operator g.D with (g.D)(f) = g.(D(g^-1.f)).
 
@@ -330,22 +341,12 @@ def conjugate_op(d: WeylOp, s: Substitution) -> WeylOp:
     width = 2 * n
     if s.n != n:
         raise ValueError("dimension mismatch")
-    # columns of the forward map: which rows mention symbol t
-    cols: List[Dict[int, Scalar]] = [{} for _ in range(width)]
-    for r in range(width):
-        for t, c in s.fwd[r].items():
-            cols[t][r] = c
+    cols = columns(s.fwd, range(width), width)
     acc: Dict[Tuple[Expo, Expo], Scalar] = {}
     for (mono, deriv), c in d.terms.items():
         coeff_poly = substitute_poly({mono: c}, s.inv, width)
-        # transformed derivative block: product over symbols of
-        # (sum_r F[r][t] d_r)^deriv[t]
-        deriv_poly: Poly = {tuple([0] * width): Scalar.one()}
-        for t, e in enumerate(deriv):
-            if e:
-                deriv_poly = poly_mul(
-                    deriv_poly,
-                    poly_pow(poly_linear(cols[t], width), e, width))
+        # d_t goes to sum_r F[r][t] d_r
+        deriv_poly = substitute_poly({deriv: Scalar.one()}, cols, width)
         for pm, pc in coeff_poly.items():
             for dm, dc in deriv_poly.items():
                 key = (pm, dm)

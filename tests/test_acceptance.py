@@ -101,11 +101,11 @@ def test_05_homogeneity_and_parity():
     minus_lam = AffineExponent(Fraction(0), Fraction(-1))
     for n, family in ((3, "T"), (3, "Tbar"), (4, "T")):
         for l in range(4):
-            expr = build_family(FamilySpec(n, family, l))
+            expr = build_family(FamilySpec(n, family, l))[-1]
             assert expr.degree() == minus_lam
             assert expr.parity() == "even"
     for l in range(4):
-        expr = build_family(FamilySpec(2, "T2", l, lam=Fraction(2)))
+        expr = build_family(FamilySpec(2, "T2", l, lam=Fraction(2)))[-1]
         assert expr.degree() == AffineExponent.of(-2)
         assert expr.parity() == "even"
 
@@ -114,9 +114,9 @@ def test_06_independence_rank_grows_unboundedly():
     """Rank of {T^l}_{l=0..5} is 6 for n = 3 over the lam-function field,
     and rank = lmax+1 for lmax <= 8; exact; < 60 s."""
     start = time.monotonic()
-    record = verify_independence(FamilySpec(3, "T", 0), 5)
+    record = verify_independence(FamilySpec(3, "T", 5))
     assert record.passed and record.details["rank"] == 6
-    family = [build_family(FamilySpec(3, "T", l)) for l in range(9)]
+    family = build_family(FamilySpec(3, "T", 8))
     for lmax in range(9):
         assert independence_rank(family[:lmax + 1]) == lmax + 1
     assert elapsed(start) < 60.0
@@ -127,7 +127,7 @@ def test_07_n_equals_2_branch():
     for l in range(6):
         record = verify_invariance(FamilySpec(2, "T2", l, lam=Fraction(2)))
         assert record.passed, record.details
-    record = verify_independence(FamilySpec(2, "T2", 0, lam=Fraction(2)), 5)
+    record = verify_independence(FamilySpec(2, "T2", 5, lam=Fraction(2)))
     assert record.passed and record.details["rank"] == 6
 
 

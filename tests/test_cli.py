@@ -2,20 +2,26 @@
 codes."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import invdist
 from invdist.cli import (Report, RunConfig, emit_report, main, run_suite,
                          _zeta_labels)
 from invdist.records import FAIL, PASS, SKIPPED, CheckRecord
 
+# the source tree the tests import, so the CLI subprocess runs the same code
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(invdist.__file__)))
+
 
 def run_cli(*args, env=None):
-    import os
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "invdist.cli", *args],
@@ -164,7 +170,7 @@ class TestMain:
 
     def test_n2_reports_the_lambda_it_runs(self):
         # T2 runs at lam = 2 even with the default --lambda formal; suites
-        # without families keep reporting the value given
+        # without families run and report formal lam
         for suite, want in (("invariance", "2"), ("independence", "2"),
                             ("all", "2"), ("lemma-d", "formal")):
             res = run_cli("verify", suite, "--n", "2", "--lmax", "1",
@@ -172,17 +178,22 @@ class TestMain:
             assert res.returncode == 0
             assert json.loads(res.stdout)["config"]["lambda"] == want
 
-    def test_support_runs_at_formal_lambda(self):
-        # the support filtration is a statement for generic lam: --lambda
-        # changes neither the checks nor the reported config
-        args = ["verify", "support", "--n", "3", "--lmax", "2",
+    @pytest.mark.parametrize("suite", ["support", "algebra", "lemma-d",
+                                       "orbits", "complex-orbits"])
+    def test_support_runs_at_formal_lambda(self, suite):
+        # the support filtration is a statement for generic lam, and the
+        # other suites without families never read lam: --lambda changes
+        # neither the checks nor the reported config
+        args = ["verify", suite, "--n", "3", "--lmax", "2", "--samples", "5",
                 "--format", "json"]
         formal, given = run_cli(*args), run_cli(*args, "--lambda", "4")
         assert formal.returncode == given.returncode == 0
         assert formal.stdout == given.stdout
         data = json.loads(formal.stdout)
         assert data["config"]["lambda"] == "formal"
-        assert all(c["details"]["lambda"] == "formal" for c in data["checks"])
+        if suite == "support":
+            assert all(c["details"]["lambda"] == "formal"
+                       for c in data["checks"])
 
     def test_help_documents_defaults(self):
         res = run_cli("verify", "--help")

@@ -53,7 +53,7 @@ class TestVectorFields:
 class TestFamilies:
     def test_base_member(self):
         spec = FamilySpec(3, "T", 0)
-        expr = build_family(spec)
+        [expr] = build_family(spec)
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
         assert expr == DistExpr.single(3, powers={2: sigma},
                                        delta={3: (0, 0)})
@@ -62,7 +62,7 @@ class TestFamilies:
         # D T^0 = (1 - lam/2) zbar1 z2 |z2|^(-lam) delta
         #         + |z2|^(2 - lam) dz3-delta
         n = 3
-        expr = build_family(FamilySpec(n, "T", 1))
+        expr = build_family(FamilySpec(n, "T", 1))[-1]
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
         by_hand = DistExpr.single(
             n, coeff=sigma.as_scalar(),
@@ -72,24 +72,23 @@ class TestFamilies:
                               delta={3: (1, 0)})
         assert expr == by_hand
 
-    def test_factored_form_matches_expansion(self):
-        spec = FamilySpec(3, "T", 3)
-        expr = build_family(spec)
-        op, power, base = expr.factored
-        assert power == 3
-        redone = base
-        for _ in range(power):
-            redone = redone.apply_weyl(op)
-        assert redone == expr.without_factored()
+    def test_family_is_one_chain(self):
+        # T^l = D T^(l-1), and each member is the last of its own family
+        op = build_vector_field("D", 3)
+        family = build_family(FamilySpec(3, "T", 3))
+        assert len(family) == 4
+        for l in range(1, 4):
+            assert family[l] == family[l - 1].apply_weyl(op)
+            assert family[l] == build_family(FamilySpec(3, "T", l))[-1]
 
     def test_t2_family(self):
-        expr = build_family(FamilySpec(2, "T2", 2))
+        expr = build_family(FamilySpec(2, "T2", 2))[-1]
         # (z1 d/dz2)^2 delta(z2) = z1^2 d^2 delta
         expected = DistExpr.single(2, mono={sym_z(1): 2}, delta={2: (2, 0)})
         assert expr == expected
 
     def test_specialized_lambda(self):
-        expr = build_family(FamilySpec(3, "T", 0, lam=Fraction(4)))
+        [expr] = build_family(FamilySpec(3, "T", 0, lam=Fraction(4)))
         # sigma = 1 - 4/2 = -1 stays a power factor
         assert expr == DistExpr.single(
             3, powers={2: AffineExponent.of(-1)}, delta={3: (0, 0)})
@@ -136,6 +135,19 @@ class TestVerifiers:
         rec = verify_invariance(spec, composite_samples=2, seed=3)
         assert rec.passed, rec.details
 
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(3, "T", 3),
+        FamilySpec(3, "Tbar", 3),
+        FamilySpec(4, "Tj", 2, j=2),
+        FamilySpec(2, "T2", 3),
+    ])
+    def test_invariance_by_jet_expansion(self, spec):
+        # a second derivation: act on each expanded member directly, with
+        # no conjugated operator and no operator power
+        for member in build_family(spec):
+            for sub in generator_substitutions(spec.n):
+                assert member.act_group(sub) == member
+
     def test_invariance_degree_detail(self):
         rec = verify_invariance(FamilySpec(3, "T", 1))
         assert rec.details["degree"] == str(AffineExponent.of(0, -1))
@@ -143,12 +155,12 @@ class TestVerifiers:
         assert rec.details["u1_weights"] == [0]
 
     def test_independence(self):
-        rec = verify_independence(FamilySpec(3, "T", 0), 5)
+        rec = verify_independence(FamilySpec(3, "T", 5))
         assert rec.passed
         assert rec.details["rank"] == 6
 
     def test_independence_t2(self):
-        rec = verify_independence(FamilySpec(2, "T2", 0, lam=Fraction(2)), 5)
+        rec = verify_independence(FamilySpec(2, "T2", 5, lam=Fraction(2)))
         assert rec.passed
         assert rec.details["rank"] == 6
 

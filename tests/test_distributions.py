@@ -8,6 +8,8 @@ from math import factorial
 import pytest
 
 from invdist.clifford import h_phase, h_shift
+from invdist.constructions import (generator_substitutions,
+                                   random_group_element)
 from invdist.distributions import (DistExpr, RawTerm, SupportDescriptor,
                                    UnsupportedSubstitutionError,
                                    _canonical_key, independence_rank)
@@ -179,6 +181,52 @@ class TestGroupAction:
         expr = DistExpr.single(n, mono={sym_zbar(1): 1}, powers={2: sigma},
                                delta={3: (1, 1)})
         assert expr.act_group(sub).act_group(sub.inverse()) == expr
+
+
+def _transform_delta_reference(delta, sub):
+    """The derivative block pulled back one linear factor at a time: each
+    d_s becomes sum_r F[r][s] d_r over the delta symbols r (the former
+    kernel)."""
+    base = {tuple(sorted((k, 0, 0) for k in delta)): Scalar.one()}
+    for k, (alpha, beta) in delta.items():
+        for s, count in ((sym_z(k), alpha), (sym_zbar(k), beta)):
+            col = {}
+            for r in delta:
+                for rs in (sym_z(r), sym_zbar(r)):
+                    cc = sub.fwd[rs].get(s)
+                    if cc:
+                        col[rs] = cc
+            for _ in range(count):
+                nxt = {}
+                for dkey, dc in base.items():
+                    orders = {kk: (a, b) for kk, a, b in dkey}
+                    for rs, cc in col.items():
+                        kk = rs // 2 + 1
+                        a, b = orders[kk]
+                        orders2 = dict(orders)
+                        orders2[kk] = (a + 1, b) if rs % 2 == 0 \
+                            else (a, b + 1)
+                        key2 = tuple(sorted(
+                            (m, x, y) for m, (x, y) in orders2.items()))
+                        val = dc * cc
+                        prev = nxt.get(key2)
+                        nxt[key2] = val if prev is None else prev + val
+                base = {kk: vv for kk, vv in nxt.items() if vv}
+    return base
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_transform_delta_matches_reference(n):
+    rng = random.Random(40 + n)
+    subs = generator_substitutions(n) + [
+        substitution_from_group(random_group_element(n, rng))
+        for _ in range(3)]
+    for _ in range(12):
+        ks = sorted(rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+        delta = {k: (rng.randint(0, 3), rng.randint(0, 3)) for k in ks}
+        for sub in subs:
+            assert DistExpr(n)._transform_delta(delta, sub) \
+                == _transform_delta_reference(delta, sub), (delta, sub)
 
 
 class TestGradings:
