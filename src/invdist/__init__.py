@@ -9,8 +9,8 @@ from .records import CheckRecord, PASS, FAIL, SKIPPED
 from .scalars import (AffineExponent, GaussianRational, Scalar,
                       falling_factorial, generalized_binomial,
                       rank_over_function_field)
-from .clifford import (CplxPairElement, REpsElement, REpsMatrix,
-                       group_inverse, h_element, h_phase, h_shift, iota)
+from .clifford import (REpsElement, REpsMatrix, group_inverse, h_element,
+                       h_phase, h_shift, iota)
 from .weyl import Substitution, WeylOp, conjugate_op, substitution_from_group
 from .distributions import DistExpr, SupportDescriptor, independence_rank
 from .constructions import (FamilySpec, build_family, build_vector_field,
@@ -24,7 +24,7 @@ __all__ = [
     "CheckRecord", "PASS", "FAIL", "SKIPPED",
     "AffineExponent", "GaussianRational", "Scalar",
     "falling_factorial", "generalized_binomial", "rank_over_function_field",
-    "CplxPairElement", "REpsElement", "REpsMatrix",
+    "REpsElement", "REpsMatrix",
     "group_inverse", "h_element", "h_phase", "h_shift", "iota",
     "Substitution", "WeylOp", "conjugate_op", "substitution_from_group",
     "DistExpr", "SupportDescriptor", "independence_rank",

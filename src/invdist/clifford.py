@@ -1,4 +1,4 @@
-"""The twisted algebra C + C*eps, matrices over it, and its complexification.
+"""The twisted algebra C + C*eps and matrices over it.
 
 The four-dimensional real algebra is C (+) C*eps with product
 
@@ -31,10 +31,7 @@ __all__ = [
     "h_det_check",
     "h_closure_check",
     "group_inverse",
-    "CplxPairElement",
-    "cplx_eps_power",
     "reduce_rotation",
-    "det_scalar_matrix",
 ]
 
 
@@ -50,10 +47,6 @@ class REpsElement:
     @staticmethod
     def one() -> "REpsElement":
         return REpsElement(Scalar.one())
-
-    @staticmethod
-    def i_unit() -> "REpsElement":
-        return REpsElement(Scalar.i())
 
     @staticmethod
     def eps() -> "REpsElement":
@@ -77,16 +70,6 @@ class REpsElement:
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
-
-    def act(self, z: Scalar, zbar: Scalar) -> Tuple[Scalar, Scalar]:
-        """R-linear action on C: (a+b*eps).z = a*z + b*conj(z).
-
-        The pair (z, zbar) must satisfy the reality constraint
-        zbar == conj(z); the returned pair does too.
-        """
-        w = self.a * z + self.b * zbar
-        wbar = self.a.conjugate() * zbar + self.b.conjugate() * z
-        return w, wbar
 
     def __str__(self) -> str:
         return f"({self.a}) + ({self.b})*eps"
@@ -227,21 +210,19 @@ def iota_blocks(e: REpsElement) -> List[List[Scalar]]:
             [ia + ib, ra - rb]]
 
 
-def iota(m: REpsMatrix, allow_formal: bool = False) -> List[List[Scalar]]:
+def iota(m: REpsMatrix) -> List[List[Scalar]]:
     """The real 2n x 2n matrix of left multiplication on C^n = R^(2n)
     in the interleaved basis (x1, y1, ..., xn, yn).
 
     Entries must be numeric, possibly with the rotation symbols c, s
-    (carrying c^2 + s^2 = 1); pass allow_formal=True to admit arbitrary
-    symbolic entries (used by the symbolic determinant checks).
+    (carrying c^2 + s^2 = 1).
     """
-    if not allow_formal:
-        for row in m.entries:
-            for e in row:
-                syms = e.a.free_symbols() | e.b.free_symbols()
-                if syms - _ALLOWED_IOTA_SYMBOLS:
-                    raise ValueError(
-                        f"symbolic entry not supported by iota: {sorted(syms)}")
+    for row in m.entries:
+        for e in row:
+            syms = e.a.free_symbols() | e.b.free_symbols()
+            if syms - _ALLOWED_IOTA_SYMBOLS:
+                raise ValueError(
+                    f"symbolic entry not supported by iota: {sorted(syms)}")
     n = m.n
     out = [[Scalar.zero()] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
@@ -254,37 +235,6 @@ def iota(m: REpsMatrix, allow_formal: bool = False) -> List[List[Scalar]]:
                 for bj in range(2):
                     out[2 * i + bi][2 * j + bj] = blk[bi][bj]
     return out
-
-
-def mat_mul_scalar(A: List[List[Scalar]],
-                   B: List[List[Scalar]]) -> List[List[Scalar]]:
-    size = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(size)), Scalar.zero())
-             for j in range(size)] for i in range(size)]
-
-
-def det_scalar_matrix(m: List[List[Scalar]]) -> Scalar:
-    """Exact determinant by sparsity-guided Laplace expansion."""
-    size = len(m)
-    if size == 0:
-        return Scalar.one()
-    if size == 1:
-        return m[0][0]
-    # expand along the row with the fewest nonzero entries
-    best = min(range(size), key=lambda i: sum(bool(e) for e in m[i]))
-    row = m[best]
-    rest = [r for k, r in enumerate(m) if k != best]
-    acc = Scalar.zero()
-    for j, e in enumerate(row):
-        if not e:
-            continue
-        minor = [[r[c] for c in range(size) if c != j] for r in rest]
-        cof = det_scalar_matrix(minor)
-        term = e * cof
-        if (best + j) % 2:
-            term = -term
-        acc = acc + term
-    return acc
 
 
 def reduce_rotation(x: Scalar) -> Scalar:
@@ -348,32 +298,46 @@ def group_inverse(g: REpsMatrix) -> REpsMatrix:
 # Verification records for the matrix group
 # ---------------------------------------------------------------------------
 
+def _block_det(g: REpsMatrix) -> Optional[Scalar]:
+    """det iota(g) for upper-triangular g, or None if g has a nonzero entry
+    below the diagonal.  iota(g) is then block upper triangular (a block
+    iota_blocks(e) is zero only when e is), so its determinant is the
+    product of the diagonal blocks' determinants, each reduced modulo
+    c^2 + s^2 = 1 before multiplying."""
+    n = g.n
+    if any(not g.entries[i][j].is_zero() for i in range(n) for j in range(i)):
+        return None
+    det = Scalar.one()
+    for i in range(n):
+        (p, q), (r, t) = iota_blocks(g.entries[i][i])
+        det = det * reduce_rotation(p * t - q * r)
+    return reduce_rotation(det)
+
+
 def h_det_check(n: int) -> CheckRecord:
     """Symbolic unimodularity of the generators inside the real 2n x 2n
     picture: rotation blocks [[c, -s], [s, c]] with c^2 + s^2 = 1, and the
     unipotent generators with formal coefficients."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    # the phase generator with u replaced by c + i*s, each shift with a
+    # formal coefficient, and a mixed product
+    rot = Scalar.var("c") + Scalar.i() * Scalar.var("s")
+    zeros = [Scalar.zero()] * (n - 2)
+    cases = [("phase_det", h_element(n, rot, [Scalar.zero()] + zeros))]
+    cases += [(f"shift{j}_det", h_shift_formal(n, j)) for j in range(1, n)]
+    cases.append(("mixed_det",
+                  h_element(n, rot, [Scalar.var("a1")] + zeros)))
     details = {}
     ok = True
-    # phase generator with u replaced by c + i*s
-    rot = Scalar.var("c") + Scalar.i() * Scalar.var("s")
-    phase = h_element(n, rot, [Scalar.zero()] * (n - 1))
-    det_phase = reduce_rotation(det_scalar_matrix(iota(phase,
-                                                       allow_formal=True)))
-    details["phase_det"] = str(det_phase)
-    ok = ok and det_phase == Scalar.one()
-    for j in range(1, n):
-        g = h_shift_formal(n, j)
-        det_g = det_scalar_matrix(iota(g, allow_formal=True))
-        details[f"shift{j}_det"] = str(det_g)
-        ok = ok and det_g == Scalar.one()
-    # a mixed product
-    mixed = h_element(n, rot, [Scalar.var("a1")] + [Scalar.zero()] * (n - 2))
-    det_mixed = reduce_rotation(det_scalar_matrix(iota(mixed,
-                                                       allow_formal=True)))
-    details["mixed_det"] = str(det_mixed)
-    ok = ok and det_mixed == Scalar.one()
+    for key, g in cases:
+        det = _block_det(g)
+        if det is None:
+            details["below_diagonal"] = key
+            ok = False
+            break
+        details[key] = str(det)
+        ok = ok and det == Scalar.one()
     return CheckRecord(
         check_id=f"algebra.det.n{n}",
         statement=f"det of the embedded generators is identically 1 (n={n})",
@@ -439,68 +403,3 @@ def h_closure_check(n: int, samples: int = 20, seed: int = 0) -> CheckRecord:
         status=PASS if ok else FAIL,
         details=details,
     )
-
-
-# ---------------------------------------------------------------------------
-# Complexification (C (+) Cbar) (+) (C (+) Cbar)*eps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CplxPairElement:
-    """(a, c) + (b, d)*eps with all four components in the scalar ring."""
-
-    a: Scalar = Scalar.zero()
-    c: Scalar = Scalar.zero()
-    b: Scalar = Scalar.zero()
-    d: Scalar = Scalar.zero()
-
-    @staticmethod
-    def one() -> "CplxPairElement":
-        return CplxPairElement(Scalar.one(), Scalar.one())
-
-    @staticmethod
-    def eps() -> "CplxPairElement":
-        return CplxPairElement(b=Scalar.one(), d=Scalar.one())
-
-    @staticmethod
-    def diagonal(a: Scalar, c: Scalar) -> "CplxPairElement":
-        return CplxPairElement(a, c)
-
-    def __add__(self, other: "CplxPairElement") -> "CplxPairElement":
-        return CplxPairElement(self.a + other.a, self.c + other.c,
-                               self.b + other.b, self.d + other.d)
-
-    def __mul__(self, other: "CplxPairElement") -> "CplxPairElement":
-        # ((a,c)+(b,d)e)((a',c')+(b',d')e)
-        #   = (aa' + b*conj(d'), cc' + d*conj(b'))
-        #     + (ab' + b*conj(c'), cd' + d*conj(a'))e
-        a, c, b, d = self.a, self.c, self.b, self.d
-        a2, c2, b2, d2 = other.a, other.c, other.b, other.d
-        return CplxPairElement(
-            a * a2 + b * d2.conjugate(),
-            c * c2 + d * b2.conjugate(),
-            a * b2 + b * c2.conjugate(),
-            c * d2 + d * a2.conjugate(),
-        )
-
-    def act(self, z: Scalar, w: Scalar) -> Tuple[Scalar, Scalar]:
-        """Action on the complexified plane: (az + b*conj(w), cw + d*conj(z))."""
-        return (self.a * z + self.b * w.conjugate(),
-                self.c * w + self.d * z.conjugate())
-
-    def is_zero(self) -> bool:
-        return (self.a.is_zero() and self.c.is_zero()
-                and self.b.is_zero() and self.d.is_zero())
-
-    def __str__(self) -> str:
-        return (f"({self.a},{self.c}) + ({self.b},{self.d})*eps")
-
-
-def cplx_eps_power(k: int) -> CplxPairElement:
-    return CplxPairElement.one() if k % 2 == 0 else CplxPairElement.eps()
-
-
-def cplx_pair_times_eps_power(a: Scalar, b: Scalar,
-                              k: int) -> CplxPairElement:
-    """(a, b)*eps^k as an algebra element."""
-    return CplxPairElement.diagonal(a, b) * cplx_eps_power(k)

@@ -126,10 +126,6 @@ class DistExpr:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def zero(n: int) -> "DistExpr":
-        return DistExpr(n)
-
-    @staticmethod
     def from_raw(n: int, raws: Iterable[RawTerm]) -> "DistExpr":
         acc: Dict[TermKey, Scalar] = {}
         for t in raws:

@@ -295,16 +295,6 @@ class Scalar:
     def free_symbols(self) -> frozenset:
         return frozenset(n for m in self.terms for n, _ in m)
 
-    def is_constant(self) -> bool:
-        return all(m == _EMPTY_MONO for m in self.terms)
-
-    def constant_value(self) -> GaussianRational:
-        if not self.terms:
-            return GR_ZERO
-        if not self.is_constant():
-            raise ValueError(f"not a constant scalar: {self}")
-        return self.terms[_EMPTY_MONO]
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -319,30 +309,6 @@ class Scalar:
                 raise ValueError(f"cannot invert symbol {name}")
         inv_m = _mono_sorted((n, -e) for n, e in m)
         return Scalar({inv_m: c.inverse()})
-
-    # -- substitution -----------------------------------------------------
-
-    def substitute(self, assignments: Dict[str, "Scalar"]) -> "Scalar":
-        """Replace symbols by scalar values.  Laurent exponents require the
-        assigned value to be an invertible single-term scalar."""
-        assignments = {k: Scalar.from_gauss(v)
-                       if isinstance(v, GaussianRational) else v
-                       for k, v in assignments.items()}
-        result = _ZERO
-        for m, c in self.terms.items():
-            term = Scalar.from_gauss(c)
-            leftover = []
-            for name, e in m:
-                if name in assignments:
-                    val = assignments[name]
-                    term = term * (val ** e if e >= 0
-                                   else val.inverse_unit() ** (-e))
-                else:
-                    leftover.append((name, e))
-            if leftover:
-                term = term * Scalar({_mono_sorted(leftover): GR_ONE})
-            result = result + term
-        return result
 
     # -- univariate view --------------------------------------------------
 
@@ -424,9 +390,6 @@ class AffineExponent:
 
     def as_scalar(self) -> Scalar:
         return Scalar.of(self.r) + Scalar.of(self.s) * LAM
-
-    def specialize(self, lam_value: Fraction) -> Fraction:
-        return self.r + self.s * Fraction(lam_value)
 
     def __str__(self) -> str:
         if self.s == 0:

@@ -100,10 +100,6 @@ class WeylOp:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(n: int) -> "WeylOp":
-        return WeylOp(n)
-
-    @staticmethod
     def identity(n: int) -> "WeylOp":
         e = tuple([0] * (2 * n))
         return WeylOp(n, {(e, e): Scalar.one()})
@@ -183,37 +179,6 @@ class WeylOp:
             out = out.compose(self)
         return out
 
-    # -- action on polynomials (oracle support) ---------------------------
-
-    def apply_poly(self, p: Poly) -> Poly:
-        width = 2 * self.n
-        out: Poly = {}
-        for (m1, d1), c1 in self.terms.items():
-            for mono, c in p.items():
-                coeff = c1 * c
-                ok = True
-                new = list(mono)
-                for s in range(width):
-                    b = d1[s]
-                    if b == 0:
-                        continue
-                    if new[s] < b:
-                        ok = False
-                        break
-                    # d^b z^e = e!/(e-b)! z^(e-b)
-                    e = new[s]
-                    f = 1
-                    for t in range(b):
-                        f *= e - t
-                    coeff = coeff * Scalar.of(f)
-                    new[s] = e - b
-                if not ok or not coeff:
-                    continue
-                key = tuple(new[s] + m1[s] for s in range(width))
-                prev = out.get(key)
-                out[key] = coeff if prev is None else prev + coeff
-        return {m: c for m, c in out.items() if c}
-
     # -- display ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -253,11 +218,6 @@ class Substitution:
     n: int
     fwd: Tuple[Dict[int, Scalar], ...]
     inv: Tuple[Dict[int, Scalar], ...]
-
-    @staticmethod
-    def identity(n: int) -> "Substitution":
-        rows = tuple({s: Scalar.one()} for s in range(2 * n))
-        return Substitution(n, rows, tuple(dict(r) for r in rows))
 
     def check_reality(self) -> bool:
         for rows in (self.fwd, self.inv):

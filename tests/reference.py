@@ -1,0 +1,82 @@
+"""Reference algebra shared by several test modules.
+
+None of this is used by ``invdist``: each helper is a plain, direct
+construction that a test compares the engine with.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import List, Tuple
+
+from invdist.clifford import REpsElement
+from invdist.scalars import GaussianRational, Scalar
+
+
+def mat_mul_scalar(A: List[List[Scalar]],
+                   B: List[List[Scalar]]) -> List[List[Scalar]]:
+    size = len(A)
+    return [[sum((A[i][k] * B[k][j] for k in range(size)), Scalar.zero())
+             for j in range(size)] for i in range(size)]
+
+
+def act(e: REpsElement, z: Scalar, zbar: Scalar) -> Tuple[Scalar, Scalar]:
+    """R-linear action on C: (a+b*eps).z = a*z + b*conj(z), on a pair
+    (z, zbar) with zbar == conj(z); the returned pair satisfies it too."""
+    w = e.a * z + e.b * zbar
+    wbar = e.a.conjugate() * zbar + e.b.conjugate() * z
+    return w, wbar
+
+
+def constant_value(x: Scalar) -> GaussianRational:
+    if set(x.terms) - {()}:
+        raise ValueError(f"not a constant scalar: {x}")
+    return x.terms.get((), GaussianRational())
+
+
+@dataclass(frozen=True)
+class CplxPairElement:
+    """(a, c) + (b, d)*eps in the complexification
+    (C (+) Cbar) (+) (C (+) Cbar)*eps, all four components scalars."""
+
+    a: Scalar = Scalar.zero()
+    c: Scalar = Scalar.zero()
+    b: Scalar = Scalar.zero()
+    d: Scalar = Scalar.zero()
+
+    @staticmethod
+    def one() -> "CplxPairElement":
+        return CplxPairElement(Scalar.one(), Scalar.one())
+
+    @staticmethod
+    def eps() -> "CplxPairElement":
+        return CplxPairElement(b=Scalar.one(), d=Scalar.one())
+
+    @staticmethod
+    def diagonal(a: Scalar, c: Scalar) -> "CplxPairElement":
+        return CplxPairElement(a, c)
+
+    def __mul__(self, other: "CplxPairElement") -> "CplxPairElement":
+        # ((a,c)+(b,d)e)((a',c')+(b',d')e)
+        #   = (aa' + b*conj(d'), cc' + d*conj(b'))
+        #     + (ab' + b*conj(c'), cd' + d*conj(a'))e
+        a, c, b, d = self.a, self.c, self.b, self.d
+        a2, c2, b2, d2 = other.a, other.c, other.b, other.d
+        return CplxPairElement(
+            a * a2 + b * d2.conjugate(),
+            c * c2 + d * b2.conjugate(),
+            a * b2 + b * c2.conjugate(),
+            c * d2 + d * a2.conjugate(),
+        )
+
+    def act(self, z: Scalar, w: Scalar) -> Tuple[Scalar, Scalar]:
+        """Action on the complexified plane: (az + b*conj(w), cw + d*conj(z))."""
+        return (self.a * z + self.b * w.conjugate(),
+                self.c * w + self.d * z.conjugate())
+
+
+def cplx_pair_times_eps_power(a: Scalar, b: Scalar,
+                              k: int) -> CplxPairElement:
+    """(a, b)*eps^k as an algebra element."""
+    eps_k = CplxPairElement.one() if k % 2 == 0 else CplxPairElement.eps()
+    return CplxPairElement.diagonal(a, b) * eps_k

@@ -59,6 +59,13 @@ class TestRunSuite:
             assert all(c.status == PASS for c in report.checks
                        if c.check_id != "support.n2")
 
+    @pytest.mark.parametrize("suite, samples", [("algebra", 5),
+                                                 ("orbits", 100)])
+    def test_suite_passes_at_n16(self, suite, samples):
+        report = run_suite(RunConfig(suite=suite, n=16, samples=samples))
+        assert report.checks
+        assert all(c.status == PASS for c in report.checks)
+
     def test_zeta_labels_distinct(self):
         labels = _zeta_labels(100)
         assert len(labels) == 100

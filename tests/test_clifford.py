@@ -1,16 +1,19 @@
-"""The twisted algebra, its matrix group, the real embedding, and the
-complexified pair algebra."""
+"""The twisted algebra, its matrix group, the real embedding and its
+determinant, and the complexified pair algebra of the reference module."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from invdist.clifford import (CplxPairElement, REpsElement, REpsMatrix,
-                              cplx_pair_times_eps_power, group_inverse, h_closure_check, h_det_check,
-                              h_phase, h_shift, h_shift_formal,
-                              iota, mat_mul_scalar, reduce_rotation)
+from invdist import clifford
+from invdist.clifford import (REpsElement, REpsMatrix, _block_det,
+                              group_inverse, h_closure_check, h_det_check,
+                              h_element, h_phase, h_shift, h_shift_formal,
+                              iota, iota_blocks, reduce_rotation)
 from invdist.scalars import GaussianRational, Scalar
+from reference import (CplxPairElement, act, cplx_pair_times_eps_power,
+                       mat_mul_scalar)
 
 
 def scal(re, im=0):
@@ -63,6 +66,69 @@ def rand_elem(rng):
     return REpsElement(Scalar.from_gauss(g()), Scalar.from_gauss(g()))
 
 
+def det_scalar_matrix(m):
+    """Exact determinant by sparsity-guided Laplace expansion; its cost is
+    exponential in the size, so it is an oracle for small n only."""
+    size = len(m)
+    if size == 0:
+        return Scalar.one()
+    if size == 1:
+        return m[0][0]
+    # expand along the row with the fewest nonzero entries
+    best = min(range(size), key=lambda i: sum(bool(e) for e in m[i]))
+    row = m[best]
+    rest = [r for k, r in enumerate(m) if k != best]
+    acc = Scalar.zero()
+    for j, e in enumerate(row):
+        if not e:
+            continue
+        minor = [[r[c] for c in range(size) if c != j] for r in rest]
+        term = e * det_scalar_matrix(minor)
+        acc = acc + (-term if (best + j) % 2 else term)
+    return acc
+
+
+def embed(g):
+    """The full real 2n x 2n matrix of g, block by block, formal symbols
+    allowed (iota itself admits only c and s)."""
+    n = g.n
+    out = [[Scalar.zero()] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            blk = iota_blocks(g.entries[i][j])
+            for bi in range(2):
+                for bj in range(2):
+                    out[2 * i + bi][2 * j + bj] = blk[bi][bj]
+    return out
+
+
+def laplace_det(g):
+    return reduce_rotation(det_scalar_matrix(embed(g)))
+
+
+ROT = Scalar.var("c") + Scalar.i() * Scalar.var("s")
+
+
+def generators(n):
+    """The matrices h_det_check takes the determinant of."""
+    zeros = [Scalar.zero()] * (n - 2)
+    return ([h_element(n, ROT, [Scalar.zero()] + zeros)]
+            + [h_shift_formal(n, j) for j in range(1, n)]
+            + [h_element(n, ROT, [Scalar.var("a1")] + zeros)])
+
+
+def formal_rotation_triangular(n, rng):
+    """Upper-triangular matrix with c + i*s on the diagonal and formal
+    entries above it, some zero."""
+    zero = REpsElement()
+    return REpsMatrix.from_rows([[
+        REpsElement(ROT) if j == i else
+        REpsElement(Scalar.var(f"x{i}{j}") + scal(rng.randint(-2, 2)),
+                    Scalar.var(f"y{i}{j}") * scal(0, rng.randint(1, 3)))
+        if j > i and rng.random() < 0.8 else zero
+        for j in range(n)] for i in range(n)])
+
+
 class TestAlgebraRelations:
     ONE = REpsElement(Scalar.one(), Scalar.zero())
     I = REpsElement(Scalar.i(), Scalar.zero())
@@ -93,10 +159,10 @@ class TestAlgebraRelations:
         for _ in range(20):
             x, y = rand_elem(rng), rand_elem(rng)
             zval = rand_elem(rng).a
-            inner, inner_bar = y.act(zval, zval.conjugate())
+            inner, inner_bar = act(y, zval, zval.conjugate())
             assert inner_bar == inner.conjugate()
-            lhs, _ = x.act(inner, inner_bar)
-            rhs, _ = (x * y).act(zval, zval.conjugate())
+            lhs, _ = act(x, inner, inner_bar)
+            rhs, _ = act(x * y, zval, zval.conjugate())
             assert lhs == rhs
 
 
@@ -166,7 +232,7 @@ class TestGroup:
         one, x = REpsElement.one(), REpsElement(Scalar.var("x"))
         zero = REpsElement()
         lower = REpsMatrix.from_rows([[one, zero], [x, one]])
-        unequal = REpsMatrix.from_rows([[one, x], [zero, REpsElement.i_unit()]])
+        unequal = REpsMatrix.from_rows([[one, x], [zero, REpsElement(Scalar.i())]])
         not_unit = REpsMatrix.from_rows([[x + one, zero], [zero, x + one]])
         eps_diag = REpsMatrix.from_rows(
             [[REpsElement.eps(), zero], [zero, REpsElement.eps()]])
@@ -187,6 +253,68 @@ class TestGroup:
         c, s = Scalar.var("c"), Scalar.var("s")
         det = c * c + s * s
         assert reduce_rotation(det) == Scalar.one()
+
+
+class TestBlockDeterminant:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_generators_match_laplace_oracle(self, n):
+        for g in generators(n):
+            assert _block_det(g) == laplace_det(g) == Scalar.one()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_formal_triangular_matches_laplace_oracle(self, n):
+        rng = random.Random(60 + n)
+        for _ in range(3):
+            g = formal_rotation_triangular(n, rng)
+            assert _block_det(g) == laplace_det(g) == Scalar.one()
+        # a non-unit phase c + i*s + x on the diagonal: not 1, still equal
+        x = REpsElement(Scalar.var("x"))
+        g = REpsMatrix.from_rows([[e + x if j == i else e
+                                   for j, e in enumerate(row)]
+                                  for i, row in enumerate(g.entries)])
+        det = _block_det(g)
+        assert det == laplace_det(g) and det != Scalar.one()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_diagonal_two_is_not_unimodular(self, n):
+        g = h_element(n, Scalar.of(2), [Scalar.var("a1")]
+                      + [Scalar.zero()] * (n - 2))
+        assert _block_det(g) == laplace_det(g) == Scalar.of(4 ** n)
+
+    def test_entry_below_diagonal_is_refused(self):
+        one, zero = REpsElement.one(), REpsElement()
+        lower = REpsMatrix.from_rows([[one, zero], [REpsElement.eps(), one]])
+        assert laplace_det(lower) == Scalar.one()
+        assert _block_det(lower) is None
+
+    def test_check_fails_without_raising_below_diagonal(self, monkeypatch):
+        def lower_shift(n, j):
+            g = h_shift_formal(n, j)
+            rows = [list(r) for r in g.entries]
+            rows[n - 1][0] = REpsElement(Scalar.var(f"a{j}"))
+            return REpsMatrix.from_rows(rows)
+
+        monkeypatch.setattr(clifford, "h_shift_formal", lower_shift)
+        record = h_det_check(3)
+        assert not record.passed
+        assert record.details == {"phase_det": "1",
+                                  "below_diagonal": "shift1_det"}
+
+    def test_pass_details_name_every_generator(self):
+        record = h_det_check(4)
+        assert record.details == {
+            "phase_det": "1", "shift1_det": "1", "shift2_det": "1",
+            "shift3_det": "1", "mixed_det": "1"}
+
+    def test_det_check_at_n32(self):
+        assert h_det_check(32).passed
+
+    def test_iota_rejects_formal_symbols(self):
+        g = h_shift_formal(3, 1)
+        with pytest.raises(ValueError):
+            iota(g)
+        rotation = h_element(2, ROT, [Scalar.of(1)])
+        assert iota(rotation) == embed(rotation)
 
 
 class TestComplexified:

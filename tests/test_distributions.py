@@ -7,15 +7,14 @@ from math import factorial
 
 import pytest
 
-from invdist.clifford import h_phase, h_shift
+from invdist.clifford import REpsMatrix, h_phase, h_shift
 from invdist.constructions import (generator_substitutions,
                                    random_group_element)
 from invdist.distributions import (DistExpr, RawTerm, SupportDescriptor,
                                    UnsupportedSubstitutionError,
                                    _canonical_key, independence_rank)
 from invdist.scalars import AffineExponent, GaussianRational, Scalar, LAM
-from invdist.weyl import (Substitution, WeylOp, substitution_from_group,
-                          sym_z, sym_zbar)
+from invdist.weyl import WeylOp, substitution_from_group, sym_z, sym_zbar
 
 
 def delta_functional(expr: DistExpr, r: int, s: int) -> Scalar:
@@ -136,7 +135,8 @@ class TestGroupAction:
     def test_identity_action(self):
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
         expr = DistExpr.single(3, powers={2: sigma}, delta={3: (1, 0)})
-        assert expr.act_group(Substitution.identity(3)) == expr
+        assert expr.act_group(
+            substitution_from_group(REpsMatrix.identity(3))) == expr
 
     def test_action_composes(self):
         # a left action: acting by g1, then by g3, is acting by g3 * g1;

@@ -1,0 +1,42 @@
+"""The benchmark's span tracer (``invbench/spans.py``) against this source
+tree: entering it resolves every traced name, and leaving it restores every
+binding it replaced."""
+
+import os
+import sys
+
+import invdist.cli  # noqa: F401  (the tracer wraps names in every module)
+
+INVBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "invbench")
+
+
+def bindings():
+    """Every name bound in an invdist module or in a class it defines."""
+    out = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name != "invdist" and not mod_name.startswith("invdist."):
+            continue
+        for key, value in vars(mod).items():
+            out[mod_name, key] = value
+            if isinstance(value, type) and value.__module__ == mod_name:
+                for attr, member in vars(value).items():
+                    out[mod_name, f"{key}.{attr}"] = member
+    return out
+
+
+def changed(before, after):
+    return sorted(k for k in before.keys() | after.keys()
+                  if before.get(k) is not after.get(k))
+
+
+def test_tracer_resolves_and_restores_every_binding(monkeypatch):
+    monkeypatch.syspath_prepend(INVBENCH)
+    import spans
+
+    before = bindings()
+    with spans.Tracer() as tracer:
+        assert set(tracer.bound) == set(spans.SPANS) | set(spans.COUNTS)
+        assert ("invdist.weyl", "WeylOp.compose") in changed(before,
+                                                             bindings())
+    assert changed(before, bindings()) == []
