@@ -10,7 +10,7 @@ from .scalars import (AffineExponent, GaussianRational, Scalar,
                       falling_factorial, generalized_binomial,
                       rank_over_function_field)
 from .clifford import (REpsElement, REpsMatrix, group_inverse, h_element,
-                       h_phase, h_shift, iota)
+                       h_phase, h_shift)
 from .weyl import Substitution, WeylOp, conjugate_op, substitution_from_group
 from .distributions import DistExpr, SupportDescriptor, independence_rank
 from .constructions import (FamilySpec, build_family, build_vector_field,
@@ -25,7 +25,7 @@ __all__ = [
     "AffineExponent", "GaussianRational", "Scalar",
     "falling_factorial", "generalized_binomial", "rank_over_function_field",
     "REpsElement", "REpsMatrix",
-    "group_inverse", "h_element", "h_phase", "h_shift", "iota",
+    "group_inverse", "h_element", "h_phase", "h_shift",
     "Substitution", "WeylOp", "conjugate_op", "substitution_from_group",
     "DistExpr", "SupportDescriptor", "independence_rank",
     "FamilySpec", "build_family", "build_vector_field",

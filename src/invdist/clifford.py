@@ -7,7 +7,8 @@ The four-dimensional real algebra is C (+) C*eps with product
 so eps^2 = 1, i^2 = -1, i*eps = -eps*i.  It acts R-linearly on C by
 (a + b*eps).z = a*z + b*conj(z).  The subgroup of upper-triangular Toeplitz
 matrices with unit-phase diagonal and k-th superdiagonal entries a_k*eps^k
-lands in SL(2n, R) under the left-multiplication embedding ``iota``.
+lands in SL(2n, R) under the left-multiplication embedding of C^n = R^(2n),
+given block by block by ``iota_blocks``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ __all__ = [
     "h_phase",
     "h_shift",
     "h_element",
-    "iota",
+    "h_generators",
     "iota_blocks",
     "h_det_check",
     "h_closure_check",
     "group_inverse",
-    "reduce_rotation",
 ]
 
 
@@ -166,10 +166,9 @@ def h_element(n: int, diag: Scalar,
     return REpsMatrix(n, tuple(rows))
 
 
-def h_phase(n: int, exponent: int = 1, symbol: str = "u") -> REpsMatrix:
-    """The diagonal phase generator with formal unit u (or v)."""
-    return h_element(n, Scalar.var(symbol, exponent),
-                     [Scalar.zero()] * (n - 1))
+def h_phase(n: int) -> REpsMatrix:
+    """The diagonal phase generator with the formal unit u."""
+    return h_element(n, Scalar.var("u"), [Scalar.zero()] * (n - 1))
 
 
 def h_shift(n: int, j: int, a: Scalar) -> REpsMatrix:
@@ -186,6 +185,13 @@ def h_shift_formal(n: int, j: int) -> REpsMatrix:
     return h_shift(n, j, Scalar.var(f"a{j}"))
 
 
+def h_generators(n: int) -> List[Tuple[str, REpsMatrix]]:
+    """The labelled generators of H: the formal phase, then each shift
+    with a formal coefficient."""
+    return [("phase", h_phase(n))] + [
+        (f"shift{j}", h_shift_formal(n, j)) for j in range(1, n)]
+
+
 # ---------------------------------------------------------------------------
 # The embedding into real 2n x 2n matrices
 # ---------------------------------------------------------------------------
@@ -198,9 +204,6 @@ def _im_part(x: Scalar) -> Scalar:
     return (x - x.conjugate()) * Scalar.of(0, Fraction(-1, 2))
 
 
-_ALLOWED_IOTA_SYMBOLS = frozenset({"c", "s"})
-
-
 def iota_blocks(e: REpsElement) -> List[List[Scalar]]:
     """2x2 real block of left multiplication by a + b*eps on C = R^2
     in the basis (x, y): z -> a*z + b*conj(z)."""
@@ -208,56 +211,6 @@ def iota_blocks(e: REpsElement) -> List[List[Scalar]]:
     rb, ib = _re_part(e.b), _im_part(e.b)
     return [[ra + rb, -ia + ib],
             [ia + ib, ra - rb]]
-
-
-def iota(m: REpsMatrix) -> List[List[Scalar]]:
-    """The real 2n x 2n matrix of left multiplication on C^n = R^(2n)
-    in the interleaved basis (x1, y1, ..., xn, yn).
-
-    Entries must be numeric, possibly with the rotation symbols c, s
-    (carrying c^2 + s^2 = 1).
-    """
-    for row in m.entries:
-        for e in row:
-            syms = e.a.free_symbols() | e.b.free_symbols()
-            if syms - _ALLOWED_IOTA_SYMBOLS:
-                raise ValueError(
-                    f"symbolic entry not supported by iota: {sorted(syms)}")
-    n = m.n
-    out = [[Scalar.zero()] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            e = m.entries[i][j]
-            if e.is_zero():
-                continue
-            blk = iota_blocks(e)
-            for bi in range(2):
-                for bj in range(2):
-                    out[2 * i + bi][2 * j + bj] = blk[bi][bj]
-    return out
-
-
-def reduce_rotation(x: Scalar) -> Scalar:
-    """Reduce modulo s^2 -> 1 - c^2 until every s-exponent is 0 or 1."""
-    while True:
-        changed = False
-        acc = Scalar.zero()
-        for mono, coeff in x.terms.items():
-            d = dict(mono)
-            e = d.get("s", 0)
-            if e >= 2:
-                changed = True
-                d["s"] = e - 2
-                rest = Scalar.from_gauss(coeff)
-                for name, ee in d.items():
-                    if ee:
-                        rest = rest * Scalar.var(name, ee)
-                acc = acc + rest * (Scalar.one() - Scalar.var("c", 2))
-            else:
-                acc = acc + Scalar({mono: coeff})
-        x = acc
-        if not changed:
-            return x
 
 
 # ---------------------------------------------------------------------------
@@ -299,35 +252,31 @@ def group_inverse(g: REpsMatrix) -> REpsMatrix:
 # ---------------------------------------------------------------------------
 
 def _block_det(g: REpsMatrix) -> Optional[Scalar]:
-    """det iota(g) for upper-triangular g, or None if g has a nonzero entry
-    below the diagonal.  iota(g) is then block upper triangular (a block
-    iota_blocks(e) is zero only when e is), so its determinant is the
-    product of the diagonal blocks' determinants, each reduced modulo
-    c^2 + s^2 = 1 before multiplying."""
+    """The determinant of the real 2n x 2n matrix of g, for upper-triangular
+    g, or None if g has a nonzero entry below the diagonal.  The real
+    matrix is then block upper triangular (a block iota_blocks(e) is zero
+    only when e is), so its determinant is the product of the diagonal
+    blocks' determinants."""
     n = g.n
     if any(not g.entries[i][j].is_zero() for i in range(n) for j in range(i)):
         return None
     det = Scalar.one()
     for i in range(n):
         (p, q), (r, t) = iota_blocks(g.entries[i][i])
-        det = det * reduce_rotation(p * t - q * r)
-    return reduce_rotation(det)
+        det = det * (p * t - q * r)
+    return det
 
 
 def h_det_check(n: int) -> CheckRecord:
     """Symbolic unimodularity of the generators inside the real 2n x 2n
-    picture: rotation blocks [[c, -s], [s, c]] with c^2 + s^2 = 1, and the
-    unipotent generators with formal coefficients."""
+    picture, with the formal unit phase u (conj(u) = u^-1, so a phase block
+    has determinant exactly 1) and formal shift coefficients."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    # the phase generator with u replaced by c + i*s, each shift with a
-    # formal coefficient, and a mixed product
-    rot = Scalar.var("c") + Scalar.i() * Scalar.var("s")
-    zeros = [Scalar.zero()] * (n - 2)
-    cases = [("phase_det", h_element(n, rot, [Scalar.zero()] + zeros))]
-    cases += [(f"shift{j}_det", h_shift_formal(n, j)) for j in range(1, n)]
-    cases.append(("mixed_det",
-                  h_element(n, rot, [Scalar.var("a1")] + zeros)))
+    # every generator, and one element mixing the phase u with a shift a1
+    cases = [(f"{name}_det", g) for name, g in h_generators(n)]
+    cases.append(("mixed_det", h_element(
+        n, Scalar.var("u"), [Scalar.var("a1")] + [Scalar.zero()] * (n - 2))))
     details = {}
     ok = True
     for key, g in cases:
@@ -365,10 +314,9 @@ def _toeplitz_form(m: REpsMatrix) -> Optional[List[REpsElement]]:
     return profile
 
 
-def _random_gauss(rng: random.Random, bound: int = 5) -> GaussianRational:
-    return GaussianRational.of(
-        Fraction(rng.randint(-bound, bound), rng.randint(1, bound)),
-        Fraction(rng.randint(-bound, bound), rng.randint(1, bound)))
+def _random_gauss(rng: random.Random) -> GaussianRational:
+    return GaussianRational.of(Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
+                               Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
 
 
 def h_closure_check(n: int, samples: int = 20, seed: int = 0) -> CheckRecord:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .clifford import GaussianRational, REpsMatrix, h_phase, h_shift, \
-    h_shift_formal
+from .clifford import GaussianRational, REpsMatrix, h_element, \
+    h_generators, h_shift, h_shift_formal
 from .distributions import DistExpr, act_on_power, independence_rank
 from .records import FAIL, PASS, CheckRecord
 from .scalars import AffineExponent, Scalar
@@ -33,34 +33,34 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def build_vector_field(kind: str, n: int, j: Optional[int] = None) -> WeylOp:
-    """The displayed first-order operators.
+    """The displayed first-order operators, each an instance of
 
-    kind "D":      zbar_{n-2} d/dzbar_{n-1} + z_{n-1} d/dz_n  (n >= 3)
-    kind "Dbar":   its conjugate
-    kind "Dj":     zbar_{j-1} d/dzbar_j + z_j d/dz_{j+1}      (2 <= j <= n-1)
-    kind "Dprime": z_1 d/dz_2                                  (n = 2)
+        D_j = zbar_{j-1} d/dzbar_j + z_j d/dz_{j+1}   (no first term at j = 1)
+
+    kind "D":      D_{n-1}                       (n >= 3)
+    kind "Dbar":   its conjugate (z and zbar swapped)
+    kind "Dj":     D_j                           (2 <= j <= n-1)
+    kind "Dprime": D_1 = z_1 d/dz_2              (n = 2)
     """
-    one = Scalar.one()
-    if kind == "D":
+    if kind in ("D", "Dbar"):
         if n < 3:
-            raise ValueError("D requires n >= 3")
-        return (WeylOp.term(n, one, {sym_zbar(n - 2): 1}, {sym_zbar(n - 1): 1})
-                + WeylOp.term(n, one, {sym_z(n - 1): 1}, {sym_z(n): 1}))
-    if kind == "Dbar":
-        if n < 3:
-            raise ValueError("Dbar requires n >= 3")
-        return (WeylOp.term(n, one, {sym_z(n - 2): 1}, {sym_z(n - 1): 1})
-                + WeylOp.term(n, one, {sym_zbar(n - 1): 1}, {sym_zbar(n): 1}))
-    if kind == "Dj":
+            raise ValueError(f"{kind} requires n >= 3")
+        j = n - 1
+    elif kind == "Dj":
         if j is None or not 2 <= j <= n - 1:
             raise ValueError(f"Dj requires 2 <= j <= n-1, got j={j}, n={n}")
-        return (WeylOp.term(n, one, {sym_zbar(j - 1): 1}, {sym_zbar(j): 1})
-                + WeylOp.term(n, one, {sym_z(j): 1}, {sym_z(j + 1): 1}))
-    if kind == "Dprime":
+    elif kind == "Dprime":
         if n != 2:
             raise ValueError("Dprime is the n = 2 operator")
-        return WeylOp.term(n, one, {sym_z(1): 1}, {sym_z(2): 1})
-    raise ValueError(f"unknown vector field kind {kind!r}")
+        j = 1
+    else:
+        raise ValueError(f"unknown vector field kind {kind!r}")
+    z, zbar = (sym_zbar, sym_z) if kind == "Dbar" else (sym_z, sym_zbar)
+    one = Scalar.one()
+    op = WeylOp.term(n, one, {z(j): 1}, {z(j + 1): 1})
+    if j == 1:
+        return op
+    return WeylOp.term(n, one, {zbar(j - 1): 1}, {zbar(j): 1}) + op
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +106,20 @@ def _sigma(base_r: Fraction, lam: Optional[Fraction]) -> AffineExponent:
     return AffineExponent(base_r - lam / 2, Fraction(0))
 
 
+_FIELD = {"T": "D", "Tbar": "Dbar", "Tj": "Dj", "T2": "Dprime"}
+
+
 def _seed(spec: FamilySpec) -> Tuple[WeylOp, DistExpr]:
-    """The family's operator and its member of order 0."""
+    """The family's operator D_j and its member of order 0,
+    (z_j zbar_j)^sigma(n-j) times the delta at z_{j+1} = ... = z_n = 0:
+    j = n-1 for T and Tbar, and j = 1 at lam = 2 (so sigma = 0) for T2."""
     spec.validate()
     n = spec.n
-    if spec.family in ("T", "Tbar"):
-        sigma = _sigma(Fraction(1), spec.lam)
-        base = DistExpr.single(n, powers={n - 1: sigma},
-                               delta={n: (0, 0)})
-        op = build_vector_field("D" if spec.family == "T" else "Dbar", n)
-    elif spec.family == "Tj":
-        j = spec.j
-        sigma = _sigma(Fraction(n - j), spec.lam)
-        base = DistExpr.single(n, powers={j: sigma},
-                               delta={k: (0, 0) for k in range(j + 1, n + 1)})
-        op = build_vector_field("Dj", n, j)
-    else:  # T2
-        base = DistExpr.single(n, delta={2: (0, 0)})
-        op = build_vector_field("Dprime", n)
-    return op, base
+    j = {"Tj": spec.j, "T2": 1}.get(spec.family, n - 1)
+    lam = Fraction(2) if spec.family == "T2" else spec.lam
+    base = DistExpr.single(n, powers={j: _sigma(Fraction(n - j), lam)},
+                           delta={k: (0, 0) for k in range(j + 1, n + 1)})
+    return build_vector_field(_FIELD[spec.family], n, spec.j), base
 
 
 def build_family(spec: FamilySpec) -> List[DistExpr]:
@@ -141,13 +136,9 @@ def build_family(spec: FamilySpec) -> List[DistExpr]:
 # Generators of the group and sampled composites
 # ---------------------------------------------------------------------------
 
-def generator_substitutions(n: int) -> List[Substitution]:
-    """The phase generator (formal unit u) and each shift generator with a
-    formal coefficient a_j."""
-    subs = [substitution_from_group(h_phase(n))]
-    for j in range(1, n):
-        subs.append(substitution_from_group(h_shift_formal(n, j)))
-    return subs
+def generator_substitutions(n: int) -> List[Tuple[str, Substitution]]:
+    """The substitution of each labelled generator of ``h_generators``."""
+    return [(name, substitution_from_group(g)) for name, g in h_generators(n)]
 
 
 _RATIONAL_UNITS = [
@@ -159,14 +150,14 @@ _RATIONAL_UNITS = [
 ]
 
 
-def random_group_element(n: int, rng: random.Random,
-                         max_factors: int = 4) -> REpsMatrix:
-    """A product of up to max_factors generators with rational-unit phases
-    and small Gaussian-rational shift coefficients."""
+def random_group_element(n: int, rng: random.Random) -> REpsMatrix:
+    """A product of one to four generators with rational-unit phases and
+    small Gaussian-rational shift coefficients."""
     g = REpsMatrix.identity(n)
-    for _ in range(rng.randint(1, max_factors)):
+    for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.4:
-            factor = _phase_matrix(n, rng.choice(_RATIONAL_UNITS))
+            phase = Scalar.from_gauss(rng.choice(_RATIONAL_UNITS))
+            factor = h_element(n, phase, [Scalar.zero()] * (n - 1))
         else:
             j = rng.randint(1, n - 1)
             a = GaussianRational.of(
@@ -175,11 +166,6 @@ def random_group_element(n: int, rng: random.Random,
             factor = h_shift(n, j, Scalar.from_gauss(a))
         g = g * factor
     return g
-
-
-def _phase_matrix(n: int, phase: GaussianRational) -> REpsMatrix:
-    from .clifford import h_element
-    return h_element(n, Scalar.from_gauss(phase), [Scalar.zero()] * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +235,11 @@ def verify_invariance(spec: FamilySpec, composite_samples: int = 0,
     n = spec.n
     details = {"family": _family_name(spec), "l": spec.l}
     failures = []
-    for idx, sub in enumerate(generator_substitutions(n)):
+    for name, sub in generator_substitutions(n):
         acted = act_on_power(op, spec.l, base, sub)
         if acted != expr:
-            failures.append({
-                "generator": "phase" if idx == 0 else f"shift{idx}",
-                "difference": (acted - expr).canonical_str(),
-            })
+            failures.append({"generator": name,
+                             "difference": (acted - expr).canonical_str()})
     rng = random.Random(seed)
     for _ in range(composite_samples):
         g = random_group_element(n, rng)

@@ -6,9 +6,9 @@ Everything downstream computes over the ring
 
 where ``lam`` is the holomorphic parameter, ``u`` is a formal unit-modulus
 phase (conjugation negates its exponent, so u*conj(u) == 1 automatically),
-and each ``ak`` has a formal conjugate ``ak~``.  Extra symbols (``c``, ``s``
-for rational rotation blocks, or ad-hoc names) are allowed; ``lam``, ``c``
-and ``s`` are real and fixed by conjugation.
+and each ``ak`` has a formal conjugate ``ak~``.  Extra ad-hoc symbol names
+are allowed and get a formal conjugate too; ``lam`` is real and fixed by
+conjugation.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
 """
@@ -104,7 +104,7 @@ GR_I = GaussianRational.of(0, 1)
 # ---------------------------------------------------------------------------
 
 # Symbols fixed (and real) under conjugation.
-_REAL_VARS = frozenset({"lam", "c", "s"})
+_REAL_VARS = frozenset({"lam"})
 # Unit-modulus symbols: conjugation negates the (Laurent) exponent.
 # u is the primary formal phase; v is a second independent one (used when
 # two group elements with unrelated phases meet in the same computation).

@@ -230,9 +230,6 @@ class Substitution:
                     return False
         return True
 
-    def inverse(self) -> "Substitution":
-        return Substitution(self.n, self.inv, self.fwd)
-
 
 def _rows_from_matrix(g: REpsMatrix) -> Tuple[Dict[int, Scalar], ...]:
     """Linear forms for (g.z)_i = sum_j g_ij . z_j with the eps-twist."""
@@ -243,11 +240,10 @@ def _rows_from_matrix(g: REpsMatrix) -> Tuple[Dict[int, Scalar], ...]:
         for j in range(1, n + 1):
             e = g.entries[i - 1][j - 1]
             if e.a:
-                form[sym_z(j)] = form.get(sym_z(j), Scalar.zero()) + e.a
+                form[sym_z(j)] = e.a
             if e.b:
-                form[sym_zbar(j)] = form.get(sym_zbar(j),
-                                             Scalar.zero()) + e.b
-        rows.append({s: c for s, c in form.items() if c})
+                form[sym_zbar(j)] = e.b
+        rows.append(form)
         # conjugate row
         rows.append({sym_conj(s): c.conjugate()
                      for s, c in rows[-1].items()})

@@ -9,8 +9,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from invdist.clifford import REpsElement
+from invdist.clifford import REpsElement, REpsMatrix, iota_blocks
 from invdist.scalars import GaussianRational, Scalar
+
+
+def iota(m: REpsMatrix) -> List[List[Scalar]]:
+    """The reference embedding: the real 2n x 2n matrix of left
+    multiplication on C^n = R^(2n) in the interleaved basis
+    (x1, y1, ..., xn, yn), assembled from the 2x2 blocks."""
+    n = m.n
+    out = [[Scalar.zero()] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            blk = iota_blocks(m.entries[i][j])
+            for bi in range(2):
+                for bj in range(2):
+                    out[2 * i + bi][2 * j + bj] = blk[bi][bj]
+    return out
 
 
 def mat_mul_scalar(A: List[List[Scalar]],

@@ -12,14 +12,14 @@ from math import factorial
 
 import pytest
 
-from invdist.clifford import REpsElement, REpsMatrix, h_det_check, iota
+from invdist.clifford import REpsElement, REpsMatrix, h_det_check
 from invdist.constructions import (FamilySpec, build_family,
                                    verify_independence, verify_invariance,
                                    verify_lemma_d, verify_support_filtration)
 from invdist.distributions import DistExpr, independence_rank
 from invdist.orbits import complex_orbit_check, enumerate_strata
 from invdist.scalars import AffineExponent, GaussianRational, Scalar
-from reference import mat_mul_scalar
+from reference import iota, mat_mul_scalar
 
 
 def elapsed(start):

@@ -9,10 +9,10 @@ import pytest
 from invdist import clifford
 from invdist.clifford import (REpsElement, REpsMatrix, _block_det,
                               group_inverse, h_closure_check, h_det_check,
-                              h_element, h_phase, h_shift, h_shift_formal,
-                              iota, iota_blocks, reduce_rotation)
+                              h_element, h_generators, h_phase, h_shift,
+                              h_shift_formal)
 from invdist.scalars import GaussianRational, Scalar
-from reference import (CplxPairElement, act, cplx_pair_times_eps_power,
+from reference import (CplxPairElement, act, cplx_pair_times_eps_power, iota,
                        mat_mul_scalar)
 
 
@@ -88,38 +88,25 @@ def det_scalar_matrix(m):
     return acc
 
 
-def embed(g):
-    """The full real 2n x 2n matrix of g, block by block, formal symbols
-    allowed (iota itself admits only c and s)."""
-    n = g.n
-    out = [[Scalar.zero()] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            blk = iota_blocks(g.entries[i][j])
-            for bi in range(2):
-                for bj in range(2):
-                    out[2 * i + bi][2 * j + bj] = blk[bi][bj]
-    return out
-
-
 def laplace_det(g):
-    return reduce_rotation(det_scalar_matrix(embed(g)))
+    """det of the full real 2n x 2n matrix of g, with no reduction step:
+    the formal phase u has conj(u) = u^-1 built in."""
+    return det_scalar_matrix(iota(g))
 
 
-ROT = Scalar.var("c") + Scalar.i() * Scalar.var("s")
+ROT = Scalar.var("u")
 
 
 def generators(n):
     """The matrices h_det_check takes the determinant of."""
-    zeros = [Scalar.zero()] * (n - 2)
-    return ([h_element(n, ROT, [Scalar.zero()] + zeros)]
-            + [h_shift_formal(n, j) for j in range(1, n)]
-            + [h_element(n, ROT, [Scalar.var("a1")] + zeros)])
+    return ([g for _, g in h_generators(n)]
+            + [h_element(n, ROT, [Scalar.var("a1")]
+                         + [Scalar.zero()] * (n - 2))])
 
 
 def formal_rotation_triangular(n, rng):
-    """Upper-triangular matrix with c + i*s on the diagonal and formal
-    entries above it, some zero."""
+    """Upper-triangular matrix with the formal phase u on the diagonal and
+    formal entries above it, some zero."""
     zero = REpsElement()
     return REpsMatrix.from_rows([[
         REpsElement(ROT) if j == i else
@@ -248,11 +235,14 @@ class TestGroup:
         g = h_shift_formal(4, 1)
         assert g * group_inverse(g) == REpsMatrix.identity(4)
 
-    def test_rotation_det_reduces_to_one(self):
-        # the embedded phase block has det c^2 + s^2 -> 1
-        c, s = Scalar.var("c"), Scalar.var("s")
-        det = c * c + s * s
-        assert reduce_rotation(det) == Scalar.one()
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_generators_are_labelled_in_order(self, n):
+        gens = h_generators(n)
+        assert [name for name, _ in gens] \
+            == ["phase"] + [f"shift{j}" for j in range(1, n)]
+        assert gens[0][1] == h_phase(n)
+        for j, (_, g) in enumerate(gens[1:], start=1):
+            assert g == h_shift_formal(n, j)
 
 
 class TestBlockDeterminant:
@@ -267,7 +257,7 @@ class TestBlockDeterminant:
         for _ in range(3):
             g = formal_rotation_triangular(n, rng)
             assert _block_det(g) == laplace_det(g) == Scalar.one()
-        # a non-unit phase c + i*s + x on the diagonal: not 1, still equal
+        # a non-unit phase u + x on the diagonal: not 1, still equal
         x = REpsElement(Scalar.var("x"))
         g = REpsMatrix.from_rows([[e + x if j == i else e
                                    for j, e in enumerate(row)]
@@ -308,13 +298,6 @@ class TestBlockDeterminant:
 
     def test_det_check_at_n32(self):
         assert h_det_check(32).passed
-
-    def test_iota_rejects_formal_symbols(self):
-        g = h_shift_formal(3, 1)
-        with pytest.raises(ValueError):
-            iota(g)
-        rotation = h_element(2, ROT, [Scalar.of(1)])
-        assert iota(rotation) == embed(rotation)
 
 
 class TestComplexified:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from invdist import clifford
+from invdist.clifford import REpsElement, REpsMatrix
 from invdist.constructions import (FamilySpec, build_family,
                                    build_vector_field,
                                    generator_substitutions,
@@ -48,6 +50,12 @@ class TestVectorFields:
             build_vector_field("Dj", 3, 3)
         with pytest.raises(ValueError):
             build_vector_field("Dprime", 3)
+        with pytest.raises(ValueError):
+            build_vector_field("Dbar", 2)
+        with pytest.raises(ValueError):
+            build_vector_field("Dj", 3)
+        with pytest.raises(ValueError):
+            build_vector_field("E", 3)
 
 
 class TestFamilies:
@@ -81,6 +89,13 @@ class TestFamilies:
             assert family[l] == family[l - 1].apply_weyl(op)
             assert family[l] == build_family(FamilySpec(3, "T", l))[-1]
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("lam", [None, Fraction(3)])
+    def test_t_is_tj_at_last_index(self, n, lam):
+        # T is the j = n-1 member of the Tj families, member by member
+        assert build_family(FamilySpec(n, "T", 6, lam=lam)) \
+            == build_family(FamilySpec(n, "Tj", 6, j=n - 1, lam=lam))
+
     def test_t2_family(self):
         expr = build_family(FamilySpec(2, "T2", 2))[-1]
         # (z1 d/dz2)^2 delta(z2) = z1^2 d^2 delta
@@ -113,8 +128,10 @@ class TestVerifiers:
     def test_generators_cover_phase_and_shifts(self):
         n = 4
         subs = generator_substitutions(n)
-        assert len(subs) == n  # one phase + n-1 shifts
-        for s in subs:
+        # one phase + n-1 shifts, with the labels the reports use
+        assert [name for name, _ in subs] \
+            == ["phase", "shift1", "shift2", "shift3"]
+        for _, s in subs:
             assert s.check_reality()
 
     def test_random_group_element_invertible(self):
@@ -145,8 +162,27 @@ class TestVerifiers:
         # a second derivation: act on each expanded member directly, with
         # no conjugated operator and no operator power
         for member in build_family(spec):
-            for sub in generator_substitutions(spec.n):
+            for _, sub in generator_substitutions(spec.n):
                 assert member.act_group(sub) == member
+
+    def test_invariance_failure_names_the_generator(self, monkeypatch):
+        # a2*eps in place of a2*eps^2 = a2 leaves H, and T of order 2 is
+        # not fixed by it; the failure carries that generator's label
+        h_shift_formal = clifford.h_shift_formal
+
+        def twisted_shift2(n, j):
+            g = h_shift_formal(n, j)
+            if j != 2:
+                return g
+            rows = [list(r) for r in g.entries]
+            for i in range(n - 2):
+                rows[i][i + 2] = REpsElement(Scalar.zero(), Scalar.var("a2"))
+            return REpsMatrix.from_rows(rows)
+
+        monkeypatch.setattr(clifford, "h_shift_formal", twisted_shift2)
+        rec = verify_invariance(FamilySpec(3, "T", 2))
+        assert not rec.passed
+        assert [f["generator"] for f in rec.details["failures"]] == ["shift2"]
 
     def test_invariance_degree_detail(self):
         rec = verify_invariance(FamilySpec(3, "T", 1))

@@ -14,7 +14,8 @@ from invdist.distributions import (DistExpr, RawTerm, SupportDescriptor,
                                    UnsupportedSubstitutionError,
                                    _canonical_key, independence_rank)
 from invdist.scalars import AffineExponent, GaussianRational, Scalar, LAM
-from invdist.weyl import WeylOp, substitution_from_group, sym_z, sym_zbar
+from invdist.weyl import (Substitution, WeylOp, substitution_from_group,
+                          sym_z, sym_zbar)
 
 
 def delta_functional(expr: DistExpr, r: int, s: int) -> Scalar:
@@ -180,7 +181,8 @@ class TestGroupAction:
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
         expr = DistExpr.single(n, mono={sym_zbar(1): 1}, powers={2: sigma},
                                delta={3: (1, 1)})
-        assert expr.act_group(sub).act_group(sub.inverse()) == expr
+        inverse = Substitution(sub.n, sub.inv, sub.fwd)
+        assert expr.act_group(sub).act_group(inverse) == expr
 
 
 def _transform_delta_reference(delta, sub):
@@ -218,7 +220,7 @@ def _transform_delta_reference(delta, sub):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_transform_delta_matches_reference(n):
     rng = random.Random(40 + n)
-    subs = generator_substitutions(n) + [
+    subs = [sub for _, sub in generator_substitutions(n)] + [
         substitution_from_group(random_group_element(n, rng))
         for _ in range(3)]
     for _ in range(12):

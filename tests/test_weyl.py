@@ -10,8 +10,9 @@ import pytest
 from invdist.clifford import REpsMatrix, h_phase, h_shift, h_shift_formal
 from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
                              falling_factorial)
-from invdist.weyl import (WeylOp, conjugate_op, substitute_poly,
-                          substitution_from_group, sym_name, sym_z, sym_zbar)
+from invdist.weyl import (Substitution, WeylOp, conjugate_op,
+                          substitute_poly, substitution_from_group, sym_name,
+                          sym_z, sym_zbar)
 
 
 def rand_poly(n, rng, nterms=3):
@@ -220,7 +221,8 @@ class TestConjugateOp:
         s = substitution_from_group(g)
         rng = random.Random(33)
         op = rand_op(n, rng, nterms=2, max_ord=1)
-        back = conjugate_op(conjugate_op(op, s), s.inverse())
+        inverse = Substitution(s.n, s.inv, s.fwd)
+        back = conjugate_op(conjugate_op(op, s), inverse)
         assert back == op
 
     def test_oracle_on_polynomials(self):
