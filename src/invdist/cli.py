@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -128,8 +129,8 @@ def _zeta_labels(count: int) -> List[GaussianRational]:
     while len(labels) < count:
         q += 1
         for p in range(1, q):
-            if Fraction(p, q).denominator == q:  # p/q in lowest terms
-                labels.append(GaussianRational.of(Fraction(p, q)))
+            if math.gcd(p, q) == 1:  # p/q in lowest terms
+                labels.append(GaussianRational.from_triple(p, 0, q))
                 if len(labels) == count:
                     break
     return labels

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .records import FAIL, PASS, CheckRecord
-from .scalars import GaussianRational, Scalar
+from .scalars import Scalar, random_gaussian
 
 __all__ = [
     "REpsElement",
@@ -314,11 +314,6 @@ def _toeplitz_form(m: REpsMatrix) -> Optional[List[REpsElement]]:
     return profile
 
 
-def _random_gauss(rng: random.Random) -> GaussianRational:
-    return GaussianRational.of(Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
-                               Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
-
-
 def h_closure_check(n: int, samples: int = 20, seed: int = 0) -> CheckRecord:
     """Products of random group elements stay in the Toeplitz form, with
     multiplied diagonal phases.  Phases stay formal (u and v)."""
@@ -326,8 +321,10 @@ def h_closure_check(n: int, samples: int = 20, seed: int = 0) -> CheckRecord:
     ok = True
     details = {"samples": samples}
     for trial in range(samples):
-        ca = [Scalar.from_gauss(_random_gauss(rng)) for _ in range(n - 1)]
-        cb = [Scalar.from_gauss(_random_gauss(rng)) for _ in range(n - 1)]
+        ca = [Scalar.from_gauss(random_gaussian(rng, 5, 5))
+              for _ in range(n - 1)]
+        cb = [Scalar.from_gauss(random_gaussian(rng, 5, 5))
+              for _ in range(n - 1)]
         g = h_element(n, Scalar.var("u"), ca)
         gp = h_element(n, Scalar.var("v"), cb)
         prod = g * gp

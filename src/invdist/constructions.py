@@ -9,11 +9,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .clifford import GaussianRational, REpsMatrix, h_element, \
-    h_generators, h_shift, h_shift_formal
+from .clifford import REpsMatrix, h_element, h_generators, h_shift, \
+    h_shift_formal
 from .distributions import DistExpr, act_on_power, independence_rank
 from .records import FAIL, PASS, CheckRecord
-from .scalars import AffineExponent, Scalar
+from .scalars import AffineExponent, GaussianRational, Scalar, \
+    random_gaussian
 from .weyl import Substitution, WeylOp, conjugate_op, substitution_from_group, \
     sym_z, sym_zbar
 
@@ -160,10 +161,8 @@ def random_group_element(n: int, rng: random.Random) -> REpsMatrix:
             factor = h_element(n, phase, [Scalar.zero()] * (n - 1))
         else:
             j = rng.randint(1, n - 1)
-            a = GaussianRational.of(
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-            factor = h_shift(n, j, Scalar.from_gauss(a))
+            a = Scalar.from_gauss(random_gaussian(rng, 3, 3))
+            factor = h_shift(n, j, a)
         g = g * factor
     return g
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .records import FAIL, PASS, CheckRecord
-from .scalars import GR_I, GaussianRational, Scalar, integer_rank
+from .scalars import (GR_I, GaussianRational, Scalar, integer_rank,
+                      random_gaussian)
 
 __all__ = [
     "ProjPoint",
@@ -102,9 +102,9 @@ GaussInt = Tuple[int, int]  # re + i*im with integer parts
 def _integer_coords(p: ProjPoint) -> List[GaussInt]:
     """The coordinates scaled by the lcm of their denominators: a positive
     real scale, so they name the same projective point."""
-    scale = math.lcm(*[part.denominator for c in p.coords
-                       for part in (c.re, c.im)])
-    return [(int(c.re * scale), int(c.im * scale)) for c in p.coords]
+    scale = math.lcm(*[c.den for c in p.coords])
+    return [(c.num_re * (scale // c.den), c.num_im * (scale // c.den))
+            for c in p.coords]
 
 
 def _lie_directions(p: ProjPoint) -> List[List[int]]:
@@ -221,9 +221,7 @@ def _random_point(n: int, rng: random.Random) -> ProjPoint:
     while True:
         coords = []
         for _ in range(n):
-            coords.append(GaussianRational.of(
-                Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
-                Fraction(rng.randint(-4, 4), rng.randint(1, 4))))
+            coords.append(random_gaussian(rng, 4, 4))
         if any(not c.is_zero() for c in coords):
             # truncate to a random stratum so every stratum gets samples
             j = rng.randint(1, n)
@@ -376,9 +374,7 @@ def _symbolic_zeta_check(n: int) -> bool:
 
 def _random_cplx_unit(rng: random.Random) -> GaussianRational:
     while True:
-        t = GaussianRational.of(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        t = random_gaussian(rng, 4, 3)
         if not t.is_zero():
             return t
 
@@ -392,7 +388,7 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
         raise ValueError("n must be at least 2")
     rng = random.Random(seed)
     symbolic_ok = _symbolic_zeta_check(n)
-    distinct = len({(z.re, z.im) for z in zeta_values}) == len(zeta_values)
+    distinct = len(set(zeta_values)) == len(zeta_values)
     numeric_failures = 0
     for zeta in zeta_values:
         # a point on the ratio locus

@@ -10,14 +10,17 @@ and each ``ak`` has a formal conjugate ``ak~``.  Extra ad-hoc symbol names
 are allowed and get a formal conjugate too; ``lam`` is real and fixed by
 conjugation.
 
-All arithmetic is exact; there is no floating point anywhere in this module.
+A coefficient of Q(i) is a ``GaussianRational``: a canonical triple
+(num_re + i*num_im)/den of Python ints, so every ring operation is integer
+arithmetic.  All arithmetic is exact; there is no floating point anywhere
+in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
@@ -27,6 +30,7 @@ __all__ = [
     "generalized_binomial",
     "falling_factorial",
     "integer_rank",
+    "random_gaussian",
     "rank_over_function_field",
 ]
 
@@ -35,63 +39,135 @@ __all__ = [
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """An element re + i*im of Q(i), with exact Fraction components."""
+    """An element (num_re + i*num_im)/den of Q(i), held as three ints.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The triple is canonical: den > 0, gcd(num_re, num_im, den) == 1, and
+    zero is (0, 0, 1).  Equal values therefore have equal triples, so
+    ``==`` and ``hash`` compare ints, and every ring operation is integer
+    arithmetic reduced by one three-way gcd.  Immutable by convention.
+
+    ``GaussianRational(re, im)`` and ``.of(re, im)`` take ints or
+    Fractions; ``from_triple`` takes the integer triple.
+    """
+
+    __slots__ = ("num_re", "num_im", "den")
+
+    def __new__(cls, re=0, im=0) -> "GaussianRational":
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        return _canonical(p * s, r * q, q * s)
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
+        return GaussianRational(re, im)
+
+    @staticmethod
+    def from_triple(num_re: int, num_im: int, den: int) -> "GaussianRational":
+        """(num_re + i*num_im)/den for ints with den != 0."""
+        if den == 0:
+            raise ZeroDivisionError("Gaussian rational with zero denominator")
+        if den < 0:
+            num_re, num_im, den = -num_re, -num_im, -den
+        return _canonical(num_re, num_im, den)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.num_re, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.num_im, self.den)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self.den, other.den
+        if d == e:
+            return _canonical(self.num_re + other.num_re,
+                              self.num_im + other.num_im, d)
+        return _canonical(self.num_re * e + other.num_re * d,
+                          self.num_im * e + other.num_im * d, d * e)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _canonical(-self.num_re, -self.num_im, self.den)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.num_re, self.num_im, other.num_re, other.num_im
+        return _canonical(a * c - b * d, a * d + b * c, self.den * other.den)
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _canonical(self.num_re, -self.num_im, self.den)
 
     conjugate = conj
 
-    def norm2(self) -> Fraction:
-        """The multiplicative norm re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
-
     def inverse(self) -> "GaussianRational":
-        n = self.norm2()
-        if n == 0:
+        """den/(a + i*b) = den*(a - i*b)/(a^2 + b^2)."""
+        a, b, d = self.num_re, self.num_im, self.den
+        norm = a * a + b * b
+        if norm == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _canonical(d * a, -d * b, norm)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.num_re or self.num_im)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return (self.num_re == other.num_re and self.num_im == other.num_im
+                and self.den == other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num_re, self.num_im, self.den))
+
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        a, b, d = self.num_re, self.num_im, self.den
+        if b == 0:
+            return _ratio_str(a, d)
+        if a == 0:
+            return f"{_ratio_str(b, d)}*i"
+        sign = "+" if b > 0 else "-"
+        return f"({_ratio_str(a, d)}{sign}{_ratio_str(abs(b), d)}*i)"
+
+    def __repr__(self) -> str:
+        return (f"GaussianRational.from_triple({self.num_re}, {self.num_im}, "
+                f"{self.den})")
+
+
+def _canonical(num_re: int, num_im: int, den: int) -> GaussianRational:
+    """(num_re + i*num_im)/den in lowest terms, for den > 0."""
+    g = gcd(num_re, num_im, den)
+    if g != 1:
+        num_re, num_im, den = num_re // g, num_im // g, den // g
+    new = object.__new__(GaussianRational)
+    new.num_re, new.num_im, new.den = num_re, num_im, den
+    return new
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den as ``str(Fraction(num, den))`` prints it, for den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def random_gaussian(rng, top: int, den: int) -> GaussianRational:
+    """a/b + i*c/d with a, c uniform on [-top, top] and b, d on [1, den],
+    drawn in the order a, b, c, d."""
+    a, b = rng.randint(-top, top), rng.randint(1, den)
+    c, d = rng.randint(-top, top), rng.randint(1, den)
+    return _canonical(a * d, c * b, b * d)
 
 
 GR_ZERO = GaussianRational()
@@ -467,10 +543,10 @@ def rank_over_function_field(matrix: Sequence[Sequence[Scalar]]) -> int:
     degree = 0
     for row in matrix:
         coeffs = [entry.lam_coeffs() for entry in row]
-        scale = lcm(*[part.denominator for cs in coeffs for c in cs
-                      for part in (c.re, c.im)])
-        rows.append([([int(c.re * scale) for c in cs],
-                      [int(c.im * scale) for c in cs]) for cs in coeffs])
+        scale = lcm(*[c.den for cs in coeffs for c in cs])
+        rows.append([([c.num_re * (scale // c.den) for c in cs],
+                      [c.num_im * (scale // c.den) for c in cs])
+                     for cs in coeffs])
         degree += max([0] + [len(cs) - 1 for cs in coeffs])
     if not rows:
         return 0

@@ -7,6 +7,7 @@ construction that a test compares the engine with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Tuple
 
 from invdist.clifford import REpsElement, REpsMatrix, iota_blocks
@@ -95,3 +96,43 @@ def cplx_pair_times_eps_power(a: Scalar, b: Scalar,
     """(a, b)*eps^k as an algebra element."""
     eps_k = CplxPairElement.one() if k % 2 == 0 else CplxPairElement.eps()
     return CplxPairElement.diagonal(a, b) * eps_k
+
+
+@dataclass(frozen=True)
+class FractionGaussian:
+    """An element re + i*im of Q(i) with two Fraction components: the
+    direct representation that ``GaussianRational``'s int triple is
+    compared with."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __add__(self, other: "FractionGaussian") -> "FractionGaussian":
+        return FractionGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "FractionGaussian") -> "FractionGaussian":
+        return FractionGaussian(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: "FractionGaussian") -> "FractionGaussian":
+        return FractionGaussian(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
+
+    def conj(self) -> "FractionGaussian":
+        return FractionGaussian(self.re, -self.im)
+
+    def inverse(self) -> "FractionGaussian":
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return FractionGaussian(self.re / n, -self.im / n)
+
+    def __truediv__(self, other: "FractionGaussian") -> "FractionGaussian":
+        return self * other.inverse()
+
+    def __str__(self) -> str:
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}*i"
+        sign = "+" if self.im > 0 else "-"
+        return f"({self.re}{sign}{abs(self.im)}*i)"

@@ -1,0 +1,28 @@
+"""JSON reports pinned byte for byte against reports committed in
+``tests/golden/``, so a change of number type, printing or sampling that
+alters any report shows here."""
+
+import os
+
+import pytest
+
+from invdist.cli import RunConfig, emit_report, run_suite
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# file name -> the config of ``invdist verify <suite> ... --format json``
+CASES = {
+    "orbits_n4_s60_seed7": dict(suite="orbits", n=4, samples=60, seed=7),
+    "complex-orbits_n4_s2_seed7": dict(suite="complex-orbits", n=4,
+                                       samples=2, seed=7),
+    "algebra_n4_s5_seed7": dict(suite="algebra", n=4, samples=5, seed=7),
+    "independence_n3_lmax4": dict(suite="independence", n=3, lmax=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_report_matches_golden(name):
+    with open(os.path.join(GOLDEN, f"{name}.json")) as f:
+        expected = f.read()
+    report = run_suite(RunConfig(fmt="json", **CASES[name]))
+    assert emit_report(report, "json") == expected

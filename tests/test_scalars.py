@@ -2,6 +2,7 @@
 affine exponents, and generic rank over the lam function field."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
                              falling_factorial, generalized_binomial,
                              integer_rank, rank_over_function_field, LAM, U)
-from reference import constant_value
+from reference import FractionGaussian, constant_value
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -32,7 +33,7 @@ class TestGaussianRational:
 
     def test_conj_norm(self):
         a = GaussianRational.of(3, 4)
-        assert a * a.conj() == GaussianRational.of(a.norm2())
+        assert a * a.conj() == GaussianRational.of(25)
         assert a.conj().conj() == a
 
     def test_i_squares_to_minus_one(self):
@@ -45,6 +46,104 @@ class TestGaussianRational:
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
         assert (a * b).conj() == a.conj() * b.conj()
+
+
+# numerators up to 10**12, denominators up to 10**9, zero parts often
+big_fractions = st.builds(
+    Fraction, st.one_of(st.just(0), st.integers(-10**12, 10**12)),
+    st.integers(1, 10**9))
+big_pairs = st.one_of(st.just((Fraction(0), Fraction(0))),
+                      st.tuples(big_fractions, big_fractions))
+
+
+def assert_canonical(g: GaussianRational) -> None:
+    assert g.den > 0
+    assert gcd(g.num_re, g.num_im, g.den) == 1
+    if g.is_zero():
+        assert (g.num_re, g.num_im, g.den) == (0, 0, 1)
+
+
+def assert_same(g: GaussianRational, ref: FractionGaussian) -> None:
+    assert_canonical(g)
+    assert (g.re, g.im) == (ref.re, ref.im)
+    assert str(g) == str(ref)
+
+
+class TestAgainstFractionReference:
+    """The int triple against the two-Fraction representation."""
+
+    @given(big_pairs, big_pairs)
+    @settings(max_examples=300, deadline=None)
+    def test_ring_operations(self, x, y):
+        a, b = GaussianRational(*x), GaussianRational(*y)
+        ra, rb = FractionGaussian(*x), FractionGaussian(*y)
+        assert_same(a, ra)
+        assert_same(a + b, ra + rb)
+        assert_same(a - b, ra - rb)
+        assert_same(a * b, ra * rb)
+        assert_same(-a, FractionGaussian() - ra)
+        assert_same(a.conj(), ra.conj())
+        assert (a == b) == (ra == rb)
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                b.inverse()
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        else:
+            assert_same(b.inverse(), rb.inverse())
+            assert_same(a / b, ra / rb)
+
+    @given(big_pairs, st.integers(-10**6, 10**6).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_constructors_agree(self, x, k):
+        (p, q), (r, s) = ((f.numerator, f.denominator) for f in x)
+        a = GaussianRational(*x)
+        for other in (GaussianRational.of(*x),
+                      GaussianRational.from_triple(p * s, r * q, q * s),
+                      GaussianRational.from_triple(k * p * s, k * r * q,
+                                                   k * q * s)):
+            assert_canonical(other)
+            assert other == a
+            assert hash(other) == hash(a)
+
+    @given(big_pairs, big_pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_values_hash_equal(self, x, y):
+        a, b = GaussianRational(*x), GaussianRational(*y)
+        for c in (a, b):
+            assert hash(c + b - b) == hash(c)
+        if not b.is_zero():
+            assert (a * b) / b == a
+            assert hash((a * b) / b) == hash(a)
+
+    def test_zero(self):
+        zero = GaussianRational()
+        assert (zero.num_re, zero.num_im, zero.den) == (0, 0, 1)
+        assert GaussianRational.from_triple(0, 0, -7) == zero
+        assert GaussianRational.of(3, 4) - GaussianRational.of(3, 4) == zero
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            GaussianRational.from_triple(1, 2, 0)
+
+    def test_str_formats(self):
+        assert str(GaussianRational.of(Fraction(3, 4))) == "3/4"
+        assert str(GaussianRational.of(0, Fraction(-1, 2))) == "-1/2*i"
+        assert (str(GaussianRational.of(Fraction(1, 2), Fraction(-3, 4)))
+                == "(1/2-3/4*i)")
+
+    def test_ring_operations_build_no_fraction(self, monkeypatch):
+        a = GaussianRational.of(Fraction(3, 4), Fraction(-1, 2))
+        b = GaussianRational.of(2, Fraction(5, 3))
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(refuse))
+        results = [a + b, a - b, a * b, a / b, a.inverse(), a.conj(), -a]
+        assert results[2] == b * a
+        assert a != b and hash(a) == hash(a.conj().conj())
+        assert str(a) == "(3/4-1/2*i)"
 
 
 class TestScalar:
