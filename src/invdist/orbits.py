@@ -3,9 +3,16 @@ complexified picture with its continuum of orbit labels.
 
 Points carry Gaussian-rational coordinates.  Strata are labelled by the
 index of the last nonzero complex coordinate; the stratum of index j is a
-(2j-1)-dimensional orbit, which we certify by exact tangent-space rank at
-the point, plus reachability witnesses: integer certificates G p = s q
-over the Gaussian integers.
+(2j-1)-dimensional orbit, which we certify by the exact rank 2j of the
+tangent and radial directions at the point, plus reachability witnesses:
+integer certificates G p = s q over the Gaussian integers.
+
+The rank is read off two exact bounds on the integer directions: every
+direction is zero past real coordinate 2j (rank <= 2j), and the directions
+of the radial/rotation pair and the first j-1 shifts form a block
+triangular 2j x 2j minor whose diagonal blocks have the nonzero
+determinants |z_j|^2 (rank >= 2j).  A point where either bound fails is
+ranked by Bareiss elimination (``integer_rank``).
 """
 
 from __future__ import annotations
@@ -128,10 +135,42 @@ def _lie_directions(p: ProjPoint) -> List[List[int]]:
     return vectors
 
 
+def _triangular_rank(vectors: Sequence[Sequence[int]], j: int
+                     ) -> Optional[int]:
+    """2j when the directions of a stratum-j point certify rank 2j by
+    their zero pattern, or None.
+
+    Pair k is vectors[2k], vectors[2k+1].  Upper bound: every vector is
+    zero at the real coordinates 2j and on.  Lower bound: for k < j, with
+    m = 2(j-1-k), pair k is zero at coordinates m+2 .. 2j-1 and its 2x2
+    block at columns m, m+1 (|eps^k(z_j)|^2 on a true point) is nonzero.
+    The 2j x 2j minor of pairs 0..j-1 is then block triangular with a
+    nonzero determinant."""
+    width = 2 * j
+    if any(any(v[width:]) for v in vectors):
+        return None
+    for k in range(j):
+        m = 2 * (j - 1 - k)
+        a, b = vectors[2 * k], vectors[2 * k + 1]
+        if any(a[m + 2:width]) or any(b[m + 2:width]) \
+                or a[m] * b[m + 1] == a[m + 1] * b[m]:
+            return None
+    return width
+
+
 def orbit_dimension(p: ProjPoint) -> int:
     """Exact rank of the tangent directions together with the radial
-    direction, minus one."""
-    return integer_rank(_lie_directions(p)) - 1
+    direction, minus one.
+
+    The rank is 2j for a point of stratum j when the directions are zero
+    past real coordinate 2j (rank <= 2j) and carry a block-triangular
+    2j x 2j minor with nonzero diagonal blocks (rank >= 2j); see
+    ``_triangular_rank``.  Otherwise Bareiss elimination decides it."""
+    vectors = _lie_directions(p)
+    rank = _triangular_rank(vectors, stratum_of(p))
+    if rank is None:
+        rank = integer_rank(vectors)
+    return rank - 1
 
 
 # ---------------------------------------------------------------------------

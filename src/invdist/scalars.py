@@ -162,11 +162,23 @@ def _ratio_str(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
+def _below(getrandbits, width: int) -> int:
+    """Uniform on [0, width) by the rejection loop of CPython's
+    ``Random.randint`` (3.11), so it consumes the same bits and returns
+    the same value as ``randint(lo, lo + width - 1) - lo``."""
+    k = width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return r
+
+
 def random_gaussian(rng, top: int, den: int) -> GaussianRational:
     """a/b + i*c/d with a, c uniform on [-top, top] and b, d on [1, den],
-    drawn in the order a, b, c, d."""
-    a, b = rng.randint(-top, top), rng.randint(1, den)
-    c, d = rng.randint(-top, top), rng.randint(1, den)
+    drawn in the order a, b, c, d, equal to the draws of ``rng.randint``."""
+    bits, span = rng.getrandbits, 2 * top + 1
+    a, b = _below(bits, span) - top, _below(bits, den) + 1
+    c, d = _below(bits, span) - top, _below(bits, den) + 1
     return _canonical(a * d, c * b, b * d)
 
 

@@ -66,6 +66,11 @@ class TestRunSuite:
         assert report.checks
         assert all(c.status == PASS for c in report.checks)
 
+    def test_orbits_passes_at_n32(self):
+        report = run_suite(RunConfig(suite="orbits", n=32, samples=100))
+        assert report.checks
+        assert all(c.status == PASS for c in report.checks)
+
     def test_zeta_labels_distinct(self):
         labels = _zeta_labels(100)
         assert len(labels) == 100

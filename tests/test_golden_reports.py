@@ -13,6 +13,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 # file name -> the config of ``invdist verify <suite> ... --format json``
 CASES = {
     "orbits_n4_s60_seed7": dict(suite="orbits", n=4, samples=60, seed=7),
+    "orbits_n8_s200_seed21": dict(suite="orbits", n=8, samples=200,
+                                  seed=21),
     "complex-orbits_n4_s2_seed7": dict(suite="complex-orbits", n=4,
                                        samples=2, seed=7),
     "algebra_n4_s5_seed7": dict(suite="algebra", n=4, samples=5, seed=7),

@@ -6,15 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from invdist import orbits
 from invdist.clifford import h_element
 from invdist.orbits import (CplxProjPoint, ProjPoint, _apply_toeplitz,
                             _cplx_apply, _integer_coords, _lie_directions,
-                            _symbolic_zeta_check,
+                            _symbolic_zeta_check, _triangular_rank,
                             complex_orbit_check, enumerate_strata,
                             orbit_dimension, stratum_dimension, stratum_of,
                             transitivity_witness, zeta_invariant)
-from invdist.scalars import GaussianRational, Scalar
+from invdist.scalars import GaussianRational, Scalar, integer_rank
 from reference import (CplxPairElement, act, constant_value,
                        cplx_pair_times_eps_power)
 
@@ -80,6 +83,129 @@ class TestStrata:
                 shifts[k - 1] = coeff
                 expected.append(real(_apply_toeplitz(zero, shifts, z)))
         assert _lie_directions(p) == expected
+
+
+big_gaussians = st.builds(GaussianRational.from_triple,
+                          st.integers(-10**30, 10**30),
+                          st.integers(-10**30, 10**30),
+                          st.integers(1, 10**12))
+
+
+@st.composite
+def stratum_points(draw):
+    """(point, j): a unit point e_j or a random point of stratum j."""
+    n = draw(st.integers(2, 10))
+    j = draw(st.integers(1, n))
+    zero = GaussianRational()
+    if draw(st.booleans()):
+        coords = [zero] * n
+        coords[j - 1] = GaussianRational.of(1)
+    else:
+        coords = [draw(big_gaussians) for _ in range(j - 1)]
+        coords.append(draw(big_gaussians.filter(lambda c: not c.is_zero())))
+        coords.extend([zero] * (n - j))
+    return ProjPoint(tuple(coords)), j
+
+
+# Each mutation breaks one part of the certificate for a stratum-j point
+# and changes the rank of the directions; None where it does not apply.
+def _nonzero_past_2j(vectors, j):
+    # pair j, zero on a true point, becomes e_{2j} twice: rank 2j + 1
+    if 2 * j >= len(vectors[0]):
+        return None
+    unit = [0] * len(vectors[0])
+    unit[2 * j] = 1
+    return vectors[:2 * j] + [unit, unit] + vectors[2 * j + 2:]
+
+
+def _singular_block(vectors, j):
+    # the rotation direction replaced by the radial one: rank 2j - 1
+    return [vectors[0]] + vectors[:1] + vectors[2:]
+
+
+def _nonzero_below_block(vectors, j):
+    # the second vector of pair 1 replaced by rotation + first of pair 1:
+    # nonzero at pair 0's block columns, rank 2j - 1
+    if j < 2:
+        return None
+    mixed = [a + b for a, b in zip(vectors[1], vectors[2])]
+    return vectors[:3] + [mixed] + vectors[4:]
+
+
+MUTATIONS = [_nonzero_past_2j, _singular_block, _nonzero_below_block]
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return integer_rank(rows)
+
+    monkeypatch.setattr(orbits, "integer_rank", counted)
+    return calls
+
+
+class TestTriangularCertificate:
+    @given(stratum_points())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_bareiss(self, case):
+        p, j = case
+        vectors = _lie_directions(p)
+        assert _triangular_rank(vectors, j) == integer_rank(vectors) == 2 * j
+        assert orbit_dimension(p) == 2 * j - 1
+
+    def test_certified_point_skips_bareiss(self, bareiss_calls):
+        assert orbit_dimension(point(1, (2, -1), 0, 0)) == 3
+        assert bareiss_calls == []
+
+    @pytest.mark.parametrize("mutate", MUTATIONS)
+    def test_declines_and_falls_back_to_bareiss(self, mutate, monkeypatch,
+                                                 bareiss_calls):
+        # z_2 = z_3 = 1 keeps pair 1's own block nonzero after the mixing
+        # of _nonzero_below_block, so only the zero below it breaks
+        p, j = point((2, -1), 1, 1, 0, 0), 3
+        vectors = mutate(_lie_directions(p), j)
+        assert _triangular_rank(vectors, j) is None
+        rank = integer_rank(vectors)
+        assert rank != 2 * j
+        monkeypatch.setattr(orbits, "_lie_directions", lambda q: vectors)
+        assert orbit_dimension(p) == rank - 1
+        assert bareiss_calls == [len(vectors)]
+
+    def test_declined_certificate_still_passes_by_bareiss(
+            self, monkeypatch, bareiss_calls):
+        # pair 1 plus the radial direction is nonzero below pair 0's block
+        # but spans the same space, so Bareiss confirms the dimension
+        p = point(1, (0, 1), 3)
+        vectors = _lie_directions(p)
+        vectors[2] = [a + b for a, b in zip(vectors[2], vectors[0])]
+        assert _triangular_rank(vectors, 3) is None
+        monkeypatch.setattr(orbits, "_lie_directions", lambda q: vectors)
+        assert orbit_dimension(p) == 5
+        assert bareiss_calls == [len(vectors)]
+
+    @pytest.mark.parametrize("mutate", MUTATIONS)
+    def test_census_records_a_declined_dependent_set(self, mutate,
+                                                     monkeypatch):
+        n = 4
+        true_directions = _lie_directions
+
+        def mutated(p):
+            vectors = true_directions(p)
+            return mutate(vectors, stratum_of(p)) or vectors
+
+        monkeypatch.setattr(orbits, "_lie_directions", mutated)
+        rec = enumerate_strata(n, samples=20, seed=1, witness_pairs=2)
+        assert not rec.passed
+        # the strata the mutation applies to, read off a dummy matrix
+        broken = {j for j in range(1, n + 1)
+                  if mutate([[0] * 2 * n] * 2 * n, j) is not None}
+        failures = rec.details["dim_failures"]
+        assert {f["expected"] for f in failures} == {
+            stratum_dimension(j) for j in broken}
+        assert all(f["rank_dim"] != f["expected"] for f in failures)
 
 
 class TestWitness:

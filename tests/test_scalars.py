@@ -1,6 +1,7 @@
 """Exact scalar ring: Gaussian rationals, sparse Laurent polynomials,
 affine exponents, and generic rank over the lam function field."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
                              falling_factorial, generalized_binomial,
-                             integer_rank, rank_over_function_field, LAM, U)
+                             integer_rank, random_gaussian,
+                             rank_over_function_field, LAM, U)
 from reference import FractionGaussian, constant_value
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
@@ -144,6 +146,22 @@ class TestAgainstFractionReference:
         assert results[2] == b * a
         assert a != b and hash(a) == hash(a.conj().conj())
         assert str(a) == "(3/4-1/2*i)"
+
+
+class TestRandomGaussian:
+    @pytest.mark.parametrize("top, den", [(4, 4), (4, 3), (5, 5), (3, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 21])
+    def test_draw_matches_randint(self, top, den, seed):
+        # the census, closure and complex-orbit reports depend on these
+        # exact values, so a Python whose randint draws differently must
+        # fail here rather than silently change the reports
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            a, b = ref.randint(-top, top), ref.randint(1, den)
+            c, d = ref.randint(-top, top), ref.randint(1, den)
+            assert random_gaussian(rng, top, den) == GaussianRational.of(
+                Fraction(a, b), Fraction(c, d))
+        assert rng.getstate() == ref.getstate()
 
 
 class TestScalar:
