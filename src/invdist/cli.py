@@ -14,15 +14,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .clifford import h_closure_check, h_det_check
-from .constructions import (FamilySpec, verify_independence,
-                            verify_invariance, verify_lemma_d,
-                            verify_support_filtration)
+from .constructions import (FamilySpec, InvarianceWork,
+                            verify_independence, verify_invariance,
+                            verify_lemma_d, verify_support_filtration)
 from .orbits import complex_orbit_check, enumerate_strata
 from .records import FAIL, PASS, SKIPPED, CheckRecord
 from .scalars import GaussianRational
@@ -155,12 +155,16 @@ def _plan(config: RunConfig) -> List[Planned]:
                          lambda: verify_lemma_d(2, "Dprime")))
     if want("invariance"):
         fam = "T" if n >= 3 else "T2"
+        top = FamilySpec(n, fam, lmax, lam=config.family_lam)
+        composites = min(samples, 5)
+        # the orders of this run share one InvarianceWork, which the first
+        # check to run fills in
+        work = InvarianceWork(top, composites, seed)
         for l in range(lmax + 1):
-            spec = FamilySpec(n, fam, l, lam=config.family_lam)
             plan.append((f"invariance.{fam}.n{n}.l{l}",
-                         lambda s=spec: verify_invariance(
-                             s, composite_samples=min(samples, 5),
-                             seed=seed)))
+                         lambda l=l: verify_invariance(
+                             replace(top, l=l), composites, seed,
+                             work=work)))
     if want("independence"):
         fam = "T" if n >= 3 else "T2"
         spec = FamilySpec(n, fam, lmax, lam=config.family_lam)

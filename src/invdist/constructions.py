@@ -5,13 +5,13 @@ and support properties."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .clifford import REpsMatrix, h_element, h_generators, h_shift, \
     h_shift_formal
-from .distributions import DistExpr, act_on_power, independence_rank
+from .distributions import ActionOnPowers, DistExpr, independence_rank
 from .records import FAIL, PASS, CheckRecord
 from .scalars import AffineExponent, GaussianRational, Scalar, \
     random_gaussian
@@ -23,6 +23,7 @@ __all__ = [
     "build_vector_field",
     "build_family",
     "verify_lemma_d",
+    "InvarianceWork",
     "verify_invariance",
     "verify_independence",
     "verify_support_filtration",
@@ -222,28 +223,82 @@ def _family_name(spec: FamilySpec) -> str:
     return spec.family
 
 
+# the chain, the labelled generator actions and the composite actions
+_WorkParts = Tuple[List[DistExpr], List[Tuple[str, ActionOnPowers]],
+                   List[ActionOnPowers]]
+
+
+class InvarianceWork:
+    """The work the invariance checks of one family share across the orders
+    0..spec.l: the chain T^0..T^l from one ``build_family`` call, and the
+    action on that chain (``ActionOnPowers``) of every labelled generator of
+    ``h_generators`` and of ``composite_samples`` random composites drawn
+    from ``random.Random(seed)``.  Each element's substitution, its g.T^0 and
+    its conjugated operator are computed once, by the first check that asks
+    for them; the powers grow as the orders advance."""
+
+    def __init__(self, spec: FamilySpec, composite_samples: int = 0,
+                 seed: int = 0):
+        self.spec = spec
+        self.composite_samples = composite_samples
+        self.seed = seed
+        self._parts: Optional[_WorkParts] = None
+
+    def parts(self) -> _WorkParts:
+        """(chain, labelled generator actions, composite actions)."""
+        if self._parts is None:
+            op, base = _seed(self.spec)
+            n = self.spec.n
+            rng = random.Random(self.seed)
+            self._parts = (
+                build_family(self.spec),
+                [(name, ActionOnPowers(op, base, sub))
+                 for name, sub in generator_substitutions(n)],
+                [ActionOnPowers(op, base, substitution_from_group(
+                    random_group_element(n, rng)))
+                 for _ in range(self.composite_samples)])
+        return self._parts
+
+    def covers(self, spec: FamilySpec, composite_samples: int,
+               seed: int) -> bool:
+        """Whether this is the work of ``verify_invariance(spec,
+        composite_samples, seed)``: the same family, samples and seed, at
+        an order up to this one's."""
+        return (replace(spec, l=self.spec.l) == self.spec
+                and spec.l <= self.spec.l
+                and (composite_samples, seed)
+                == (self.composite_samples, self.seed))
+
+
 def verify_invariance(spec: FamilySpec, composite_samples: int = 0,
-                      seed: int = 0) -> CheckRecord:
+                      seed: int = 0, *,
+                      work: Optional[InvarianceWork] = None) -> CheckRecord:
     """Exact invariance of the family member under every generator (formal
     phase and formal shift coefficients), plus grading side checks and an
     optional belt-and-braces pass over random composite group elements.
     The action is derived from the operator and the order-0 member
-    (``act_on_power``) and compared with the member itself."""
-    op, base = _seed(spec)
-    expr = build_family(spec)[-1]
+    (``ActionOnPowers``) and compared with the member itself.
+
+    ``work`` is the ``InvarianceWork`` a run shares between its checks of
+    the orders 0..lmax, taken in increasing order (``cli._plan`` builds one
+    per run); left out, it is built for ``spec`` alone."""
+    if work is None:
+        work = InvarianceWork(spec, composite_samples, seed)
+    elif not work.covers(spec, composite_samples, seed):
+        raise ValueError("the shared invariance work is for another family, "
+                         "sample count or seed")
+    chain, generators, composites = work.parts()
+    expr = chain[spec.l]
     n = spec.n
     details = {"family": _family_name(spec), "l": spec.l}
     failures = []
-    for name, sub in generator_substitutions(n):
-        acted = act_on_power(op, spec.l, base, sub)
+    for name, action in generators:
+        acted = action.at(spec.l)
         if acted != expr:
             failures.append({"generator": name,
                              "difference": (acted - expr).canonical_str()})
-    rng = random.Random(seed)
-    for _ in range(composite_samples):
-        g = random_group_element(n, rng)
-        sub = substitution_from_group(g)
-        acted = act_on_power(op, spec.l, base, sub)
+    for action in composites:
+        acted = action.at(spec.l)
         if acted != expr:
             failures.append({"generator": "random composite",
                              "difference": (acted - expr).canonical_str()})

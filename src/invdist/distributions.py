@@ -32,10 +32,10 @@ from .weyl import Expo, Poly, Substitution, WeylOp, columns, conjugate_op, \
     sym_name
 
 __all__ = [
+    "ActionOnPowers",
     "DistExpr",
     "UnsupportedSubstitutionError",
     "SupportDescriptor",
-    "act_on_power",
     "independence_rank",
 ]
 
@@ -455,11 +455,29 @@ class SupportDescriptor:
         return f"X{self.stratum}" if self.stratum is not None else "irregular"
 
 
-def act_on_power(op: WeylOp, power: int, base: DistExpr,
-                 sub: Substitution) -> DistExpr:
-    """The action on op^power applied to base, derived without acting on
-    that expansion: g.(D^l T) = (g.D)^l (g.T) (Proposition 4.5)."""
-    return base.act_group(sub).apply_weyl(conjugate_op(op, sub) ** power)
+class ActionOnPowers:
+    """The action of one group element on op^l applied to base, for
+    l = 0, 1, ..., derived without acting on that expansion:
+    g.(D^l T) = (g.D)^l (g.T) (Proposition 4.5).  g.T and g.D are computed
+    once, and the power of g.D grows by one compose as the order advances,
+    so a run over the orders 0..lmax composes lmax times in all."""
+
+    def __init__(self, op: WeylOp, base: DistExpr, sub: Substitution):
+        self.acted_base = base.act_group(sub)
+        self.conjugated = conjugate_op(op, sub)
+        self.order = 0
+        self.power = WeylOp.identity(op.n)
+
+    def at(self, order: int) -> DistExpr:
+        """g.(D^order T).  Orders only advance: a lower order than the last
+        one asked for is an error."""
+        if order < self.order:
+            raise ValueError(f"order {order} is below the order "
+                             f"{self.order} already reached")
+        while self.order < order:
+            self.power = self.power.compose(self.conjugated)
+            self.order += 1
+        return self.acted_base.apply_weyl(self.power)
 
 
 # ---------------------------------------------------------------------------

@@ -173,12 +173,6 @@ class WeylOp:
                     acc[key] = coeff if prev is None else prev + coeff
         return WeylOp(self.n, acc)
 
-    def __pow__(self, e: int) -> "WeylOp":
-        out = WeylOp.identity(self.n)
-        for _ in range(e):
-            out = out.compose(self)
-        return out
-
     # -- display ----------------------------------------------------------
 
     def __str__(self) -> str:

@@ -18,13 +18,13 @@ from invdist.records import FAIL, PASS, SKIPPED, CheckRecord
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(invdist.__file__)))
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, module="invdist.cli"):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
-    return subprocess.run([sys.executable, "-m", "invdist.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=full_env)
 
 
@@ -150,6 +150,15 @@ class TestMain:
             ("a.bad", lambda: bad), ("b.good", lambda: good)])
         report = run_suite(RunConfig(suite="algebra"))
         assert [c.status for c in report.checks] == [FAIL, SKIPPED]
+
+    def test_python_m_invdist_prints_the_golden_report(self):
+        res = run_cli("verify", "independence", "--n", "3", "--lmax", "4",
+                      "--format", "json", module="invdist")
+        assert res.returncode == 0
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "golden", "independence_n3_lmax4.json")
+        with open(golden) as f:
+            assert res.stdout == f.read()
 
     def test_usage_error_exit_two(self):
         res = run_cli("verify", "not-a-suite")

@@ -1,19 +1,22 @@
 """Named operators, distribution families, and the bundled verification
 procedures."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from invdist import clifford
+from invdist import clifford, constructions, weyl
+from invdist.cli import RunConfig, emit_report, run_suite
 from invdist.clifford import REpsElement, REpsMatrix
-from invdist.constructions import (FamilySpec, build_family,
+from invdist.constructions import (FamilySpec, InvarianceWork, build_family,
                                    build_vector_field,
                                    generator_substitutions,
                                    random_group_element,
                                    verify_independence, verify_invariance,
                                    verify_lemma_d, verify_support_filtration)
 from invdist.distributions import DistExpr
+from invdist.records import FAIL, PASS, SKIPPED
 from invdist.scalars import AffineExponent, Scalar
 from invdist.weyl import WeylOp, substitution_from_group, sym_z, sym_zbar
 
@@ -117,6 +120,34 @@ class TestFamilies:
             FamilySpec(2, "T2", 0, lam=Fraction(3)).validate()
 
 
+def twist_shift2(monkeypatch):
+    """Put a2*eps in place of a2*eps^2 = a2 in the second shift generator,
+    which takes it out of H."""
+    h_shift_formal = clifford.h_shift_formal
+
+    def twisted_shift2(n, j):
+        g = h_shift_formal(n, j)
+        if j != 2:
+            return g
+        rows = [list(r) for r in g.entries]
+        for i in range(n - 2):
+            rows[i][i + 2] = REpsElement(Scalar.zero(), Scalar.var("a2"))
+        return REpsMatrix.from_rows(rows)
+
+    monkeypatch.setattr(clifford, "h_shift_formal", twisted_shift2)
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    """Count the calls of ``owner.name`` under ``name`` in ``counts``."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 class TestVerifiers:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_lemma_d(self, n):
@@ -168,18 +199,7 @@ class TestVerifiers:
     def test_invariance_failure_names_the_generator(self, monkeypatch):
         # a2*eps in place of a2*eps^2 = a2 leaves H, and T of order 2 is
         # not fixed by it; the failure carries that generator's label
-        h_shift_formal = clifford.h_shift_formal
-
-        def twisted_shift2(n, j):
-            g = h_shift_formal(n, j)
-            if j != 2:
-                return g
-            rows = [list(r) for r in g.entries]
-            for i in range(n - 2):
-                rows[i][i + 2] = REpsElement(Scalar.zero(), Scalar.var("a2"))
-            return REpsMatrix.from_rows(rows)
-
-        monkeypatch.setattr(clifford, "h_shift_formal", twisted_shift2)
+        twist_shift2(monkeypatch)
         rec = verify_invariance(FamilySpec(3, "T", 2))
         assert not rec.passed
         assert [f["generator"] for f in rec.details["failures"]] == ["shift2"]
@@ -205,3 +225,63 @@ class TestVerifiers:
         rec = verify_support_filtration(n, j, lmax=3)
         assert rec.passed, rec.details
         assert rec.details["supports"] == [f"X{j}"] * 4
+
+
+class TestSharedInvarianceWork:
+    """One invariance run does each element's order-independent work once
+    and composes each conjugated operator once per order."""
+
+    def run_counted(self, monkeypatch, **config):
+        counts = {}
+        count_calls(monkeypatch, constructions, "substitution_from_group",
+                    counts)
+        count_calls(monkeypatch, weyl.WeylOp, "compose", counts)
+        report = run_suite(RunConfig(suite="invariance", **config))
+        monkeypatch.undo()
+        return report, counts
+
+    def test_work_counts_repeat_and_do_not_grow_per_order(self, monkeypatch):
+        n, lmax, samples = 4, 4, 2
+        first, counts = self.run_counted(monkeypatch, n=n, lmax=lmax,
+                                         samples=samples)
+        assert first.all_passed
+        # the n generators of h_generators and the sampled composites
+        assert counts["substitution_from_group"] == n + samples
+        assert counts["compose"] <= lmax * (n + samples)
+        # the shared work lives inside one run_suite call
+        again, counts_again = self.run_counted(monkeypatch, n=n, lmax=lmax,
+                                               samples=samples)
+        assert counts_again == counts
+        assert emit_report(again, "json") == emit_report(first, "json")
+
+    def test_failure_matches_standalone_and_skips_later_orders(
+            self, monkeypatch):
+        twist_shift2(monkeypatch)
+        standalone = verify_invariance(FamilySpec(3, "T", 2), 2, 3)
+        assert not standalone.passed
+        report, counts = self.run_counted(monkeypatch, n=3, lmax=4,
+                                          samples=2, seed=3)
+        status = {c.check_id: c.status for c in report.checks}
+        assert status == {"invariance.T.n3.l0": PASS,
+                          "invariance.T.n3.l1": PASS,
+                          "invariance.T.n3.l2": FAIL,
+                          "invariance.T.n3.l3": SKIPPED,
+                          "invariance.T.n3.l4": SKIPPED}
+        failed = next(c for c in report.checks if c.status == FAIL)
+        assert failed.details == standalone.details
+        # order 2 composes each of the 3 generators and 2 composites twice;
+        # the skipped orders 3 and 4 compose nothing
+        assert counts["compose"] == 2 * (3 + 2)
+
+    def test_work_must_match_the_check(self):
+        spec = FamilySpec(3, "T", 2)
+        work = InvarianceWork(spec, 1, 0)
+        assert verify_invariance(replace(spec, l=1), 1, 0, work=work).passed
+        for other in ((replace(spec, l=3), 1, 0),
+                      (replace(spec, lam=Fraction(3)), 1, 0),
+                      (spec, 2, 0), (spec, 1, 1)):
+            with pytest.raises(ValueError):
+                verify_invariance(*other, work=work)
+        # orders only advance
+        with pytest.raises(ValueError):
+            verify_invariance(replace(spec, l=0), 1, 0, work=work)

@@ -19,6 +19,9 @@ CASES = {
                                        samples=2, seed=7),
     "algebra_n4_s5_seed7": dict(suite="algebra", n=4, samples=5, seed=7),
     "independence_n3_lmax4": dict(suite="independence", n=3, lmax=4),
+    "invariance_n4_lmax4_s2_seed3": dict(suite="invariance", n=4, lmax=4,
+                                         samples=2, seed=3),
+    "invariance_n2_lmax3": dict(suite="invariance", n=2, lmax=3),
 }
 
 

@@ -160,13 +160,6 @@ class TestWeylOp:
                        for _ in range(3))
             assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
-    def test_power(self):
-        n = 2
-        d = WeylOp.term(n, Scalar.one(), {sym_z(1): 1}, {sym_z(2): 1})
-        assert d ** 0 == WeylOp.identity(n)
-        assert d ** 2 == d.compose(d)
-        assert d ** 3 == d.compose(d).compose(d)
-
 
 class TestSubstitution:
     def test_identity_fixes_polys(self):
