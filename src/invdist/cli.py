@@ -148,11 +148,8 @@ def _plan(config: RunConfig) -> List[Planned]:
                      lambda: h_closure_check(n, samples=min(samples, 25),
                                              seed=seed)))
     if want("lemma-d"):
-        if n >= 3:
-            plan.append((f"lemma-d.D.n{n}", lambda: verify_lemma_d(n, "D")))
-        else:
-            plan.append(("lemma-d.Dprime.n2",
-                         lambda: verify_lemma_d(2, "Dprime")))
+        which = "D" if n >= 3 else "Dprime"
+        plan.append((f"lemma-d.{which}.n{n}", lambda: verify_lemma_d(n)))
     if want("invariance"):
         fam = "T" if n >= 3 else "T2"
         top = FamilySpec(n, fam, lmax, lam=config.family_lam)

@@ -48,15 +48,8 @@ class REpsElement:
     def one() -> "REpsElement":
         return REpsElement(Scalar.one())
 
-    @staticmethod
-    def eps() -> "REpsElement":
-        return REpsElement(Scalar.zero(), Scalar.one())
-
     def __add__(self, other: "REpsElement") -> "REpsElement":
         return REpsElement(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "REpsElement") -> "REpsElement":
-        return REpsElement(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "REpsElement":
         return REpsElement(-self.a, -self.b)
@@ -103,20 +96,6 @@ class REpsMatrix:
             tuple(one if i == j else zero for j in range(n))
             for i in range(n)))
 
-    def __add__(self, other: "REpsMatrix") -> "REpsMatrix":
-        return REpsMatrix(self.n, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "REpsMatrix") -> "REpsMatrix":
-        return REpsMatrix(self.n, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "REpsMatrix":
-        return REpsMatrix(self.n, tuple(tuple(-a for a in r)
-                                        for r in self.entries))
-
     def __mul__(self, other: "REpsMatrix") -> "REpsMatrix":
         n = self.n
         rows = []
@@ -132,13 +111,6 @@ class REpsMatrix:
                 row.append(acc)
             rows.append(tuple(row))
         return REpsMatrix(n, tuple(rows))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for r in self.entries for e in r)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, REpsMatrix) and self.n == other.n
-                and self.entries == other.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -172,15 +172,14 @@ def random_group_element(n: int, rng: random.Random) -> REpsMatrix:
 # Named verification procedures
 # ---------------------------------------------------------------------------
 
-def verify_lemma_d(n: int, which: str = "D") -> CheckRecord:
+def verify_lemma_d(n: int) -> CheckRecord:
     """The closed form of the conjugated vector field under the first
-    shift generator, with a formal coefficient."""
+    shift generator, with a formal coefficient: D and Lemma 4.4 for
+    n >= 3, D' and the n = 2 display for n = 2."""
     a = Scalar.var("a1")
     abar = a.conjugate()
-    one = Scalar.one()
-    if which == "D":
-        if n < 3:
-            raise ValueError("the D identity needs n >= 3")
+    if n >= 3:
+        which = "D"
         op = build_vector_field("D", n)
         # expected: D + a(zbar_{n-2} - abar z_{n-1} + a abar zbar_n) d_{n-2}
         #             - a zbar_n d_n
@@ -191,9 +190,8 @@ def verify_lemma_d(n: int, which: str = "D") -> CheckRecord:
             + WeylOp.term(n, a * a * abar, {sym_zbar(n): 1},
                           {sym_z(n - 2): 1}) \
             + WeylOp.term(n, -a, {sym_zbar(n): 1}, {sym_z(n): 1})
-    elif which == "Dprime":
-        if n != 2:
-            raise ValueError("the Dprime identity is the n = 2 case")
+    else:
+        which = "Dprime"
         op = build_vector_field("Dprime", n)
         # expected: D' + abar(z_1 - a zbar_2) dbar_1 - a zbar_2 d_2
         expected = op \
@@ -201,8 +199,6 @@ def verify_lemma_d(n: int, which: str = "D") -> CheckRecord:
             + WeylOp.term(n, -(a * abar), {sym_zbar(2): 1},
                           {sym_zbar(1): 1}) \
             + WeylOp.term(n, -a, {sym_zbar(2): 1}, {sym_z(2): 1})
-    else:
-        raise ValueError(f"unknown identity {which!r}")
     sub = substitution_from_group(h_shift_formal(n, 1))
     got = conjugate_op(op, sub)
     residual = got - expected

@@ -54,18 +54,6 @@ class ProjPoint:
     def n(self) -> int:
         return len(self.coords)
 
-    @staticmethod
-    def of(*values) -> "ProjPoint":
-        coords = []
-        for v in values:
-            if isinstance(v, GaussianRational):
-                coords.append(v)
-            elif isinstance(v, tuple):
-                coords.append(GaussianRational.of(*v))
-            else:
-                coords.append(GaussianRational.of(v))
-        return ProjPoint(tuple(coords))
-
 
 @dataclass(frozen=True)
 class CplxProjPoint:
@@ -77,10 +65,6 @@ class CplxProjPoint:
     def __post_init__(self):
         if all(z.is_zero() and w.is_zero() for z, w in self.coords):
             raise ValueError("point needs a nonzero coordinate")
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
 
 
 def stratum_of(p: ProjPoint) -> int:
@@ -269,13 +253,16 @@ def _random_point(n: int, rng: random.Random) -> ProjPoint:
                 return ProjPoint(tuple(trunc))
 
 
+WITNESS_PAIRS = 50
+
+
 def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
-                     witness_pairs: int = 50,
                      residual_tol: int = 0) -> CheckRecord:
     """Random census of the orbit structure: exactly n stratum labels, each
     with exact tangent dimension 2j-1, and reachability witnesses inside
-    each stratum.  A witness fails when more than ``residual_tol`` of its
-    coordinates miss the integer identity G p = s q."""
+    each stratum: a fixed pair, plus ``WITNESS_PAIRS`` random pairs when
+    it has two points.  A witness fails when more than ``residual_tol`` of
+    its coordinates miss the integer identity G p = s q."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = random.Random(seed)
@@ -305,7 +292,7 @@ def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
         e_j = points[j - 1]
         pairs = [(e_j, ProjPoint(tuple(GR_I * c for c in e_j.coords)))]
         if len(bucket) >= 2:
-            pairs.extend(rng.sample(bucket, 2) for _ in range(witness_pairs))
+            pairs.extend(rng.sample(bucket, 2) for _ in range(WITNESS_PAIRS))
         for a, b in pairs:
             w = transitivity_witness(a, b)
             if w is None or w.residual > residual_tol:

@@ -248,12 +248,11 @@ class Scalar:
     terms, zero coefficients pruned) is maintained on construction.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Dict[Mono, GaussianRational] | None = None):
-        pruned = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
-        object.__setattr__(self, "terms", pruned)
-        object.__setattr__(self, "_hash", None)
+        self.terms = {m: c for m, c in (terms or {}).items()
+                      if not c.is_zero()}
 
     # -- constructors -----------------------------------------------------
 
@@ -272,10 +271,6 @@ class Scalar:
     @staticmethod
     def of(re, im=0) -> "Scalar":
         return Scalar.from_gauss(GaussianRational.of(re, im))
-
-    @staticmethod
-    def i() -> "Scalar":
-        return Scalar.from_gauss(GR_I)
 
     @staticmethod
     def var(name: str, exp: int = 1,
@@ -317,9 +312,6 @@ class Scalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Scalar":
-        return Scalar._coerce(other) - self
-
     def __mul__(self, other) -> "Scalar":
         other = Scalar._coerce(other)
         if other is NotImplemented:
@@ -334,18 +326,6 @@ class Scalar:
         return Scalar(acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exp: int) -> "Scalar":
-        if exp < 0:
-            return self.inverse_unit() ** (-exp)
-        result = _ONE
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
 
     # -- involution and structure -----------------------------------------
 
@@ -373,12 +353,9 @@ class Scalar:
             return NotImplemented
         return self.terms == other.terms
 
+    # dataclasses reject an unhashable field default (REpsElement's zero)
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self.terms.items()))
 
     def free_symbols(self) -> frozenset:
         return frozenset(n for m in self.terms for n, _ in m)
@@ -466,9 +443,6 @@ class AffineExponent:
         if isinstance(other, AffineExponent):
             return AffineExponent(self.r - other.r, self.s - other.s)
         return AffineExponent(self.r - Fraction(other), self.s)
-
-    def __neg__(self) -> "AffineExponent":
-        return AffineExponent(-self.r, -self.s)
 
     def is_zero(self) -> bool:
         return self.r == 0 and self.s == 0

@@ -130,9 +130,6 @@ class WeylOp:
     def __neg__(self) -> "WeylOp":
         return WeylOp(self.n, {k: -c for k, c in self.terms.items()})
 
-    def scale(self, c: Scalar) -> "WeylOp":
-        return WeylOp(self.n, {k: c * v for k, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylOp) and self.n == other.n
                 and self.terms == other.terms)
@@ -213,17 +210,6 @@ class Substitution:
     fwd: Tuple[Dict[int, Scalar], ...]
     inv: Tuple[Dict[int, Scalar], ...]
 
-    def check_reality(self) -> bool:
-        for rows in (self.fwd, self.inv):
-            for j in range(1, self.n + 1):
-                rz = rows[sym_z(j)]
-                rzb = rows[sym_zbar(j)]
-                mirror = {sym_conj(s): c.conjugate() for s, c in rz.items()}
-                if {s: c for s, c in mirror.items() if c} != \
-                        {s: c for s, c in rzb.items() if c}:
-                    return False
-        return True
-
 
 def _rows_from_matrix(g: REpsMatrix) -> Tuple[Dict[int, Scalar], ...]:
     """Linear forms for (g.z)_i = sum_j g_ij . z_j with the eps-twist."""
@@ -247,11 +233,8 @@ def _rows_from_matrix(g: REpsMatrix) -> Tuple[Dict[int, Scalar], ...]:
 def substitution_from_group(g: REpsMatrix) -> Substitution:
     """The substitution on (z, zbar) induced by g, with its exact inverse
     from ``group_inverse``."""
-    g_inv = group_inverse(g)
-    sub = Substitution(g.n, _rows_from_matrix(g), _rows_from_matrix(g_inv))
-    if not sub.check_reality():
-        raise ValueError("substitution violates the reality constraint")
-    return sub
+    return Substitution(g.n, _rows_from_matrix(g),
+                        _rows_from_matrix(group_inverse(g)))
 
 
 def substitute_poly(p: Poly, rows: Sequence[Dict[int, Scalar]],

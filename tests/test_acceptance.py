@@ -39,7 +39,7 @@ def test_01_clifford_relations_and_iota():
     random samples for n <= 4; exact; < 5 s."""
     start = time.monotonic()
     one = REpsElement(Scalar.one(), Scalar.zero())
-    i = REpsElement(Scalar.i(), Scalar.zero())
+    i = REpsElement(Scalar.of(0, 1), Scalar.zero())
     eps = REpsElement(Scalar.zero(), Scalar.one())
     assert eps * eps == one
     assert i * i == REpsElement(-Scalar.one(), Scalar.zero())
@@ -70,9 +70,11 @@ def test_03_conjugated_operator_closed_form():
     in a, abar, for n in {3,4,5}; likewise D' at n = 2; exact; < 5 s."""
     start = time.monotonic()
     for n in (3, 4, 5):
-        record = verify_lemma_d(n, "D")
+        record = verify_lemma_d(n)
         assert record.passed, record.details
-    record = verify_lemma_d(2, "Dprime")
+        assert record.check_id == f"lemma-d.D.n{n}"
+    record = verify_lemma_d(2)
+    assert record.check_id == "lemma-d.Dprime.n2"
     assert record.passed, record.details
     assert elapsed(start) < 5.0
 
@@ -133,13 +135,14 @@ def test_07_n_equals_2_branch():
 
 def test_08_orbit_census():
     """Exactly n strata with exact tangent-rank dimensions 2j-1 for
-    n in {2,3,4,5}; 50 same-stratum witness pairs per stratum, each an
-    exact integer certificate (residual 0); < 30 s."""
+    n in {2,3,4,5}; 50 random same-stratum witness pairs per stratum plus
+    the fixed one, each an exact integer certificate (residual 0); < 30 s."""
     start = time.monotonic()
     for n in (2, 3, 4, 5):
-        record = enumerate_strata(n, samples=100, seed=0, witness_pairs=50,
-                                  residual_tol=0)
+        record = enumerate_strata(n, samples=100, seed=0, residual_tol=0)
         assert record.passed, record.details
+        assert record.details["witness_pairs"] == {
+            str(j): 51 for j in range(1, n + 1)}
         assert record.details["dimensions"] == {
             str(j): 2 * j - 1 for j in range(1, n + 1)}
         assert record.details["max_residual"] == 0

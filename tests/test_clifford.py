@@ -20,18 +20,24 @@ def scal(re, im=0):
     return Scalar.from_gauss(GaussianRational.of(Fraction(re), Fraction(im)))
 
 
+EPS = REpsElement(Scalar.zero(), Scalar.one())
+
+
 def _neumann_inverse(g):
     """g^-1 = (I + N)^-1 D^-1 with N = D^-1 (g - D), from the finite
     Neumann series sum_k (-N)^k (the former kernel)."""
     n = g.n
     d_inv = REpsElement(g.entries[0][0].a.inverse_unit())
     zero = REpsElement()
-    N = REpsMatrix.from_rows([[d_inv * g.entries[i][j] if j > i else zero
-                               for j in range(n)] for i in range(n)])
+    minus_n = REpsMatrix.from_rows([[-(d_inv * g.entries[i][j]) if j > i
+                                     else zero for j in range(n)]
+                                    for i in range(n)])
     acc = power = REpsMatrix.identity(n)
     for _ in range(1, n):
-        power = power * (-N)
-        acc = acc + power
+        power = power * minus_n
+        acc = REpsMatrix.from_rows([[a + b for a, b in zip(ra, rb)]
+                                    for ra, rb in zip(acc.entries,
+                                                      power.entries)])
     return acc * REpsMatrix.from_rows(
         [[d_inv if i == j else zero for j in range(n)] for i in range(n)])
 
@@ -118,8 +124,8 @@ def formal_rotation_triangular(n, rng):
 
 class TestAlgebraRelations:
     ONE = REpsElement(Scalar.one(), Scalar.zero())
-    I = REpsElement(Scalar.i(), Scalar.zero())
-    EPS = REpsElement(Scalar.zero(), Scalar.one())
+    I = REpsElement(Scalar.of(0, 1), Scalar.zero())
+    EPS = EPS
 
     def test_eps_squared_is_one(self):
         assert self.EPS * self.EPS == self.ONE
@@ -219,10 +225,10 @@ class TestGroup:
         one, x = REpsElement.one(), REpsElement(Scalar.var("x"))
         zero = REpsElement()
         lower = REpsMatrix.from_rows([[one, zero], [x, one]])
-        unequal = REpsMatrix.from_rows([[one, x], [zero, REpsElement(Scalar.i())]])
+        unequal = REpsMatrix.from_rows([[one, x], [zero, REpsElement(scal(0, 1))]])
         not_unit = REpsMatrix.from_rows([[x + one, zero], [zero, x + one]])
         eps_diag = REpsMatrix.from_rows(
-            [[REpsElement.eps(), zero], [zero, REpsElement.eps()]])
+            [[EPS, zero], [zero, EPS]])
         for g in (lower, unequal, not_unit, eps_diag):
             with pytest.raises(ValueError):
                 group_inverse(g)
@@ -273,7 +279,7 @@ class TestBlockDeterminant:
 
     def test_entry_below_diagonal_is_refused(self):
         one, zero = REpsElement.one(), REpsElement()
-        lower = REpsMatrix.from_rows([[one, zero], [REpsElement.eps(), one]])
+        lower = REpsMatrix.from_rows([[one, zero], [EPS, one]])
         assert laplace_det(lower) == Scalar.one()
         assert _block_det(lower) is None
 

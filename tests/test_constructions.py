@@ -18,7 +18,8 @@ from invdist.constructions import (FamilySpec, InvarianceWork, build_family,
 from invdist.distributions import DistExpr
 from invdist.records import FAIL, PASS, SKIPPED
 from invdist.scalars import AffineExponent, Scalar
-from invdist.weyl import WeylOp, substitution_from_group, sym_z, sym_zbar
+from invdist.weyl import WeylOp, substitution_from_group, sym_conj, sym_z, \
+    sym_zbar
 
 import random
 
@@ -151,10 +152,16 @@ def count_calls(monkeypatch, owner, name, counts):
 class TestVerifiers:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_lemma_d(self, n):
-        assert verify_lemma_d(n, "D").passed
+        record = verify_lemma_d(n)
+        assert record.passed
+        assert record.check_id == f"lemma-d.D.n{n}"
+        assert record.paper_ref == "Lemma 4.4"
 
     def test_lemma_dprime(self):
-        assert verify_lemma_d(2, "Dprime").passed
+        record = verify_lemma_d(2)
+        assert record.passed
+        assert record.check_id == "lemma-d.Dprime.n2"
+        assert record.paper_ref == "n=2 proof display"
 
     def test_generators_cover_phase_and_shifts(self):
         n = 4
@@ -163,7 +170,11 @@ class TestVerifiers:
         assert [name for name, _ in subs] \
             == ["phase", "shift1", "shift2", "shift3"]
         for _, s in subs:
-            assert s.check_reality()
+            for rows in (s.fwd, s.inv):
+                for j in range(1, n + 1):
+                    assert rows[sym_zbar(j)] == {
+                        sym_conj(t): c.conjugate()
+                        for t, c in rows[sym_z(j)].items()}
 
     def test_random_group_element_invertible(self):
         from invdist.clifford import REpsMatrix, group_inverse

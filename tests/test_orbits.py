@@ -27,7 +27,9 @@ def G(re, im=0):
 
 
 def point(*values):
-    return ProjPoint.of(*values)
+    """A point from ints and (re, im) pairs."""
+    return ProjPoint(tuple(G(*v) if isinstance(v, tuple) else G(v)
+                           for v in values))
 
 
 class TestStrata:
@@ -197,7 +199,7 @@ class TestTriangularCertificate:
             return mutate(vectors, stratum_of(p)) or vectors
 
         monkeypatch.setattr(orbits, "_lie_directions", mutated)
-        rec = enumerate_strata(n, samples=20, seed=1, witness_pairs=2)
+        rec = enumerate_strata(n, samples=20, seed=1)
         assert not rec.passed
         # the strata the mutation applies to, read off a dummy matrix
         broken = {j for j in range(1, n + 1)
@@ -278,7 +280,7 @@ class TestWitness:
 class TestCensus:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_census_passes(self, n):
-        rec = enumerate_strata(n, samples=40, seed=1, witness_pairs=10)
+        rec = enumerate_strata(n, samples=40, seed=1)
         assert rec.passed, rec.details
         assert rec.details["dimensions"] == {
             str(j): 2 * j - 1 for j in range(1, n + 1)}

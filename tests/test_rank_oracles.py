@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invdist.orbits import ProjPoint, _lie_directions, orbit_dimension
-from invdist.scalars import LAM, GaussianRational, Scalar, \
+from invdist.scalars import GaussianRational, Scalar, \
     rank_over_function_field
 
 sympy = pytest.importorskip("sympy")
@@ -21,8 +21,8 @@ gaussians = st.builds(
     lambda a, b, d: GaussianRational.of(Fraction(a, d), Fraction(b, d)),
     st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
 polys = st.builds(
-    lambda cs: sum((Scalar.from_gauss(c) * LAM ** k
-                    for k, c in enumerate(cs)), Scalar.zero()),
+    lambda cs: sum((Scalar.var("lam", k, c) for k, c in enumerate(cs)),
+                   Scalar.zero()),
     st.lists(gaussians, max_size=3))
 
 

@@ -11,8 +11,8 @@ from invdist.clifford import REpsMatrix, h_phase, h_shift, h_shift_formal
 from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
                              falling_factorial)
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
-                          substitute_poly, substitution_from_group, sym_name,
-                          sym_z, sym_zbar)
+                          substitute_poly, substitution_from_group, sym_conj,
+                          sym_name, sym_z, sym_zbar)
 
 
 def rand_poly(n, rng, nterms=3):
@@ -184,9 +184,15 @@ class TestSubstitution:
             assert polys_equal(fwd_then_inv, p)
 
     def test_reality(self):
+        # each zbar row is the conjugate mirror of its z row, both ways
         n = 3
         for g in (h_phase(n), h_shift_formal(n, 1), h_shift_formal(n, 2)):
-            assert substitution_from_group(g).check_reality()
+            s = substitution_from_group(g)
+            for rows in (s.fwd, s.inv):
+                for j in range(1, n + 1):
+                    assert rows[sym_zbar(j)] == {
+                        sym_conj(t): c.conjugate()
+                        for t, c in rows[sym_z(j)].items()}
 
 
 class TestConjugateOp:
