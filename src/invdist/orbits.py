@@ -241,16 +241,13 @@ def transitivity_witness(p: ProjPoint, q: ProjPoint) -> Optional[Witness]:
 # ---------------------------------------------------------------------------
 
 def _random_point(n: int, rng: random.Random) -> ProjPoint:
-    while True:
-        coords = []
-        for _ in range(n):
-            coords.append(random_gaussian(rng, 4, 4))
-        if any(not c.is_zero() for c in coords):
-            # truncate to a random stratum so every stratum gets samples
-            j = rng.randint(1, n)
-            trunc = list(coords[:j]) + [GaussianRational()] * (n - j)
-            if not trunc[j - 1].is_zero():
-                return ProjPoint(tuple(trunc))
+    """A point of a uniformly drawn stratum j: j random coordinates, the
+    last redrawn while it is zero, then n - j zeros."""
+    j = rng.randint(1, n)
+    coords = [random_gaussian(rng, 4, 4) for _ in range(j)]
+    while coords[-1].is_zero():
+        coords[-1] = random_gaussian(rng, 4, 4)
+    return ProjPoint(tuple(coords) + (GaussianRational(),) * (n - j))
 
 
 WITNESS_PAIRS = 50
