@@ -74,8 +74,8 @@ def test_03_conjugated_operator_closed_form():
         assert record.passed, record.details
         assert record.check_id == f"lemma-d.D.n{n}"
     record = verify_lemma_d(2)
-    assert record.check_id == "lemma-d.Dprime.n2"
     assert record.passed, record.details
+    assert record.check_id == "lemma-d.Dprime.n2"
     assert elapsed(start) < 5.0
 
 

@@ -225,7 +225,8 @@ class TestGroup:
         one, x = REpsElement.one(), REpsElement(Scalar.var("x"))
         zero = REpsElement()
         lower = REpsMatrix.from_rows([[one, zero], [x, one]])
-        unequal = REpsMatrix.from_rows([[one, x], [zero, REpsElement(scal(0, 1))]])
+        unequal = REpsMatrix.from_rows([[one, x],
+                                        [zero, REpsElement(scal(0, 1))]])
         not_unit = REpsMatrix.from_rows([[x + one, zero], [zero, x + one]])
         eps_diag = REpsMatrix.from_rows(
             [[EPS, zero], [zero, EPS]])

@@ -1,0 +1,82 @@
+"""Every function and method in ``src/invdist`` is reached by a
+verification: a ``verify all`` run and one failing invariance run call it,
+or it is on ``ALLOWED`` with the reason it stays.  Code that nothing
+reaches shows here as soon as it appears."""
+
+import ast
+import os
+import sys
+
+from invdist import cli
+from test_constructions import twist_shift2
+
+SRC = os.path.dirname(cli.__file__)
+
+# qualified name -> why it stays although these runs do not call it
+ALLOWED = {
+    "clifford.REpsElement.__str__":
+        "prints h_closure_check's counterexample diagonal",
+    "distributions.DistExpr.__str__": "prints a distribution when debugging",
+    "records.CheckRecord.passed": "the verdict accessor of the public API",
+    "scalars.GaussianRational.__bool__":
+        "without it a zero value would be truthy",
+    "scalars.GaussianRational.__repr__": "prints a value in test failures",
+    "scalars.GaussianRational.__sub__": "field subtraction of the public API",
+    "scalars.GaussianRational.im": "Fraction view for callers and oracles",
+    "scalars.GaussianRational.re": "Fraction view for callers and oracles",
+    "scalars.Scalar.__hash__":
+        "dataclasses reject an unhashable field default",
+    "scalars.Scalar.__repr__": "prints a value in test failures",
+    "weyl.WeylOp.__eq__": "structural operator equality the tests pin",
+}
+
+
+def defined():
+    """(path, first line) -> qualified name of every def in the package;
+    the first line of a decorated def is its first decorator's, as in its
+    code object."""
+    out = {}
+
+    def walk(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                first = min([child.lineno] + [d.lineno for d in
+                                              child.decorator_list])
+                out[path, first] = f"{prefix}{child.name}"
+                walk(child, f"{prefix}{child.name}.", path)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.", path)
+
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            path = os.path.join(SRC, name)
+            with open(path) as fh:
+                walk(ast.parse(fh.read()), f"{name[:-3]}.", path)
+    return out
+
+
+def test_every_definition_is_reached_or_allowed(tmp_path, monkeypatch):
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            called.add((code.co_filename, code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        assert cli.main(["verify", "all", "--n", "3", "--lmax", "2",
+                         "--samples", "3", "--format", "json",
+                         "--out", str(tmp_path / "all.json")]) == 0
+        twist_shift2(monkeypatch)
+        assert cli.main(["verify", "invariance", "--n", "3", "--lmax", "3",
+                         "--samples", "1", "--lambda", "formal",
+                         "--format", "text",
+                         "--out", str(tmp_path / "twisted.txt")]) == 1
+    finally:
+        sys.setprofile(previous)
+    unreached = {name for key, name in defined().items()
+                 if key not in called}
+    assert unreached - ALLOWED.keys() == set(), "reached by no run"
+    assert ALLOWED.keys() - unreached == set(), "allowed but reached"

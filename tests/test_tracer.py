@@ -1,11 +1,13 @@
 """The benchmark's span tracer (``invbench/spans.py``) against this source
-tree: entering it resolves every traced name, and leaving it restores every
-binding it replaced."""
+tree: entering it resolves every traced name, its observers read what the
+traced calls take and return, and leaving it restores every binding it
+replaced."""
 
 import os
 import sys
 
-import invdist.cli  # noqa: F401  (the tracer wraps names in every module)
+import invdist.cli  # the tracer wraps names in every module
+from invdist.cli import RunConfig
 
 INVBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "invbench")
@@ -40,3 +42,22 @@ def test_tracer_resolves_and_restores_every_binding(monkeypatch):
         assert ("invdist.weyl", "WeylOp.compose") in changed(before,
                                                              bindings())
     assert changed(before, bindings()) == []
+
+
+def test_observers_count_the_traced_work(monkeypatch):
+    monkeypatch.syspath_prepend(INVBENCH)
+    import spans
+
+    configs = [RunConfig(suite="invariance", n=3, lmax=2, samples=0),
+               RunConfig(suite="independence", n=3, lmax=2),
+               RunConfig(suite="orbits", n=3, samples=5)]
+    with spans.Tracer() as tracer:
+        for config in configs:
+            assert invdist.cli.run_suite(config).all_passed
+    counts = tracer.counts
+    for name in ("weyl.compose.terms_out",
+                 "distributions.apply_weyl.terms_out", "scalars.rank.cells",
+                 "orbits.witness.exact"):
+        assert counts[name] > 0, name
+    assert counts["orbits.witness.exact"] == counts["orbits.witness.attempted"]
+    assert counts["orbits.witness.failures"] == 0
