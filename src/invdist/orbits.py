@@ -83,8 +83,11 @@ def stratum_dimension(j: int) -> int:
 # Exact tangent rank
 # ---------------------------------------------------------------------------
 
-def _interleave(re: Sequence[int], im: Sequence[int]) -> List[int]:
-    return [x for pair in zip(re, im) for x in pair]
+def _interleave(re: List[int], im: List[int]) -> List[int]:
+    out = [0] * (2 * len(re))
+    out[0::2] = re
+    out[1::2] = im
+    return out
 
 
 GaussInt = Tuple[int, int]  # re + i*im with integer parts
@@ -172,11 +175,16 @@ def _conj(a: GaussInt) -> GaussInt:
 def _toeplitz_row(u: GaussInt, shifts: Sequence[GaussInt],
                   z: Sequence[GaussInt]) -> GaussInt:
     """First coordinate of the image: u z_1 + sum_k v_k eps^k(z_{1+k}),
-    where eps acts on C by conjugation."""
-    re, im = _mul(u, z[0])
-    for k, (v, src) in enumerate(zip(shifts, z[1:]), 1):
-        a, b = _mul(v, _conj(src) if k % 2 else src)
-        re, im = re + a, im + b
+    where eps acts on C by conjugation: the odd k (shifts[0::2] against
+    z[1::2]) take v_k conj(z_{1+k}), the even k take v_k z_{1+k}."""
+    (ur, ui), (zr, zi) = u, z[0]
+    re, im = ur * zr - ui * zi, ur * zi + ui * zr
+    for (vr, vi), (sr, si) in zip(shifts[0::2], z[1::2]):
+        re += vr * sr + vi * si
+        im += vi * sr - vr * si
+    for (vr, vi), (sr, si) in zip(shifts[1::2], z[2::2]):
+        re += vr * sr - vi * si
+        im += vr * si + vi * sr
     return re, im
 
 
@@ -351,6 +359,10 @@ def _cplx_apply(diag, super_pairs, pairs):
     (a, b)*eps^k sends (z, w) to (a z, b w) for even k and to
     (a conj(w), b conj(z)) for odd k.  Works over any ring with
     ``conjugate``: formal Scalars or plain Gaussian rationals.
+
+    The element is upper triangular, so row i of the image reads only
+    pairs[i:]: the image of a tail of the pairs is the same tail of the
+    full image.
     """
     t, s = diag
     n = len(pairs)
@@ -372,21 +384,23 @@ def _cplx_apply(diag, super_pairs, pairs):
 def _symbolic_zeta_check(n: int) -> bool:
     """With a fully formal group element and a formal point on the ratio
     locus, the last pair scales by the diagonal phase and the ratio of the
-    last two z-components is unchanged (checked by cross-multiplication)."""
+    last two z-components is unchanged (checked by cross-multiplication).
+
+    The label reads only z_{n-1}, z_n and w_n of the image, and the
+    element is upper triangular, so those are the image of the last two
+    pairs alone (``_cplx_apply`` on the tail): the pairs above, and every
+    shift past the first, never reach the label.  Acting on the tail
+    therefore certifies the identity for the full formal element at every
+    n."""
     t = Scalar.var("t")
     diag = (t, Scalar.var("tdual"))
     super_pairs = [(Scalar.var(f"A{k}"), Scalar.var(f"B{k}"))
                    for k in range(1, n)]
     zeta = Scalar.var("zeta")
     zn = Scalar.var("q")
-    pairs: List[Tuple[Scalar, Scalar]] = []
-    for i in range(1, n - 1):
-        pairs.append((Scalar.var(f"Z{i}"), Scalar.var(f"W{i}")))
-    pairs.append((zeta * zn, Scalar.var(f"W{n - 1}")))
-    pairs.append((zn, Scalar.zero()))  # the locus w_n = 0
-    image = _cplx_apply(diag, super_pairs, pairs)
-    z_last, w_last = image[-1]
-    z_prev, _ = image[-2]
+    tail = [(zeta * zn, Scalar.var(f"W{n - 1}")),
+            (zn, Scalar.zero())]  # the locus w_n = 0
+    (z_prev, _), (z_last, w_last) = _cplx_apply(diag, super_pairs, tail)
     if not w_last.is_zero():
         return False
     if z_last != t * zn:
@@ -406,7 +420,15 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
                         samples: int = 50, seed: int = 0) -> CheckRecord:
     """The ratio label is constant on complexified orbits, and distinct
     rational labels give pairwise distinct orbits, so the number of orbits
-    exceeds every finite bound."""
+    exceeds every finite bound.
+
+    Each sample draws a full element (a diagonal and all n - 1 shift
+    pairs) but moves only the last two pairs of the point: the label
+    reads only z_{n-1}, z_n and w_n, and the upper-triangular element
+    maps the last two pairs to exactly the last two rows of the full
+    image (see ``_cplx_apply``).  The moved tail therefore carries the
+    same label as the moved point, for every n, and so does its scaling
+    by c."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = random.Random(seed)
@@ -431,7 +453,7 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
             super_pairs = [(_random_cplx_unit(rng), _random_cplx_unit(rng))
                            for _ in range(n - 1)]
             moved = CplxProjPoint(tuple(
-                _cplx_apply(diag, super_pairs, point.coords)))
+                _cplx_apply(diag, super_pairs, point.coords[-2:])))
             if zeta_invariant(moved) != zeta:
                 numeric_failures += 1
                 break

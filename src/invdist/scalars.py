@@ -244,8 +244,10 @@ def conj_symbol(name: str) -> str:
 class Scalar:
     """Sparse element of K: a dict from monomials to Gaussian rationals.
 
-    Immutable; all operations return new values.  Canonical form (sorted
-    terms, zero coefficients pruned) is maintained on construction.
+    Immutable; operations return new values, except that a zero operand
+    short-circuits: x + 0 is x, x * 0 is zero, and zero is self-conjugate.
+    Canonical form (sorted terms, zero coefficients pruned) is maintained
+    on construction.
     """
 
     __slots__ = ("terms",)
@@ -295,6 +297,10 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = dict(self.terms)
         for m, c in other.terms.items():
             prev = acc.get(m)
@@ -316,6 +322,8 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.terms and other.terms):
+            return _ZERO
         acc: Dict[Mono, GaussianRational] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -330,6 +338,8 @@ class Scalar:
     # -- involution and structure -----------------------------------------
 
     def conjugate(self) -> "Scalar":
+        if not self.terms:
+            return self
         acc: Dict[Mono, GaussianRational] = {}
         for m, c in self.terms.items():
             pairs = []

@@ -100,11 +100,6 @@ class WeylOp:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def identity(n: int) -> "WeylOp":
-        e = tuple([0] * (2 * n))
-        return WeylOp(n, {(e, e): Scalar.one()})
-
-    @staticmethod
     def term(n: int, coeff: Scalar, mono: Dict[int, int] | None = None,
              deriv: Dict[int, int] | None = None) -> "WeylOp":
         m = [0] * (2 * n)

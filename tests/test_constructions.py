@@ -280,9 +280,10 @@ class TestSharedInvarianceWork:
                           "invariance.T.n3.l4": SKIPPED}
         failed = next(c for c in report.checks if c.status == FAIL)
         assert failed.details == standalone.details
-        # order 2 composes each of the 3 generators and 2 composites twice;
+        # order 1 applies each conjugated operator as it is, and order 2
+        # composes it once, for each of the 3 generators and 2 composites;
         # the skipped orders 3 and 4 compose nothing
-        assert counts["compose"] == 2 * (3 + 2)
+        assert counts["compose"] == 1 * (3 + 2)
 
     def test_work_must_match_the_check(self):
         spec = FamilySpec(3, "T", 2)

@@ -17,6 +17,7 @@ from invdist.orbits import (CplxProjPoint, ProjPoint, _apply_toeplitz,
                             complex_orbit_check, enumerate_strata,
                             orbit_dimension, stratum_dimension, stratum_of,
                             transitivity_witness, zeta_invariant)
+from invdist.records import FAIL
 from invdist.scalars import GaussianRational, Scalar, integer_rank
 from reference import (CplxPairElement, act, constant_value,
                        cplx_pair_times_eps_power)
@@ -324,6 +325,17 @@ def _cplx_apply_by_rows(diag, super_pairs, pairs):
     return out
 
 
+def random_action(n, rng):
+    """A diagonal pair, n - 1 shift pairs and n point pairs over plain
+    Q(i)."""
+    def gauss():
+        return G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+    return ((gauss(), gauss()), [(gauss(), gauss()) for _ in range(n - 1)],
+            [(gauss(), gauss()) for _ in range(n)])
+
+
 class TestComplexOrbits:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_toeplitz_action_matches_matrix_action(self, n):
@@ -335,20 +347,27 @@ class TestComplexOrbits:
         assert _cplx_apply(diag, super_pairs, pairs) \
             == _cplx_apply_by_rows(diag, super_pairs, pairs)
         # the numeric samples run the same routine on plain Q(i)
-        rng = random.Random(n)
-
-        def gauss():
-            return G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                     Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-
-        diag = (gauss(), gauss())
-        super_pairs = [(gauss(), gauss()) for _ in range(n - 1)]
-        pairs = [(gauss(), gauss()) for _ in range(n)]
+        diag, super_pairs, pairs = random_action(n, random.Random(n))
         lift = lambda pair: tuple(Scalar.from_gauss(x) for x in pair)
         want = _cplx_apply_by_rows(lift(diag), [lift(p) for p in super_pairs],
                                    [lift(p) for p in pairs])
         assert _cplx_apply(diag, super_pairs, pairs) == [
             (constant_value(z), constant_value(w)) for z, w in want]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_last_two_rows_read_only_the_last_two_pairs(self, n):
+        # complex_orbit_check and _symbolic_zeta_check act on the tail
+        # alone: it must give the last two rows of the full image
+        diag = (Scalar.var("t"), Scalar.var("tdual"))
+        super_pairs = [(Scalar.var(f"A{k}"), Scalar.var(f"B{k}"))
+                       for k in range(1, n)]
+        pairs = [(Scalar.var(f"Z{j}"), Scalar.var(f"W{j}"))
+                 for j in range(1, n + 1)]
+        assert _cplx_apply(diag, super_pairs, pairs)[-2:] \
+            == _cplx_apply(diag, super_pairs, pairs[-2:])
+        diag, super_pairs, pairs = random_action(n, random.Random(100 + n))
+        assert _cplx_apply(diag, super_pairs, pairs)[-2:] \
+            == _cplx_apply(diag, super_pairs, pairs[-2:])
 
     def test_zeta_on_locus(self):
         p = CplxProjPoint(((G(1), G(2)), (G(3), G(1)), (G(6), G(0))))
@@ -368,6 +387,24 @@ class TestComplexOrbits:
         labels = [G(k) for k in range(12)]
         rec = complex_orbit_check(3, labels, samples=6, seed=2)
         assert rec.passed, rec.details
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_wrong_action_on_the_last_pair_fails(self, monkeypatch, n):
+        # adds b_1 conj(z_{n-1}) to w_n: the tail-only checks must see it
+        act = orbits._cplx_apply
+
+        def broken(diag, super_pairs, pairs):
+            out = act(diag, super_pairs, pairs)
+            z, w = out[-1]
+            out[-1] = (z, w + super_pairs[0][1] * pairs[-2][0].conjugate())
+            return out
+
+        monkeypatch.setattr(orbits, "_cplx_apply", broken)
+        labels = [G(k, 1) for k in range(1, 5)]
+        rec = complex_orbit_check(n, labels, samples=3, seed=2)
+        assert rec.status == FAIL
+        assert rec.details["symbolic_invariance"] is False
+        assert rec.details["numeric_failures"] > 0
 
     def test_label_collision_fails(self):
         labels = [G(1), G(1)]

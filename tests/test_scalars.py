@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
-                             falling_factorial, generalized_binomial,
-                             integer_rank, random_gaussian,
-                             rank_over_function_field, LAM, U)
+                             _mono_mul, _mono_sorted, falling_factorial,
+                             generalized_binomial, integer_rank,
+                             random_gaussian, rank_over_function_field, LAM,
+                             U)
 from reference import FractionGaussian, constant_value
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
@@ -213,6 +214,63 @@ class TestScalar:
         assert Scalar.zero().lam_coeffs() == []
         with pytest.raises(ValueError):
             Scalar.var("a1").lam_coeffs()
+
+
+# sparse Scalars over a few symbols, the zero Scalar among them
+monomials = st.dictionaries(st.sampled_from(["lam", "u", "a1", "a1~"]),
+                            st.integers(1, 3), max_size=3)
+scalars = st.builds(
+    lambda terms: Scalar({_mono_sorted(m.items()): c for m, c in terms}),
+    st.lists(st.tuples(monomials, gaussians), max_size=4))
+# a zero operand in every type that Scalar._coerce accepts
+zeros = st.sampled_from([Scalar.zero(), Scalar({}), 0, Fraction(0),
+                         GaussianRational()])
+
+
+def loop_mul(x: Scalar, y: Scalar) -> dict:
+    """The terms of x * y by the general double loop, zeros pruned."""
+    acc = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            m = _mono_mul(m1, m2)
+            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+    return {m: c for m, c in acc.items() if not c.is_zero()}
+
+
+def loop_add(x: Scalar, y: Scalar) -> dict:
+    """The terms of x + y by the general merge loop, zeros pruned."""
+    acc = dict(x.terms)
+    for m, c in y.terms.items():
+        acc[m] = acc[m] + c if m in acc else c
+    return {m: c for m, c in acc.items() if not c.is_zero()}
+
+
+class TestZeroShortCircuits:
+    """A zero operand skips the general loops; the result must be the
+    value they compute, in canonical form."""
+
+    @staticmethod
+    def assert_loop_value(got, want: dict):
+        assert isinstance(got, Scalar)
+        assert got.terms == want
+        assert not any(c.is_zero() for c in got.terms.values())
+
+    @given(scalars, zeros)
+    @settings(max_examples=200)
+    def test_zero_operands(self, x, zero):
+        as_scalar = Scalar._coerce(zero)
+        assert as_scalar.terms == {}
+        self.assert_loop_value(x * zero, loop_mul(x, as_scalar))
+        self.assert_loop_value(x + zero, loop_add(x, as_scalar))
+        if not isinstance(zero, GaussianRational):
+            # GaussianRational takes no Scalar operand, so only the Scalar
+            # side coerces it
+            self.assert_loop_value(zero * x, loop_mul(as_scalar, x))
+            self.assert_loop_value(zero + x, loop_add(as_scalar, x))
+
+    def test_conjugate_of_zero(self):
+        self.assert_loop_value(Scalar.zero().conjugate(), {})
+        self.assert_loop_value(Scalar({}).conjugate(), {})
 
 
 class TestAffineExponent:
