@@ -34,7 +34,7 @@ SUITES = ("algebra", "lemma-d", "invariance", "independence", "support",
 
 REPORT_SCHEMA_VERSION = 1
 
-# Suites that build the T / T2 families and so run at RunConfig.family_lam.
+# Suites that build RunConfig.family and so run at its lam.
 FAMILY_SUITES = ("invariance", "independence", "all")
 
 FORMAT_ENV_VAR = "INVDIST_FORMAT"
@@ -62,23 +62,25 @@ class RunConfig:
             raise ValueError("--lmax must be nonnegative")
         if self.samples < 0:
             raise ValueError("--samples must be nonnegative")
-        if (self.n == 2 and self.lam is not None and self.lam != 2
-                and self.suite in FAMILY_SUITES):
-            raise ValueError("at --n 2 the T2 family is defined only at "
-                             "--lambda 2 (or formal)")
+        if self.lam is not None and not isinstance(self.lam, (int, Fraction)):
+            raise ValueError(f"--lambda must be formal, an int or a "
+                             f"Fraction, got {self.lam!r}")
+        if self.suite in FAMILY_SUITES:
+            self.family.validate()
         if self.fmt not in ("text", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
 
     @property
-    def family_lam(self) -> Optional[Fraction]:
-        """The lam the invariance and independence families run at: the
-        n = 2 family T2 exists only at lam = 2."""
-        return self.lam if self.n >= 3 else Fraction(2)
+    def family(self) -> FamilySpec:
+        """The family of orders 0..lmax the invariance and independence
+        suites check: T, or T2 at n = 2."""
+        return FamilySpec(self.n, "T" if self.n >= 3 else "T2", self.lmax,
+                          lam=self.lam)
 
     def to_dict(self) -> dict:
-        # only the family suites read --lambda; the support filtration is
-        # checked at formal lam, and the other suites have no lam at all
-        lam = self.family_lam if self.suite in FAMILY_SUITES else None
+        # only the family suites read --lambda, at their family's lam; the
+        # support filtration is at formal lam, and the others have no lam
+        lam = self.family.row()[2] if self.suite in FAMILY_SUITES else None
         return {
             "suite": self.suite,
             "n": self.n,
@@ -141,6 +143,7 @@ def _plan(config: RunConfig) -> List[Planned]:
     seed, samples = config.seed, config.samples
     plan: List[Planned] = []
     want = lambda s: config.suite in (s, "all")
+    family = config.family
 
     if want("algebra"):
         plan.append((f"algebra.det.n{n}", lambda: h_det_check(n)))
@@ -151,22 +154,18 @@ def _plan(config: RunConfig) -> List[Planned]:
         which = "D" if n >= 3 else "Dprime"
         plan.append((f"lemma-d.{which}.n{n}", lambda: verify_lemma_d(n)))
     if want("invariance"):
-        fam = "T" if n >= 3 else "T2"
-        top = FamilySpec(n, fam, lmax, lam=config.family_lam)
         composites = min(samples, 5)
         # the orders of this run share one InvarianceWork, which the first
         # check to run fills in
-        work = InvarianceWork(top, composites, seed)
+        work = InvarianceWork(family, composites, seed)
         for l in range(lmax + 1):
-            plan.append((f"invariance.{fam}.n{n}.l{l}",
+            plan.append((f"invariance.{family.family}.n{n}.l{l}",
                          lambda l=l: verify_invariance(
-                             replace(top, l=l), composites, seed,
+                             replace(family, l=l), composites, seed,
                              work=work)))
     if want("independence"):
-        fam = "T" if n >= 3 else "T2"
-        spec = FamilySpec(n, fam, lmax, lam=config.family_lam)
-        plan.append((f"independence.{fam}.n{n}.lmax{lmax}",
-                     lambda: verify_independence(spec)))
+        plan.append((f"independence.{family.family}.n{n}.lmax{lmax}",
+                     lambda: verify_independence(family)))
     if want("support"):
         if n >= 3:
             for j in range(2, n):

@@ -1,6 +1,6 @@
-"""Builders for the named vector fields and distribution families, and the
-verification procedures for their invariance, independence, homogeneity,
-and support properties."""
+"""The one vector field D_j, the one family table built on it, and the
+verification procedures for the families' invariance, independence,
+homogeneity, and support properties."""
 
 from __future__ import annotations
 
@@ -34,30 +34,17 @@ __all__ = [
 # Vector fields
 # ---------------------------------------------------------------------------
 
-def build_vector_field(kind: str, n: int, j: Optional[int] = None) -> WeylOp:
-    """The displayed first-order operators, each an instance of
+def build_vector_field(n: int, j: int, conjugate: bool = False) -> WeylOp:
+    """The first-order operator
 
         D_j = zbar_{j-1} d/dzbar_j + z_j d/dz_{j+1}   (no first term at j = 1)
 
-    kind "D":      D_{n-1}                       (n >= 3)
-    kind "Dbar":   its conjugate (z and zbar swapped)
-    kind "Dj":     D_j                           (2 <= j <= n-1)
-    kind "Dprime": D_1 = z_1 d/dz_2              (n = 2)
-    """
-    if kind in ("D", "Dbar"):
-        if n < 3:
-            raise ValueError(f"{kind} requires n >= 3")
-        j = n - 1
-    elif kind == "Dj":
-        if j is None or not 2 <= j <= n - 1:
-            raise ValueError(f"Dj requires 2 <= j <= n-1, got j={j}, n={n}")
-    elif kind == "Dprime":
-        if n != 2:
-            raise ValueError("Dprime is the n = 2 operator")
-        j = 1
-    else:
-        raise ValueError(f"unknown vector field kind {kind!r}")
-    z, zbar = (sym_zbar, sym_z) if kind == "Dbar" else (sym_z, sym_zbar)
+    for 1 <= j <= n-1, or with ``conjugate`` its conjugate (z and zbar
+    swapped).  The paper's D is (n, n-1), its conjugate (n, n-1, True), and
+    D' is (2, 1)."""
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"D_j requires 1 <= j <= n-1, got j={j}, n={n}")
+    z, zbar = (sym_zbar, sym_z) if conjugate else (sym_z, sym_zbar)
     one = Scalar.one()
     op = WeylOp.term(n, one, {z(j): 1}, {z(j + 1): 1})
     if j == 1:
@@ -69,12 +56,25 @@ def build_vector_field(kind: str, n: int, j: Optional[int] = None) -> WeylOp:
 # Distribution families
 # ---------------------------------------------------------------------------
 
+# The one family table.  Every family is D_j, or its conjugate, applied l
+# times to (z_j zbar_j)^sigma times the delta at z_{j+1} = ... = z_n = 0,
+# with sigma = (n-j) - lam/2; a family's row gives (j, conjugate, lam).
+_FAMILIES = {
+    "T": lambda spec: (spec.n - 1, False, spec.lam),    # Proposition 4.5
+    "Tbar": lambda spec: (spec.n - 1, True, spec.lam),  # Proposition 4.5
+    "Tj": lambda spec: (spec.j, False, spec.lam),       # Proposition 4.8
+    "T2": lambda spec: (1, False, Fraction(2)),         # n = 2, sigma = 0
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Which family to build: the members of order 0..l.
 
     family: "T" | "Tbar" | "Tj" | "T2"; j only for "Tj"; lam None means the
-    formal holomorphic parameter, otherwise a fixed rational value.
+    formal holomorphic parameter, otherwise a fixed rational value (an int
+    or a Fraction).  ``validate`` is the one check of a family's n, j and
+    lam.
     """
 
     n: int
@@ -84,44 +84,40 @@ class FamilySpec:
     lam: Optional[Fraction] = None
 
     def validate(self) -> None:
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
         if self.l < 0:
             raise ValueError("order must be nonnegative")
-        if self.family in ("T", "Tbar"):
-            if self.n < 3:
-                raise ValueError(f"{self.family} requires n >= 3")
-        elif self.family == "Tj":
-            if self.j is None or not 2 <= self.j <= self.n - 1:
-                raise ValueError("Tj requires 2 <= j <= n-1")
-        elif self.family == "T2":
-            if self.n != 2:
-                raise ValueError("T2 is the n = 2 family")
-            if self.lam is not None and self.lam != 2:
-                raise ValueError("T2 is defined at lam = 2")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
+        if self.lam is not None and not isinstance(self.lam, (int, Fraction)):
+            raise ValueError(f"lam must be formal, an int or a Fraction, "
+                             f"got {self.lam!r}")
+        j = self.row()[0]
+        if self.family == "T2":
+            if self.n != 2 or self.lam not in (None, 2):
+                raise ValueError("T2 is the n = 2 family, defined only at "
+                                 "lam = 2 (or formal)")
+        elif j is None or not 2 <= j <= self.n - 1:
+            raise ValueError(f"{self.family} requires n >= 3 and "
+                             f"2 <= j <= n-1, got n={self.n}, j={j}")
 
-
-def _sigma(base_r: Fraction, lam: Optional[Fraction]) -> AffineExponent:
-    # exponent (base_r*2 - lam)/2 as an affine function of lam
-    if lam is None:
-        return AffineExponent(base_r, Fraction(-1, 2))
-    return AffineExponent(base_r - lam / 2, Fraction(0))
-
-
-_FIELD = {"T": "D", "Tbar": "Dbar", "Tj": "Dj", "T2": "Dprime"}
+    def row(self) -> Tuple[Optional[int], bool, Optional[Fraction]]:
+        """The family's (j, conjugate, lam) from the family table: T2 runs
+        at lam = 2 also when ``self.lam`` is formal."""
+        return _FAMILIES[self.family](self)
 
 
 def _seed(spec: FamilySpec) -> Tuple[WeylOp, DistExpr]:
-    """The family's operator D_j and its member of order 0,
-    (z_j zbar_j)^sigma(n-j) times the delta at z_{j+1} = ... = z_n = 0:
-    j = n-1 for T and Tbar, and j = 1 at lam = 2 (so sigma = 0) for T2."""
+    """The family's operator D_j, or its conjugate, and its member of
+    order 0, (z_j zbar_j)^sigma times the delta at z_{j+1} = ... = z_n = 0,
+    with (j, conjugate, lam) from the family table."""
     spec.validate()
     n = spec.n
-    j = {"Tj": spec.j, "T2": 1}.get(spec.family, n - 1)
-    lam = Fraction(2) if spec.family == "T2" else spec.lam
-    base = DistExpr.single(n, powers={j: _sigma(Fraction(n - j), lam)},
+    j, conjugate, lam = spec.row()
+    sigma = AffineExponent.of(n - j, Fraction(-1, 2)) if lam is None \
+        else AffineExponent.of(n - j - Fraction(lam, 2))
+    base = DistExpr.single(n, powers={j: sigma},
                            delta={k: (0, 0) for k in range(j + 1, n + 1)})
-    return build_vector_field(_FIELD[spec.family], n, spec.j), base
+    return build_vector_field(n, j, conjugate), base
 
 
 def build_family(spec: FamilySpec) -> List[DistExpr]:
@@ -178,9 +174,9 @@ def verify_lemma_d(n: int) -> CheckRecord:
     n >= 3, D' and the n = 2 display for n = 2."""
     a = Scalar.var("a1")
     abar = a.conjugate()
+    op = build_vector_field(n, n - 1)
     if n >= 3:
         which = "D"
-        op = build_vector_field("D", n)
         # expected: D + a(zbar_{n-2} - abar z_{n-1} + a abar zbar_n) d_{n-2}
         #             - a zbar_n d_n
         expected = op \
@@ -192,7 +188,6 @@ def verify_lemma_d(n: int) -> CheckRecord:
             + WeylOp.term(n, -a, {sym_zbar(n): 1}, {sym_z(n): 1})
     else:
         which = "Dprime"
-        op = build_vector_field("Dprime", n)
         # expected: D' + abar(z_1 - a zbar_2) dbar_1 - a zbar_2 d_2
         expected = op \
             + WeylOp.term(n, abar, {sym_z(1): 1}, {sym_zbar(1): 1}) \
@@ -301,8 +296,9 @@ def verify_invariance(spec: FamilySpec, composite_samples: int = 0,
             break
     weights = expr.u1_weights()
     deg = expr.degree()
-    expected_deg = AffineExponent.of(0, -1) if spec.lam is None \
-        else AffineExponent.of(-spec.lam)
+    lam = spec.row()[2]
+    expected_deg = AffineExponent.of(0, -1) if lam is None \
+        else AffineExponent.of(-lam)
     side_ok = (weights <= {0} and expr.parity() == "even"
                and deg == expected_deg)
     details.update({
@@ -347,8 +343,6 @@ def verify_support_filtration(n: int, j: int, lmax: int) -> CheckRecord:
     dimensional stratum and stays independent, witnessing the infinite-
     dimensional quotient of the support filtration.  Proposition 4.8 holds
     for generic lam, so the family is built at formal lam."""
-    if n < 3 or not 2 <= j <= n - 1:
-        raise ValueError("need n >= 3 and 2 <= j <= n-1")
     family = build_family(FamilySpec(n, "Tj", lmax, j))
     supports = [e.formal_support() for e in family]
     support_ok = all(s.stratum == j for s in supports)

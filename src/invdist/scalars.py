@@ -48,16 +48,16 @@ class GaussianRational:
     arithmetic reduced by one three-way gcd.  Immutable by convention.
 
     ``GaussianRational(re, im)`` and ``.of(re, im)`` take ints or
-    Fractions; ``from_triple`` takes the integer triple.
+    Fractions only, else raise ``TypeError``; ``from_triple`` takes the
+    integer triple.
     """
 
     __slots__ = ("num_re", "num_im", "den")
 
     def __new__(cls, re=0, im=0) -> "GaussianRational":
-        if not isinstance(re, (int, Fraction)):
-            re = Fraction(re)
-        if not isinstance(im, (int, Fraction)):
-            im = Fraction(im)
+        if not (isinstance(re, (int, Fraction))
+                and isinstance(im, (int, Fraction))):
+            raise TypeError(f"expected ints or Fractions, got {re!r}, {im!r}")
         p, q = re.numerator, re.denominator
         r, s = im.numerator, im.denominator
         return _canonical(p * s, r * q, q * s)
@@ -435,13 +435,17 @@ U = Scalar.var("u")
 
 @dataclass(frozen=True, order=True)
 class AffineExponent:
-    """An exponent of the form r + s*lam with rational r, s."""
+    """An exponent of the form r + s*lam with rational r, s; ``of`` takes
+    ints or Fractions only, else raises ``TypeError``."""
 
     r: Fraction = Fraction(0)
     s: Fraction = Fraction(0)
 
     @staticmethod
     def of(r, s=0) -> "AffineExponent":
+        if not (isinstance(r, (int, Fraction))
+                and isinstance(s, (int, Fraction))):
+            raise TypeError(f"expected ints or Fractions, got {r!r}, {s!r}")
         return AffineExponent(Fraction(r), Fraction(s))
 
     def __add__(self, other) -> "AffineExponent":

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import invdist
+from invdist import cli
 from invdist.cli import (Report, RunConfig, emit_report, main, run_suite,
                          _zeta_labels)
 from invdist.records import FAIL, PASS, SKIPPED, CheckRecord
@@ -46,6 +47,28 @@ class TestRunSuite:
             RunConfig(suite="nope").validate()
         with pytest.raises(ValueError):
             RunConfig(suite="algebra", lmax=-1).validate()
+
+    def test_int_lambda_reports_as_its_fraction(self):
+        as_int, as_fraction = (
+            emit_report(run_suite(RunConfig(suite="all", n=3, lmax=2,
+                                            samples=3, lam=lam,
+                                            fmt="json")), "json")
+            for lam in (3, Fraction(3)))
+        assert as_int == as_fraction
+
+    @pytest.mark.parametrize("suite", ["independence", "orbits"])
+    def test_float_lambda_fails_before_any_check(self, monkeypatch, suite):
+        # a float would run at its binary fraction and print as the float
+        config = RunConfig(suite=suite, n=3, lmax=2, lam=0.5)
+        with pytest.raises(ValueError):
+            config.validate()
+
+        def plan(_):
+            raise AssertionError("planned a run that fails validation")
+
+        monkeypatch.setattr(cli, "_plan", plan)
+        with pytest.raises(ValueError):
+            run_suite(config)
 
     def test_all_suite_main_theorem(self):
         # invariance of T^0..T^2 and rank 3, formal lam for n = 3 and the

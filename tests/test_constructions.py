@@ -27,7 +27,7 @@ import random
 class TestVectorFields:
     def test_d_shape(self):
         n = 3
-        d = build_vector_field("D", n)
+        d = build_vector_field(n, n - 1)
         expected = WeylOp.term(n, Scalar.one(), {sym_zbar(1): 1},
                                {sym_zbar(2): 1}) \
             + WeylOp.term(n, Scalar.one(), {sym_z(2): 1}, {sym_z(3): 1})
@@ -35,31 +35,34 @@ class TestVectorFields:
 
     def test_dbar_is_conjugate_shape(self):
         n = 3
-        dbar = build_vector_field("Dbar", n)
+        dbar = build_vector_field(n, n - 1, conjugate=True)
         expected = WeylOp.term(n, Scalar.one(), {sym_z(1): 1},
                                {sym_z(2): 1}) \
             + WeylOp.term(n, Scalar.one(), {sym_zbar(2): 1}, {sym_zbar(3): 1})
         assert dbar == expected
 
     def test_dj_interpolates(self):
-        # D_{n-1} coincides with D
+        # D_{n-1} = D and D_2 at n = 4, and D_1 = D' (no first term) at n = 2
         n = 4
-        assert build_vector_field("Dj", n, n - 1) \
-            == build_vector_field("D", n)
+        assert build_vector_field(n, n - 1) \
+            == WeylOp.term(n, Scalar.one(), {sym_zbar(2): 1},
+                           {sym_zbar(3): 1}) \
+            + WeylOp.term(n, Scalar.one(), {sym_z(3): 1}, {sym_z(4): 1})
+        assert build_vector_field(n, 2) \
+            == WeylOp.term(n, Scalar.one(), {sym_zbar(1): 1},
+                           {sym_zbar(2): 1}) \
+            + WeylOp.term(n, Scalar.one(), {sym_z(2): 1}, {sym_z(3): 1})
+        assert build_vector_field(2, 1) \
+            == WeylOp.term(2, Scalar.one(), {sym_z(1): 1}, {sym_z(2): 1})
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            build_vector_field("D", 2)
-        with pytest.raises(ValueError):
-            build_vector_field("Dj", 3, 3)
-        with pytest.raises(ValueError):
-            build_vector_field("Dprime", 3)
-        with pytest.raises(ValueError):
-            build_vector_field("Dbar", 2)
-        with pytest.raises(ValueError):
-            build_vector_field("Dj", 3)
-        with pytest.raises(ValueError):
-            build_vector_field("E", 3)
+        # j = 0 and j = n are out of range at every n, for D_j and its
+        # conjugate alike
+        for n in (2, 3, 4):
+            for j in (0, n, n + 1):
+                for conjugate in (False, True):
+                    with pytest.raises(ValueError):
+                        build_vector_field(n, j, conjugate)
 
 
 class TestFamilies:
@@ -86,12 +89,28 @@ class TestFamilies:
 
     def test_family_is_one_chain(self):
         # T^l = D T^(l-1), and each member is the last of its own family
-        op = build_vector_field("D", 3)
+        op = build_vector_field(3, 2)
         family = build_family(FamilySpec(3, "T", 3))
         assert len(family) == 4
         for l in range(1, 4):
             assert family[l] == family[l - 1].apply_weyl(op)
             assert family[l] == build_family(FamilySpec(3, "T", l))[-1]
+
+    @pytest.mark.parametrize("spec,j,conjugate", [
+        (FamilySpec(3, "T", 1), 2, False),
+        (FamilySpec(3, "T", 1, lam=Fraction(3)), 2, False),
+        (FamilySpec(3, "Tbar", 1), 2, True),
+        (FamilySpec(3, "Tbar", 1, lam=Fraction(3)), 2, True),
+        (FamilySpec(4, "Tj", 1, j=2), 2, False),
+        (FamilySpec(4, "Tj", 1, j=2, lam=Fraction(3)), 2, False),
+        (FamilySpec(2, "T2", 1), 1, False),
+    ], ids=["T", "T-lam3", "Tbar", "Tbar-lam3", "Tj", "Tj-lam3", "T2"])
+    def test_family_steps_by_its_d_j(self, spec, j, conjugate):
+        # the paper's operator of each family: D_{n-1} for T, its
+        # conjugate for Tbar, D_j for Tj and D_1 = D' for T2
+        family = build_family(spec)
+        assert family[1] == family[0].apply_weyl(
+            build_vector_field(spec.n, j, conjugate))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("lam", [None, Fraction(3)])
@@ -106,6 +125,13 @@ class TestFamilies:
         expected = DistExpr.single(2, mono={sym_z(1): 2}, delta={2: (2, 0)})
         assert expr == expected
 
+    @pytest.mark.parametrize("lam", [0.5, 3.0, "3"])
+    def test_lambda_must_be_exact(self, lam):
+        spec = FamilySpec(3, "T", 1, lam=lam)
+        for call in (spec.validate, lambda: build_family(spec)):
+            with pytest.raises(ValueError):
+                call()
+
     def test_specialized_lambda(self):
         [expr] = build_family(FamilySpec(3, "T", 0, lam=Fraction(4)))
         # sigma = 1 - 4/2 = -1 stays a power factor
@@ -115,6 +141,10 @@ class TestFamilies:
     def test_validation(self):
         with pytest.raises(ValueError):
             FamilySpec(2, "T", 0).validate()
+        with pytest.raises(ValueError):
+            FamilySpec(3, "Tj", 0).validate()
+        with pytest.raises(ValueError):
+            FamilySpec(3, "E", 0).validate()
         with pytest.raises(ValueError):
             FamilySpec(3, "Tj", 0, j=3).validate()
         with pytest.raises(ValueError):
@@ -189,6 +219,7 @@ class TestVerifiers:
         FamilySpec(3, "Tbar", 2),
         FamilySpec(4, "Tj", 1, j=2),
         FamilySpec(2, "T2", 2, lam=Fraction(2)),
+        FamilySpec(2, "T2", 2),
     ])
     def test_invariance(self, spec):
         rec = verify_invariance(spec, composite_samples=2, seed=3)
@@ -236,6 +267,11 @@ class TestVerifiers:
         rec = verify_support_filtration(n, j, lmax=3)
         assert rec.passed, rec.details
         assert rec.details["supports"] == [f"X{j}"] * 4
+
+    @pytest.mark.parametrize("n,j", [(2, 1), (3, 1), (3, 3), (4, 4)])
+    def test_support_filtration_range(self, n, j):
+        with pytest.raises(ValueError):
+            verify_support_filtration(n, j, lmax=1)
 
 
 class TestSharedInvarianceWork:

@@ -3,6 +3,7 @@
 alters any report shows here."""
 
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,9 @@ CASES = {
     "invariance_n4_lmax4_s2_seed3": dict(suite="invariance", n=4, lmax=4,
                                          samples=2, seed=3),
     "invariance_n2_lmax3": dict(suite="invariance", n=2, lmax=3),
+    "all_n3_lmax2_s3_lam1_3": dict(suite="all", n=3, lmax=2, samples=3,
+                                   lam=Fraction(1, 3)),
+    "all_n2_lmax2_s3": dict(suite="all", n=2, lmax=2, samples=3),
 }
 
 

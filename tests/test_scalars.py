@@ -129,6 +129,18 @@ class TestAgainstFractionReference:
         with pytest.raises(ZeroDivisionError):
             GaussianRational.from_triple(1, 2, 0)
 
+    @pytest.mark.parametrize("make", [
+        GaussianRational, GaussianRational.of, Scalar.of, AffineExponent.of],
+        ids=["GaussianRational", "GaussianRational.of", "Scalar.of",
+             "AffineExponent.of"])
+    def test_constructors_take_ints_and_fractions_only(self, make):
+        # a float would enter as its binary fraction:
+        # 0.1 as 3602879701896397/2^55
+        assert make(1, Fraction(1, 3)) == make(Fraction(1), Fraction(1, 3))
+        for args in ((0.1,), (1, 0.1), ("1/2",)):
+            with pytest.raises(TypeError):
+                make(*args)
+
     def test_str_formats(self):
         assert str(GaussianRational.of(Fraction(3, 4))) == "3/4"
         assert str(GaussianRational.of(0, Fraction(-1, 2))) == "-1/2*i"
