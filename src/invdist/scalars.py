@@ -221,24 +221,41 @@ def _mono_key(m: Mono):
     return tuple((_var_rank(n), e) for n, e in m)
 
 
+# Memos of the monomial product and conjugate, pure functions of their
+# keys; a run meets few distinct monomials.
+_MONO_PRODUCTS: Dict[Tuple[Mono, Mono], Mono] = {}
+_MONO_CONJUGATES: Dict[Mono, Mono] = {}
+
+
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     if not m1:
         return m2
     if not m2:
         return m1
-    acc: Dict[str, int] = dict(m1)
-    for n, e in m2:
-        acc[n] = acc.get(n, 0) + e
-    return _mono_sorted(acc.items())
+    m = _MONO_PRODUCTS.get((m1, m2))
+    if m is None:
+        acc: Dict[str, int] = dict(m1)
+        for n, e in m2:
+            acc[n] = acc.get(n, 0) + e
+        m = _MONO_PRODUCTS[m1, m2] = _mono_sorted(acc.items())
+    return m
 
 
-def conj_symbol(name: str) -> str:
-    """The conjugate partner of a symbol name (u is handled by exponent)."""
-    if name in _REAL_VARS or name in _UNIT_VARS:
-        return name
-    if name.endswith("~"):
-        return name[:-1]
-    return name + "~"
+def _mono_conj(m: Mono) -> Mono:
+    """The conjugate monomial: a unit symbol's exponent negates, lam is
+    fixed, and any other symbol swaps with its partner ``name~``."""
+    c = _MONO_CONJUGATES.get(m)
+    if c is None:
+        pairs = []
+        for n, e in m:
+            if n in _UNIT_VARS:
+                pairs.append((n, -e))
+            elif n in _REAL_VARS:
+                pairs.append((n, e))
+            else:
+                pairs.append((n[:-1] if n.endswith("~") else n + "~", e))
+        c = _MONO_CONJUGATES[m] = _mono_sorted(pairs)
+    return c
 
 
 class Scalar:
@@ -255,6 +272,13 @@ class Scalar:
     def __init__(self, terms: Dict[Mono, GaussianRational] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items()
                       if not c.is_zero()}
+
+    @staticmethod
+    def _nonzero(terms: Dict[Mono, GaussianRational]) -> "Scalar":
+        """A Scalar that takes terms holding no zero coefficient as is."""
+        new = object.__new__(Scalar)
+        new.terms = terms
+        return new
 
     # -- constructors -----------------------------------------------------
 
@@ -304,8 +328,12 @@ class Scalar:
         acc = dict(self.terms)
         for m, c in other.terms.items():
             prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-        return Scalar(acc)
+            total = c if prev is None else prev + c
+            if total.is_zero():
+                del acc[m]
+            else:
+                acc[m] = total
+        return Scalar._nonzero(acc)
 
     __radd__ = __add__
 
@@ -324,6 +352,11 @@ class Scalar:
             return NotImplemented
         if not (self.terms and other.terms):
             return _ZERO
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # Q(i) has no zero divisors, so the one term is nonzero
+            (m1, c1), = self.terms.items()
+            (m2, c2), = other.terms.items()
+            return Scalar._nonzero({_mono_mul(m1, m2): c1 * c2})
         acc: Dict[Mono, GaussianRational] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -340,16 +373,8 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         if not self.terms:
             return self
-        acc: Dict[Mono, GaussianRational] = {}
-        for m, c in self.terms.items():
-            pairs = []
-            for name, e in m:
-                if name in _UNIT_VARS:
-                    pairs.append((name, -e))
-                else:
-                    pairs.append((conj_symbol(name), e))
-            acc[_mono_sorted(pairs)] = c.conj()
-        return Scalar(acc)
+        return Scalar._nonzero({_mono_conj(m): c.conj()
+                                for m, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -29,6 +29,25 @@ def iota(m: REpsMatrix) -> List[List[Scalar]]:
     return out
 
 
+def dense_mul(x: REpsMatrix, y: REpsMatrix) -> REpsMatrix:
+    """The product by the dense n^3 loop over every index triple, each
+    element product by the full formula
+    (a+b*eps)(c+d*eps) = (ac + b*conj(d)) + (b*conj(c) + a*d)*eps."""
+    n = x.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = REpsElement()
+            for k in range(n):
+                e, f = x.entries[i][k], y.entries[k][j]
+                acc = acc + REpsElement(e.a * f.a + e.b * f.b.conjugate(),
+                                        e.b * f.a.conjugate() + e.a * f.b)
+            row.append(acc)
+        rows.append(tuple(row))
+    return REpsMatrix(n, tuple(rows))
+
+
 def mat_mul_scalar(A: List[List[Scalar]],
                    B: List[List[Scalar]]) -> List[List[Scalar]]:
     size = len(A)

@@ -199,6 +199,19 @@ class TestMain:
         assert res.stderr.startswith("error:")
         assert res.stdout == ""
 
+    def test_algebra_at_zero_samples_skips_closure(self):
+        # no sampled product certifies closure, so it is not a PASS; the
+        # determinant check still runs and the run still exits 0
+        res = run_cli("verify", "algebra", "--n", "3", "--samples", "0",
+                      "--format", "json")
+        assert res.returncode == 0
+        checks = {c["id"]: c for c in json.loads(res.stdout)["checks"]}
+        closure = checks["algebra.closure.n3"]
+        assert closure["status"] == SKIPPED
+        assert closure["details"] == {
+            "samples": 0, "reason": "no sampled product at --samples 0"}
+        assert checks["algebra.det.n3"]["status"] == PASS
+
     def test_n2_lambda_ignored_by_suites_without_families(self):
         RunConfig(suite="orbits", n=2, lam=Fraction(5)).validate()
         RunConfig(suite="invariance", n=2, lam=Fraction(2)).validate()

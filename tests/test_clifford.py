@@ -11,9 +11,9 @@ from invdist.clifford import (REpsElement, REpsMatrix, _block_det,
                               group_inverse, h_closure_check, h_det_check,
                               h_element, h_generators, h_phase, h_shift,
                               h_shift_formal)
-from invdist.scalars import GaussianRational, Scalar
-from reference import (CplxPairElement, act, cplx_pair_times_eps_power, iota,
-                       mat_mul_scalar)
+from invdist.scalars import GaussianRational, Scalar, random_gaussian
+from reference import (CplxPairElement, act, cplx_pair_times_eps_power,
+                       dense_mul, iota, mat_mul_scalar)
 
 
 def scal(re, im=0):
@@ -197,6 +197,22 @@ class TestGroup:
     def test_closure_check_passes(self, n):
         assert h_closure_check(n, samples=15, seed=5).passed
 
+    def test_closure_fails_off_the_eps_parity(self, monkeypatch):
+        # odd shifts in the C-part: products stay Toeplitz with diagonal
+        # u*v, but their odd superdiagonals leave C*eps
+        monkeypatch.setattr(clifford, "eps_times_coeff",
+                            lambda a, k: REpsElement(a))
+        record = h_closure_check(4, samples=3, seed=5)
+        assert not record.passed
+        assert record.details["counterexample"] == {"trial": 0,
+                                                    "superdiagonal": 1}
+
+    def test_closure_is_skipped_without_samples(self):
+        record = h_closure_check(3, samples=0)
+        assert record.status == "skipped"
+        assert record.details == {
+            "samples": 0, "reason": "no sampled product at --samples 0"}
+
     def test_group_inverse(self):
         rng = random.Random(7)
         n = 4
@@ -250,6 +266,71 @@ class TestGroup:
         assert gens[0][1] == h_phase(n)
         for j, (_, g) in enumerate(gens[1:], start=1):
             assert g == h_shift_formal(n, j)
+
+
+def random_entry(rng, formal):
+    """An element of one of the four kinds: zero, C-part only, eps-part
+    only, or both; with formal or plain Q(i) coefficients."""
+    def part():
+        c = Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                      rng.randint(-2, 2))
+        if formal:
+            c = c + Scalar.var(rng.choice(["a1", "a2~", "lam"])) \
+                * Scalar.var("u", rng.randint(-2, 2))
+        return c
+    kind = rng.randrange(4)
+    return REpsElement(part() if kind & 1 else Scalar.zero(),
+                       part() if kind & 2 else Scalar.zero())
+
+
+def random_matrix(n, rng, formal, shape):
+    """A dense or upper-triangular matrix, or a dense one with a zero row
+    and a zero column."""
+    zero = REpsElement()
+    blank_row, blank_col = rng.randrange(n), rng.randrange(n)
+    return REpsMatrix.from_rows([[
+        zero if (shape == "triangular" and j < i)
+        or (shape == "holes" and (i == blank_row or j == blank_col))
+        else random_entry(rng, formal)
+        for j in range(n)] for i in range(n)])
+
+
+class TestSparseProduct:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("formal", [False, True])
+    def test_matches_dense_oracle(self, n, formal):
+        rng = random.Random(100 * n + formal)
+        for shape in ("dense", "triangular", "holes"):
+            for _ in range(3):
+                x = random_matrix(n, rng, formal, shape)
+                y = random_matrix(n, rng, formal, shape)
+                assert x * y == dense_mul(x, y)
+
+    def test_mismatched_sizes_raise(self):
+        small, big = REpsMatrix.identity(3), h_shift(4, 1, Scalar.of(2))
+        with pytest.raises(ValueError):
+            small * big
+        with pytest.raises(ValueError):
+            big * small
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_closure_sample_makes_one_product_per_triangle_triple(
+            self, n, monkeypatch):
+        # the seed draws only nonzero shifts, so both factors are full
+        # upper triangles and the product meets each i <= k <= j once
+        seed = 3
+        rng = random.Random(seed)
+        assert all(random_gaussian(rng, 5, 5) for _ in range(2 * (n - 1)))
+        calls = []
+        mul = REpsElement.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(REpsElement, "__mul__", counted)
+        assert h_closure_check(n, samples=1, seed=seed).passed
+        assert len(calls) == (n + 2) * (n + 1) * n // 6  # C(n+2, 3)
 
 
 class TestBlockDeterminant:

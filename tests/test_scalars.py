@@ -239,12 +239,30 @@ zeros = st.sampled_from([Scalar.zero(), Scalar({}), 0, Fraction(0),
                          GaussianRational()])
 
 
+def ref_mono_mul(m1, m2):
+    """The product monomial, summed and sorted afresh (no memo)."""
+    acc = dict(m1)
+    for name, e in m2:
+        acc[name] = acc.get(name, 0) + e
+    return _mono_sorted(acc.items())
+
+
+CONJ_NAME = {"lam": "lam", "u": "u", "v": "v", "a1": "a1~", "a1~": "a1",
+             "a2": "a2~", "a2~": "a2"}
+
+
+def ref_mono_conj(m):
+    """The conjugate monomial, written out (no memo)."""
+    return _mono_sorted((CONJ_NAME[name], -e if name in ("u", "v") else e)
+                        for name, e in m)
+
+
 def loop_mul(x: Scalar, y: Scalar) -> dict:
     """The terms of x * y by the general double loop, zeros pruned."""
     acc = {}
     for m1, c1 in x.terms.items():
         for m2, c2 in y.terms.items():
-            m = _mono_mul(m1, m2)
+            m = ref_mono_mul(m1, m2)
             acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
     return {m: c for m, c in acc.items() if not c.is_zero()}
 
@@ -283,6 +301,54 @@ class TestZeroShortCircuits:
     def test_conjugate_of_zero(self):
         self.assert_loop_value(Scalar.zero().conjugate(), {})
         self.assert_loop_value(Scalar({}).conjugate(), {})
+
+
+# Laurent monomials: u and v may carry negative exponents
+laurent = st.builds(
+    lambda m, u, v: _mono_sorted(list(m.items()) + [("u", u), ("v", v)]),
+    st.dictionaries(st.sampled_from(["lam", "a1", "a1~", "a2"]),
+                    st.integers(1, 3), max_size=3),
+    st.integers(-3, 3), st.integers(-3, 3))
+nonzero_gaussians = gaussians.filter(lambda c: not c.is_zero())
+one_term = st.builds(lambda m, c: Scalar({m: c}), laurent, nonzero_gaussians)
+laurent_scalars = st.builds(
+    lambda terms: Scalar(dict(terms)),
+    st.lists(st.tuples(laurent, gaussians), max_size=4))
+
+
+class TestFastPaths:
+    """Memoised monomials and the one-term, cancelling and conjugating
+    paths of Scalar equal the plain computation they replace."""
+
+    @given(laurent, laurent)
+    @settings(max_examples=200)
+    def test_memoised_mono_mul(self, m1, m2):
+        want = ref_mono_mul(m1, m2)
+        assert _mono_mul(m1, m2) == want
+        assert _mono_mul(m1, m2) == want  # now from the memo
+
+    @given(one_term, one_term)
+    @settings(max_examples=200)
+    def test_one_term_products(self, x, y):
+        product = x * y
+        assert product.terms == loop_mul(x, y)
+        assert len(product.terms) == 1
+
+    @given(laurent_scalars, laurent_scalars)
+    @settings(max_examples=200)
+    def test_sums_prune_only_cancelled_terms(self, x, y):
+        assert (x + y).terms == loop_add(x, y)
+        assert not any(c.is_zero() for c in (x + y).terms.values())
+        cancelled = x + (-x)
+        assert cancelled == Scalar.zero() and cancelled.terms == {}
+
+    @given(laurent_scalars)
+    @settings(max_examples=200)
+    def test_memoised_conjugate(self, x):
+        want = {ref_mono_conj(m): c.conj() for m, c in x.terms.items()}
+        assert x.conjugate().terms == want
+        assert x.conjugate().terms == want  # now from the memo
+        assert x.conjugate().conjugate() == x
 
 
 class TestAffineExponent:
