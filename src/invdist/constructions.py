@@ -120,10 +120,13 @@ def _seed(spec: FamilySpec) -> Tuple[WeylOp, DistExpr]:
     return build_vector_field(n, j, conjugate), base
 
 
-def build_family(spec: FamilySpec) -> List[DistExpr]:
+def build_family(spec: FamilySpec,
+                 start: Optional[Tuple[WeylOp, DistExpr]] = None
+                 ) -> List[DistExpr]:
     """The members of order 0..l, each the operator applied to the one
-    before."""
-    op, member = _seed(spec)
+    before.  ``start`` is the family's ``_seed(spec)`` when the caller
+    already holds it."""
+    op, member = start or _seed(spec)
     family = [member]
     for _ in range(spec.l):
         family.append(family[-1].apply_weyl(op))
@@ -226,7 +229,8 @@ class InvarianceWork:
     ``h_generators`` and of ``composite_samples`` random composites drawn
     from ``random.Random(seed)``.  Each element's substitution, its g.T^0 and
     its conjugated operator are computed once, by the first check that asks
-    for them; the powers grow as the orders advance."""
+    for them, from the one operator and order-0 member (``_seed``) that the
+    chain also starts at; each action advances one apply per order."""
 
     def __init__(self, spec: FamilySpec, composite_samples: int = 0,
                  seed: int = 0):
@@ -242,7 +246,7 @@ class InvarianceWork:
             n = self.spec.n
             rng = random.Random(self.seed)
             self._parts = (
-                build_family(self.spec),
+                build_family(self.spec, (op, base)),
                 [(name, ActionOnPowers(op, base, sub))
                  for name, sub in generator_substitutions(n)],
                 [ActionOnPowers(op, base, substitution_from_group(

@@ -459,15 +459,14 @@ class ActionOnPowers:
     """The action of one group element on op^l applied to base, for
     l = 0, 1, ..., derived without acting on that expansion:
     g.(D^l T) = (g.D)^l (g.T) (Proposition 4.5).  g.T and g.D are computed
-    once.  Order 0 is g.T itself, order 1 applies g.D, and each later
-    order grows the power of g.D by one compose, so a run over the orders
-    0..lmax composes only at the orders 2..lmax."""
+    once.  Order 0 is g.T itself, and each later order applies the
+    first-order g.D (Lemma 4.4) once to the member of the order before, as
+    ``build_family`` builds the chain, so no power of g.D is formed."""
 
     def __init__(self, op: WeylOp, base: DistExpr, sub: Substitution):
-        self.acted_base = base.act_group(sub)
         self.conjugated = conjugate_op(op, sub)
         self.order = 0
-        self.power = self.conjugated  # (g.D)^order once order >= 1
+        self.acted = base.act_group(sub)  # g.(D^order T)
 
     def at(self, order: int) -> DistExpr:
         """g.(D^order T).  Orders only advance: a lower order than the last
@@ -475,13 +474,10 @@ class ActionOnPowers:
         if order < self.order:
             raise ValueError(f"order {order} is below the order "
                              f"{self.order} already reached")
-        if order == 0:
-            return self.acted_base
         while self.order < order:
-            if self.order >= 1:
-                self.power = self.power.compose(self.conjugated)
+            self.acted = self.acted.apply_weyl(self.conjugated)
             self.order += 1
-        return self.acted_base.apply_weyl(self.power)
+        return self.acted
 
 
 # ---------------------------------------------------------------------------

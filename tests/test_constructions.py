@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from invdist import clifford, constructions, weyl
+from invdist import clifford, constructions
 from invdist.cli import RunConfig, emit_report, run_suite
 from invdist.clifford import REpsElement, REpsMatrix
 from invdist.constructions import (FamilySpec, InvarianceWork, build_family,
@@ -276,13 +276,14 @@ class TestVerifiers:
 
 class TestSharedInvarianceWork:
     """One invariance run does each element's order-independent work once
-    and composes each conjugated operator once per order."""
+    and applies each conjugated operator once per order, to the member of
+    the order before."""
 
     def run_counted(self, monkeypatch, **config):
         counts = {}
         count_calls(monkeypatch, constructions, "substitution_from_group",
                     counts)
-        count_calls(monkeypatch, weyl.WeylOp, "compose", counts)
+        count_calls(monkeypatch, DistExpr, "apply_weyl", counts)
         report = run_suite(RunConfig(suite="invariance", **config))
         monkeypatch.undo()
         return report, counts
@@ -294,7 +295,8 @@ class TestSharedInvarianceWork:
         assert first.all_passed
         # the n generators of h_generators and the sampled composites
         assert counts["substitution_from_group"] == n + samples
-        assert counts["compose"] <= lmax * (n + samples)
+        # lmax steps of the chain, and lmax steps of each element's action
+        assert counts["apply_weyl"] == lmax + lmax * (n + samples)
         # the shared work lives inside one run_suite call
         again, counts_again = self.run_counted(monkeypatch, n=n, lmax=lmax,
                                                samples=samples)
@@ -316,10 +318,10 @@ class TestSharedInvarianceWork:
                           "invariance.T.n3.l4": SKIPPED}
         failed = next(c for c in report.checks if c.status == FAIL)
         assert failed.details == standalone.details
-        # order 1 applies each conjugated operator as it is, and order 2
-        # composes it once, for each of the 3 generators and 2 composites;
-        # the skipped orders 3 and 4 compose nothing
-        assert counts["compose"] == 1 * (3 + 2)
+        # the chain is built to lmax = 4 at once; the actions of the 3
+        # generators and 2 composites each step to orders 1 and 2 only, and
+        # the skipped orders 3 and 4 apply nothing
+        assert counts["apply_weyl"] == 4 + 2 * (3 + 2)
 
     def test_work_must_match_the_check(self):
         spec = FamilySpec(3, "T", 2)

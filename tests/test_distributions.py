@@ -8,14 +8,16 @@ from math import factorial
 import pytest
 
 from invdist.clifford import REpsMatrix, h_phase, h_shift
-from invdist.constructions import (generator_substitutions,
+from invdist.constructions import (FamilySpec, _seed,
+                                   generator_substitutions,
                                    random_group_element)
-from invdist.distributions import (DistExpr, RawTerm, SupportDescriptor,
+from invdist.distributions import (ActionOnPowers, DistExpr, RawTerm,
+                                   SupportDescriptor,
                                    UnsupportedSubstitutionError,
                                    _canonical_key, independence_rank)
 from invdist.scalars import AffineExponent, GaussianRational, Scalar, LAM
-from invdist.weyl import (Substitution, WeylOp, substitution_from_group,
-                          sym_z, sym_zbar)
+from invdist.weyl import (Substitution, WeylOp, conjugate_op,
+                          substitution_from_group, sym_z, sym_zbar)
 
 
 def delta_functional(expr: DistExpr, r: int, s: int) -> Scalar:
@@ -229,6 +231,27 @@ def test_transform_delta_matches_reference(n):
         for sub in subs:
             assert DistExpr(n)._transform_delta(delta, sub) \
                 == _transform_delta_reference(delta, sub), (delta, sub)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(2, "T2", 4), FamilySpec(3, "T", 4), FamilySpec(3, "Tbar", 4),
+    FamilySpec(4, "T", 4), FamilySpec(4, "Tbar", 4),
+    FamilySpec(4, "Tj", 4, j=2)], ids=lambda s: f"{s.family}-n{s.n}")
+def test_action_on_powers_matches_the_power_of_the_conjugated_operator(
+        spec):
+    # the derivation by powers: g.T^0 with C^l = (g.D)^l applied to it,
+    # C^l grown one compose at a time from the identity operator
+    n = spec.n
+    op, base = _seed(spec)
+    subs = [sub for _, sub in generator_substitutions(n)] + [
+        substitution_from_group(random_group_element(n, random.Random(n)))]
+    for sub in subs:
+        action = ActionOnPowers(op, base, sub)
+        acted_base, conjugated = base.act_group(sub), conjugate_op(op, sub)
+        power = WeylOp.term(n, Scalar.one())
+        for l in range(spec.l + 1):
+            assert action.at(l) == acted_base.apply_weyl(power), (sub, l)
+            power = power.compose(conjugated)
 
 
 class TestGradings:

@@ -23,6 +23,10 @@ CASES = {
     "invariance_n4_lmax4_s2_seed3": dict(suite="invariance", n=4, lmax=4,
                                          samples=2, seed=3),
     "invariance_n2_lmax3": dict(suite="invariance", n=2, lmax=3),
+    # bytes made by the action through powers of g.D, pinned at a size
+    # that action was slow on
+    "invariance_n6_lmax8_s5": dict(suite="invariance", n=6, lmax=8,
+                                   samples=5),
     "all_n3_lmax2_s3_lam1_3": dict(suite="all", n=3, lmax=2, samples=3,
                                    lam=Fraction(1, 3)),
     "all_n2_lmax2_s3": dict(suite="all", n=2, lmax=2, samples=3),

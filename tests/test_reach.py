@@ -28,6 +28,8 @@ ALLOWED = {
         "dataclasses reject an unhashable field default",
     "scalars.Scalar.__repr__": "prints a value in test failures",
     "weyl.WeylOp.__eq__": "structural operator equality the tests pin",
+    "weyl.WeylOp.compose": "resolved by name by invbench/spans.py; moves to "
+                           "tests with the next benchmark change",
 }
 
 

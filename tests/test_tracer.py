@@ -8,6 +8,7 @@ import sys
 
 import invdist.cli  # the tracer wraps names in every module
 from invdist.cli import RunConfig
+from invdist.constructions import build_vector_field
 
 INVBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "invbench")
@@ -51,12 +52,15 @@ def test_observers_count_the_traced_work(monkeypatch):
     configs = [RunConfig(suite="invariance", n=3, lmax=2, samples=0),
                RunConfig(suite="independence", n=3, lmax=2),
                RunConfig(suite="orbits", n=3, samples=5)]
+    # no suite composes operators, so compose is called here directly
+    d, dbar = build_vector_field(3, 2), build_vector_field(3, 2, True)
     with spans.Tracer() as tracer:
         for config in configs:
             assert invdist.cli.run_suite(config).all_passed
+        composed = d.compose(dbar)
     counts = tracer.counts
-    for name in ("weyl.compose.terms_out",
-                 "distributions.apply_weyl.terms_out", "scalars.rank.cells",
+    assert counts["weyl.compose.terms_out"] == len(composed.terms) > 0
+    for name in ("distributions.apply_weyl.terms_out", "scalars.rank.cells",
                  "orbits.witness.exact"):
         assert counts[name] > 0, name
     assert counts["orbits.witness.exact"] == counts["orbits.witness.attempted"]
