@@ -3,7 +3,7 @@
 Runs named check suites over the algebra, the conjugation identities, the
 invariant families, and the orbit pictures, then emits a text or JSON
 report.  Exit status is 0 exactly when every executed check passed, 1 when
-some check failed, 2 on a usage error.
+some check failed, 2 on a usage error or an unwritable ``--out``.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .clifford import h_closure_check, h_det_check
-from .constructions import (FamilySpec, InvarianceWork,
-                            verify_independence, verify_invariance,
-                            verify_lemma_d, verify_support_filtration)
+from .constructions import (FamilySpec, FamilyWork, verify_independence,
+                            verify_invariance, verify_lemma_d,
+                            verify_support_filtration)
 from .orbits import complex_orbit_check, enumerate_strata
 from .records import FAIL, PASS, SKIPPED, CheckRecord
 from .scalars import GaussianRational
@@ -144,6 +144,11 @@ def _plan(config: RunConfig) -> List[Planned]:
     plan: List[Planned] = []
     want = lambda s: config.suite in (s, "all")
     family = config.family
+    # one FamilyWork per chain of this run (T and Tj(j=n-1) at one lam are
+    # one chain), filled in by the first check that reads each part
+    works: Dict[tuple, FamilyWork] = {}
+    work = lambda spec: works.setdefault(
+        (spec.n, spec.row()), FamilyWork(spec, min(samples, 5), seed))
 
     if want("algebra"):
         plan.append((f"algebra.det.n{n}", lambda: h_det_check(n)))
@@ -154,24 +159,20 @@ def _plan(config: RunConfig) -> List[Planned]:
         which = "D" if n >= 3 else "Dprime"
         plan.append((f"lemma-d.{which}.n{n}", lambda: verify_lemma_d(n)))
     if want("invariance"):
-        composites = min(samples, 5)
-        # the orders of this run share one InvarianceWork, which the first
-        # check to run fills in
-        work = InvarianceWork(family, composites, seed)
         for l in range(lmax + 1):
             plan.append((f"invariance.{family.family}.n{n}.l{l}",
-                         lambda l=l: verify_invariance(
-                             replace(family, l=l), composites, seed,
-                             work=work)))
+                         lambda l=l, w=work(family): verify_invariance(
+                             replace(family, l=l), work=w)))
     if want("independence"):
         plan.append((f"independence.{family.family}.n{n}.lmax{lmax}",
-                     lambda: verify_independence(family)))
+                     lambda w=work(family): verify_independence(family,
+                                                                work=w)))
     if want("support"):
         if n >= 3:
             for j in range(2, n):
                 plan.append((f"support.n{n}.j{j}.lmax{lmax}",
-                             lambda jj=j: verify_support_filtration(
-                                 n, jj, lmax)))
+                             lambda j=j, w=work(FamilySpec(n, "Tj", lmax, j)):
+                             verify_support_filtration(n, j, lmax, work=w)))
         else:
             plan.append(("support.n2",
                          lambda: CheckRecord(
@@ -298,8 +299,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report = run_suite(config)
     text = emit_report(report, config.fmt)
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.all_passed else 1

@@ -5,8 +5,9 @@ homogeneity, and support properties."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .clifford import REpsMatrix, h_element, h_generators, h_shift, \
@@ -23,7 +24,7 @@ __all__ = [
     "build_vector_field",
     "build_family",
     "verify_lemma_d",
-    "InvarianceWork",
+    "FamilyWork",
     "verify_invariance",
     "verify_independence",
     "verify_support_filtration",
@@ -120,13 +121,10 @@ def _seed(spec: FamilySpec) -> Tuple[WeylOp, DistExpr]:
     return build_vector_field(n, j, conjugate), base
 
 
-def build_family(spec: FamilySpec,
-                 start: Optional[Tuple[WeylOp, DistExpr]] = None
-                 ) -> List[DistExpr]:
+def build_family(spec: FamilySpec) -> List[DistExpr]:
     """The members of order 0..l, each the operator applied to the one
-    before.  ``start`` is the family's ``_seed(spec)`` when the caller
-    already holds it."""
-    op, member = start or _seed(spec)
+    before."""
+    op, member = _seed(spec)
     family = [member]
     for _ in range(spec.l):
         family.append(family[-1].apply_weyl(op))
@@ -217,87 +215,79 @@ def _family_name(spec: FamilySpec) -> str:
     return spec.family
 
 
-# the chain, the labelled generator actions and the composite actions
-_WorkParts = Tuple[List[DistExpr], List[Tuple[str, ActionOnPowers]],
-                   List[ActionOnPowers]]
+@dataclass
+class FamilyWork:
+    """The work the family checks of one run share for one chain of orders
+    0..spec.l, each part computed by the first check that reads it: the
+    chain from one ``build_family`` call, its rank from one
+    ``independence_rank`` call, and the action on the chain
+    (``ActionOnPowers``) of every labelled generator of ``h_generators``,
+    then of ``composite_samples`` random composites drawn from
+    ``random.Random(seed)``, each from the chain's order-0 member."""
+
+    spec: FamilySpec
+    composite_samples: int = 0
+    seed: int = 0
+
+    def check(self, spec: FamilySpec, rank: bool = False) -> "FamilyWork":
+        """This work, if it serves a check of ``spec``: the same n and
+        family row, at an order up to this one's, or at this very order for
+        a ``rank`` check.  Otherwise ``ValueError``."""
+        spec.validate()
+        order_ok = spec.l == self.spec.l if rank else spec.l <= self.spec.l
+        if (spec.n, spec.row()) != (self.spec.n, self.spec.row()) \
+                or not order_ok:
+            raise ValueError(f"the family work of {self.spec} does not "
+                             f"serve a check of {spec}")
+        return self
+
+    @cached_property
+    def chain(self) -> List[DistExpr]:
+        return build_family(self.spec)
+
+    @cached_property
+    def rank(self) -> int:
+        return independence_rank(self.chain)
+
+    @cached_property
+    def actions(self) -> List[Tuple[str, ActionOnPowers]]:
+        """(name, action) of each labelled generator, then of each
+        composite, named "random composite"."""
+        n = self.spec.n
+        op = build_vector_field(n, *self.spec.row()[:2])
+        rng = random.Random(self.seed)
+        subs = generator_substitutions(n) + [
+            ("random composite",
+             substitution_from_group(random_group_element(n, rng)))
+            for _ in range(self.composite_samples)]
+        return [(name, ActionOnPowers(op, self.chain[0], sub))
+                for name, sub in subs]
 
 
-class InvarianceWork:
-    """The work the invariance checks of one family share across the orders
-    0..spec.l: the chain T^0..T^l from one ``build_family`` call, and the
-    action on that chain (``ActionOnPowers``) of every labelled generator of
-    ``h_generators`` and of ``composite_samples`` random composites drawn
-    from ``random.Random(seed)``.  Each element's substitution, its g.T^0 and
-    its conjugated operator are computed once, by the first check that asks
-    for them, from the one operator and order-0 member (``_seed``) that the
-    chain also starts at; each action advances one apply per order."""
-
-    def __init__(self, spec: FamilySpec, composite_samples: int = 0,
-                 seed: int = 0):
-        self.spec = spec
-        self.composite_samples = composite_samples
-        self.seed = seed
-        self._parts: Optional[_WorkParts] = None
-
-    def parts(self) -> _WorkParts:
-        """(chain, labelled generator actions, composite actions)."""
-        if self._parts is None:
-            op, base = _seed(self.spec)
-            n = self.spec.n
-            rng = random.Random(self.seed)
-            self._parts = (
-                build_family(self.spec, (op, base)),
-                [(name, ActionOnPowers(op, base, sub))
-                 for name, sub in generator_substitutions(n)],
-                [ActionOnPowers(op, base, substitution_from_group(
-                    random_group_element(n, rng)))
-                 for _ in range(self.composite_samples)])
-        return self._parts
-
-    def covers(self, spec: FamilySpec, composite_samples: int,
-               seed: int) -> bool:
-        """Whether this is the work of ``verify_invariance(spec,
-        composite_samples, seed)``: the same family, samples and seed, at
-        an order up to this one's."""
-        return (replace(spec, l=self.spec.l) == self.spec
-                and spec.l <= self.spec.l
-                and (composite_samples, seed)
-                == (self.composite_samples, self.seed))
-
-
-def verify_invariance(spec: FamilySpec, composite_samples: int = 0,
-                      seed: int = 0, *,
-                      work: Optional[InvarianceWork] = None) -> CheckRecord:
+def verify_invariance(spec: FamilySpec, *,
+                      work: Optional[FamilyWork] = None) -> CheckRecord:
     """Exact invariance of the family member under every generator (formal
     phase and formal shift coefficients), plus grading side checks and an
-    optional belt-and-braces pass over random composite group elements.
-    The action is derived from the operator and the order-0 member
-    (``ActionOnPowers``) and compared with the member itself.
+    optional belt-and-braces pass over the work's random composite group
+    elements.  The action is derived from the operator and the order-0
+    member (``ActionOnPowers``) and compared with the member itself.
 
-    ``work`` is the ``InvarianceWork`` a run shares between its checks of
-    the orders 0..lmax, taken in increasing order (``cli._plan`` builds one
-    per run); left out, it is built for ``spec`` alone."""
-    if work is None:
-        work = InvarianceWork(spec, composite_samples, seed)
-    elif not work.covers(spec, composite_samples, seed):
-        raise ValueError("the shared invariance work is for another family, "
-                         "sample count or seed")
-    chain, generators, composites = work.parts()
-    expr = chain[spec.l]
+    ``work`` is the ``FamilyWork`` a run shares between its checks of the
+    orders 0..lmax, taken in increasing order, and its other checks of the
+    same chain; left out, it is built for ``spec`` alone, with no
+    composites."""
+    work = (work or FamilyWork(spec)).check(spec)
+    expr = work.chain[spec.l]
     n = spec.n
     details = {"family": _family_name(spec), "l": spec.l}
     failures = []
-    for name, action in generators:
+    for name, action in work.actions:
         acted = action.at(spec.l)
         if acted != expr:
             failures.append({"generator": name,
                              "difference": (acted - expr).canonical_str()})
-    for action in composites:
-        acted = action.at(spec.l)
-        if acted != expr:
-            failures.append({"generator": "random composite",
-                             "difference": (acted - expr).canonical_str()})
-            break
+            if name == "random composite":
+                break  # one failing composite is enough
     weights = expr.u1_weights()
     deg = expr.degree()
     lam = spec.row()[2]
@@ -309,7 +299,7 @@ def verify_invariance(spec: FamilySpec, composite_samples: int = 0,
         "u1_weights": sorted(weights),
         "parity": expr.parity(),
         "degree": str(deg),
-        "composite_samples": composite_samples,
+        "composite_samples": work.composite_samples,
     })
     if failures:
         details["failures"] = failures
@@ -325,12 +315,15 @@ def verify_invariance(spec: FamilySpec, composite_samples: int = 0,
     )
 
 
-def verify_independence(spec: FamilySpec) -> CheckRecord:
+def verify_independence(spec: FamilySpec, *,
+                        work: Optional[FamilyWork] = None) -> CheckRecord:
     """The members of order 0..lmax = spec.l are linearly independent:
-    coefficient rank over the lam-function field equals lmax + 1."""
+    coefficient rank over the lam-function field equals lmax + 1.
+    ``work`` is the run's ``FamilyWork`` of this chain, as for
+    ``verify_invariance``."""
+    work = (work or FamilyWork(spec)).check(spec, rank=True)
     lmax = spec.l
-    family = build_family(spec)
-    rank = independence_rank(family)
+    rank = work.rank
     ok = rank == lmax + 1
     return CheckRecord(
         check_id=f"independence.{_family_name(spec)}.n{spec.n}.lmax{lmax}",
@@ -342,15 +335,19 @@ def verify_independence(spec: FamilySpec) -> CheckRecord:
     )
 
 
-def verify_support_filtration(n: int, j: int, lmax: int) -> CheckRecord:
+def verify_support_filtration(n: int, j: int, lmax: int, *,
+                              work: Optional[FamilyWork] = None
+                              ) -> CheckRecord:
     """The order-j family is supported on the closure of the (2j-1)-
     dimensional stratum and stays independent, witnessing the infinite-
     dimensional quotient of the support filtration.  Proposition 4.8 holds
-    for generic lam, so the family is built at formal lam."""
-    family = build_family(FamilySpec(n, "Tj", lmax, j))
-    supports = [e.formal_support() for e in family]
+    for generic lam, so the family is built at formal lam.  ``work`` is the
+    run's ``FamilyWork`` of this chain, as for ``verify_invariance``."""
+    spec = FamilySpec(n, "Tj", lmax, j)
+    work = (work or FamilyWork(spec)).check(spec, rank=True)
+    supports = [e.formal_support() for e in work.chain]
     support_ok = all(s.stratum == j for s in supports)
-    rank = independence_rank(family)
+    rank = work.rank
     rank_ok = rank == lmax + 1
     excluded = f"2N + {2 + 2 * n - 2 * j}"
     return CheckRecord(

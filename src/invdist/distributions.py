@@ -430,10 +430,7 @@ class DistExpr:
             parts.append("*".join(factors))
         return " + ".join(parts)
 
-    def __str__(self) -> str:
-        return self.canonical_str()
-
-    __repr__ = __str__
+    __repr__ = canonical_str
 
 
 def _term_sort_key(key: TermKey):

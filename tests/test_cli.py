@@ -154,6 +154,17 @@ class TestMain:
         data = json.loads(target.read_text())
         assert data["summary"]["fail"] == 0
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        # exit 1 means a failed check; a report that cannot be written is
+        # an error of the invocation
+        target = tmp_path / "missing" / "report.json"
+        code = main(["verify", "lemma-d", "--n", "3", "--out", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert not target.exists()
+
     def test_exit_one_on_failure(self, monkeypatch, capsys):
         import invdist.cli as cli
         bad = CheckRecord(check_id="bad", statement="forced failure",

@@ -9,7 +9,7 @@ import pytest
 from invdist import clifford, constructions
 from invdist.cli import RunConfig, emit_report, run_suite
 from invdist.clifford import REpsElement, REpsMatrix
-from invdist.constructions import (FamilySpec, InvarianceWork, build_family,
+from invdist.constructions import (FamilySpec, FamilyWork, build_family,
                                    build_vector_field,
                                    generator_substitutions,
                                    random_group_element,
@@ -222,7 +222,7 @@ class TestVerifiers:
         FamilySpec(2, "T2", 2),
     ])
     def test_invariance(self, spec):
-        rec = verify_invariance(spec, composite_samples=2, seed=3)
+        rec = verify_invariance(spec, work=FamilyWork(spec, 2, 3))
         assert rec.passed, rec.details
 
     @pytest.mark.parametrize("spec", [
@@ -306,7 +306,8 @@ class TestSharedInvarianceWork:
     def test_failure_matches_standalone_and_skips_later_orders(
             self, monkeypatch):
         twist_shift2(monkeypatch)
-        standalone = verify_invariance(FamilySpec(3, "T", 2), 2, 3)
+        spec = FamilySpec(3, "T", 2)
+        standalone = verify_invariance(spec, work=FamilyWork(spec, 2, 3))
         assert not standalone.passed
         report, counts = self.run_counted(monkeypatch, n=3, lmax=4,
                                           samples=2, seed=3)
@@ -325,13 +326,50 @@ class TestSharedInvarianceWork:
 
     def test_work_must_match_the_check(self):
         spec = FamilySpec(3, "T", 2)
-        work = InvarianceWork(spec, 1, 0)
-        assert verify_invariance(replace(spec, l=1), 1, 0, work=work).passed
-        for other in ((replace(spec, l=3), 1, 0),
-                      (replace(spec, lam=Fraction(3)), 1, 0),
-                      (spec, 2, 0), (spec, 1, 1)):
+        work = FamilyWork(spec, 1, 0)
+        assert verify_invariance(replace(spec, l=1), work=work).passed
+        for other in (replace(spec, l=3), replace(spec, lam=Fraction(3)),
+                      FamilySpec(4, "T", 2), FamilySpec(3, "Tbar", 2)):
             with pytest.raises(ValueError):
-                verify_invariance(*other, work=work)
+                verify_invariance(other, work=work)
         # orders only advance
         with pytest.raises(ValueError):
-            verify_invariance(replace(spec, l=0), 1, 0, work=work)
+            verify_invariance(replace(spec, l=0), work=work)
+        # a rank check needs the same chain: Tj(j=n-1) is T's chain, at the
+        # same lam and length
+        work = FamilyWork(FamilySpec(4, "T", 2))
+        assert verify_support_filtration(4, 3, 2, work=work).passed
+        assert verify_independence(FamilySpec(4, "T", 2), work=work).passed
+        for spec in (FamilySpec(4, "T", 2, lam=Fraction(3)),  # another lam
+                     FamilySpec(4, "Tj", 2, j=2),             # another j
+                     FamilySpec(4, "T", 1), FamilySpec(4, "T", 3)):
+            with pytest.raises(ValueError):
+                verify_independence(spec, work=work)
+        for j, lmax in ((2, 2), (3, 1), (3, 3)):
+            with pytest.raises(ValueError):
+                verify_support_filtration(4, j, lmax, work=work)
+        lam_work = FamilyWork(FamilySpec(4, "T", 2, lam=Fraction(3)))
+        with pytest.raises(ValueError):
+            verify_support_filtration(4, 3, 2, work=lam_work)
+
+
+class TestOneWorkPerChain:
+    """``verify all`` builds and ranks each distinct chain once: T and the
+    support chain Tj(j=n-1) share one work at formal lam only."""
+
+    @pytest.mark.parametrize("n,lam,chains", [
+        (3, None, 1),          # T = Tj(j=2)
+        (4, None, 2),          # T = Tj(j=3), Tj(j=2)
+        (4, Fraction(3), 3),   # T at lam = 3; Tj(j=2), Tj(j=3) formal
+        (5, None, 3),          # T = Tj(j=4), Tj(j=2), Tj(j=3)
+    ])
+    def test_one_chain_and_one_rank_per_chain(self, monkeypatch, n, lam,
+                                              chains):
+        counts = {}
+        count_calls(monkeypatch, constructions, "build_family", counts)
+        count_calls(monkeypatch, constructions, "independence_rank", counts)
+        report = run_suite(RunConfig(suite="all", n=n, lmax=3, samples=3,
+                                     lam=lam))
+        assert report.all_passed
+        assert (counts["build_family"], counts["independence_rank"]) \
+            == (chains, chains)

@@ -30,6 +30,8 @@ CASES = {
     "all_n3_lmax2_s3_lam1_3": dict(suite="all", n=3, lmax=2, samples=3,
                                    lam=Fraction(1, 3)),
     "all_n2_lmax2_s3": dict(suite="all", n=2, lmax=2, samples=3),
+    # formal lam at n >= 3: T and the support chain Tj(j=n-1) are one chain
+    "all_n4_lmax3_s3": dict(suite="all", n=4, lmax=3, samples=3),
 }
 
 

@@ -16,7 +16,6 @@ SRC = os.path.dirname(cli.__file__)
 ALLOWED = {
     "clifford.REpsElement.__str__":
         "prints h_closure_check's counterexample diagonal",
-    "distributions.DistExpr.__str__": "prints a distribution when debugging",
     "records.CheckRecord.passed": "the verdict accessor of the public API",
     "scalars.GaussianRational.__bool__":
         "without it a zero value would be truthy",
