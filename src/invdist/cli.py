@@ -296,17 +296,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # open --out before the run, so that an unwritable path fails fast
+    try:
+        out = open(config.out, "w") if config.out else None
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     report = run_suite(config)
     text = emit_report(report, config.fmt)
-    if config.out:
+    if out is None:
+        sys.stdout.write(text)
+    else:
         try:
-            with open(config.out, "w") as fh:
-                fh.write(text)
+            with out:
+                out.write(text)
         except OSError as exc:
             print(f"error: cannot write the report: {exc}", file=sys.stderr)
             return 2
-    else:
-        sys.stdout.write(text)
     return 0 if report.all_passed else 1
 
 

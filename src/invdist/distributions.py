@@ -483,7 +483,20 @@ class ActionOnPowers:
 
 def independence_rank(family: Sequence[DistExpr]) -> int:
     """Rank of the family's coefficient matrix over all distinct basis
-    terms, computed exactly over the field of rational functions in lam."""
+    terms, computed exactly over the field of rational functions in lam.
+
+    Disjoint supports certify full rank first: when every member has a
+    term and no two members share a term key, each row is nonzero only in
+    columns where every other row is zero (a ``DistExpr`` keeps no zero
+    coefficient), so the rank is ``len(family)`` over any field.  Any
+    other family is ranked by ``rank_over_function_field``."""
+    seen: set = set()
+    for e in family:
+        if not e.terms or not seen.isdisjoint(e.terms):
+            break
+        seen.update(e.terms)
+    else:
+        return len(family)
     keys = sorted({k for e in family for k in e.terms}, key=_term_sort_key)
     matrix = [[e.terms.get(k, Scalar.zero()) for k in keys] for e in family]
     if not keys:

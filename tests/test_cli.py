@@ -154,14 +154,18 @@ class TestMain:
         data = json.loads(target.read_text())
         assert data["summary"]["fail"] == 0
 
-    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, monkeypatch):
         # exit 1 means a failed check; a report that cannot be written is
-        # an error of the invocation
+        # an error of the invocation, found before any check runs
+        runs = []
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda config: runs.append(config))
         target = tmp_path / "missing" / "report.json"
-        code = main(["verify", "lemma-d", "--n", "3", "--out", str(target)])
+        code = main(["verify", "all", "--n", "3", "--out", str(target)])
         assert code == 2
+        assert runs == []
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith("error: cannot write the report:")
         assert captured.out == ""
         assert not target.exists()
 

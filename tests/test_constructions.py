@@ -168,6 +168,18 @@ def twist_shift2(monkeypatch):
     monkeypatch.setattr(clifford, "h_shift_formal", twisted_shift2)
 
 
+def repeat_first_member(monkeypatch):
+    """Make ``build_family`` put the order-0 member in place of the last, so
+    the chain of orders 0..l has rank l: one that only elimination ranks."""
+    build = constructions.build_family
+
+    def repeated(spec):
+        chain = build(spec)
+        return chain[:-1] + [chain[0]]
+
+    monkeypatch.setattr(constructions, "build_family", repeated)
+
+
 def count_calls(monkeypatch, owner, name, counts):
     """Count the calls of ``owner.name`` under ``name`` in ``counts``."""
     fn = getattr(owner, name)

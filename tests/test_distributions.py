@@ -7,15 +7,18 @@ from math import factorial
 
 import pytest
 
+from invdist import distributions
+from invdist.cli import RunConfig, run_suite
 from invdist.clifford import REpsMatrix, h_phase, h_shift
-from invdist.constructions import (FamilySpec, _seed,
+from invdist.constructions import (FamilySpec, _seed, build_family,
                                    generator_substitutions,
                                    random_group_element)
 from invdist.distributions import (ActionOnPowers, DistExpr, RawTerm,
                                    SupportDescriptor,
                                    UnsupportedSubstitutionError,
                                    _canonical_key, independence_rank)
-from invdist.scalars import AffineExponent, GaussianRational, Scalar, LAM
+from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
+    LAM, rank_over_function_field
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitution_from_group, sym_z, sym_zbar)
 
@@ -295,3 +298,88 @@ class TestSupportAndRank:
         assert independence_rank([a, b]) == 2
         assert independence_rank([a, a.scale(LAM)]) == 1
         assert independence_rank([]) == 0
+
+
+def count_eliminations(monkeypatch):
+    """The list of the calls ``independence_rank`` makes of
+    ``rank_over_function_field`` from now on, one entry (the matrix's row
+    count) per call."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return rank_over_function_field(matrix)
+
+    monkeypatch.setattr(distributions, "rank_over_function_field", counted)
+    return calls
+
+
+def eliminated_rank(family):
+    """The family's rank by elimination alone: its coefficient matrix over
+    the union of its term keys, ranked by ``rank_over_function_field``."""
+    keys = list({k for e in family for k in e.terms})
+    if not keys:
+        return 0
+    return rank_over_function_field(
+        [[e.terms.get(k, Scalar.zero()) for k in keys] for e in family])
+
+
+RANK_LAMS = (None, -2, 0, 3, Fraction(1, 3))
+RANK_SPECS = [FamilySpec(2, "T2", 4), FamilySpec(2, "T2", 4, lam=2)] + [
+    FamilySpec(n, family, 4, lam=lam)
+    for n in (3, 4, 5) for family in ("T", "Tbar") for lam in RANK_LAMS] + [
+    FamilySpec(n, "Tj", 4, j=j, lam=lam)
+    for n in (3, 4, 5) for j in range(2, n) for lam in RANK_LAMS]
+
+
+class TestDisjointSupports:
+    """``independence_rank`` certifies full rank by pairwise disjoint term
+    keys, and only a family where that fails reaches elimination."""
+
+    @pytest.mark.parametrize(
+        "spec", RANK_SPECS,
+        ids=lambda s: f"{s.family}-n{s.n}-j{s.j}-lam{s.lam}")
+    def test_certificate_rank_equals_elimination(self, monkeypatch, spec):
+        chain = build_family(spec)
+        calls = count_eliminations(monkeypatch)
+        for l in range(spec.l + 1):
+            assert independence_rank(chain[:l + 1]) \
+                == eliminated_rank(chain[:l + 1]) == l + 1
+        assert calls == []
+
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_repeated_member_is_ranked_by_elimination(self, monkeypatch, l):
+        chain = build_family(FamilySpec(3, "T", l))
+        calls = count_eliminations(monkeypatch)
+        assert independence_rank(chain[:l] + [chain[0]]) == l
+        assert calls == [l + 1]
+
+    def test_zero_member_is_never_counted(self, monkeypatch):
+        a = DistExpr.single(2, delta={2: (0, 0)})
+        zero = DistExpr(2)
+        calls = count_eliminations(monkeypatch)
+        assert independence_rank([zero]) == 0
+        assert independence_rank([a, zero]) == 1
+        assert independence_rank([zero, a]) == 1
+        assert calls == [2, 2]  # a family with no term has no matrix
+
+    def test_overlapping_independent_members_rank_two(self, monkeypatch):
+        a = DistExpr.single(2, delta={2: (0, 0)})
+        b = DistExpr.single(2, delta={2: (1, 0)})
+        calls = count_eliminations(monkeypatch)
+        assert independence_rank([a, a + b]) == 2
+        assert calls == [2]
+
+    def test_empty_family_has_rank_zero(self, monkeypatch):
+        calls = count_eliminations(monkeypatch)
+        assert independence_rank([]) == 0
+        assert calls == []
+
+    def test_rank_workload_makes_no_elimination(self, monkeypatch):
+        # the benchmark's rank workload: independence --n 3 --lmax 8 and
+        # support --n 4 --lmax 6, both at formal lam
+        calls = count_eliminations(monkeypatch)
+        for config in (RunConfig(suite="independence", n=3, lmax=8),
+                       RunConfig(suite="support", n=4, lmax=6)):
+            assert run_suite(config).all_passed
+        assert calls == []

@@ -1,14 +1,15 @@
 """Every function and method in ``src/invdist`` is reached by a
-verification: a ``verify all`` run and one failing invariance run call it,
-or it is on ``ALLOWED`` with the reason it stays.  Code that nothing
-reaches shows here as soon as it appears."""
+verification: a ``verify all`` run, one failing invariance run and one
+failing independence run call it, or it is on ``ALLOWED`` with the reason
+it stays.  Code that nothing reaches shows here as soon as it appears."""
 
 import ast
+import json
 import os
 import sys
 
 from invdist import cli
-from test_constructions import twist_shift2
+from test_constructions import repeat_first_member, twist_shift2
 
 SRC = os.path.dirname(cli.__file__)
 
@@ -75,9 +76,17 @@ def test_every_definition_is_reached_or_allowed(tmp_path, monkeypatch):
                          "--samples", "1", "--lambda", "formal",
                          "--format", "text",
                          "--out", str(tmp_path / "twisted.txt")]) == 1
+        # a repeated member defeats the disjoint-support certificate, so
+        # only this run reaches the elimination kernel's lam evaluation
+        repeat_first_member(monkeypatch)
+        assert cli.main(["verify", "independence", "--n", "3", "--lmax", "3",
+                         "--format", "json",
+                         "--out", str(tmp_path / "repeated.json")]) == 1
     finally:
         sys.setprofile(previous)
     unreached = {name for key, name in defined().items()
                  if key not in called}
     assert unreached - ALLOWED.keys() == set(), "reached by no run"
     assert ALLOWED.keys() - unreached == set(), "allowed but reached"
+    repeated = json.loads((tmp_path / "repeated.json").read_text())
+    assert repeated["checks"][0]["details"] == {"rank": 3, "expected": 4}

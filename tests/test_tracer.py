@@ -8,7 +8,9 @@ import sys
 
 import invdist.cli  # the tracer wraps names in every module
 from invdist.cli import RunConfig
-from invdist.constructions import build_vector_field
+from invdist.constructions import FamilySpec, build_family, \
+    build_vector_field
+from invdist.distributions import independence_rank
 
 INVBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "invbench")
@@ -52,15 +54,23 @@ def test_observers_count_the_traced_work(monkeypatch):
     configs = [RunConfig(suite="invariance", n=3, lmax=2, samples=0),
                RunConfig(suite="independence", n=3, lmax=2),
                RunConfig(suite="orbits", n=3, samples=5)]
-    # no suite composes operators, so compose is called here directly
+    # no suite composes operators, and every chain a suite builds has rank
+    # certified by disjoint supports, so compose and the elimination kernel
+    # are called here directly: the latter through a chain that repeats a
+    # member
     d, dbar = build_vector_field(3, 2), build_vector_field(3, 2, True)
+    chain = build_family(FamilySpec(3, "T", 2))
+    repeated = chain + [chain[0]]
+    keys = {k for e in chain for k in e.terms}
     with spans.Tracer() as tracer:
         for config in configs:
             assert invdist.cli.run_suite(config).all_passed
         composed = d.compose(dbar)
+        assert independence_rank(repeated) == 3
     counts = tracer.counts
     assert counts["weyl.compose.terms_out"] == len(composed.terms) > 0
-    for name in ("distributions.apply_weyl.terms_out", "scalars.rank.cells",
+    assert counts["scalars.rank.cells"] == 4 * len(keys) > 0
+    for name in ("distributions.apply_weyl.terms_out",
                  "orbits.witness.exact"):
         assert counts[name] > 0, name
     assert counts["orbits.witness.exact"] == counts["orbits.witness.attempted"]
