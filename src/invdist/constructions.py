@@ -223,7 +223,8 @@ class FamilyWork:
     ``independence_rank`` call, and the action on the chain
     (``ActionOnPowers``) of every labelled generator of ``h_generators``,
     then of ``composite_samples`` random composites drawn from
-    ``random.Random(seed)``, each from the chain's order-0 member."""
+    ``random.Random(seed)``: each reads the chain and holds its element's
+    difference operator g.D - D in place of g.D."""
 
     spec: FamilySpec
     composite_samples: int = 0
@@ -260,7 +261,7 @@ class FamilyWork:
             ("random composite",
              substitution_from_group(random_group_element(n, rng)))
             for _ in range(self.composite_samples)]
-        return [(name, ActionOnPowers(op, self.chain[0], sub))
+        return [(name, ActionOnPowers(op, self.chain, sub))
                 for name, sub in subs]
 
 
@@ -269,8 +270,10 @@ def verify_invariance(spec: FamilySpec, *,
     """Exact invariance of the family member under every generator (formal
     phase and formal shift coefficients), plus grading side checks and an
     optional belt-and-braces pass over the work's random composite group
-    elements.  The action is derived from the operator and the order-0
-    member (``ActionOnPowers``) and compared with the member itself.
+    elements.  The action is derived from the chain and each element's
+    difference operator E_g = g.D - D (``ActionOnPowers``) and compared with
+    the member itself; when the lower orders are fixed, a failure's
+    ``difference`` is E_g applied to the member of the order before.
 
     ``work`` is the ``FamilyWork`` a run shares between its checks of the
     orders 0..lmax, taken in increasing order, and its other checks of the

@@ -453,17 +453,26 @@ class SupportDescriptor:
 
 
 class ActionOnPowers:
-    """The action of one group element on op^l applied to base, for
-    l = 0, 1, ..., derived without acting on that expansion:
-    g.(D^l T) = (g.D)^l (g.T) (Proposition 4.5).  g.T and g.D are computed
-    once.  Order 0 is g.T itself, and each later order applies the
-    first-order g.D (Lemma 4.4) once to the member of the order before, as
-    ``build_family`` builds the chain, so no power of g.D is formed."""
+    """The action of one group element g on each member D^l T of a chain
+    (``build_family``'s members of orders 0, 1, ...), derived from the
+    difference operator E_g = g.D - D (Lemma 4.4) without a second chain:
+    g.(D^l T) = (g.D) g.(D^(l-1) T) and g.D = D + E_g (Proposition 4.5).
 
-    def __init__(self, op: WeylOp, base: DistExpr, sub: Substitution):
-        self.conjugated = conjugate_op(op, sub)
+    g.T and E_g are computed once.  Order 0 is g.T itself.  Order l is
+    main + E_g applied to order l - 1, where main is the chain's member of
+    order l when the acted member of order l - 1 equals the chain's member,
+    and D applied to it otherwise; the equality is tested, not assumed, so
+    every order is exact under any call pattern, and when the orders below
+    are fixed, the action differs from the member by exactly
+    E_g (D^(l-1) T)."""
+
+    def __init__(self, op: WeylOp, chain: Sequence[DistExpr],
+                 sub: Substitution):
+        self.op = op
+        self.chain = chain
+        self.difference = conjugate_op(op, sub) - op  # E_g
         self.order = 0
-        self.acted = base.act_group(sub)  # g.(D^order T)
+        self.acted = chain[0].act_group(sub)  # g.(D^order T)
 
     def at(self, order: int) -> DistExpr:
         """g.(D^order T).  Orders only advance: a lower order than the last
@@ -472,8 +481,12 @@ class ActionOnPowers:
             raise ValueError(f"order {order} is below the order "
                              f"{self.order} already reached")
         while self.order < order:
-            self.acted = self.acted.apply_weyl(self.conjugated)
+            prev = self.acted
             self.order += 1
+            main = self.chain[self.order] \
+                if prev == self.chain[self.order - 1] \
+                else prev.apply_weyl(self.op)
+            self.acted = main + prev.apply_weyl(self.difference)
         return self.acted
 
 

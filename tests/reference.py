@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from invdist.clifford import REpsElement, REpsMatrix, iota_blocks
+from invdist.clifford import REpsElement, REpsMatrix, h_shift_formal, \
+    iota_blocks
 from invdist.scalars import GaussianRational, Scalar
 
 
@@ -27,6 +28,15 @@ def iota(m: REpsMatrix) -> List[List[Scalar]]:
                 for bj in range(2):
                     out[2 * i + bi][2 * j + bj] = blk[bi][bj]
     return out
+
+
+def twisted_shift2(n: int) -> REpsMatrix:
+    """The second shift generator h_2(a2) with a2*eps in place of
+    a2*eps^2 = a2 on its second superdiagonal, which takes it out of H."""
+    rows = [list(r) for r in h_shift_formal(n, 2).entries]
+    for i in range(n - 2):
+        rows[i][i + 2] = REpsElement(Scalar.zero(), Scalar.var("a2"))
+    return REpsMatrix.from_rows(rows)
 
 
 def dense_mul(x: REpsMatrix, y: REpsMatrix) -> REpsMatrix:

@@ -8,7 +8,6 @@ import pytest
 
 from invdist import clifford, constructions
 from invdist.cli import RunConfig, emit_report, run_suite
-from invdist.clifford import REpsElement, REpsMatrix
 from invdist.constructions import (FamilySpec, FamilyWork, build_family,
                                    build_vector_field,
                                    generator_substitutions,
@@ -18,8 +17,9 @@ from invdist.constructions import (FamilySpec, FamilyWork, build_family,
 from invdist.distributions import DistExpr
 from invdist.records import FAIL, PASS, SKIPPED
 from invdist.scalars import AffineExponent, Scalar
-from invdist.weyl import WeylOp, substitution_from_group, sym_conj, sym_z, \
-    sym_zbar
+from invdist.weyl import WeylOp, conjugate_op, substitution_from_group, \
+    sym_conj, sym_z, sym_zbar
+from reference import twisted_shift2
 
 import random
 
@@ -152,20 +152,12 @@ class TestFamilies:
 
 
 def twist_shift2(monkeypatch):
-    """Put a2*eps in place of a2*eps^2 = a2 in the second shift generator,
-    which takes it out of H."""
+    """Put ``reference.twisted_shift2`` in place of the second shift
+    generator, which takes it out of H."""
     h_shift_formal = clifford.h_shift_formal
-
-    def twisted_shift2(n, j):
-        g = h_shift_formal(n, j)
-        if j != 2:
-            return g
-        rows = [list(r) for r in g.entries]
-        for i in range(n - 2):
-            rows[i][i + 2] = REpsElement(Scalar.zero(), Scalar.var("a2"))
-        return REpsMatrix.from_rows(rows)
-
-    monkeypatch.setattr(clifford, "h_shift_formal", twisted_shift2)
+    monkeypatch.setattr(
+        clifford, "h_shift_formal",
+        lambda n, j: twisted_shift2(n) if j == 2 else h_shift_formal(n, j))
 
 
 def repeat_first_member(monkeypatch):
@@ -288,8 +280,8 @@ class TestVerifiers:
 
 class TestSharedInvarianceWork:
     """One invariance run does each element's order-independent work once
-    and applies each conjugated operator once per order, to the member of
-    the order before."""
+    and applies each element's difference operator g.D - D once per order,
+    to the chain's member of the order before."""
 
     def run_counted(self, monkeypatch, **config):
         counts = {}
@@ -314,6 +306,38 @@ class TestSharedInvarianceWork:
                                                samples=samples)
         assert counts_again == counts
         assert emit_report(again, "json") == emit_report(first, "json")
+
+    def test_a_passing_run_applies_d_and_each_difference(self, monkeypatch):
+        # the chain steps by D; each element's action steps by its
+        # E_g = g.D - D alone, since every acted member equals the chain's
+        n, lmax, samples, seed = 4, 4, 2, 5
+        ops = []
+        apply_weyl = DistExpr.apply_weyl
+
+        def recorded(expr, op):
+            ops.append(op)
+            return apply_weyl(expr, op)
+
+        monkeypatch.setattr(DistExpr, "apply_weyl", recorded)
+        report = run_suite(RunConfig(suite="invariance", n=n, lmax=lmax,
+                                     samples=samples, seed=seed))
+        monkeypatch.undo()
+        assert report.all_passed
+        d = build_vector_field(n, n - 1)
+        rng = random.Random(seed)
+        subs = [sub for _, sub in generator_substitutions(n)] + [
+            substitution_from_group(random_group_element(n, rng))
+            for _ in range(samples)]
+        conjugated = [conjugate_op(d, sub) for sub in subs]
+        differences = [c - d for c in conjugated]
+        assert differences[0].is_zero()  # the phase: g.D = D
+        assert all(not e.is_zero() for e in differences[1:])
+        assert len(ops) == lmax + lmax * len(subs)
+        assert sum(op == d for op in ops) == lmax
+        for e in differences:
+            assert sum(op == e for op in ops) == lmax
+        for c in conjugated[1:]:
+            assert not any(op == c for op in ops)
 
     def test_failure_matches_standalone_and_skips_later_orders(
             self, monkeypatch):

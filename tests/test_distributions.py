@@ -21,6 +21,7 @@ from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
     LAM, rank_over_function_field
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitution_from_group, sym_z, sym_zbar)
+from reference import twisted_shift2
 
 
 def delta_functional(expr: DistExpr, r: int, s: int) -> Scalar:
@@ -243,17 +244,31 @@ def test_transform_delta_matches_reference(n):
 def test_action_on_powers_matches_the_power_of_the_conjugated_operator(
         spec):
     # the derivation by powers: g.T^0 with C^l = (g.D)^l applied to it,
-    # C^l grown one compose at a time from the identity operator
+    # C^l grown one compose at a time from the identity operator.  At
+    # n >= 3 the twisted shift2 lies outside H: its acted member leaves the
+    # chain at order 2, and from order 3 on the action differs from the
+    # chain member plus E_g of the acted member of the order before
     n = spec.n
-    op, base = _seed(spec)
+    op, _ = _seed(spec)
+    chain = build_family(spec)
+    twist = substitution_from_group(twisted_shift2(n)) if n >= 3 else None
     subs = [sub for _, sub in generator_substitutions(n)] + [
         substitution_from_group(random_group_element(n, random.Random(n)))]
-    for sub in subs:
-        action = ActionOnPowers(op, base, sub)
-        acted_base, conjugated = base.act_group(sub), conjugate_op(op, sub)
+    for sub in subs + ([twist] if twist else []):
+        action = ActionOnPowers(op, chain, sub)
+        acted_base, conjugated = chain[0].act_group(sub), conjugate_op(op, sub)
+        assert action.difference == conjugated - op
         power = WeylOp.term(n, Scalar.one())
+        previous = None
         for l in range(spec.l + 1):
-            assert action.at(l) == acted_base.apply_weyl(power), (sub, l)
+            expected = acted_base.apply_weyl(power)
+            assert action.at(l) == expected, (sub, l)
+            if sub is twist and l >= 2:
+                assert expected != chain[l]
+            if sub is twist and l >= 3:
+                assert expected != chain[l] + previous.apply_weyl(
+                    action.difference), l
+            previous = expected
             power = power.compose(conjugated)
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from invdist.cli import RunConfig, emit_report, run_suite
+from test_constructions import twist_shift2
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -27,6 +28,9 @@ CASES = {
     # that action was slow on
     "invariance_n6_lmax8_s5": dict(suite="invariance", n=6, lmax=8,
                                    samples=5),
+    # bytes made by the action with the whole g.D, at a north-star size
+    "invariance_n8_lmax12_s5": dict(suite="invariance", n=8, lmax=12,
+                                    samples=5),
     "all_n3_lmax2_s3_lam1_3": dict(suite="all", n=3, lmax=2, samples=3,
                                    lam=Fraction(1, 3)),
     "all_n2_lmax2_s3": dict(suite="all", n=2, lmax=2, samples=3),
@@ -40,4 +44,17 @@ def test_json_report_matches_golden(name):
     with open(os.path.join(GOLDEN, f"{name}.json")) as f:
         expected = f.read()
     report = run_suite(RunConfig(fmt="json", **CASES[name]))
+    assert emit_report(report, "json") == expected
+
+
+def test_failing_report_matches_golden(monkeypatch):
+    # the twisted shift2 lies outside H: T of order 2 fails, and its
+    # difference, E_g applied to the member of order 1, is pinned as text
+    twist_shift2(monkeypatch)
+    name = "invariance_n3_lmax4_s2_seed3_twisted"
+    with open(os.path.join(GOLDEN, f"{name}.json")) as f:
+        expected = f.read()
+    report = run_suite(RunConfig(fmt="json", suite="invariance", n=3, lmax=4,
+                                 samples=2, seed=3))
+    assert not report.all_passed
     assert emit_report(report, "json") == expected
