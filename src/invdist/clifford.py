@@ -49,19 +49,33 @@ class REpsElement:
         return REpsElement(Scalar.one())
 
     def __add__(self, other: "REpsElement") -> "REpsElement":
-        return REpsElement(self.a + other.a, self.b + other.b)
+        # a sum of products of group-element entries keeps one zero part,
+        # which is carried over without a Scalar sum
+        a, b = self.a, self.b
+        c, d = other.a, other.b
+        return REpsElement(c if a.is_zero() else a if c.is_zero() else a + c,
+                           d if b.is_zero() else b if d.is_zero() else b + d)
 
     def __neg__(self) -> "REpsElement":
         return REpsElement(-self.a, -self.b)
 
     def __mul__(self, other: "REpsElement") -> "REpsElement":
         # (a+b*eps)(c+d*eps) = (ac + b*conj(d)) + (b*conj(c) + a*d)*eps;
-        # every entry of an h_element has a zero a or a zero b
+        # every entry of an h_element has a zero a or a zero b, and only
+        # the products of two nonzero parts are formed
         a, b = self.a, self.b
         c, d = other.a, other.b
         if b.is_zero():
+            if d.is_zero():
+                return REpsElement(a * c)
+            if c.is_zero():
+                return REpsElement(Scalar.zero(), a * d)
             return REpsElement(a * c, a * d)
         if a.is_zero():
+            if c.is_zero():
+                return REpsElement(b * d.conjugate())
+            if d.is_zero():
+                return REpsElement(Scalar.zero(), b * c.conjugate())
             return REpsElement(b * d.conjugate(), b * c.conjugate())
         return REpsElement(a * c + b * d.conjugate(),
                            b * c.conjugate() + a * d)

@@ -7,12 +7,12 @@ index of the last nonzero complex coordinate; the stratum of index j is a
 tangent and radial directions at the point, plus reachability witnesses:
 integer certificates G p = s q over the Gaussian integers.
 
-The rank is read off two exact bounds on the integer directions: every
-direction is zero past real coordinate 2j (rank <= 2j), and the directions
-of the radial/rotation pair and the first j-1 shifts form a block
-triangular 2j x 2j minor whose diagonal blocks have the nonzero
-determinants |z_j|^2 (rank >= 2j).  A point where either bound fails is
-ranked by Bareiss elimination (``integer_rank``).
+The rank is read off the coordinates, in O(n), without building the
+directions: they are zero past real coordinate 2j exactly when
+z_{j+1..n} = 0 (rank <= 2j), and they carry a block triangular 2j x 2j
+minor whose diagonal blocks have the determinant |z_j|^2 (rank >= 2j).
+Both hold at every point of stratum j by the definition of the stratum
+(see ``orbit_dimension``).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .records import FAIL, PASS, CheckRecord
-from .scalars import (GR_I, GaussianRational, Scalar, integer_rank,
-                      random_gaussian)
+from .scalars import GR_I, GaussianRational, Scalar, random_gaussian
 
 __all__ = [
     "ProjPoint",
@@ -83,12 +82,35 @@ def stratum_dimension(j: int) -> int:
 # Exact tangent rank
 # ---------------------------------------------------------------------------
 
-def _interleave(re: List[int], im: List[int]) -> List[int]:
-    out = [0] * (2 * len(re))
-    out[0::2] = re
-    out[1::2] = im
-    return out
+def orbit_dimension(p: ProjPoint) -> int:
+    """Exact rank of the tangent directions together with the radial
+    direction, minus one: 2j - 1 for a point of stratum j.
 
+    The directions are the images of z under a basis of the Lie algebra,
+    plus the point itself: z (radial), i z (rotation), and for each shift
+    k = 1..n-1 the two vectors with component m equal to a eps^k(z_{m+k})
+    (zero when m + k > n), for a = 1 and a = i.  In real coordinates,
+    component m is the pair (re, im) at 2m-2, 2m-1:
+
+    - Upper bound.  Component m of every direction is z_m, i z_m or
+      a eps^k(z_{m+k}), so each of its components m > j reads one of
+      z_{j+1..n}.  These are zero, so the rank is at most 2j.
+    - Lower bound.  Take the radial/rotation pair (k = 0) and shifts
+      k = 1..j-1.  Pair k is zero past component j-k, and at component
+      j-k its 2x2 block is [[x, +-y], [-+y, x]] with x + iy = z_j, of
+      determinant |z_j|^2 > 0.  These 2j directions form a block
+      triangular 2j x 2j minor with a nonzero determinant, so the rank
+      is at least 2j.
+
+    Both conditions are what ``stratum_of`` means by j, so no direction
+    is built.  The tests rank the built directions by elimination as an
+    oracle."""
+    return 2 * stratum_of(p) - 1
+
+
+# ---------------------------------------------------------------------------
+# Transitivity witnesses
+# ---------------------------------------------------------------------------
 
 GaussInt = Tuple[int, int]  # re + i*im with integer parts
 
@@ -100,69 +122,6 @@ def _integer_coords(p: ProjPoint) -> List[GaussInt]:
     return [(c.num_re * (scale // c.den), c.num_im * (scale // c.den))
             for c in p.coords]
 
-
-def _lie_directions(p: ProjPoint) -> List[List[int]]:
-    """Images of the point under a basis of the (2n-1)-dimensional Lie
-    algebra: the i-rotation direction and both real directions of every
-    superdiagonal coefficient, plus the point itself (radial direction).
-
-    On the integer coordinates each image is an integer vector (re, im
-    interleaved): multiplying by i and conjugating only permute and negate
-    components."""
-    n = p.n
-    xs, ys = (list(part) for part in zip(*_integer_coords(p)))
-    vectors = [_interleave(xs, ys), _interleave([-y for y in ys], xs)]
-    for k in range(1, n):
-        # component m is z_{m+k}, conjugated for odd k, or 0 past the end
-        sign = -1 if k % 2 else 1
-        re = xs[k:] + [0] * k
-        im = [sign * y for y in ys[k:]] + [0] * k
-        vectors.append(_interleave(re, im))
-        vectors.append(_interleave([-y for y in im], re))
-    return vectors
-
-
-def _triangular_rank(vectors: Sequence[Sequence[int]], j: int
-                     ) -> Optional[int]:
-    """2j when the directions of a stratum-j point certify rank 2j by
-    their zero pattern, or None.
-
-    Pair k is vectors[2k], vectors[2k+1].  Upper bound: every vector is
-    zero at the real coordinates 2j and on.  Lower bound: for k < j, with
-    m = 2(j-1-k), pair k is zero at coordinates m+2 .. 2j-1 and its 2x2
-    block at columns m, m+1 (|eps^k(z_j)|^2 on a true point) is nonzero.
-    The 2j x 2j minor of pairs 0..j-1 is then block triangular with a
-    nonzero determinant."""
-    width = 2 * j
-    if any(any(v[width:]) for v in vectors):
-        return None
-    for k in range(j):
-        m = 2 * (j - 1 - k)
-        a, b = vectors[2 * k], vectors[2 * k + 1]
-        if any(a[m + 2:width]) or any(b[m + 2:width]) \
-                or a[m] * b[m + 1] == a[m + 1] * b[m]:
-            return None
-    return width
-
-
-def orbit_dimension(p: ProjPoint) -> int:
-    """Exact rank of the tangent directions together with the radial
-    direction, minus one.
-
-    The rank is 2j for a point of stratum j when the directions are zero
-    past real coordinate 2j (rank <= 2j) and carry a block-triangular
-    2j x 2j minor with nonzero diagonal blocks (rank >= 2j); see
-    ``_triangular_rank``.  Otherwise Bareiss elimination decides it."""
-    vectors = _lie_directions(p)
-    rank = _triangular_rank(vectors, stratum_of(p))
-    if rank is None:
-        rank = integer_rank(vectors)
-    return rank - 1
-
-
-# ---------------------------------------------------------------------------
-# Transitivity witnesses
-# ---------------------------------------------------------------------------
 
 def _mul(a: GaussInt, b: GaussInt) -> GaussInt:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
@@ -422,13 +381,14 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
     rational labels give pairwise distinct orbits, so the number of orbits
     exceeds every finite bound.
 
-    Each sample draws a full element (a diagonal and all n - 1 shift
-    pairs) but moves only the last two pairs of the point: the label
+    Each sample moves only the last two pairs of the point: the label
     reads only z_{n-1}, z_n and w_n, and the upper-triangular element
     maps the last two pairs to exactly the last two rows of the full
     image (see ``_cplx_apply``).  The moved tail therefore carries the
     same label as the moved point, for every n, and so does its scaling
-    by c."""
+    by c.  Acting on two pairs reads only the diagonal and the first
+    shift pair, so each sample draws just those: the shifts k >= 2 of a
+    full element would be drawn and never read."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = random.Random(seed)
@@ -450,10 +410,9 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
         for _ in range(samples):
             t = _random_cplx_unit(rng)
             diag = (t, t.conj().inverse())
-            super_pairs = [(_random_cplx_unit(rng), _random_cplx_unit(rng))
-                           for _ in range(n - 1)]
+            first_shift = [(_random_cplx_unit(rng), _random_cplx_unit(rng))]
             moved = CplxProjPoint(tuple(
-                _cplx_apply(diag, super_pairs, point.coords[-2:])))
+                _cplx_apply(diag, first_shift, point.coords[-2:])))
             if zeta_invariant(moved) != zeta:
                 numeric_failures += 1
                 break

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from invdist.clifford import REpsElement, REpsMatrix, h_shift_formal, \
     iota_blocks
+from invdist.orbits import ProjPoint, _integer_coords
 from invdist.scalars import GaussianRational, Scalar
 
 
@@ -165,3 +166,56 @@ class FractionGaussian:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}*i)"
+
+
+def _interleave(re: List[int], im: List[int]) -> List[int]:
+    out = [0] * (2 * len(re))
+    out[0::2] = re
+    out[1::2] = im
+    return out
+
+
+def lie_directions(p: ProjPoint) -> List[List[int]]:
+    """The 2n directions whose rank ``orbit_dimension`` reads off the
+    coordinates: the point itself (radial), its i-rotation, and both real
+    directions of every superdiagonal coefficient, each the image of the
+    point under one Lie algebra basis element.
+
+    On the integer coordinates each image is an integer vector (re, im
+    interleaved): multiplying by i and conjugating only permute and negate
+    components."""
+    n = p.n
+    xs, ys = (list(part) for part in zip(*_integer_coords(p)))
+    vectors = [_interleave(xs, ys), _interleave([-y for y in ys], xs)]
+    for k in range(1, n):
+        # component m is z_{m+k}, conjugated for odd k, or 0 past the end
+        sign = -1 if k % 2 else 1
+        re = xs[k:] + [0] * k
+        im = [sign * y for y in ys[k:]] + [0] * k
+        vectors.append(_interleave(re, im))
+        vectors.append(_interleave([-y for y in im], re))
+    return vectors
+
+
+def triangular_rank(vectors: Sequence[Sequence[int]], j: int
+                    ) -> Optional[int]:
+    """2j when the directions of a stratum-j point certify rank 2j by
+    their zero pattern, or None: ``orbit_dimension``'s argument, checked
+    on built vectors.
+
+    Pair k is vectors[2k], vectors[2k+1].  Upper bound: every vector is
+    zero at the real coordinates 2j and on.  Lower bound: for k < j, with
+    m = 2(j-1-k), pair k is zero at coordinates m+2 .. 2j-1 and its 2x2
+    block at columns m, m+1 (|eps^k(z_j)|^2 on a true point) is nonzero.
+    The 2j x 2j minor of pairs 0..j-1 is then block triangular with a
+    nonzero determinant."""
+    width = 2 * j
+    if any(any(v[width:]) for v in vectors):
+        return None
+    for k in range(j):
+        m = 2 * (j - 1 - k)
+        a, b = vectors[2 * k], vectors[2 * k + 1]
+        if any(a[m + 2:width]) or any(b[m + 2:width]) \
+                or a[m] * b[m + 1] == a[m + 1] * b[m]:
+            return None
+    return width

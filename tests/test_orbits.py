@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 from invdist import orbits
 from invdist.clifford import h_element
 from invdist.orbits import (CplxProjPoint, ProjPoint, _apply_toeplitz,
-                            _cplx_apply, _integer_coords, _lie_directions,
-                            _symbolic_zeta_check, _triangular_rank,
-                            complex_orbit_check, enumerate_strata,
-                            orbit_dimension, stratum_dimension, stratum_of,
+                            _cplx_apply, _integer_coords,
+                            _symbolic_zeta_check, complex_orbit_check,
+                            enumerate_strata, orbit_dimension,
+                            stratum_dimension, stratum_of,
                             transitivity_witness, zeta_invariant)
 from invdist.records import FAIL
 from invdist.scalars import GaussianRational, Scalar, integer_rank
 from reference import (CplxPairElement, act, constant_value,
-                       cplx_pair_times_eps_power)
+                       cplx_pair_times_eps_power, lie_directions,
+                       triangular_rank)
 
 
 def G(re, im=0):
@@ -85,7 +86,7 @@ class TestStrata:
                 shifts = [zero] * (p.n - 1)
                 shifts[k - 1] = coeff
                 expected.append(real(_apply_toeplitz(zero, shifts, z)))
-        assert _lie_directions(p) == expected
+        assert lie_directions(p) == expected
 
 
 big_gaussians = st.builds(GaussianRational.from_triple,
@@ -138,68 +139,60 @@ def _nonzero_below_block(vectors, j):
 MUTATIONS = [_nonzero_past_2j, _singular_block, _nonzero_below_block]
 
 
-@pytest.fixture
-def bareiss_calls(monkeypatch):
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
-        return integer_rank(rows)
-
-    monkeypatch.setattr(orbits, "integer_rank", counted)
-    return calls
-
-
 class TestTriangularCertificate:
+    """``orbit_dimension`` reads the rank off the coordinates; the
+    reference builds the directions and ranks them, by their zero pattern
+    and by Bareiss elimination."""
+
     @given(stratum_points())
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_bareiss(self, case):
         p, j = case
-        vectors = _lie_directions(p)
-        assert _triangular_rank(vectors, j) == integer_rank(vectors) == 2 * j
+        vectors = lie_directions(p)
+        assert triangular_rank(vectors, j) == integer_rank(vectors) == 2 * j
         assert orbit_dimension(p) == 2 * j - 1
 
-    def test_certified_point_skips_bareiss(self, bareiss_calls):
+    def test_dimension_builds_no_directions(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("orbit_dimension scaled the point")
+
+        monkeypatch.setattr(orbits, "_integer_coords", refuse)
         assert orbit_dimension(point(1, (2, -1), 0, 0)) == 3
-        assert bareiss_calls == []
 
     @pytest.mark.parametrize("mutate", MUTATIONS)
-    def test_declines_and_falls_back_to_bareiss(self, mutate, monkeypatch,
-                                                 bareiss_calls):
-        # z_2 = z_3 = 1 keeps pair 1's own block nonzero after the mixing
-        # of _nonzero_below_block, so only the zero below it breaks
+    def test_reference_declines_mutated_directions(self, mutate):
+        # the zero-pattern certificate must not accept directions of
+        # another rank, or the agreement above would be vacuous; z_2 = z_3
+        # = 1 keeps pair 1's own block nonzero after the mixing of
+        # _nonzero_below_block, so only the zero below it breaks
         p, j = point((2, -1), 1, 1, 0, 0), 3
-        vectors = mutate(_lie_directions(p), j)
-        assert _triangular_rank(vectors, j) is None
-        rank = integer_rank(vectors)
-        assert rank != 2 * j
-        monkeypatch.setattr(orbits, "_lie_directions", lambda q: vectors)
-        assert orbit_dimension(p) == rank - 1
-        assert bareiss_calls == [len(vectors)]
+        vectors = mutate(lie_directions(p), j)
+        assert triangular_rank(vectors, j) is None
+        assert integer_rank(vectors) != 2 * j
 
-    def test_declined_certificate_still_passes_by_bareiss(
-            self, monkeypatch, bareiss_calls):
+    def test_declined_certificate_can_still_have_full_rank(self):
         # pair 1 plus the radial direction is nonzero below pair 0's block
-        # but spans the same space, so Bareiss confirms the dimension
+        # but spans the same space: the zero pattern is sufficient for
+        # rank 2j, not necessary
         p = point(1, (0, 1), 3)
-        vectors = _lie_directions(p)
+        vectors = lie_directions(p)
         vectors[2] = [a + b for a, b in zip(vectors[2], vectors[0])]
-        assert _triangular_rank(vectors, 3) is None
-        monkeypatch.setattr(orbits, "_lie_directions", lambda q: vectors)
-        assert orbit_dimension(p) == 5
-        assert bareiss_calls == [len(vectors)]
+        assert triangular_rank(vectors, 3) is None
+        assert integer_rank(vectors) == 6
 
     @pytest.mark.parametrize("mutate", MUTATIONS)
     def test_census_records_a_declined_dependent_set(self, mutate,
                                                      monkeypatch):
+        # the census ranks mutated directions by elimination: every point
+        # of a stratum the mutation applies to is a dimension failure
         n = 4
-        true_directions = _lie_directions
 
-        def mutated(p):
-            vectors = true_directions(p)
-            return mutate(vectors, stratum_of(p)) or vectors
+        def mutated_rank(p):
+            vectors = lie_directions(p)
+            vectors = mutate(vectors, stratum_of(p)) or vectors
+            return integer_rank(vectors) - 1
 
-        monkeypatch.setattr(orbits, "_lie_directions", mutated)
+        monkeypatch.setattr(orbits, "orbit_dimension", mutated_rank)
         rec = enumerate_strata(n, samples=20, seed=1)
         assert not rec.passed
         # the strata the mutation applies to, read off a dummy matrix
@@ -357,17 +350,21 @@ class TestComplexOrbits:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_last_two_rows_read_only_the_last_two_pairs(self, n):
         # complex_orbit_check and _symbolic_zeta_check act on the tail
-        # alone: it must give the last two rows of the full image
+        # alone: it must give the last two rows of the full image, and
+        # read only the first shift pair, the one complex_orbit_check
+        # draws
         diag = (Scalar.var("t"), Scalar.var("tdual"))
         super_pairs = [(Scalar.var(f"A{k}"), Scalar.var(f"B{k}"))
                        for k in range(1, n)]
         pairs = [(Scalar.var(f"Z{j}"), Scalar.var(f"W{j}"))
                  for j in range(1, n + 1)]
         assert _cplx_apply(diag, super_pairs, pairs)[-2:] \
-            == _cplx_apply(diag, super_pairs, pairs[-2:])
+            == _cplx_apply(diag, super_pairs, pairs[-2:]) \
+            == _cplx_apply(diag, super_pairs[:1], pairs[-2:])
         diag, super_pairs, pairs = random_action(n, random.Random(100 + n))
         assert _cplx_apply(diag, super_pairs, pairs)[-2:] \
-            == _cplx_apply(diag, super_pairs, pairs[-2:])
+            == _cplx_apply(diag, super_pairs, pairs[-2:]) \
+            == _cplx_apply(diag, super_pairs[:1], pairs[-2:])
 
     def test_zeta_on_locus(self):
         p = CplxProjPoint(((G(1), G(2)), (G(3), G(1)), (G(6), G(0))))

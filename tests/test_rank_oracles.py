@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invdist.orbits import ProjPoint, _lie_directions, orbit_dimension
+from invdist.orbits import ProjPoint, orbit_dimension
 from invdist.scalars import GaussianRational, Scalar, \
     rank_over_function_field
+from reference import lie_directions
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -73,7 +74,7 @@ def test_orbit_dimension_matches_sympy_rank(n):
     for _ in range(6):
         j = rng.randint(1, n)
         p = _random_point(rng, n, j)
-        directions = _lie_directions(p)
+        directions = lie_directions(p)
         assert all(isinstance(x, int) for v in directions for x in v)
         rank = sympy.Matrix(directions).rank()
         assert orbit_dimension(p) == rank - 1 == 2 * j - 1
