@@ -74,7 +74,8 @@ def _canonical_key(t: RawTerm) -> Optional[Tuple[TermKey, Scalar]]:
             raise UnsupportedSubstitutionError(
                 f"power factor on delta variable z{j}")
         if not sigma.is_zero():
-            powers[j] = powers.get(j, AffineExponent()) + sigma
+            prev = powers.get(j)
+            powers[j] = sigma if prev is None else prev + sigma
     # delta variables absorb their monomial factors
     for k, (alpha, beta) in list(delta.items()):
         p, q = mono[sym_z(k)], mono[sym_zbar(k)]

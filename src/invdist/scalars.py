@@ -18,7 +18,6 @@ in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -261,8 +260,9 @@ def _mono_conj(m: Mono) -> Mono:
 class Scalar:
     """Sparse element of K: a dict from monomials to Gaussian rationals.
 
-    Immutable; operations return new values, except that a zero operand
-    short-circuits: x + 0 is x, x * 0 is zero, and zero is self-conjugate.
+    Immutable; operations return new values, except that a zero or unit
+    operand short-circuits: x + 0 is x, x * 0 is zero, x * 1 is x, and zero
+    is self-conjugate.
     Canonical form (sorted terms, zero coefficients pruned) is maintained
     on construction.
     """
@@ -296,6 +296,13 @@ class Scalar:
 
     @staticmethod
     def of(re, im=0) -> "Scalar":
+        """re + i*im for ints or Fractions; an int is memoised, so
+        ``Scalar.of(1) is Scalar.one()`` and a product by it short-circuits."""
+        if type(re) is int and type(im) is int and not im:
+            c = _INT_SCALARS.get(re)
+            if c is None:
+                c = _INT_SCALARS[re] = Scalar.from_gauss(GaussianRational(re))
+            return c
         return Scalar.from_gauss(GaussianRational.of(re, im))
 
     @staticmethod
@@ -350,6 +357,10 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other is _ONE:
+            return self
+        if self is _ONE:
+            return other
         if not (self.terms and other.terms):
             return _ZERO
         if len(self.terms) == 1 and len(other.terms) == 1:
@@ -357,14 +368,28 @@ class Scalar:
             (m1, c1), = self.terms.items()
             (m2, c2), = other.terms.items()
             return Scalar._nonzero({_mono_mul(m1, m2): c1 * c2})
-        acc: Dict[Mono, GaussianRational] = {}
+        # Each output monomial sums its products as an unreduced integer
+        # triple (re, im, den) and is reduced once at the end.
+        acc: Dict[Mono, Tuple[int, int, int]] = {}
+        right = [(m2, c2.num_re, c2.num_im, c2.den)
+                 for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            a, b, d = c1.num_re, c1.num_im, c1.den
+            for m2, c, e, f in right:
                 m = _mono_mul(m1, m2)
-                c = c1 * c2
+                re, im, den = a * c - b * e, a * e + b * c, d * f
                 prev = acc.get(m)
-                acc[m] = c if prev is None else prev + c
-        return Scalar(acc)
+                if prev is not None:
+                    p_re, p_im, p_den = prev
+                    if p_den == den:
+                        re, im = re + p_re, im + p_im
+                    else:
+                        re, im, den = (re * p_den + p_re * den,
+                                       im * p_den + p_im * den, den * p_den)
+                acc[m] = (re, im, den)
+        return Scalar._nonzero({m: _canonical(re, im, den)
+                                for m, (re, im, den) in acc.items()
+                                if re or im})
 
     __rmul__ = __mul__
 
@@ -449,6 +474,8 @@ class Scalar:
 
 _ZERO = Scalar({})
 _ONE = Scalar({_EMPTY_MONO: GR_ONE})
+# Scalar.of's memo of ints: a chain multiplies by few distinct ones.
+_INT_SCALARS: Dict[int, Scalar] = {0: _ZERO, 1: _ONE}
 
 LAM = Scalar.var("lam")
 U = Scalar.var("u")
@@ -458,13 +485,20 @@ U = Scalar.var("u")
 # Affine exponents r + s*lam
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
 class AffineExponent:
     """An exponent of the form r + s*lam with rational r, s; ``of`` takes
-    ints or Fractions only, else raises ``TypeError``."""
+    ints or Fractions only, else raises ``TypeError``, and so do ``+`` and
+    ``-`` for an operand that is not an ``AffineExponent``.
 
-    r: Fraction = Fraction(0)
-    s: Fraction = Fraction(0)
+    Immutable by convention.  A ``TermKey`` is hashed on every dict probe,
+    so the hash of the two Fractions is taken once, on construction.
+    """
+
+    __slots__ = ("r", "s", "_hash")
+
+    def __init__(self, r: Fraction = Fraction(0), s: Fraction = Fraction(0)):
+        self.r, self.s = r, s
+        self._hash = hash((r, s))
 
     @staticmethod
     def of(r, s=0) -> "AffineExponent":
@@ -476,21 +510,35 @@ class AffineExponent:
     def __add__(self, other) -> "AffineExponent":
         if isinstance(other, AffineExponent):
             return AffineExponent(self.r + other.r, self.s + other.s)
-        return AffineExponent(self.r + Fraction(other), self.s)
+        return AffineExponent(self.r + _rational(other), self.s)
 
     def __sub__(self, other) -> "AffineExponent":
         if isinstance(other, AffineExponent):
             return AffineExponent(self.r - other.r, self.s - other.s)
-        return AffineExponent(self.r - Fraction(other), self.s)
+        return AffineExponent(self.r - _rational(other), self.s)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AffineExponent):
+            return NotImplemented
+        return self.r == other.r and self.s == other.s
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_zero(self) -> bool:
-        return self.r == 0 and self.s == 0
+        return not (self.r or self.s)
 
     def is_integer(self) -> bool:
-        return self.s == 0 and self.r.denominator == 1
+        return not self.s and self.r.denominator == 1
 
     def as_scalar(self) -> Scalar:
-        return Scalar.of(self.r) + Scalar.of(self.s) * LAM
+        """r + s*lam, memoised by value: each derivative step makes a new
+        ``sigma - 1``, but a chain meets only O(l) distinct exponents."""
+        c = _EXPONENT_SCALARS.get(self)
+        if c is None:
+            c = _EXPONENT_SCALARS[self] = \
+                Scalar.of(self.r) + Scalar.of(self.s) * LAM
+        return c
 
     def __str__(self) -> str:
         if self.s == 0:
@@ -498,6 +546,18 @@ class AffineExponent:
         if self.r == 0:
             return f"{self.s}*lam"
         return f"{self.r}+{self.s}*lam"
+
+
+_EXPONENT_SCALARS: Dict[AffineExponent, Scalar] = {}
+
+
+def _rational(x) -> Fraction:
+    """x itself when it is an int or a Fraction, else ``TypeError``; a
+    float would put its binary expansion into an exact exponent."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected an AffineExponent, int or Fraction, "
+                        f"got {x!r}")
+    return x
 
 
 def falling_factorial(sigma: AffineExponent, k: int) -> Scalar:

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 from invdist.clifford import REpsElement, REpsMatrix, h_shift_formal, \
     iota_blocks
 from invdist.orbits import ProjPoint, _integer_coords
-from invdist.scalars import GaussianRational, Scalar
+from invdist.scalars import GaussianRational, Scalar, _mono_sorted
 
 
 def iota(m: REpsMatrix) -> List[List[Scalar]]:
@@ -126,6 +126,27 @@ def cplx_pair_times_eps_power(a: Scalar, b: Scalar,
     """(a, b)*eps^k as an algebra element."""
     eps_k = CplxPairElement.one() if k % 2 == 0 else CplxPairElement.eps()
     return CplxPairElement.diagonal(a, b) * eps_k
+
+
+def ref_mono_mul(m1, m2):
+    """The product monomial, summed and sorted afresh (no memo)."""
+    acc = dict(m1)
+    for name, e in m2:
+        acc[name] = acc.get(name, 0) + e
+    return _mono_sorted(acc.items())
+
+
+def loop_mul(x: Scalar, y: Scalar) -> dict:
+    """The terms of x * y by the pairwise loop: each pair's
+    ``GaussianRational`` product, reduced, added to its monomial's sum,
+    reduced again; zeros pruned at the end.  The oracle of
+    ``Scalar.__mul__``, which reduces each monomial's sum once."""
+    acc = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            m = ref_mono_mul(m1, m2)
+            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+    return {m: c for m, c in acc.items() if not c.is_zero()}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from invdist.constructions import (FamilySpec, FamilyWork, build_family,
                                    verify_lemma_d, verify_support_filtration)
 from invdist.distributions import DistExpr
 from invdist.records import FAIL, PASS, SKIPPED
-from invdist.scalars import AffineExponent, Scalar
+from invdist.scalars import AffineExponent, GaussianRational, Scalar
 from invdist.weyl import WeylOp, conjugate_op, substitution_from_group, \
     sym_conj, sym_z, sym_zbar
 from reference import twisted_shift2
@@ -119,6 +119,16 @@ class TestFamilies:
         assert build_family(FamilySpec(n, "T", 6, lam=lam)) \
             == build_family(FamilySpec(n, "Tj", 6, j=n - 1, lam=lam))
 
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(3, "T", 24), FamilySpec(5, "T", 12),
+        FamilySpec(4, "Tbar", 12), FamilySpec(6, "Tj", 12, j=3)],
+        ids=["T-n3", "T-n5", "Tbar-n4", "Tj-n6-j3"])
+    def test_chain_equals_the_closed_form(self, spec):
+        # every member of order up to 24 at n = 3, and 12 elsewhere, term
+        # by term, with coefficients that no Scalar product computed
+        assert [member.terms for member in build_family(spec)] \
+            == closed_form_chain(spec)
+
     def test_t2_family(self):
         expr = build_family(FamilySpec(2, "T2", 2))[-1]
         # (z1 d/dz2)^2 delta(z2) = z1^2 d^2 delta
@@ -149,6 +159,42 @@ class TestFamilies:
             FamilySpec(3, "Tj", 0, j=3).validate()
         with pytest.raises(ValueError):
             FamilySpec(2, "T2", 0, lam=Fraction(3)).validate()
+
+
+def closed_form_chain(spec):
+    """The terms of the members of order 0..l of a family at formal lam by
+    the closed form
+
+        T^l = sum_k C(l,k) (sigma)_k x^k y^l (y ybar)^(sigma-k) delta^(l-k)
+
+    with x = zbar_{j-1}, y = z_j, sigma = (n - j) - lam/2 and the l - k
+    derivatives on the delta at z_{j+1} (z and zbar swapped for a conjugate
+    family).  Each coefficient is a sympy polynomial in lam, read into a
+    Scalar term by term."""
+    sympy = pytest.importorskip("sympy")
+    n, (j, conjugate, _) = spec.n, spec.row()
+    lam = sympy.Symbol("lam")
+    z, zbar = (sym_zbar, sym_z) if conjugate else (sym_z, sym_zbar)
+    sigma = AffineExponent(Fraction(n - j), Fraction(-1, 2))
+    falling = [sympy.Poly(1, lam, domain="QQ")]
+    for k in range(spec.l):
+        falling.append(falling[-1] * sympy.Poly((n - j) - lam / 2 - k, lam,
+                                                domain="QQ"))
+    chain = []
+    for l in range(spec.l + 1):
+        terms = {}
+        for k in range(l + 1):
+            mono = [0] * (2 * n)
+            mono[zbar(j - 1)], mono[z(j)] = k, l
+            first = (j + 1, 0, l - k) if conjugate else (j + 1, l - k, 0)
+            delta = (first,) + tuple((i, 0, 0) for i in range(j + 2, n + 1))
+            coeff = falling[k] * sympy.binomial(l, k)
+            terms[tuple(mono), ((j, sigma - k),), delta] = Scalar({
+                (("lam", d),) if d else (): GaussianRational(
+                    Fraction(int(c.p), int(c.q)))
+                for (d,), c in coeff.terms()})
+        chain.append(terms)
+    return chain
 
 
 def twist_shift2(monkeypatch):

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invdist.scalars as scalar_module
 from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
                              _mono_mul, _mono_sorted, falling_factorial,
                              generalized_binomial, integer_rank,
                              random_gaussian, rank_over_function_field, LAM,
                              U)
-from reference import FractionGaussian, constant_value
+from reference import FractionGaussian, constant_value, loop_mul, \
+    ref_mono_mul
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -239,14 +241,6 @@ zeros = st.sampled_from([Scalar.zero(), Scalar({}), 0, Fraction(0),
                          GaussianRational()])
 
 
-def ref_mono_mul(m1, m2):
-    """The product monomial, summed and sorted afresh (no memo)."""
-    acc = dict(m1)
-    for name, e in m2:
-        acc[name] = acc.get(name, 0) + e
-    return _mono_sorted(acc.items())
-
-
 CONJ_NAME = {"lam": "lam", "u": "u", "v": "v", "a1": "a1~", "a1~": "a1",
              "a2": "a2~", "a2~": "a2"}
 
@@ -255,16 +249,6 @@ def ref_mono_conj(m):
     """The conjugate monomial, written out (no memo)."""
     return _mono_sorted((CONJ_NAME[name], -e if name in ("u", "v") else e)
                         for name, e in m)
-
-
-def loop_mul(x: Scalar, y: Scalar) -> dict:
-    """The terms of x * y by the general double loop, zeros pruned."""
-    acc = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            m = ref_mono_mul(m1, m2)
-            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
-    return {m: c for m, c in acc.items() if not c.is_zero()}
 
 
 def loop_add(x: Scalar, y: Scalar) -> dict:
@@ -351,6 +335,103 @@ class TestFastPaths:
         assert x.conjugate().conjugate() == x
 
 
+# coefficients over equal, dividing and coprime denominators, so an output
+# monomial sums triples over equal and over unequal denominators
+mixed_fractions = st.builds(Fraction, st.integers(-30, 30),
+                            st.sampled_from([1, 2, 3, 4, 8, 9, 35, 10**9 + 7]))
+mixed_gaussians = st.builds(GaussianRational, mixed_fractions,
+                            mixed_fractions)
+mixed_scalars = st.builds(
+    lambda terms: Scalar(dict(terms)),
+    st.lists(st.tuples(laurent, mixed_gaussians), min_size=2, max_size=5))
+lam_polys = st.builds(
+    lambda cs: Scalar({(("lam", k),) if k else (): c
+                       for k, c in enumerate(cs)}),
+    st.lists(mixed_gaussians, min_size=2, max_size=7))
+
+factors = st.one_of(mixed_scalars, lam_polys, one_term,
+                    st.just(Scalar.zero()))
+
+
+def assert_product(x: Scalar, y: Scalar) -> Scalar:
+    """x * y equals the pairwise oracle, and each coefficient is in
+    canonical form and nonzero."""
+    got = x * y
+    assert got.terms == loop_mul(x, y)
+    for c in got.terms.values():
+        assert not c.is_zero()
+        assert_canonical(c)
+    return got
+
+
+class TestProduct:
+    """The multi-term product reduces each output monomial's sum once;
+    a unit operand is returned as is."""
+
+    @given(factors, factors)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_pairwise_oracle(self, x, y):
+        # one-term and zero factors give products of one term and of none
+        assert_product(x, y)
+        assert_product(y, x)
+
+    @given(factors, factors)
+    @settings(max_examples=100, deadline=None)
+    def test_cancelling_cross_terms(self, a, b):
+        # (a + b)(a - b): the products a*b and -b*a meet in one sum, which
+        # may cancel to zero; a == b leaves the zero factor
+        got = assert_product(a + b, a - b)
+        assert got == a * a - b * b
+        assert_product(a + b, b - a)
+
+    def test_monomials_that_cancel(self):
+        i = Scalar.of(0, 1)
+        one = Scalar.one()
+        assert_product(one + LAM, one - LAM)
+        assert (one + LAM) * (one - LAM) == one - LAM * LAM
+        assert (one + i * LAM) * (one - i * LAM) == one + LAM * LAM
+        # (1/2 + lam/3)(-1 + 2lam/3): the lam sum is 2/6 - 1/3 over the
+        # unreduced denominators 6 and 3, and cancels
+        third = Scalar.of(Fraction(1, 3))
+        p = assert_product(Scalar.of(Fraction(1, 2)) + third * LAM,
+                           Scalar.of(-1) + third * Scalar.of(2) * LAM)
+        assert p.terms == {(): GaussianRational.of(Fraction(-1, 2)),
+                           (("lam", 2),): GaussianRational.of(Fraction(2, 9))}
+        # a one-term factor leaves one term per term of the other
+        assert_product(U * LAM, one + LAM)
+
+    @given(factors)
+    @settings(max_examples=100)
+    def test_unit_operands_are_returned(self, x):
+        one = Scalar.one()
+        assert Scalar.of(1) is one
+        assert x * one is x and one * x is x
+        assert x * 1 is x and 1 * x is x
+        assert one * one is one
+        assert Scalar.of(-3) is Scalar.of(-3)
+        assert Scalar.of(-3).terms == {(): GaussianRational.of(-3)}
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12, 30])
+    def test_one_reduction_per_product_monomial(self, monkeypatch, d):
+        # a degree-d lam-polynomial times sigma: d + 2 output monomials,
+        # one reduction each (the pairwise loop makes 3d + 2)
+        sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
+        p, linear = falling_factorial(sigma - 3, d), sigma.as_scalar()
+        assert len(p.lam_coeffs()) == d + 1 and len(linear.terms) == 2
+        want = loop_mul(p, linear)
+        canonical, calls = scalar_module._canonical, []
+
+        def counted(*args):
+            calls.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(scalar_module, "_canonical", counted)
+        got = p * linear
+        monkeypatch.undo()
+        assert got.terms == want
+        assert len(calls) <= d + 2
+
+
 class TestAffineExponent:
     def test_arithmetic(self):
         # 1 - lam/2, shifted down twice
@@ -363,6 +444,44 @@ class TestAffineExponent:
     def test_as_scalar(self):
         s = AffineExponent(Fraction(2), Fraction(-1, 2))
         assert s.as_scalar() == Scalar.of(2) - LAM * Scalar.of(Fraction(1, 2))
+        for e in (s, s - 5, AffineExponent(), AffineExponent.of(1),
+                  AffineExponent.of(Fraction(-7, 3), 4), (s - 3) + 3):
+            assert e.as_scalar() == Scalar.of(e.r) + Scalar.of(e.s) * LAM
+        assert ((s - 3) + 3).as_scalar() is s.as_scalar()
+
+    @pytest.mark.parametrize("bad", [
+        0.1, 1.0, "1", None, GaussianRational.of(1), Scalar.one()])
+    def test_operands_are_exponents_ints_or_fractions(self, bad):
+        # 0.1 would enter as 3602879701896397/2^55
+        s = AffineExponent.of(1)
+        with pytest.raises(TypeError):
+            s + bad
+        with pytest.raises(TypeError):
+            s - bad
+
+    @pytest.mark.parametrize("make_a, make_b, text", [
+        (lambda: AffineExponent(2, -1),
+         lambda: AffineExponent(Fraction(2), Fraction(-1)), "2+-1*lam"),
+        (lambda: AffineExponent.of(2, -1),
+         lambda: AffineExponent(Fraction(2), Fraction(-1)), "2+-1*lam"),
+        (lambda: AffineExponent.of(1) - Fraction(1, 2),
+         lambda: AffineExponent(Fraction(1, 2)), "1/2"),
+        (lambda: (AffineExponent(Fraction(1), Fraction(-1, 2)) - 3) + 3,
+         lambda: AffineExponent(Fraction(1), Fraction(-1, 2)), "1+-1/2*lam"),
+        (lambda: AffineExponent.of(3, Fraction(1, 2)) - AffineExponent.of(3),
+         lambda: AffineExponent(0, Fraction(1, 2)), "1/2*lam"),
+        (lambda: AffineExponent.of(0),
+         lambda: AffineExponent.of(5) - 5, "0"),
+    ], ids=["ints-fractions", "of-fractions", "minus-half", "shift-back",
+            "lam-only", "zero"])
+    def test_equal_exponents_are_one_key(self, make_a, make_b, text):
+        a, b = make_a(), make_b()
+        assert a == b and hash(a) == hash(b)
+        assert {a: "a"}[b] == "a" and len({a, b}) == 1
+        assert str(a) == str(b) == text
+        # a term key holding either one finds the other's entry
+        assert {(0, ((2, a),)): 1}.get((0, ((2, b),))) == 1
+        assert a != a + 1 and a != a + AffineExponent.of(0, 1)
 
 
 class TestBinomials:
