@@ -4,20 +4,22 @@ complexified picture with its continuum of orbit labels.
 Points carry Gaussian-rational coordinates.  Strata are labelled by the
 index of the last nonzero complex coordinate; the stratum of index j is a
 (2j-1)-dimensional orbit, which we certify by the exact rank 2j of the
-tangent and radial directions at the point, plus reachability witnesses:
-integer certificates G p = s q over the Gaussian integers.
+tangent and radial directions at the point, plus reachability: every
+point p of stratum j is G_p e_j for the Toeplitz element G_p read off its
+coordinates, so p ~ e_j ~ q for any q of the stratum.
 
 The rank is read off the coordinates, in O(n), without building the
 directions: they are zero past real coordinate 2j exactly when
 z_{j+1..n} = 0 (rank <= 2j), and they carry a block triangular 2j x 2j
 minor whose diagonal blocks have the determinant |z_j|^2 (rank >= 2j).
 Both hold at every point of stratum j by the definition of the stratum
-(see ``orbit_dimension``).
+(see ``orbit_dimension``).  Reachability is one identity G_z e_j = z over
+formal coordinates per stratum (see ``Witness``), so a sampled pair costs
+two ``stratum_of`` reads.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -112,95 +114,74 @@ def orbit_dimension(p: ProjPoint) -> int:
 # Transitivity witnesses
 # ---------------------------------------------------------------------------
 
-GaussInt = Tuple[int, int]  # re + i*im with integer parts
+def _read_off(z: Sequence, j: int) -> Tuple[object, List[object]]:
+    """(diagonal, shifts) of G_z for a point z of stratum j: the diagonal
+    z_j and the k-th shift z_{j-k}, for k = 1..j-1 (the shifts k >= j are
+    zero)."""
+    return z[j - 1], [z[j - 1 - k] for k in range(1, j)]
 
 
-def _integer_coords(p: ProjPoint) -> List[GaussInt]:
-    """The coordinates scaled by the lcm of their denominators: a positive
-    real scale, so they name the same projective point."""
-    scale = math.lcm(*[c.den for c in p.coords])
-    return [(c.num_re * (scale // c.den), c.num_im * (scale // c.den))
-            for c in p.coords]
+def _apply_sparse(diagonal, shifts, x: Sequence[Scalar]) -> List[Scalar]:
+    """G x for the upper-triangular Toeplitz element G with this diagonal
+    and k-th superdiagonal shifts[k-1]*eps^k, read only at the nonzero
+    entries of x: entry m reaches row m - k as v_k eps^k(x_m), and eps
+    conjugates once per power."""
+    image = [Scalar.zero()] * len(x)
+    for m, xm in enumerate(x):
+        if xm.is_zero():
+            continue
+        image[m] = image[m] + diagonal * xm
+        for k, v in enumerate(shifts[:m], 1):
+            image[m - k] = image[m - k] + v * (xm.conjugate() if k % 2
+                                               else xm)
+    return image
 
 
-def _mul(a: GaussInt, b: GaussInt) -> GaussInt:
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+def _stratum_residual(n: int, j: int) -> int:
+    """The rows where G_z e_j and z differ, for the formal point
+    z = (z_1, ..., z_j, 0, ..., 0) of stratum j: 0 certifies G_p e_j = p
+    for every point p of the stratum, its coordinates substituted."""
+    z = [Scalar.var(f"z{m}") for m in range(1, j + 1)]
+    z += [Scalar.zero()] * (n - j)
+    unit = [Scalar.zero()] * n
+    unit[j - 1] = Scalar.one()
+    image = _apply_sparse(*_read_off(z, j), unit)
+    return sum(a != b for a, b in zip(image, z))
 
 
-def _conj(a: GaussInt) -> GaussInt:
-    return a[0], -a[1]
-
-
-def _toeplitz_row(u: GaussInt, shifts: Sequence[GaussInt],
-                  z: Sequence[GaussInt]) -> GaussInt:
-    """First coordinate of the image: u z_1 + sum_k v_k eps^k(z_{1+k}),
-    where eps acts on C by conjugation: the odd k (shifts[0::2] against
-    z[1::2]) take v_k conj(z_{1+k}), the even k take v_k z_{1+k}."""
-    (ur, ui), (zr, zi) = u, z[0]
-    re, im = ur * zr - ui * zi, ur * zi + ui * zr
-    for (vr, vi), (sr, si) in zip(shifts[0::2], z[1::2]):
-        re += vr * sr + vi * si
-        im += vi * sr - vr * si
-    for (vr, vi), (sr, si) in zip(shifts[1::2], z[2::2]):
-        re += vr * sr - vi * si
-        im += vr * si + vi * sr
-    return re, im
-
-
-def _apply_toeplitz(u: GaussInt, shifts: Sequence[GaussInt],
-                    z: Sequence[GaussInt]) -> List[GaussInt]:
-    """Image of z under the upper-triangular Toeplitz matrix over Z[i] with
-    diagonal u and k-th superdiagonal shifts[k-1]*eps^k (missing shifts are
-    zero): (G z)_m = u z_m + sum_k v_k eps^k(z_{m+k})."""
-    return [_toeplitz_row(u, shifts, z[m:]) for m in range(len(z))]
+# (n, j) -> _stratum_residual(n, j), a pure function of its key
+_CERTIFICATES: Dict[Tuple[int, int], int] = {}
 
 
 @dataclass
 class Witness:
-    """An integer certificate G p = scale * q on the integer coordinates
-    of p and q, with G the Toeplitz matrix over Z[i] of ``diagonal`` and
-    ``shifts`` (see ``_apply_toeplitz``).  G/|diagonal| lies in H and maps
-    p to the positive multiple scale/|diagonal| of q, so the projective
-    points agree.  ``residual`` counts the coordinates where the identity
-    fails, recomputed from G after the solve."""
+    """p ~ e_j ~ q for two points of stratum j.
 
-    diagonal: GaussInt
-    shifts: List[GaussInt]
-    scale: int
+    G_z, read off a point z of stratum j (diagonal z_j, k-th shift
+    z_{j-k}), maps e_j to z: since eps^k(1) = 1, row j - k of G_z e_j is
+    z_{j-k}.  z_j is nonzero, so G_z/|z_j| lies in H and maps e_j to a
+    positive multiple of z, the same projective point.  ``residual``
+    counts the rows where G_z e_j = z fails over formal coordinates, one
+    certificate for the whole stratum; ``exact`` is True, since the
+    identity is decided in exact arithmetic with no tolerance."""
+
+    stratum: int
     residual: int
     exact: bool = True
 
 
 def transitivity_witness(p: ProjPoint, q: ProjPoint) -> Optional[Witness]:
-    """A fraction-free solve of G p = s q over Z[i], or None when the
-    strata differ.
-
-    With c = p_j (j the common stratum) and N = |c|^2, the diagonal
-    q_j conj(c) and s = N solve the last row.  Each row above solves for
-    one new shift v_k: u, s and the earlier shifts are multiplied by N,
-    which keeps the rows below satisfied, and v_k is the row's residual
-    times conj(eps^k(c)), since v_k eps^k(c) must then equal N times it.
-    """
+    """The stratum's read-off certificate when p and q share a stratum,
+    or None when the strata differ: two ``stratum_of`` reads, no solve."""
     if p.n != q.n:
         raise ValueError("dimension mismatch")
     j = stratum_of(p)
     if stratum_of(q) != j:
         return None
-    z, w = _integer_coords(p), _integer_coords(q)
-    c = z[j - 1]
-    norm = c[0] * c[0] + c[1] * c[1]
-    u, s = _mul(w[j - 1], _conj(c)), norm
-    shifts: List[GaussInt] = []
-    for k in range(1, j):
-        m = j - 1 - k  # the 0-based row that fixes v_k
-        image = _toeplitz_row(u, shifts, z[m:])
-        rest = (s * w[m][0] - image[0], s * w[m][1] - image[1])
-        u, s = (u[0] * norm, u[1] * norm), s * norm
-        shifts = [(a * norm, b * norm) for a, b in shifts]
-        shifts.append(_mul(rest, c if k % 2 else _conj(c)))
-    image = _apply_toeplitz(u, shifts, z)
-    residual = sum(g != (s * a, s * b) for g, (a, b) in zip(image, w))
-    return Witness(u, shifts, s, residual)
+    residual = _CERTIFICATES.get((p.n, j))
+    if residual is None:
+        residual = _CERTIFICATES[p.n, j] = _stratum_residual(p.n, j)
+    return Witness(j, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +207,13 @@ def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
     with exact tangent dimension 2j-1, and reachability witnesses inside
     each stratum: a fixed pair, plus ``WITNESS_PAIRS`` random pairs when
     it has two points.  A witness fails when more than ``residual_tol`` of
-    its coordinates miss the integer identity G p = s q."""
+    its rows miss the stratum's identity G_z e_j = z.
+
+    No pair across strata is reachable: every g in H is upper triangular
+    with an invertible diagonal, so for p of stratum j, (g p)_m = 0 for
+    m > j and (g p)_j = g_jj p_j is nonzero.  H preserves ``stratum_of``,
+    and ``cross_failures`` counts the cross-stratum pairs that
+    ``transitivity_witness`` does not decline."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = random.Random(seed)
@@ -261,7 +248,7 @@ def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
             w = transitivity_witness(a, b)
             if w is None or w.residual > residual_tol:
                 witness_failures += 1
-            else:
+            if w is not None:
                 max_residual = max(max_residual, w.residual)
         pairs_tested[str(j)] = len(pairs)
     # cross-stratum pairs must fail

@@ -74,14 +74,6 @@ class GaussianRational:
             num_re, num_im, den = -num_re, -num_im, -den
         return _canonical(num_re, num_im, den)
 
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.num_re, self.den)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.num_im, self.den)
-
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         d, e = self.den, other.den
         if d == e:

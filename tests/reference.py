@@ -6,13 +6,14 @@ construction that a test compares the engine with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from invdist.clifford import REpsElement, REpsMatrix, h_shift_formal, \
     iota_blocks
-from invdist.orbits import ProjPoint, _integer_coords
+from invdist.orbits import ProjPoint, stratum_of
 from invdist.scalars import GaussianRational, Scalar, _mono_sorted
 
 
@@ -72,6 +73,11 @@ def act(e: REpsElement, z: Scalar, zbar: Scalar) -> Tuple[Scalar, Scalar]:
     w = e.a * z + e.b * zbar
     wbar = e.a.conjugate() * zbar + e.b.conjugate() * z
     return w, wbar
+
+
+def parts(g: GaussianRational) -> Tuple[Fraction, Fraction]:
+    """The real and imaginary parts of g as Fractions."""
+    return Fraction(g.num_re, g.den), Fraction(g.num_im, g.den)
 
 
 def constant_value(x: Scalar) -> GaussianRational:
@@ -206,7 +212,7 @@ def lie_directions(p: ProjPoint) -> List[List[int]]:
     interleaved): multiplying by i and conjugating only permute and negate
     components."""
     n = p.n
-    xs, ys = (list(part) for part in zip(*_integer_coords(p)))
+    xs, ys = (list(part) for part in zip(*integer_coords(p)))
     vectors = [_interleave(xs, ys), _interleave([-y for y in ys], xs)]
     for k in range(1, n):
         # component m is z_{m+k}, conjugated for odd k, or 0 past the end
@@ -240,3 +246,94 @@ def triangular_rank(vectors: Sequence[Sequence[int]], j: int
                 or a[m] * b[m + 1] == a[m + 1] * b[m]:
             return None
     return width
+
+
+# ---------------------------------------------------------------------------
+# The pairwise reachability solve over Z[i]
+# ---------------------------------------------------------------------------
+
+GaussInt = Tuple[int, int]  # re + i*im with integer parts
+
+
+def integer_coords(p: ProjPoint) -> List[GaussInt]:
+    """The coordinates scaled by the lcm of their denominators: a positive
+    real scale, so they name the same projective point."""
+    scale = math.lcm(*[c.den for c in p.coords])
+    return [(c.num_re * (scale // c.den), c.num_im * (scale // c.den))
+            for c in p.coords]
+
+
+def _mul(a: GaussInt, b: GaussInt) -> GaussInt:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _conj(a: GaussInt) -> GaussInt:
+    return a[0], -a[1]
+
+
+def _toeplitz_row(u: GaussInt, shifts: Sequence[GaussInt],
+                  z: Sequence[GaussInt]) -> GaussInt:
+    """First coordinate of the image: u z_1 + sum_k v_k eps^k(z_{1+k}),
+    where eps acts on C by conjugation: the odd k (shifts[0::2] against
+    z[1::2]) take v_k conj(z_{1+k}), the even k take v_k z_{1+k}."""
+    (ur, ui), (zr, zi) = u, z[0]
+    re, im = ur * zr - ui * zi, ur * zi + ui * zr
+    for (vr, vi), (sr, si) in zip(shifts[0::2], z[1::2]):
+        re += vr * sr + vi * si
+        im += vi * sr - vr * si
+    for (vr, vi), (sr, si) in zip(shifts[1::2], z[2::2]):
+        re += vr * sr - vi * si
+        im += vr * si + vi * sr
+    return re, im
+
+
+def apply_toeplitz(u: GaussInt, shifts: Sequence[GaussInt],
+                   z: Sequence[GaussInt]) -> List[GaussInt]:
+    """Image of z under the upper-triangular Toeplitz matrix over Z[i] with
+    diagonal u and k-th superdiagonal shifts[k-1]*eps^k (missing shifts are
+    zero): (G z)_m = u z_m + sum_k v_k eps^k(z_{m+k}), over every row."""
+    return [_toeplitz_row(u, shifts, z[m:]) for m in range(len(z))]
+
+
+@dataclass
+class PairSolve:
+    """An integer certificate G p = scale * q on the integer coordinates
+    of p and q, with G the Toeplitz matrix over Z[i] of ``diagonal`` and
+    ``shifts``.  G/|diagonal| lies in H and maps p to the positive
+    multiple scale/|diagonal| of q.  ``residual`` counts the coordinates
+    where the identity fails, recomputed densely from G after the solve."""
+
+    diagonal: GaussInt
+    shifts: List[GaussInt]
+    scale: int
+    residual: int
+
+
+def pair_solve(p: ProjPoint, q: ProjPoint) -> Optional[PairSolve]:
+    """A fraction-free solve of G p = s q over Z[i], or None when the
+    strata differ: the oracle of ``orbits.transitivity_witness``.
+
+    With c = p_j (j the common stratum) and N = |c|^2, the diagonal
+    q_j conj(c) and s = N solve the last row.  Each row above solves for
+    one new shift v_k: u, s and the earlier shifts are multiplied by N,
+    which keeps the rows below satisfied, and v_k is the row's residual
+    times conj(eps^k(c)), since v_k eps^k(c) must then equal N times it.
+    """
+    j = stratum_of(p)
+    if stratum_of(q) != j:
+        return None
+    z, w = integer_coords(p), integer_coords(q)
+    c = z[j - 1]
+    norm = c[0] * c[0] + c[1] * c[1]
+    u, s = _mul(w[j - 1], _conj(c)), norm
+    shifts: List[GaussInt] = []
+    for k in range(1, j):
+        m = j - 1 - k  # the 0-based row that fixes v_k
+        image = _toeplitz_row(u, shifts, z[m:])
+        rest = (s * w[m][0] - image[0], s * w[m][1] - image[1])
+        u, s = (u[0] * norm, u[1] * norm), s * norm
+        shifts = [(a * norm, b * norm) for a, b in shifts]
+        shifts.append(_mul(rest, c if k % 2 else _conj(c)))
+    image = apply_toeplitz(u, shifts, z)
+    residual = sum(g != (s * a, s * b) for g, (a, b) in zip(image, w))
+    return PairSolve(u, shifts, s, residual)

@@ -1,7 +1,6 @@
 """Orbit stratification of projective space and the complexified orbit
 continuum."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -9,19 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from invdist import orbits
 from invdist.clifford import h_element
-from invdist.orbits import (CplxProjPoint, ProjPoint, _apply_toeplitz,
-                            _cplx_apply, _integer_coords,
+from invdist.orbits import (CplxProjPoint, ProjPoint, _cplx_apply,
                             _symbolic_zeta_check, complex_orbit_check,
                             enumerate_strata, orbit_dimension,
                             stratum_dimension, stratum_of,
                             transitivity_witness, zeta_invariant)
 from invdist.records import FAIL
 from invdist.scalars import GaussianRational, Scalar, integer_rank
-from reference import (CplxPairElement, act, constant_value,
-                       cplx_pair_times_eps_power, lie_directions,
-                       triangular_rank)
+from reference import (CplxPairElement, act, apply_toeplitz, constant_value,
+                       cplx_pair_times_eps_power, integer_coords,
+                       lie_directions, pair_solve, parts, triangular_rank)
 
 
 def G(re, im=0):
@@ -70,22 +69,22 @@ class TestStrata:
         # The Toeplitz action is linear in the diagonal and the shifts
         # together, so each tangent direction is the image of the point
         # under one Lie algebra basis element, here recomputed through the
-        # witness code's action on the point scaled to integers (the lcm
+        # pair solve's action on the point scaled to integers (the lcm
         # of its denominators is 12).
         p = point((1, 2), (Fraction(-3, 4), 5), (2, Fraction(1, 3)), (0, -1))
-        z = [(int(c.re * 12), int(c.im * 12)) for c in p.coords]
-        assert _integer_coords(p) == z
+        z = [tuple(int(x * 12) for x in parts(c)) for c in p.coords]
+        assert integer_coords(p) == z
 
         def real(v):
             return [x for c in v for x in c]
 
         zero = (0, 0)
-        expected = [real(z), real(_apply_toeplitz((0, 1), [], z))]
+        expected = [real(z), real(apply_toeplitz((0, 1), [], z))]
         for k in range(1, p.n):
             for coeff in ((1, 0), (0, 1)):
                 shifts = [zero] * (p.n - 1)
                 shifts[k - 1] = coeff
-                expected.append(real(_apply_toeplitz(zero, shifts, z)))
+                expected.append(real(apply_toeplitz(zero, shifts, z)))
         assert lie_directions(p) == expected
 
 
@@ -96,10 +95,11 @@ big_gaussians = st.builds(GaussianRational.from_triple,
 
 
 @st.composite
-def stratum_points(draw):
-    """(point, j): a unit point e_j or a random point of stratum j."""
-    n = draw(st.integers(2, 10))
-    j = draw(st.integers(1, n))
+def stratum_points(draw, n=None, j=None):
+    """(point, j): a unit point e_j or a random point of stratum j, at a
+    drawn n and j unless they are given."""
+    n = draw(st.integers(2, 10)) if n is None else n
+    j = draw(st.integers(1, n)) if j is None else j
     zero = GaussianRational()
     if draw(st.booleans()):
         coords = [zero] * n
@@ -109,6 +109,26 @@ def stratum_points(draw):
         coords.append(draw(big_gaussians.filter(lambda c: not c.is_zero())))
         coords.extend([zero] * (n - j))
     return ProjPoint(tuple(coords)), j
+
+
+@st.composite
+def point_pairs(draw):
+    """(p, q, same stratum): q is drawn in p's stratum half of the time."""
+    p, j = draw(stratum_points(n=draw(st.integers(2, 8))))
+    same = draw(st.booleans())
+    q, i = draw(stratum_points(n=p.n, j=j if same else None))
+    return p, q, i == j
+
+
+class ZeroPattern:
+    """A coordinate that tells only whether it is zero: any arithmetic on
+    it raises."""
+
+    def __init__(self, zero):
+        self.zero = zero
+
+    def is_zero(self):
+        return self.zero
 
 
 # Each mutation breaks one part of the certificate for a stratum-j point
@@ -152,12 +172,11 @@ class TestTriangularCertificate:
         assert triangular_rank(vectors, j) == integer_rank(vectors) == 2 * j
         assert orbit_dimension(p) == 2 * j - 1
 
-    def test_dimension_builds_no_directions(self, monkeypatch):
-        def refuse(p):
-            raise AssertionError("orbit_dimension scaled the point")
-
-        monkeypatch.setattr(orbits, "_integer_coords", refuse)
-        assert orbit_dimension(point(1, (2, -1), 0, 0)) == 3
+    def test_dimension_reads_only_the_zero_pattern(self):
+        # no direction is built: the coordinates admit no arithmetic
+        p = ProjPoint(tuple(ZeroPattern(z) for z in (False, True, False,
+                                                     True)))
+        assert orbit_dimension(p) == 5
 
     @pytest.mark.parametrize("mutate", MUTATIONS)
     def test_reference_declines_mutated_directions(self, mutate):
@@ -204,63 +223,129 @@ class TestTriangularCertificate:
         assert all(f["rank_dim"] != f["expected"] for f in failures)
 
 
+def read_off_image(p, j):
+    """G_z e_j, z the point p scaled to integers and G_z the Toeplitz
+    element of diagonal z_j and k-th shift z_{j-k}, built with h_element
+    and acting entry by entry through ``act``: a derivation that shares no
+    code with ``orbits``' read-off and its sparse action.  Returns z and
+    G_z e_j, each as n Scalars."""
+    n = p.n
+    z = [Scalar.from_gauss(GaussianRational.from_triple(re, im, 1))
+         for re, im in integer_coords(p)]
+    shifts = [z[j - 1 - k] for k in range(1, j)]
+    g = h_element(n, z[j - 1], shifts + [Scalar.zero()] * (n - j))
+    unit = [Scalar.one() if m == j - 1 else Scalar.zero() for m in range(n)]
+    image = []
+    for row in g.entries:
+        acc = Scalar.zero()
+        for entry, x in zip(row, unit):
+            acc = acc + act(entry, x, x.conjugate())[0]
+        image.append(acc)
+    return z, image
+
+
+# Each read-off mutation breaks G_z e_j = z on every stratum j >= 2.
+def _shift_reads_past_j(z, j):
+    # the k-th shift reads z_{j+k}, zero on a point of stratum j
+    return z[j - 1], [z[j - 1 + k] if j + k <= len(z) else Scalar.zero()
+                      for k in range(1, j)]
+
+
+def _diagonal_from_the_row_above(z, j):
+    # the diagonal read at row j - 1 (row n, zero, at j = 1)
+    return z[j - 2], [z[j - 1 - k] for k in range(1, j)]
+
+
+READ_OFF_MUTATIONS = [_shift_reads_past_j, _diagonal_from_the_row_above]
+
+
 class TestWitness:
     def test_exact_witness_same_stratum(self):
-        # q2 / p2 = 3 + 4i has rational modulus 5, so the solve is exact
         p = point(1, (1, 1), 0)
         q = point((2, 1), (-1, 7), 0)
         w = transitivity_witness(p, q)
         assert w is not None
         assert w.exact
-        assert w.residual == 0
+        assert (w.stratum, w.residual) == (2, 0)
 
-    def test_irrational_modulus_witness_is_exact(self):
-        # |q2 / p2| = sqrt(2) is irrational, and the certificate is still
-        # exact: G = [[1+i, -(1+i)*eps], [0, 1+i]] maps (1, 1) to (0, 1+i)
+    def test_irrational_modulus_pair(self):
+        # |q2 / p2| = sqrt(2) is irrational, and both certificates are
+        # exact; the pair solve finds G = [[1+i, -(1+i)*eps], [0, 1+i]],
+        # which maps (1, 1) to (0, 1+i)
         p = point(1, 1, 0)
         q = point(0, (1, 1), 0)
         w = transitivity_witness(p, q)
-        assert w is not None
-        assert w.exact
-        assert w.residual == 0
-        assert (w.diagonal, w.shifts, w.scale) == ((1, 1), [(-1, -1)], 1)
+        assert w is not None and w.exact and w.residual == 0
+        solved = pair_solve(p, q)
+        assert solved.residual == 0
+        assert (solved.diagonal, solved.shifts, solved.scale) \
+            == ((1, 1), [(-1, -1)], 1)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_witness_matches_matrix_action(self, n):
-        # a second derivation: the certificate's Toeplitz matrix built with
-        # h_element acts entry by entry through REpsElement.act, on the
-        # points scaled by the lcm of their denominators
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_read_off_matches_matrix_action(self, n):
         rng = random.Random(50 + n)
+        for j in range(1, n + 1):
+            for _ in range(3):
+                coords = [G(Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+                            Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                          for _ in range(j)]
+                if coords[-1].is_zero():
+                    coords[-1] = G(Fraction(1, rng.randint(1, 6)), 1)
+                p = ProjPoint(tuple(coords + [G(0)] * (n - j)))
+                z, image = read_off_image(p, j)
+                assert image == z
 
-        def integral(p):
-            scale = math.lcm(*[x.denominator for c in p.coords
-                               for x in (c.re, c.im)])
-            return [c * G(scale) for c in p.coords]
+    @given(st.integers(2, 8).flatmap(lambda n: stratum_points(n=n)))
+    @settings(max_examples=100, deadline=None)
+    def test_read_off_matches_matrix_action_on_big_points(self, case):
+        p, j = case
+        z, image = read_off_image(p, j)
+        assert image == z
 
-        def random_point(j):
-            coords = [G(Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
-                        Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
-                      for _ in range(j)]
-            if coords[-1].is_zero():
-                coords[-1] = G(Fraction(1, rng.randint(1, 6)), 1)
-            return ProjPoint(tuple(coords + [G(0)] * (n - j)))
+    @given(point_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_the_pair_solve(self, case):
+        p, q, same = case
+        w, solved = transitivity_witness(p, q), pair_solve(p, q)
+        if same:
+            assert w.exact and (w.stratum, w.residual) == (stratum_of(p), 0)
+            assert solved.residual == 0
+        else:
+            assert w is None and solved is None
 
-        def lift(pair):
-            return Scalar.from_gauss(G(*pair))
+    def test_witness_reads_only_the_zero_pattern(self):
+        p = ProjPoint(tuple(ZeroPattern(z) for z in (False, False, True)))
+        q = ProjPoint(tuple(ZeroPattern(z) for z in (True, False, True)))
+        assert transitivity_witness(p, q).residual == 0
+        r = ProjPoint(tuple(ZeroPattern(z) for z in (False, True, True)))
+        assert transitivity_witness(p, r) is None
 
-        for _ in range(12):
-            j = rng.randint(1, n)
-            p, q = random_point(j), random_point(j)
-            w = transitivity_witness(p, q)
-            assert w.residual == 0 and w.scale > 0 and w.diagonal != (0, 0)
-            shifts = w.shifts + [(0, 0)] * (n - 1 - len(w.shifts))
-            g = h_element(n, lift(w.diagonal), [lift(v) for v in shifts])
-            z = [Scalar.from_gauss(c) for c in integral(p)]
-            for row, target in zip(g.entries, integral(q)):
-                image = Scalar.zero()
-                for entry, zj in zip(row, z):
-                    image = image + act(entry, zj, zj.conjugate())[0]
-                assert image == Scalar.from_gauss(G(w.scale) * target)
+    @pytest.mark.parametrize("mutate", READ_OFF_MUTATIONS)
+    def test_census_fails_under_a_wrong_read_off(self, monkeypatch, mutate):
+        monkeypatch.setattr(orbits, "_read_off", mutate)
+        rec = enumerate_strata(8, 1000, 3)
+        assert rec.status == FAIL
+        assert rec.details["witness_failures"] > 0
+        assert rec.details["max_residual"] > 0
+
+    def test_census_builds_one_certificate_per_stratum(self, monkeypatch):
+        calls = []
+        read_off = orbits._read_off
+
+        def counted(z, j):
+            calls.append(j)
+            return read_off(z, j)
+
+        def refuse(p, q):
+            raise AssertionError("the census called the pair solve")
+
+        monkeypatch.setattr(orbits, "_read_off", counted)
+        monkeypatch.setattr(reference, "pair_solve", refuse)
+        assert enumerate_strata(8, 1000, 3).passed
+        assert sorted(calls) == list(range(1, 9))
+        # a second census reads the memoised certificates
+        assert enumerate_strata(8, 1000, 4).passed
+        assert len(calls) == 8
 
     def test_cross_stratum_is_none(self):
         assert transitivity_witness(point(1, 0, 0), point(1, 1, 0)) is None

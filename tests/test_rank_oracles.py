@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from invdist.orbits import ProjPoint, orbit_dimension
 from invdist.scalars import GaussianRational, Scalar, \
     rank_over_function_field
-from reference import lie_directions
+from reference import lie_directions, parts
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -42,8 +42,9 @@ def _to_sympy(entry: Scalar):
     acc = sympy.Integer(0)
     for mono, c in entry.terms.items():
         power = dict(mono).get("lam", 0)
-        acc += (sympy.Rational(c.re.numerator, c.re.denominator)
-                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+        re, im = parts(c)
+        acc += (sympy.Rational(re.numerator, re.denominator)
+                + sympy.I * sympy.Rational(im.numerator, im.denominator)
                 ) * SYM_LAM ** power
     return acc
 

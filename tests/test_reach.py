@@ -22,8 +22,6 @@ ALLOWED = {
         "without it a zero value would be truthy",
     "scalars.GaussianRational.__repr__": "prints a value in test failures",
     "scalars.GaussianRational.__sub__": "field subtraction of the public API",
-    "scalars.GaussianRational.im": "Fraction view for callers and oracles",
-    "scalars.GaussianRational.re": "Fraction view for callers and oracles",
     "scalars.Scalar.__hash__":
         "dataclasses reject an unhashable field default",
     "scalars.Scalar.__repr__": "prints a value in test failures",
