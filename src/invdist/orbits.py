@@ -3,19 +3,17 @@ complexified picture with its continuum of orbit labels.
 
 Points carry Gaussian-rational coordinates.  Strata are labelled by the
 index of the last nonzero complex coordinate; the stratum of index j is a
-(2j-1)-dimensional orbit, which we certify by the exact rank 2j of the
-tangent and radial directions at the point, plus reachability: every
-point p of stratum j is G_p e_j for the Toeplitz element G_p read off its
-coordinates, so p ~ e_j ~ q for any q of the stratum.
+(2j-1)-dimensional orbit.  Reachability: every point p of stratum j is
+G_p e_j for the Toeplitz element G_p read off its coordinates, so
+p ~ e_j ~ q for any q of the stratum; one identity G_z e_j = z over formal
+coordinates certifies it per stratum (see ``Witness``), so a sampled pair
+costs two ``stratum_of`` reads.  The dimension 2j-1 is then read at e_j
+alone, as the exact rank 2j of the tangent and radial directions there,
+read off the coordinates without building them (see ``orbit_dimension``).
 
-The rank is read off the coordinates, in O(n), without building the
-directions: they are zero past real coordinate 2j exactly when
-z_{j+1..n} = 0 (rank <= 2j), and they carry a block triangular 2j x 2j
-minor whose diagonal blocks have the determinant |z_j|^2 (rank >= 2j).
-Both hold at every point of stratum j by the definition of the stratum
-(see ``orbit_dimension``).  Reachability is one identity G_z e_j = z over
-formal coordinates per stratum (see ``Witness``), so a sampled pair costs
-two ``stratum_of`` reads.
+The complexified label reads only the last two pairs of a point, and the
+upper-triangular group moves them through a two-row tail that reads only
+its diagonal and first shift (see ``_move_tail``).
 """
 
 from __future__ import annotations
@@ -203,11 +201,14 @@ WITNESS_PAIRS = 50
 
 def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
                      residual_tol: int = 0) -> CheckRecord:
-    """Random census of the orbit structure: exactly n stratum labels, each
-    with exact tangent dimension 2j-1, and reachability witnesses inside
-    each stratum: a fixed pair, plus ``WITNESS_PAIRS`` random pairs when
-    it has two points.  A witness fails when more than ``residual_tol`` of
-    its rows miss the stratum's identity G_z e_j = z.
+    """Random census of the orbit structure: exactly n stratum labels,
+    reachability witnesses inside each stratum (a fixed pair, plus
+    ``WITNESS_PAIRS`` random pairs when it has two points), and each
+    stratum's exact tangent dimension 2j-1, read once at e_j.  A witness
+    fails when more than ``residual_tol`` of its rows miss the stratum's
+    identity G_z e_j = z.  That identity puts every point of stratum j in
+    the orbit of e_j, and the dimension is constant along an orbit, so
+    e_j stands for its stratum; a ``dim_failures`` entry names a stratum.
 
     No pair across strata is reachable: every g in H is upper triangular
     with an invertible diagonal, so for p of stratum j, (g p)_m = 0 for
@@ -224,14 +225,15 @@ def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
         unit[j - 1] = GaussianRational.of(1)
         points.append(ProjPoint(tuple(unit)))
     points.extend(_random_point(n, rng) for _ in range(samples))
-    dim_failures = []
     for p in points:
-        j = stratum_of(p)
-        buckets[j].append(p)
-        d = orbit_dimension(p)
+        buckets[stratum_of(p)].append(p)
+    # the witnesses below reach every point of stratum j from e_j, so the
+    # orbit dimension at e_j is the stratum's
+    dim_failures = []
+    for j in range(1, n + 1):
+        d = orbit_dimension(points[j - 1])
         if d != stratum_dimension(j):
-            dim_failures.append({"point": [str(c) for c in p.coords],
-                                 "rank_dim": d,
+            dim_failures.append({"stratum": j, "rank_dim": d,
                                  "expected": stratum_dimension(j)})
     max_residual = 0
     witness_failures = 0
@@ -297,62 +299,42 @@ def zeta_invariant(p: CplxProjPoint) -> Optional[GaussianRational]:
     return z_prev / z_n
 
 
-def _cplx_apply(diag, super_pairs, pairs):
-    """Image of the pairs (z_j, w_j) under the complexified Toeplitz element
-    with diagonal pair diag = (t, s) and k-th superdiagonal entry
-    (a_k, b_k)*eps^k.
-
-    (a, b)*eps^k sends (z, w) to (a z, b w) for even k and to
-    (a conj(w), b conj(z)) for odd k.  Works over any ring with
-    ``conjugate``: formal Scalars or plain Gaussian rationals.
-
-    The element is upper triangular, so row i of the image reads only
-    pairs[i:]: the image of a tail of the pairs is the same tail of the
-    full image.
-    """
-    t, s = diag
-    n = len(pairs)
-    out = []
-    for i in range(n):
-        z, w = pairs[i]
-        z_acc, w_acc = t * z, s * w
-        for k in range(1, n - i):
-            a, b = super_pairs[k - 1]
-            z, w = pairs[i + k]
-            if k % 2:
-                z, w = w.conjugate(), z.conjugate()
-            z_acc = z_acc + a * z
-            w_acc = w_acc + b * w
-        out.append((z_acc, w_acc))
-    return out
+def _move_tail(diag, shift, tail):
+    """Rows n-1 and n of g z, from the last two pairs of z, for the
+    complexified Toeplitz element g with diagonal pair diag = (t, s) and
+    first shift (a, b)*eps, shift = (a, b), which sends a pair (z, w) to
+    (a conj(w), b conj(z)).  g is upper triangular and its k-th shift
+    reaches row m from pair m + k, so no other pair or shift reaches these
+    rows.  Works over any ring with ``conjugate``: formal Scalars or plain
+    Gaussian rationals."""
+    (t, s), (a, b) = diag, shift
+    (z_prev, w_prev), (z_last, w_last) = tail
+    return [(t * z_prev + a * w_last.conjugate(),
+             s * w_prev + b * z_last.conjugate()),
+            (t * z_last, s * w_last)]
 
 
 def _symbolic_zeta_check(n: int) -> bool:
-    """With a fully formal group element and a formal point on the ratio
-    locus, the last pair scales by the diagonal phase and the ratio of the
-    last two z-components is unchanged (checked by cross-multiplication).
+    """With a formal group element and a formal point on the ratio locus,
+    the last pair scales by the diagonal phase and the ratio of the last
+    two z-components is unchanged (checked by cross-multiplication).
 
-    The label reads only z_{n-1}, z_n and w_n of the image, and the
-    element is upper triangular, so those are the image of the last two
-    pairs alone (``_cplx_apply`` on the tail): the pairs above, and every
-    shift past the first, never reach the label.  Acting on the tail
-    therefore certifies the identity for the full formal element at every
-    n."""
+    The label reads only z_{n-1}, z_n and w_n of the image, which
+    ``_move_tail`` forms from the last two pairs, the diagonal and one
+    formal shift pair.  The pairs above, and every shift past the first,
+    never reach the label, so this certifies the identity for the full
+    formal element at every n."""
     t = Scalar.var("t")
     diag = (t, Scalar.var("tdual"))
-    super_pairs = [(Scalar.var(f"A{k}"), Scalar.var(f"B{k}"))
-                   for k in range(1, n)]
+    shift = (Scalar.var("A1"), Scalar.var("B1"))
     zeta = Scalar.var("zeta")
     zn = Scalar.var("q")
     tail = [(zeta * zn, Scalar.var(f"W{n - 1}")),
             (zn, Scalar.zero())]  # the locus w_n = 0
-    (z_prev, _), (z_last, w_last) = _cplx_apply(diag, super_pairs, tail)
-    if not w_last.is_zero():
-        return False
-    if z_last != t * zn:
-        return False
+    (z_prev, _), (z_last, w_last) = _move_tail(diag, shift, tail)
     # cross-multiplied ratio identity: z'_{n-1} == zeta * z'_n
-    return z_prev == zeta * z_last
+    return (w_last.is_zero() and z_last == t * zn
+            and z_prev == zeta * z_last)
 
 
 def _random_cplx_unit(rng: random.Random) -> GaussianRational:
@@ -368,14 +350,12 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
     rational labels give pairwise distinct orbits, so the number of orbits
     exceeds every finite bound.
 
-    Each sample moves only the last two pairs of the point: the label
-    reads only z_{n-1}, z_n and w_n, and the upper-triangular element
-    maps the last two pairs to exactly the last two rows of the full
-    image (see ``_cplx_apply``).  The moved tail therefore carries the
-    same label as the moved point, for every n, and so does its scaling
-    by c.  Acting on two pairs reads only the diagonal and the first
-    shift pair, so each sample draws just those: the shifts k >= 2 of a
-    full element would be drawn and never read."""
+    Each label's point is drawn as its last two pairs alone, and each
+    sample draws the diagonal and the first shift pair alone: the label
+    reads only z_{n-1}, z_n and w_n, which ``_move_tail`` forms from just
+    those.  The pairs above and the shifts k >= 2 of a full element would
+    be drawn and never read.  The moved tail carries the label of the
+    moved point, for every n, and so does its scaling by c."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = random.Random(seed)
@@ -383,23 +363,18 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
     distinct = len(set(zeta_values)) == len(zeta_values)
     numeric_failures = 0
     for zeta in zeta_values:
-        # a point on the ratio locus
-        coords = []
-        for _ in range(n - 2):
-            coords.append((_random_cplx_unit(rng), _random_cplx_unit(rng)))
+        # the last two pairs of a point on the ratio locus
         zn = _random_cplx_unit(rng)
-        coords.append((zeta * zn, _random_cplx_unit(rng)))
-        coords.append((zn, GaussianRational()))
-        point = CplxProjPoint(tuple(coords))
-        if zeta_invariant(point) != zeta:
+        tail = CplxProjPoint(((zeta * zn, _random_cplx_unit(rng)),
+                              (zn, GaussianRational())))
+        if zeta_invariant(tail) != zeta:
             numeric_failures += 1
             continue
         for _ in range(samples):
             t = _random_cplx_unit(rng)
             diag = (t, t.conj().inverse())
-            first_shift = [(_random_cplx_unit(rng), _random_cplx_unit(rng))]
-            moved = CplxProjPoint(tuple(
-                _cplx_apply(diag, first_shift, point.coords[-2:])))
+            shift = (_random_cplx_unit(rng), _random_cplx_unit(rng))
+            moved = CplxProjPoint(tuple(_move_tail(diag, shift, tail.coords)))
             if zeta_invariant(moved) != zeta:
                 numeric_failures += 1
                 break

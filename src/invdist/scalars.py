@@ -82,9 +82,6 @@ class GaussianRational:
         return _canonical(self.num_re * e + other.num_re * d,
                           self.num_im * e + other.num_im * d, d * e)
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return self + -other
-
     def __neg__(self) -> "GaussianRational":
         return _canonical(-self.num_re, -self.num_im, self.den)
 
@@ -470,7 +467,6 @@ _ONE = Scalar({_EMPTY_MONO: GR_ONE})
 _INT_SCALARS: Dict[int, Scalar] = {0: _ZERO, 1: _ONE}
 
 LAM = Scalar.var("lam")
-U = Scalar.var("u")
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,6 @@ class WeylOp:
     def __neg__(self) -> "WeylOp":
         return WeylOp(self.n, {k: -c for k, c in self.terms.items()})
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WeylOp) and self.n == other.n
-                and self.terms == other.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 

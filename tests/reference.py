@@ -15,6 +15,7 @@ from invdist.clifford import REpsElement, REpsMatrix, h_shift_formal, \
     iota_blocks
 from invdist.orbits import ProjPoint, stratum_of
 from invdist.scalars import GaussianRational, Scalar, _mono_sorted
+from invdist.weyl import WeylOp
 
 
 def iota(m: REpsMatrix) -> List[List[Scalar]]:
@@ -78,6 +79,12 @@ def act(e: REpsElement, z: Scalar, zbar: Scalar) -> Tuple[Scalar, Scalar]:
 def parts(g: GaussianRational) -> Tuple[Fraction, Fraction]:
     """The real and imaginary parts of g as Fractions."""
     return Fraction(g.num_re, g.den), Fraction(g.num_im, g.den)
+
+
+def op_parts(op: WeylOp) -> Tuple[int, dict]:
+    """An operator's size and its terms, by which the tests compare
+    operators."""
+    return op.n, op.terms
 
 
 def constant_value(x: Scalar) -> GaussianRational:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import reference
 from invdist import orbits
 from invdist.clifford import h_element
-from invdist.orbits import (CplxProjPoint, ProjPoint, _cplx_apply,
+from invdist.orbits import (CplxProjPoint, ProjPoint, _move_tail,
                             _symbolic_zeta_check, complex_orbit_check,
                             enumerate_strata, orbit_dimension,
                             stratum_dimension, stratum_of,
@@ -202,8 +202,8 @@ class TestTriangularCertificate:
     @pytest.mark.parametrize("mutate", MUTATIONS)
     def test_census_records_a_declined_dependent_set(self, mutate,
                                                      monkeypatch):
-        # the census ranks mutated directions by elimination: every point
-        # of a stratum the mutation applies to is a dimension failure
+        # the census ranks mutated directions at e_j by elimination: every
+        # stratum the mutation applies to is one dimension failure
         n = 4
 
         def mutated_rank(p):
@@ -218,9 +218,24 @@ class TestTriangularCertificate:
         broken = {j for j in range(1, n + 1)
                   if mutate([[0] * 2 * n] * 2 * n, j) is not None}
         failures = rec.details["dim_failures"]
-        assert {f["expected"] for f in failures} == {
-            stratum_dimension(j) for j in broken}
-        assert all(f["rank_dim"] != f["expected"] for f in failures)
+        assert sorted(f["stratum"] for f in failures) == sorted(broken)
+        assert all(f["expected"] == stratum_dimension(f["stratum"])
+                   != f["rank_dim"] for f in failures)
+
+    @pytest.mark.parametrize("n, samples, seed", [(2, 0, 0), (4, 20, 1),
+                                                  (8, 1000, 3)])
+    def test_census_reads_one_dimension_per_stratum(self, n, samples, seed,
+                                                    monkeypatch):
+        calls = []
+        dimension = orbits.orbit_dimension
+
+        def counted(p):
+            calls.append(p)
+            return dimension(p)
+
+        monkeypatch.setattr(orbits, "orbit_dimension", counted)
+        assert enumerate_strata(n, samples, seed).passed
+        assert [stratum_of(p) for p in calls] == list(range(1, n + 1))
 
 
 def read_off_image(p, j):
@@ -415,41 +430,26 @@ def random_action(n, rng):
 
 
 class TestComplexOrbits:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_toeplitz_action_matches_matrix_action(self, n):
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_last_two_rows_read_only_the_last_two_pairs(self, n):
+        # complex_orbit_check and _symbolic_zeta_check move the tail
+        # alone: from the last two pairs and the first shift pair, it must
+        # give the last two rows of the full element's image, formed
+        # entry by entry through the matrix of algebra elements
         diag = (Scalar.var("t"), Scalar.var("tdual"))
         super_pairs = [(Scalar.var(f"A{k}"), Scalar.var(f"B{k}"))
                        for k in range(1, n)]
         pairs = [(Scalar.var(f"Z{j}"), Scalar.var(f"W{j}"))
                  for j in range(1, n + 1)]
-        assert _cplx_apply(diag, super_pairs, pairs) \
-            == _cplx_apply_by_rows(diag, super_pairs, pairs)
-        # the numeric samples run the same routine on plain Q(i)
-        diag, super_pairs, pairs = random_action(n, random.Random(n))
+        assert _move_tail(diag, super_pairs[0], pairs[-2:]) \
+            == _cplx_apply_by_rows(diag, super_pairs, pairs)[-2:]
+        # the numeric samples move plain Q(i) values
+        diag, super_pairs, pairs = random_action(n, random.Random(100 + n))
         lift = lambda pair: tuple(Scalar.from_gauss(x) for x in pair)
         want = _cplx_apply_by_rows(lift(diag), [lift(p) for p in super_pairs],
                                    [lift(p) for p in pairs])
-        assert _cplx_apply(diag, super_pairs, pairs) == [
-            (constant_value(z), constant_value(w)) for z, w in want]
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_last_two_rows_read_only_the_last_two_pairs(self, n):
-        # complex_orbit_check and _symbolic_zeta_check act on the tail
-        # alone: it must give the last two rows of the full image, and
-        # read only the first shift pair, the one complex_orbit_check
-        # draws
-        diag = (Scalar.var("t"), Scalar.var("tdual"))
-        super_pairs = [(Scalar.var(f"A{k}"), Scalar.var(f"B{k}"))
-                       for k in range(1, n)]
-        pairs = [(Scalar.var(f"Z{j}"), Scalar.var(f"W{j}"))
-                 for j in range(1, n + 1)]
-        assert _cplx_apply(diag, super_pairs, pairs)[-2:] \
-            == _cplx_apply(diag, super_pairs, pairs[-2:]) \
-            == _cplx_apply(diag, super_pairs[:1], pairs[-2:])
-        diag, super_pairs, pairs = random_action(n, random.Random(100 + n))
-        assert _cplx_apply(diag, super_pairs, pairs)[-2:] \
-            == _cplx_apply(diag, super_pairs, pairs[-2:]) \
-            == _cplx_apply(diag, super_pairs[:1], pairs[-2:])
+        assert _move_tail(diag, super_pairs[0], pairs[-2:]) == [
+            (constant_value(z), constant_value(w)) for z, w in want[-2:]]
 
     def test_zeta_on_locus(self):
         p = CplxProjPoint(((G(1), G(2)), (G(3), G(1)), (G(6), G(0))))
@@ -473,20 +473,36 @@ class TestComplexOrbits:
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_wrong_action_on_the_last_pair_fails(self, monkeypatch, n):
         # adds b_1 conj(z_{n-1}) to w_n: the tail-only checks must see it
-        act = orbits._cplx_apply
+        move = orbits._move_tail
 
-        def broken(diag, super_pairs, pairs):
-            out = act(diag, super_pairs, pairs)
+        def broken(diag, shift, tail):
+            out = move(diag, shift, tail)
             z, w = out[-1]
-            out[-1] = (z, w + super_pairs[0][1] * pairs[-2][0].conjugate())
+            out[-1] = (z, w + shift[1] * tail[-2][0].conjugate())
             return out
 
-        monkeypatch.setattr(orbits, "_cplx_apply", broken)
+        monkeypatch.setattr(orbits, "_move_tail", broken)
         labels = [G(k, 1) for k in range(1, 5)]
         rec = complex_orbit_check(n, labels, samples=3, seed=2)
         assert rec.status == FAIL
         assert rec.details["symbolic_invariance"] is False
         assert rec.details["numeric_failures"] > 0
+
+    def test_draws_do_not_grow_with_n(self, monkeypatch):
+        # a label reads only the last two pairs, so no pair above them is
+        # drawn
+        counts = {}
+        draw = orbits._random_cplx_unit
+
+        def counted(rng):
+            counts[n] = counts.get(n, 0) + 1
+            return draw(rng)
+
+        monkeypatch.setattr(orbits, "_random_cplx_unit", counted)
+        labels = [G(k, 1) for k in range(1, 5)]
+        for n in (3, 8):
+            assert complex_orbit_check(n, labels, samples=3, seed=2).passed
+        assert counts[3] == counts[8]
 
     def test_label_collision_fails(self):
         labels = [G(1), G(1)]

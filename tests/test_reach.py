@@ -21,11 +21,9 @@ ALLOWED = {
     "scalars.GaussianRational.__bool__":
         "without it a zero value would be truthy",
     "scalars.GaussianRational.__repr__": "prints a value in test failures",
-    "scalars.GaussianRational.__sub__": "field subtraction of the public API",
     "scalars.Scalar.__hash__":
         "dataclasses reject an unhashable field default",
     "scalars.Scalar.__repr__": "prints a value in test failures",
-    "weyl.WeylOp.__eq__": "structural operator equality the tests pin",
     "weyl.WeylOp.compose": "resolved by name by invbench/spans.py; moves to "
                            "tests with the next benchmark change",
 }

@@ -13,6 +13,7 @@ from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitute_poly, substitution_from_group, sym_conj,
                           sym_name, sym_z, sym_zbar)
+from reference import op_parts
 
 
 def rand_poly(n, rng, nterms=3):
@@ -113,11 +114,11 @@ class TestWeylOp:
         x = WeylOp.term(n, Scalar.one(), mono={sym_z(1): 1})
         expected = WeylOp.term(n, Scalar.one(), {sym_z(1): 1},
                                {sym_z(1): 1}) + WeylOp.term(n, Scalar.one())
-        assert d.compose(x) == expected
+        assert op_parts(d.compose(x)) == op_parts(expected)
         # and z-bar derivatives ignore z monomials
         dbar = WeylOp.term(n, Scalar.one(), deriv={sym_zbar(1): 1})
-        assert dbar.compose(x) == WeylOp.term(
-            n, Scalar.one(), {sym_z(1): 1}, {sym_zbar(1): 1})
+        assert op_parts(dbar.compose(x)) == op_parts(WeylOp.term(
+            n, Scalar.one(), {sym_z(1): 1}, {sym_zbar(1): 1}))
 
     def test_second_order_composition(self):
         # d^2 o z = z d^2 + 2 d
@@ -126,7 +127,7 @@ class TestWeylOp:
         x = WeylOp.term(n, Scalar.one(), mono={0: 1})
         expected = WeylOp.term(n, Scalar.one(), {0: 1}, {0: 2}) \
             + WeylOp.term(n, Scalar.of(2), {}, {0: 1})
-        assert d2.compose(x) == expected
+        assert op_parts(d2.compose(x)) == op_parts(expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_compose_matches_apply_oracle(self, n):
@@ -144,7 +145,7 @@ class TestWeylOp:
         for _ in range(12):
             a, b = rand_lam_op(n, rng), rand_lam_op(n, rng)
             got, want = a.compose(b), _compose_reference(a, b)
-            assert got == want
+            assert op_parts(got) == op_parts(want)
             # same term order too, so downstream iteration is unchanged
             assert list(got.terms) == list(want.terms)
             big_factor = big_factor or any(
@@ -158,7 +159,8 @@ class TestWeylOp:
         for _ in range(10):
             a, b, c = (rand_op(n, rng, nterms=2, max_ord=1)
                        for _ in range(3))
-            assert a.compose(b).compose(c) == a.compose(b.compose(c))
+            assert op_parts(a.compose(b).compose(c)) \
+                == op_parts(a.compose(b.compose(c)))
 
 
 class TestSubstitution:
@@ -202,7 +204,7 @@ class TestConjugateOp:
         identity = substitution_from_group(REpsMatrix.identity(n))
         for _ in range(10):
             op = rand_op(n, rng)
-            assert conjugate_op(op, identity) == op
+            assert op_parts(conjugate_op(op, identity)) == op_parts(op)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_respects_composition(self, n):
@@ -211,8 +213,8 @@ class TestConjugateOp:
         for _ in range(8):
             a = rand_op(n, rng, nterms=2, max_ord=1)
             b = rand_op(n, rng, nterms=2, max_ord=1)
-            assert conjugate_op(a.compose(b), s) \
-                == conjugate_op(a, s).compose(conjugate_op(b, s))
+            assert op_parts(conjugate_op(a.compose(b), s)) \
+                == op_parts(conjugate_op(a, s).compose(conjugate_op(b, s)))
 
     def test_conjugation_by_inverse_roundtrips(self):
         n = 3
@@ -222,7 +224,7 @@ class TestConjugateOp:
         op = rand_op(n, rng, nterms=2, max_ord=1)
         inverse = Substitution(s.n, s.inv, s.fwd)
         back = conjugate_op(conjugate_op(op, s), inverse)
-        assert back == op
+        assert op_parts(back) == op_parts(op)
 
     def test_oracle_on_polynomials(self):
         # (g.D)(p) = g.(D(g^-1.p)) with g.f = f o g^-1, that is, substitute
