@@ -461,6 +461,25 @@ class TestComplexOrbits:
         q = CplxProjPoint(((G(1), G(2)), (G(3), G(1)), (G(0), G(0))))
         assert zeta_invariant(q) is None
 
+    @pytest.mark.parametrize("last", [(G(3, -1), G(0)), (G(3, -1), G(2, 1)),
+                                      (G(0), G(2, 1)), (G(0), G(0))],
+                             ids=["locus", "w_last", "z_last", "zero_pair"])
+    def test_moved_tail_keeps_its_label_or_stays_off_the_locus(self, last):
+        # the diagonal scales the last pair by invertible t and conj(t)^-1
+        # and no shift reaches it, so a tail on the ratio locus keeps its
+        # label and a tail off it stays off
+        rng = random.Random(7)
+        tail = CplxProjPoint(((G(1, 2), G(-1, 1)), last))
+        for _ in range(10):
+            t = orbits._random_cplx_unit(rng)
+            shift = (orbits._random_cplx_unit(rng),
+                     orbits._random_cplx_unit(rng))
+            moved = CplxProjPoint(tuple(
+                _move_tail((t, t.conj().inverse()), shift, tail.coords)))
+            assert zeta_invariant(moved) == zeta_invariant(tail)
+        assert (zeta_invariant(tail) is None) == (last[0].is_zero()
+                                                  or not last[1].is_zero())
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_symbolic_invariance(self, n):
         assert _symbolic_zeta_check(n)
