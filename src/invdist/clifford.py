@@ -9,6 +9,12 @@ so eps^2 = 1, i^2 = -1, i*eps = -eps*i.  It acts R-linearly on C by
 matrices with unit-phase diagonal and k-th superdiagonal entries a_k*eps^k
 lands in SL(2n, R) under the left-multiplication embedding of C^n = R^(2n),
 given block by block by ``iota_blocks``.
+
+The subgroup is closed under products (eq. (7)): if g and g' are upper
+triangular and Toeplitz with profiles A_m and B_m, entry (i, i+k) of g g'
+is sum_{m=0..k} A_m B_{k-m}, which does not depend on i, and an entry below
+the diagonal is an empty sum.  So a product of two such factors is read
+off its first row (see ``h_closure_check``).
 """
 
 from __future__ import annotations
@@ -310,11 +316,42 @@ def _toeplitz_form(m: REpsMatrix) -> Optional[List[REpsElement]]:
     return profile
 
 
+def _first_row_of_product(g: REpsMatrix, h: REpsMatrix) -> List[REpsElement]:
+    """Row 0 of g * h for upper-triangular h: entry k is
+    sum_{m<=k} g[0][m] * h[m][k], from the entries of h themselves and
+    formed, like ``REpsMatrix.__mul__``, from the nonzero entries only."""
+    zero = REpsElement()
+    row = []
+    for k in range(h.n):
+        acc: Optional[REpsElement] = None
+        for m in range(k + 1):
+            e, f = g.entries[0][m], h.entries[m][k]
+            if e.is_zero() or f.is_zero():
+                continue
+            p = e * f
+            acc = p if acc is None else acc + p
+        row.append(zero if acc is None else acc)
+    return row
+
+
 def h_closure_check(n: int, samples: int = 20, seed: int = 0) -> CheckRecord:
     """Products of random group elements stay in H: the Toeplitz form, with
     multiplied diagonal phases and the k-th superdiagonal in C*eps^k.
     Phases stay formal (u and v).  With no sample the check is skipped,
-    since no product certifies it."""
+    since no product certifies it.
+
+    Each sample forms row 0 of its product alone, n(n+1)/2 element
+    products rather than the C(n+2, 3) of the full product.  Both factors
+    are first checked upper triangular and Toeplitz, with profiles A_m and
+    B_m; a factor that fails is the counterexample.  Then
+
+        (g g')_{i,i+k} = sum_{m=0..k} g_{i,i+m} g'_{i+m,i+k}
+                       = sum_{m=0..k} A_m B_{k-m},
+
+    which does not depend on i, and below the diagonal the index set of
+    the sum is empty.  So the product is upper triangular and Toeplitz,
+    and row 0 is its whole profile: the diagonal must be u*v and the k-th
+    entry must lie in C*eps^k."""
     rng = random.Random(seed)
     ok = True
     details = {"samples": samples}
@@ -327,12 +364,12 @@ def h_closure_check(n: int, samples: int = 20, seed: int = 0) -> CheckRecord:
               for _ in range(n - 1)]
         g = h_element(n, Scalar.var("u"), ca)
         gp = h_element(n, Scalar.var("v"), cb)
-        prod = g * gp
-        profile = _toeplitz_form(prod)
-        if profile is None:
+        # the read-off is sound only for upper-triangular Toeplitz factors
+        if _toeplitz_form(g) is None or _toeplitz_form(gp) is None:
             ok = False
             details["counterexample"] = {"trial": trial}
             break
+        profile = _first_row_of_product(g, gp)
         diag = profile[0]
         if not (diag.b.is_zero()
                 and diag.a == Scalar.var("u") * Scalar.var("v")):

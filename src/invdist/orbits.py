@@ -314,7 +314,7 @@ def _move_tail(diag, shift, tail):
             (t * z_last, s * w_last)]
 
 
-def _symbolic_zeta_check(n: int) -> bool:
+def _symbolic_zeta_check() -> bool:
     """With a formal group element and a formal point on the ratio locus,
     the last pair scales by the diagonal phase and the ratio of the last
     two z-components is unchanged (checked by cross-multiplication).
@@ -322,14 +322,14 @@ def _symbolic_zeta_check(n: int) -> bool:
     The label reads only z_{n-1}, z_n and w_n of the image, which
     ``_move_tail`` forms from the last two pairs, the diagonal and one
     formal shift pair.  The pairs above, and every shift past the first,
-    never reach the label, so this certifies the identity for the full
-    formal element at every n."""
+    never reach the label, so this one identity certifies it for the full
+    formal element at every n >= 2, and no symbol depends on n."""
     t = Scalar.var("t")
     diag = (t, Scalar.var("tdual"))
     shift = (Scalar.var("A1"), Scalar.var("B1"))
     zeta = Scalar.var("zeta")
     zn = Scalar.var("q")
-    tail = [(zeta * zn, Scalar.var(f"W{n - 1}")),
+    tail = [(zeta * zn, Scalar.var("W")),
             (zn, Scalar.zero())]  # the locus w_n = 0
     (z_prev, _), (z_last, w_last) = _move_tail(diag, shift, tail)
     # cross-multiplied ratio identity: z'_{n-1} == zeta * z'_n
@@ -359,17 +359,15 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = random.Random(seed)
-    symbolic_ok = _symbolic_zeta_check(n)
+    symbolic_ok = _symbolic_zeta_check()
     distinct = len(set(zeta_values)) == len(zeta_values)
     numeric_failures = 0
     for zeta in zeta_values:
-        # the last two pairs of a point on the ratio locus
+        # the last two pairs of a point on the ratio locus, whose label
+        # (zeta * zn) / zn is zeta exactly
         zn = _random_cplx_unit(rng)
         tail = CplxProjPoint(((zeta * zn, _random_cplx_unit(rng)),
                               (zn, GaussianRational())))
-        if zeta_invariant(tail) != zeta:
-            numeric_failures += 1
-            continue
         for _ in range(samples):
             t = _random_cplx_unit(rng)
             diag = (t, t.conj().inverse())

@@ -8,6 +8,7 @@ import pytest
 
 from invdist import clifford
 from invdist.clifford import (REpsElement, REpsMatrix, _block_det,
+                              _first_row_of_product, _toeplitz_form,
                               group_inverse, h_closure_check, h_det_check,
                               h_element, h_generators, h_phase, h_shift,
                               h_shift_formal)
@@ -207,6 +208,25 @@ class TestGroup:
         assert record.details["counterexample"] == {"trial": 0,
                                                     "superdiagonal": 1}
 
+    @pytest.mark.parametrize("col", ["below", "diagonal"])
+    def test_closure_fails_on_a_non_toeplitz_last_row(self, monkeypatch, col):
+        # a stray entry in the last row of each factor: row 0 of the
+        # product never reads one below the diagonal, and one on it leaves
+        # row 0's diagonal and eps-parity intact, so only the check on the
+        # factors can see either
+        build = clifford.h_element
+
+        def broken(n, diag, superdiag):
+            rows = [list(r) for r in build(n, diag, superdiag).entries]
+            rows[-1][0 if col == "below" else -1] = \
+                REpsElement(Scalar.var("x"))
+            return REpsMatrix.from_rows(rows)
+
+        monkeypatch.setattr(clifford, "h_element", broken)
+        record = h_closure_check(4, samples=3, seed=5)
+        assert not record.passed
+        assert record.details["counterexample"] == {"trial": 0}
+
     def test_closure_is_skipped_without_samples(self):
         record = h_closure_check(3, samples=0)
         assert record.status == "skipped"
@@ -313,11 +333,32 @@ class TestSparseProduct:
         with pytest.raises(ValueError):
             big * small
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("formal", [False, True])
+    def test_first_row_matches_dense_oracle(self, n, formal):
+        # the read-off row is row 0 of the full product, and the full
+        # product of two H elements is the Toeplitz matrix it profiles
+        rng = random.Random(200 * n)
+        if formal:
+            draws = [([Scalar.var(f"a{k}") for k in range(1, n)],
+                      [Scalar.var(f"b{k}") for k in range(1, n)])]
+        else:
+            draws = [[[Scalar.from_gauss(random_gaussian(rng, 5, 5))
+                       for _ in range(n - 1)] for _ in range(2)]
+                     for _ in range(3)]
+        for ca, cb in draws:
+            g = h_element(n, Scalar.var("u"), ca)
+            gp = h_element(n, Scalar.var("v"), cb)
+            full = dense_mul(g, gp)
+            row = _first_row_of_product(g, gp)
+            assert row == list(full.entries[0])
+            assert _toeplitz_form(full) == row
+
     @pytest.mark.parametrize("n", [2, 5, 8])
-    def test_closure_sample_makes_one_product_per_triangle_triple(
+    def test_closure_sample_makes_one_product_per_first_row_pair(
             self, n, monkeypatch):
         # the seed draws only nonzero shifts, so both factors are full
-        # upper triangles and the product meets each i <= k <= j once
+        # upper triangles and row 0 of the product meets each m <= k once
         seed = 3
         rng = random.Random(seed)
         assert all(random_gaussian(rng, 5, 5) for _ in range(2 * (n - 1)))
@@ -330,7 +371,7 @@ class TestSparseProduct:
 
         monkeypatch.setattr(REpsElement, "__mul__", counted)
         assert h_closure_check(n, samples=1, seed=seed).passed
-        assert len(calls) == (n + 2) * (n + 1) * n // 6  # C(n+2, 3)
+        assert len(calls) == n * (n + 1) // 2
 
 
 class TestBlockDeterminant:
