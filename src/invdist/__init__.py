@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .records import CheckRecord, PASS, FAIL, SKIPPED
 from .scalars import (AffineExponent, GaussianRational, Scalar,
-                      falling_factorial, generalized_binomial,
                       rank_over_function_field)
 from .clifford import (REpsElement, REpsMatrix, group_inverse, h_element,
                        h_phase, h_shift)
@@ -22,8 +21,7 @@ from .orbits import (CplxProjPoint, ProjPoint, complex_orbit_check,
 
 __all__ = [
     "CheckRecord", "PASS", "FAIL", "SKIPPED",
-    "AffineExponent", "GaussianRational", "Scalar",
-    "falling_factorial", "generalized_binomial", "rank_over_function_field",
+    "AffineExponent", "GaussianRational", "Scalar", "rank_over_function_field",
     "REpsElement", "REpsMatrix",
     "group_inverse", "h_element", "h_phase", "h_shift",
     "Substitution", "WeylOp", "conjugate_op", "substitution_from_group",

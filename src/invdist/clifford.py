@@ -8,7 +8,8 @@ so eps^2 = 1, i^2 = -1, i*eps = -eps*i.  It acts R-linearly on C by
 (a + b*eps).z = a*z + b*conj(z).  The subgroup of upper-triangular Toeplitz
 matrices with unit-phase diagonal and k-th superdiagonal entries a_k*eps^k
 lands in SL(2n, R) under the left-multiplication embedding of C^n = R^(2n),
-given block by block by ``iota_blocks``.
+which sends a + b*eps to the 2x2 real block of z -> a*z + b*conj(z) in the
+basis (x, y); that block has determinant |a|^2 - |b|^2.
 
 The subgroup is closed under products (eq. (7)): if g and g' are upper
 triangular and Toeplitz with profiles A_m and B_m, entry (i, i+k) of g g'
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .records import FAIL, PASS, SKIPPED, CheckRecord
@@ -34,7 +34,6 @@ __all__ = [
     "h_shift",
     "h_element",
     "h_generators",
-    "iota_blocks",
     "h_det_check",
     "h_closure_check",
     "group_inverse",
@@ -195,27 +194,6 @@ def h_generators(n: int) -> List[Tuple[str, REpsMatrix]]:
 
 
 # ---------------------------------------------------------------------------
-# The embedding into real 2n x 2n matrices
-# ---------------------------------------------------------------------------
-
-def _re_part(x: Scalar) -> Scalar:
-    return (x + x.conjugate()) * Fraction(1, 2)
-
-
-def _im_part(x: Scalar) -> Scalar:
-    return (x - x.conjugate()) * Scalar.of(0, Fraction(-1, 2))
-
-
-def iota_blocks(e: REpsElement) -> List[List[Scalar]]:
-    """2x2 real block of left multiplication by a + b*eps on C = R^2
-    in the basis (x, y): z -> a*z + b*conj(z)."""
-    ra, ia = _re_part(e.a), _im_part(e.a)
-    rb, ib = _re_part(e.b), _im_part(e.b)
-    return [[ra + rb, -ia + ib],
-            [ia + ib, ra - rb]]
-
-
-# ---------------------------------------------------------------------------
 # Inverses of unit-diagonal-plus-unipotent elements
 # ---------------------------------------------------------------------------
 
@@ -256,16 +234,18 @@ def group_inverse(g: REpsMatrix) -> REpsMatrix:
 def _block_det(g: REpsMatrix) -> Optional[Scalar]:
     """The determinant of the real 2n x 2n matrix of g, for upper-triangular
     g, or None if g has a nonzero entry below the diagonal.  The real
-    matrix is then block upper triangular (a block iota_blocks(e) is zero
-    only when e is), so its determinant is the product of the diagonal
-    blocks' determinants."""
+    matrix is then block upper triangular (the block of e is zero only
+    when e is), so its determinant is the product of the diagonal blocks'
+    determinants.  The block of a + b*eps is [[Re a + Re b, Im b - Im a],
+    [Im a + Im b, Re a - Re b]], whose determinant is
+    (Re a)^2 + (Im a)^2 - (Re b)^2 - (Im b)^2 = a*conj(a) - b*conj(b)."""
     n = g.n
     if any(not g.entries[i][j].is_zero() for i in range(n) for j in range(i)):
         return None
     det = Scalar.one()
     for i in range(n):
-        (p, q), (r, t) = iota_blocks(g.entries[i][i])
-        det = det * (p * t - q * r)
+        a, b = g.entries[i][i].a, g.entries[i][i].b
+        det = det * (a * a.conjugate() - b * b.conjugate())
     return det
 
 

@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from math import perm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import AffineExponent, Scalar, generalized_binomial, \
-    rank_over_function_field
-from .weyl import Expo, Poly, Substitution, WeylOp, columns, conjugate_op, \
-    poly_linear, poly_mul, substitute_poly, sym_conj, sym_z, sym_zbar, \
-    sym_name
+from .scalars import AffineExponent, Scalar, rank_over_function_field
+from .weyl import Expo, Substitution, WeylOp, conjugate_op, \
+    substitute_poly, sym_conj, sym_name, sym_z, sym_zbar
 
 __all__ = [
     "ActionOnPowers",
@@ -230,122 +228,70 @@ class DistExpr:
     # -- group action -----------------------------------------------------
 
     def act_group(self, sub: Substitution) -> "DistExpr":
-        """Pullback of the terms along the substitution by jet expansion
-        (the group action on distributions; no Jacobian factor by
-        unimodularity)."""
+        """The group action g.T = T o g^-1 (no Jacobian factor by
+        unimodularity) on an expression whose deltas are all underived, as
+        the member of order 0 of a chain is; a derived delta raises
+        ``ValueError``.
+
+        Each term must have the supported shape, or
+        ``UnsupportedSubstitutionError`` is raised: the inverse map sends
+        each delta variable z_k to a combination of z_k and of delta
+        variables of higher index, with a unit-modulus coefficient on z_k,
+        and the forward map keeps the delta variables among themselves;
+        each power base (g^-1 z)_j reads only z_j and delta symbols, with a
+        unit-modulus coefficient c on z_j.  On the support every delta
+        variable vanishes, so (g^-1 z)_j = c z_j and |(g^-1 z)_j|^2 =
+        |z_j|^2: each power factor is unchanged.  The delta block pulls
+        back through a triangular real map with |det| = 1, so it is
+        unchanged too.  The monomial substitutes through the inverse map,
+        and ``from_raw`` drops every term that a delta variable kills."""
         width = 2 * self.n
         raws: List[RawTerm] = []
-        for t in self.raw_terms():
-            raws.extend(self._act_term(t, sub, width))
+        for (mono, powers, delta), coeff in self.terms.items():
+            if any(a or b for _, a, b in delta):
+                raise ValueError(f"act_group acts on underived deltas only, "
+                                 f"got the delta block {delta}")
+            dset = {k for k, _, _ in delta}
+            dsyms = {s for k in dset for s in (sym_z(k), sym_zbar(k))}
+            # -- delta block: triangular with unit-modulus diagonal --------
+            for k in sorted(dset):
+                row = sub.inv[sym_z(k)]
+                for s in row:
+                    kk = s // 2 + 1
+                    if kk not in dset or (kk == k and s != sym_z(k)):
+                        raise UnsupportedSubstitutionError(
+                            f"delta variable z{k} maps outside the supported "
+                            f"triangular shape (hits {sym_name(s)})")
+                    if kk < k:
+                        raise UnsupportedSubstitutionError(
+                            f"delta variable z{k} maps to lower index z{kk}")
+                c = row.get(sym_z(k), Scalar.zero())
+                if c * c.conjugate() != Scalar.one():
+                    raise UnsupportedSubstitutionError(
+                        f"delta variable z{k} has non-unit diagonal ({c})")
+                for s in sub.fwd[sym_z(k)]:
+                    if s // 2 + 1 not in dset:
+                        raise UnsupportedSubstitutionError(
+                            f"forward image of delta variable z{k} leaves "
+                            "the delta block")
+            # -- power bases: c z_j plus delta symbols, |c| = 1 ------------
+            for j, _ in powers:
+                row = sub.inv[sym_z(j)]
+                c = row.get(sym_z(j), Scalar.zero())
+                for s in row:
+                    if s != sym_z(j) and s not in dsyms:
+                        raise UnsupportedSubstitutionError(
+                            f"power-factor base for z{j} depends on "
+                            f"non-delta symbol {sym_name(s)}")
+                if c * c.conjugate() != Scalar.one():
+                    raise UnsupportedSubstitutionError(
+                        f"power-factor base for z{j} has non-unit leading "
+                        f"coefficient ({c})")
+            for m, c in substitute_poly({mono: coeff}, sub.inv,
+                                        width).items():
+                raws.append(RawTerm(list(m), dict(powers),
+                                    {k: (0, 0) for k in dset}, c))
         return DistExpr.from_raw(self.n, raws)
-
-    def _act_term(self, t: RawTerm, sub: Substitution,
-                  width: int) -> List[RawTerm]:
-        dset = set(t.delta)
-        dsyms = {s for k in dset for s in (sym_z(k), sym_zbar(k))}
-        # -- delta block: triangular with unit-modulus diagonal ------------
-        for k in sorted(dset):
-            row = sub.inv[sym_z(k)]
-            for s in row:
-                kk = s // 2 + 1
-                if kk not in dset or (kk == k and s != sym_z(k)):
-                    raise UnsupportedSubstitutionError(
-                        f"delta variable z{k} maps outside the supported "
-                        f"triangular shape (hits {sym_name(s)})")
-                if kk < k:
-                    raise UnsupportedSubstitutionError(
-                        f"delta variable z{k} maps to lower index z{kk}")
-            c = row.get(sym_z(k), Scalar.zero())
-            if c * c.conjugate() != Scalar.one():
-                raise UnsupportedSubstitutionError(
-                    f"delta variable z{k} has non-unit diagonal ({c})")
-            for s in sub.fwd[sym_z(k)]:
-                if s // 2 + 1 not in dset:
-                    raise UnsupportedSubstitutionError(
-                        f"forward image of delta variable z{k} leaves the "
-                        "delta block")
-        delta_sum = self._transform_delta(t.delta, sub)
-        poly = substitute_poly({tuple(t.mono): Scalar.one()}, sub.inv, width)
-        # -- power factors: jet expansion up to the delta order ------------
-        jet_order = sum(a + b for a, b in t.delta.values())
-        partials: List[Tuple[Scalar, Poly, Dict[int, AffineExponent]]] = [
-            (Scalar.one(), {tuple([0] * width): Scalar.one()}, {})]
-        for j, sigma in t.powers.items():
-            row = sub.inv[sym_z(j)]
-            c = row.get(sym_z(j), Scalar.zero())
-            for s in row:
-                if s != sym_z(j) and s not in dsyms:
-                    raise UnsupportedSubstitutionError(
-                        f"power-factor base for z{j} depends on "
-                        f"non-delta symbol {sym_name(s)}")
-            if c * c.conjugate() != Scalar.one():
-                raise UnsupportedSubstitutionError(
-                    f"power-factor base for z{j} has non-unit leading "
-                    f"coefficient ({c})")
-            cbar = c.conjugate()
-            w_form = {s: cbar * v for s, v in row.items() if s != sym_z(j)}
-            rowbar = sub.inv[sym_zbar(j)]
-            wbar_form = {s: c * v for s, v in rowbar.items()
-                         if s != sym_zbar(j)}
-            w_poly = poly_linear(w_form, width)
-            wbar_poly = poly_linear(wbar_form, width)
-            expanded = []
-            for coeff0, poly0, powers0 in partials:
-                wk: Poly = {tuple([0] * width): Scalar.one()}
-                for k in range(jet_order + 1):
-                    if k:
-                        wk = poly_mul(wk, w_poly)
-                        if not wk:
-                            break
-                    wm: Poly = dict(wk)
-                    for m in range(jet_order - k + 1):
-                        if m:
-                            wm = poly_mul(wm, wbar_poly)
-                            if not wm:
-                                break
-                        cc = coeff0 * generalized_binomial(sigma, k) \
-                            * generalized_binomial(sigma, m)
-                        if not cc:
-                            continue
-                        extra = [0] * width
-                        extra[sym_z(j)] = m
-                        extra[sym_zbar(j)] = k
-                        pp = poly_mul(wm, {tuple(extra): Scalar.one()})
-                        np_ = dict(powers0)
-                        np_[j] = sigma - k - m
-                        expanded.append((cc, poly_mul(poly0, pp), np_))
-            partials = expanded
-        # -- combine -------------------------------------------------------
-        out: List[RawTerm] = []
-        for mono_sub, c_sub in poly.items():
-            for c_part, poly_part, powers_part in partials:
-                for pm, pc in poly_part.items():
-                    for dkey, dcoeff in delta_sum.items():
-                        mono = [a + b for a, b in zip(mono_sub, pm)]
-                        coeff = t.coeff * c_sub * c_part * pc * dcoeff
-                        if not coeff:
-                            continue
-                        out.append(RawTerm(
-                            mono, dict(powers_part),
-                            {k: (a, b) for k, a, b in dkey}, coeff))
-        return out
-
-    def _transform_delta(self, delta: Dict[int, Tuple[int, int]],
-                         sub: Substitution) -> Dict[Delta, Scalar]:
-        """Pull the derivative block through the linear map restricted to
-        the delta variables: d_t goes to sum_r F[r][t] d_r over the delta
-        symbols r, with F the forward map, and the underived block is
-        fixed (unit determinant)."""
-        width = 2 * self.n
-        ks = sorted(delta)
-        orders = [0] * width
-        for k in ks:
-            orders[sym_z(k)], orders[sym_zbar(k)] = delta[k]
-        dsyms = [s for k in ks for s in (sym_z(k), sym_zbar(k))]
-        pulled = substitute_poly({tuple(orders): Scalar.one()},
-                                 columns(sub.fwd, dsyms, width), width)
-        return {tuple((k, m[sym_z(k)], m[sym_zbar(k)]) for k in ks): c
-                for m, c in pulled.items()}
 
     # -- gradings ----------------------------------------------------------
 

@@ -370,7 +370,7 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
                               (zn, GaussianRational())))
         for _ in range(samples):
             t = _random_cplx_unit(rng)
-            diag = (t, t.conj().inverse())
+            diag = (t, t.conjugate().inverse())
             shift = (_random_cplx_unit(rng), _random_cplx_unit(rng))
             moved = CplxProjPoint(tuple(_move_tail(diag, shift, tail.coords)))
             if zeta_invariant(moved) != zeta:
@@ -379,7 +379,7 @@ def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
             # scaling invariance
             c = _random_cplx_unit(rng)
             scaled = CplxProjPoint(tuple(
-                (c * z, c.conj() * w) for z, w in moved.coords))
+                (c * z, c.conjugate() * w) for z, w in moved.coords))
             if zeta_invariant(scaled) != zeta:
                 numeric_failures += 1
                 break

@@ -19,15 +19,13 @@ in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "GaussianRational",
     "Scalar",
     "AffineExponent",
-    "generalized_binomial",
-    "falling_factorial",
     "integer_rank",
     "random_gaussian",
     "rank_over_function_field",
@@ -89,10 +87,8 @@ class GaussianRational:
         a, b, c, d = self.num_re, self.num_im, other.num_re, other.num_im
         return _canonical(a * c - b * d, a * d + b * c, self.den * other.den)
 
-    def conj(self) -> "GaussianRational":
+    def conjugate(self) -> "GaussianRational":
         return _canonical(self.num_re, -self.num_im, self.den)
-
-    conjugate = conj
 
     def inverse(self) -> "GaussianRational":
         """den/(a + i*b) = den*(a - i*b)/(a^2 + b^2)."""
@@ -387,7 +383,7 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         if not self.terms:
             return self
-        return Scalar._nonzero({_mono_conj(m): c.conj()
+        return Scalar._nonzero({_mono_conj(m): c.conjugate()
                                 for m, c in self.terms.items()})
 
     def is_zero(self) -> bool:
@@ -546,21 +542,6 @@ def _rational(x) -> Fraction:
         raise TypeError(f"expected an AffineExponent, int or Fraction, "
                         f"got {x!r}")
     return x
-
-
-def falling_factorial(sigma: AffineExponent, k: int) -> Scalar:
-    """sigma*(sigma-1)*...*(sigma-k+1) as a polynomial in lam."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    acc = Scalar.one()
-    for j in range(k):
-        acc = acc * (sigma - j).as_scalar()
-    return acc
-
-
-def generalized_binomial(sigma: AffineExponent, k: int) -> Scalar:
-    """Binomial coefficient C(sigma, k) with affine upper index."""
-    return falling_factorial(sigma, k) * Scalar.of(Fraction(1, factorial(k)))
 
 
 # ---------------------------------------------------------------------------

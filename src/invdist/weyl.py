@@ -12,9 +12,11 @@ Group conventions: g acts on C^n by (g z)_i = sum_j g_ij . z_j.  The
 forward rows of ``substitution_from_group(g)`` send z_i to (g z)_i, so
 substituting them into f gives f o g, and the inverse rows give f o g^-1.
 The group acts on the left: g.f = f o g^-1 on functions and distributions
-(``DistExpr.act_group``) and g.D = g o D o g^-1 on operators
-(``conjugate_op``), so (g.D)(f) = g.(D(g^-1.f)), and acting by g1 and
-then by g2 is acting by the product g2 * g1.
+(``DistExpr.act_group`` on members with underived deltas, and
+``act_group`` in ``tests/reference.py`` on any member, by jet expansion)
+and g.D = g o D o g^-1 on operators (``conjugate_op``), so
+(g.D)(f) = g.(D(g^-1.f)), and acting by g1 and then by g2 is acting by the
+product g2 * g1.
 """
 
 from __future__ import annotations

@@ -9,13 +9,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from invdist.clifford import REpsElement, REpsMatrix, h_shift_formal, \
-    iota_blocks
+from invdist.clifford import REpsElement, REpsMatrix, h_shift_formal
+from invdist.distributions import DistExpr, RawTerm
 from invdist.orbits import ProjPoint, stratum_of
-from invdist.scalars import GaussianRational, Scalar, _mono_sorted
-from invdist.weyl import WeylOp
+from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
+    _mono_sorted
+from invdist.weyl import Poly, Substitution, WeylOp, poly_linear, poly_mul, \
+    substitute_poly, sym_z, sym_zbar
+
+
+def _re_part(x: Scalar) -> Scalar:
+    return (x + x.conjugate()) * Fraction(1, 2)
+
+
+def _im_part(x: Scalar) -> Scalar:
+    return (x - x.conjugate()) * Scalar.of(0, Fraction(-1, 2))
+
+
+def iota_blocks(e: REpsElement) -> List[List[Scalar]]:
+    """2x2 real block of left multiplication by a + b*eps on C = R^2
+    in the basis (x, y): z -> a*z + b*conj(z)."""
+    ra, ia = _re_part(e.a), _im_part(e.a)
+    rb, ib = _re_part(e.b), _im_part(e.b)
+    return [[ra + rb, -ia + ib],
+            [ia + ib, ra - rb]]
 
 
 def iota(m: REpsMatrix) -> List[List[Scalar]]:
@@ -181,7 +200,7 @@ class FractionGaussian:
         return FractionGaussian(self.re * other.re - self.im * other.im,
                                 self.re * other.im + self.im * other.re)
 
-    def conj(self) -> "FractionGaussian":
+    def conjugate(self) -> "FractionGaussian":
         return FractionGaussian(self.re, -self.im)
 
     def inverse(self) -> "FractionGaussian":
@@ -344,3 +363,121 @@ def pair_solve(p: ProjPoint, q: ProjPoint) -> Optional[PairSolve]:
     image = apply_toeplitz(u, shifts, z)
     residual = sum(g != (s * a, s * b) for g, (a, b) in zip(image, w))
     return PairSolve(u, shifts, s, residual)
+
+
+# ---------------------------------------------------------------------------
+# The group action on distributions by jet expansion
+# ---------------------------------------------------------------------------
+
+def falling_factorial(sigma: AffineExponent, k: int) -> Scalar:
+    """sigma*(sigma-1)*...*(sigma-k+1) as a polynomial in lam."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    acc = Scalar.one()
+    for j in range(k):
+        acc = acc * (sigma - j).as_scalar()
+    return acc
+
+
+def generalized_binomial(sigma: AffineExponent, k: int) -> Scalar:
+    """Binomial coefficient C(sigma, k) with affine upper index."""
+    return falling_factorial(sigma, k) * Scalar.of(
+        Fraction(1, math.factorial(k)))
+
+
+def transform_delta(delta, sub):
+    """The derivative block pulled back one linear factor at a time: each
+    d_s becomes sum_r F[r][s] d_r over the delta symbols r, with F the
+    forward map; the underived block is fixed (unit determinant)."""
+    base = {tuple(sorted((k, 0, 0) for k in delta)): Scalar.one()}
+    for k, (alpha, beta) in delta.items():
+        for s, count in ((sym_z(k), alpha), (sym_zbar(k), beta)):
+            col = {}
+            for r in delta:
+                for rs in (sym_z(r), sym_zbar(r)):
+                    cc = sub.fwd[rs].get(s)
+                    if cc:
+                        col[rs] = cc
+            for _ in range(count):
+                nxt = {}
+                for dkey, dc in base.items():
+                    orders = {kk: (a, b) for kk, a, b in dkey}
+                    for rs, cc in col.items():
+                        kk = rs // 2 + 1
+                        a, b = orders[kk]
+                        orders2 = dict(orders)
+                        orders2[kk] = (a + 1, b) if rs % 2 == 0 \
+                            else (a, b + 1)
+                        key2 = tuple(sorted(
+                            (m, x, y) for m, (x, y) in orders2.items()))
+                        val = dc * cc
+                        prev = nxt.get(key2)
+                        nxt[key2] = val if prev is None else prev + val
+                base = {kk: vv for kk, vv in nxt.items() if vv}
+    return base
+
+
+def _expand_power(j: int, sigma: AffineExponent, sub: Substitution,
+                  order: int, width: int
+                  ) -> List[Tuple[Scalar, Poly, AffineExponent]]:
+    """The jets of |(g^-1 z)_j|^(2 sigma) up to ``order``, as
+    (coefficient, polynomial, exponent) triples.
+
+    With (g^-1 z)_j = c (z_j + w), |c| = 1 and w = conj(c) times the rest
+    of the row, the power is (z_j + w)^sigma (zbar_j + wbar)^sigma
+    = sum_{k,m} C(sigma, k) C(sigma, m) w^k wbar^m z_j^m zbar_j^k
+    (z_j zbar_j)^(sigma-k-m).  Past k + m = order every term meets more
+    delta symbols than the delta block has derivatives, so it is zero."""
+    row, rowbar = sub.inv[sym_z(j)], sub.inv[sym_zbar(j)]
+    c = row.get(sym_z(j), Scalar.zero())
+    w = poly_linear({s: c.conjugate() * v for s, v in row.items()
+                     if s != sym_z(j)}, width)
+    wbar = poly_linear({s: c * v for s, v in rowbar.items()
+                        if s != sym_zbar(j)}, width)
+    out = []
+    wk: Poly = {tuple([0] * width): Scalar.one()}
+    for k in range(order + 1):
+        if k:
+            wk = poly_mul(wk, w)
+        wkm = wk
+        for m in range(order - k + 1):
+            if m:
+                wkm = poly_mul(wkm, wbar)
+            extra = [0] * width
+            extra[sym_z(j)], extra[sym_zbar(j)] = m, k
+            out.append((generalized_binomial(sigma, k)
+                        * generalized_binomial(sigma, m),
+                        poly_mul(wkm, {tuple(extra): Scalar.one()}),
+                        sigma - k - m))
+    return out
+
+
+def act_group(expr: DistExpr, sub: Substitution) -> DistExpr:
+    """g.T = T o g^-1 on any expression, derived deltas included, by jet
+    expansion: the monomial substitutes through the inverse map, each power
+    factor expands around z_j (``_expand_power``) and the delta block pulls
+    back through the forward map (``transform_delta``).  The oracle of
+    ``DistExpr.act_group``, whose shape checks it assumes: g^-1 keeps the
+    delta variables among themselves, triangular with a unit-modulus
+    diagonal, and each power base reads only z_j, with a unit-modulus
+    coefficient, and delta symbols."""
+    n, width = expr.n, 2 * expr.n
+    raws = []
+    for t in expr.raw_terms():
+        order = sum(a + b for a, b in t.delta.values())
+        # every combination of one jet of each power factor
+        jets: List[Tuple[Scalar, Poly, Dict[int, AffineExponent]]] = [
+            (t.coeff, substitute_poly({tuple(t.mono): Scalar.one()},
+                                      sub.inv, width), {})]
+        for j, sigma in t.powers.items():
+            jets = [(c0 * c1, poly_mul(p0, p1), {**pw, j: e})
+                    for c0, p0, pw in jets
+                    for c1, p1, e in _expand_power(j, sigma, sub, order,
+                                                   width)]
+        for dkey, dc in transform_delta(t.delta, sub).items():
+            for c, poly, powers in jets:
+                for mono, pc in poly.items():
+                    raws.append(RawTerm(list(mono), dict(powers),
+                                        {k: (a, b) for k, a, b in dkey},
+                                        c * pc * dc))
+    return DistExpr.from_raw(n, raws)

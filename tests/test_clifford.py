@@ -386,13 +386,15 @@ class TestBlockDeterminant:
         for _ in range(3):
             g = formal_rotation_triangular(n, rng)
             assert _block_det(g) == laplace_det(g) == Scalar.one()
-        # a non-unit phase u + x on the diagonal: not 1, still equal
-        x = REpsElement(Scalar.var("x"))
-        g = REpsMatrix.from_rows([[e + x if j == i else e
-                                   for j, e in enumerate(row)]
-                                  for i, row in enumerate(g.entries)])
-        det = _block_det(g)
-        assert det == laplace_det(g) and det != Scalar.one()
+        # a non-unit phase u + x on the diagonal, then also an eps part
+        # y*eps there: not 1, still equal
+        for x in (REpsElement(Scalar.var("x")),
+                  REpsElement(Scalar.var("x"), Scalar.var("y"))):
+            h = REpsMatrix.from_rows([[e + x if j == i else e
+                                       for j, e in enumerate(row)]
+                                      for i, row in enumerate(g.entries)])
+            det = _block_det(h)
+            assert det == laplace_det(h) and det != Scalar.one()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_diagonal_two_is_not_unimodular(self, n):

@@ -9,7 +9,8 @@ import pytest
 
 from invdist import distributions
 from invdist.cli import RunConfig, run_suite
-from invdist.clifford import REpsMatrix, h_phase, h_shift
+from invdist.clifford import REpsMatrix, h_element, h_generators, h_phase, \
+    h_shift
 from invdist.constructions import (FamilySpec, _seed, build_family,
                                    generator_substitutions,
                                    random_group_element)
@@ -21,6 +22,7 @@ from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
     LAM, rank_over_function_field
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitution_from_group, sym_z, sym_zbar)
+from reference import act_group as act_group_reference
 from reference import op_parts, twisted_shift2
 
 
@@ -138,27 +140,35 @@ def shift_sub(n, j, re=Fraction(1, 2), im=Fraction(1, 3)):
     return substitution_from_group(h_shift(n, j, Scalar.from_gauss(a)))
 
 
+# The action of ``DistExpr.act_group`` on members with underived deltas
+# and the jet expansion of ``reference.act_group`` on derived ones: each
+# convention test runs on both.
+ACTIONS = [(DistExpr.act_group, (0, 0)), (act_group_reference, (1, 1))]
+
+
 class TestGroupAction:
     def test_identity_action(self):
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
-        expr = DistExpr.single(3, powers={2: sigma}, delta={3: (1, 0)})
-        assert expr.act_group(
-            substitution_from_group(REpsMatrix.identity(3))) == expr
+        identity = substitution_from_group(REpsMatrix.identity(3))
+        for act, order in ACTIONS:
+            expr = DistExpr.single(3, powers={2: sigma}, delta={3: order})
+            assert act(expr, identity) == expr
 
     def test_action_composes(self):
         # a left action: acting by g1, then by g3, is acting by g3 * g1;
         # a phase and a shift do not commute, so g1 * g3 differs
         n = 3
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
-        expr = DistExpr.single(n, mono={sym_zbar(1): 1},
-                               powers={2: sigma}, delta={3: (1, 1)})
         g3 = h_phase(n)
         g1 = h_shift(n, 1, Scalar.from_gauss(
             GaussianRational.of(Fraction(1, 2), Fraction(1, 3))))
-        seq = expr.act_group(substitution_from_group(g1)) \
-            .act_group(substitution_from_group(g3))
-        assert seq == expr.act_group(substitution_from_group(g3 * g1))
-        assert seq != expr.act_group(substitution_from_group(g1 * g3))
+        for act, order in ACTIONS:
+            expr = DistExpr.single(n, mono={sym_zbar(1): 1},
+                                   powers={2: sigma}, delta={3: order})
+            seq = act(act(expr, substitution_from_group(g1)),
+                      substitution_from_group(g3))
+            assert seq == act(expr, substitution_from_group(g3 * g1))
+            assert seq != act(expr, substitution_from_group(g1 * g3))
 
     def test_phase_action_on_delta(self):
         # the full-phase rotation fixes the delta block and rotates
@@ -166,75 +176,95 @@ class TestGroupAction:
         n = 2
         sub = substitution_from_group(h_phase(n))
         expr = DistExpr.single(n, mono={sym_z(1): 1}, delta={2: (0, 0)})
-        acted = expr.act_group(sub)
-        # z1 -> u z1 pulled back through the inverse gives u^{-1} z1
-        (key, coeff), = acted.terms.items()
-        assert key == next(iter(expr.terms))
-        assert coeff == Scalar.var("u").inverse_unit()
+        for act, _ in ACTIONS:
+            acted = act(expr, sub)
+            # z1 -> u z1 pulled back through the inverse gives u^{-1} z1
+            (key, coeff), = acted.terms.items()
+            assert key == next(iter(expr.terms))
+            assert coeff == Scalar.var("u").inverse_unit()
 
     def test_linearity(self):
         n = 3
         sub = shift_sub(n, 1)
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
-        a = DistExpr.single(n, powers={2: sigma}, delta={3: (1, 0)})
-        b = DistExpr.single(n, mono={sym_zbar(1): 2}, powers={2: sigma},
-                            delta={3: (0, 0)})
-        assert (a + b).act_group(sub) == a.act_group(sub) + b.act_group(sub)
+        for act, order in ACTIONS:
+            a = DistExpr.single(n, powers={2: sigma}, delta={3: order})
+            b = DistExpr.single(n, mono={sym_zbar(1): 2}, powers={2: sigma},
+                                delta={3: (0, 0)})
+            assert act(a + b, sub) == act(a, sub) + act(b, sub)
 
     def test_inverse_action_roundtrips(self):
         n = 3
         sub = shift_sub(n, 1)
-        sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
-        expr = DistExpr.single(n, mono={sym_zbar(1): 1}, powers={2: sigma},
-                               delta={3: (1, 1)})
         inverse = Substitution(sub.n, sub.inv, sub.fwd)
-        assert expr.act_group(sub).act_group(inverse) == expr
+        sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
+        for act, order in ACTIONS:
+            expr = DistExpr.single(n, mono={sym_zbar(1): 1},
+                                   powers={2: sigma}, delta={3: order})
+            assert act(act(expr, sub), inverse) == expr
 
 
-def _transform_delta_reference(delta, sub):
-    """The derivative block pulled back one linear factor at a time: each
-    d_s becomes sum_r F[r][s] d_r over the delta symbols r (the former
-    kernel)."""
-    base = {tuple(sorted((k, 0, 0) for k in delta)): Scalar.one()}
-    for k, (alpha, beta) in delta.items():
-        for s, count in ((sym_z(k), alpha), (sym_zbar(k), beta)):
-            col = {}
-            for r in delta:
-                for rs in (sym_z(r), sym_zbar(r)):
-                    cc = sub.fwd[rs].get(s)
-                    if cc:
-                        col[rs] = cc
-            for _ in range(count):
-                nxt = {}
-                for dkey, dc in base.items():
-                    orders = {kk: (a, b) for kk, a, b in dkey}
-                    for rs, cc in col.items():
-                        kk = rs // 2 + 1
-                        a, b = orders[kk]
-                        orders2 = dict(orders)
-                        orders2[kk] = (a + 1, b) if rs % 2 == 0 \
-                            else (a, b + 1)
-                        key2 = tuple(sorted(
-                            (m, x, y) for m, (x, y) in orders2.items()))
-                        val = dc * cc
-                        prev = nxt.get(key2)
-                        nxt[key2] = val if prev is None else prev + val
-                base = {kk: vv for kk, vv in nxt.items() if vv}
-    return base
+class TestActionShape:
+    """``DistExpr.act_group`` refuses what its argument does not cover."""
+
+    def test_non_unit_diagonal_is_refused(self):
+        # on T^0, and on a delta alone and a power factor alone, which
+        # each meet one of the two unit-modulus checks
+        n = 3
+        sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
+        g = h_element(n, Scalar.of(2), [Scalar.zero()] * (n - 1))
+        for expr in (build_family(FamilySpec(n, "T", 0))[0],
+                     DistExpr.single(n, delta={n: (0, 0)}),
+                     DistExpr.single(n, powers={1: sigma})):
+            with pytest.raises(UnsupportedSubstitutionError,
+                               match="non-unit"):
+                expr.act_group(substitution_from_group(g))
+
+    def test_swap_of_the_last_two_variables_is_refused(self):
+        # z_{n-1} <-> z_n: the delta variable z_n maps to z_{n-1}, off the
+        # delta block
+        n = 3
+        swap = {sym_z(n - 1): sym_z(n), sym_z(n): sym_z(n - 1),
+                sym_zbar(n - 1): sym_zbar(n), sym_zbar(n): sym_zbar(n - 1)}
+        rows = tuple({swap.get(s, s): Scalar.one()} for s in range(2 * n))
+        chain = build_family(FamilySpec(n, "T", 0))
+        with pytest.raises(UnsupportedSubstitutionError,
+                           match="maps outside"):
+            chain[0].act_group(Substitution(n, rows, rows))
+
+    def test_derived_delta_is_refused(self):
+        expr = DistExpr.single(3, delta={3: (1, 0)})
+        identity = substitution_from_group(REpsMatrix.identity(3))
+        with pytest.raises(ValueError, match="underived"):
+            expr.act_group(identity)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_transform_delta_matches_reference(n):
-    rng = random.Random(40 + n)
-    subs = [sub for _, sub in generator_substitutions(n)] + [
-        substitution_from_group(random_group_element(n, rng))
-        for _ in range(3)]
-    for _ in range(12):
-        ks = sorted(rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
-        delta = {k: (rng.randint(0, 3), rng.randint(0, 3)) for k in ks}
+def composite_substitutions(n):
+    """The substitution of every generator of ``h_generators`` and of three
+    products of them."""
+    gens = dict(h_generators(n))
+    everything = REpsMatrix.identity(n)
+    for g in gens.values():
+        everything = everything * g
+    return [substitution_from_group(g) for g in (
+        *gens.values(), gens["phase"] * gens["shift1"],
+        gens[f"shift{n - 1}"] * gens["phase"], everything)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_order_zero_action_matches_jet_expansion(n):
+    specs = [FamilySpec(2, "T2", 0, lam=lam) for lam in (None, 2)] \
+        if n == 2 else [
+        FamilySpec(n, family, 0, j=j, lam=lam)
+        for lam in (None, 0, 2, 4, Fraction(1, 3))
+        for family, j in [("T", None), ("Tbar", None)]
+        + [("Tj", j) for j in range(2, n - 1)]]
+    subs = composite_substitutions(n)
+    for spec in specs:
+        member = build_family(spec)[0]
         for sub in subs:
-            assert DistExpr(n)._transform_delta(delta, sub) \
-                == _transform_delta_reference(delta, sub), (delta, sub)
+            assert member.act_group(sub) \
+                == act_group_reference(member, sub), (spec, sub)
 
 
 @pytest.mark.parametrize("spec", [

@@ -36,6 +36,10 @@ CASES = {
     "all_n2_lmax2_s3": dict(suite="all", n=2, lmax=2, samples=3),
     # formal lam at n >= 3: T and the support chain Tj(j=n-1) are one chain
     "all_n4_lmax3_s3": dict(suite="all", n=4, lmax=3, samples=3),
+    # at lam = 0 the power factor (z3 zbar3)^1 is the monomial z3 zbar3, so
+    # the action substitutes it
+    "all_n4_lmax3_s3_lam0": dict(suite="all", n=4, lmax=3, samples=3,
+                                 lam=Fraction(0)),
 }
 
 

@@ -475,7 +475,7 @@ class TestComplexOrbits:
             shift = (orbits._random_cplx_unit(rng),
                      orbits._random_cplx_unit(rng))
             moved = CplxProjPoint(tuple(
-                _move_tail((t, t.conj().inverse()), shift, tail.coords)))
+                _move_tail((t, t.conjugate().inverse()), shift, tail.coords)))
             assert zeta_invariant(moved) == zeta_invariant(tail)
         assert (zeta_invariant(tail) is None) == (last[0].is_zero()
                                                   or not last[1].is_zero())

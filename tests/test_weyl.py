@@ -8,12 +8,11 @@ from math import comb, perm, prod
 import pytest
 
 from invdist.clifford import REpsMatrix, h_phase, h_shift, h_shift_formal
-from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
-                             falling_factorial)
+from invdist.scalars import AffineExponent, GaussianRational, Scalar
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitute_poly, substitution_from_group, sym_conj,
                           sym_name, sym_z, sym_zbar)
-from reference import op_parts
+from reference import falling_factorial, op_parts
 
 
 def rand_poly(n, rng, nterms=3):
