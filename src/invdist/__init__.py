@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .records import CheckRecord, PASS, FAIL, SKIPPED
 from .scalars import (AffineExponent, GaussianRational, Scalar,
                       rank_over_function_field)
-from .clifford import (REpsElement, REpsMatrix, group_inverse, h_element,
+from .clifford import (REpsElement, Toeplitz, group_inverse, h_element,
                        h_phase, h_shift)
 from .weyl import Substitution, WeylOp, conjugate_op, substitution_from_group
 from .distributions import DistExpr, SupportDescriptor, independence_rank
@@ -22,7 +22,7 @@ from .orbits import (CplxProjPoint, ProjPoint, complex_orbit_check,
 __all__ = [
     "CheckRecord", "PASS", "FAIL", "SKIPPED",
     "AffineExponent", "GaussianRational", "Scalar", "rank_over_function_field",
-    "REpsElement", "REpsMatrix",
+    "REpsElement", "Toeplitz",
     "group_inverse", "h_element", "h_phase", "h_shift",
     "Substitution", "WeylOp", "conjugate_op", "substitution_from_group",
     "DistExpr", "SupportDescriptor", "independence_rank",

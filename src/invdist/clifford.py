@@ -1,21 +1,23 @@
-"""The twisted algebra C + C*eps and matrices over it.
+"""The twisted algebra C + C*eps and the group H over it.
 
 The four-dimensional real algebra is C (+) C*eps with product
 
     (a + b*eps)(c + d*eps) = (a*c + b*conj(d)) + (b*conj(c) + a*d)*eps,
 
 so eps^2 = 1, i^2 = -1, i*eps = -eps*i.  It acts R-linearly on C by
-(a + b*eps).z = a*z + b*conj(z).  The subgroup of upper-triangular Toeplitz
-matrices with unit-phase diagonal and k-th superdiagonal entries a_k*eps^k
-lands in SL(2n, R) under the left-multiplication embedding of C^n = R^(2n),
-which sends a + b*eps to the 2x2 real block of z -> a*z + b*conj(z) in the
-basis (x, y); that block has determinant |a|^2 - |b|^2.
+(a + b*eps).z = a*z + b*conj(z).  The subgroup H of upper-triangular
+Toeplitz matrices with unit-phase diagonal and k-th superdiagonal entries
+a_k*eps^k lands in SL(2n, R) under the left-multiplication embedding of
+C^n = R^(2n), which sends a + b*eps to the 2x2 real block of
+z -> a*z + b*conj(z) in the basis (x, y); that block has determinant
+|a|^2 - |b|^2.
 
-The subgroup is closed under products (eq. (7)): if g and g' are upper
-triangular and Toeplitz with profiles A_m and B_m, entry (i, i+k) of g g'
-is sum_{m=0..k} A_m B_{k-m}, which does not depend on i, and an entry below
-the diagonal is an empty sum.  So a product of two such factors is read
-off its first row (see ``h_closure_check``).
+Each element is held as its profile (``Toeplitz``): the diagonal and one
+entry per superdiagonal.  Upper-triangular Toeplitz matrices are closed
+under products (eq. (7)): if g and g' have profiles A_m and B_m, entry
+(i, i+k) of g g' is sum_{m=0..k} A_m B_{k-m}, which does not depend on i,
+and an entry below the diagonal is an empty sum.  So the product's profile
+is that convolution, and no other matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .scalars import Scalar, random_gaussian
 
 __all__ = [
     "REpsElement",
-    "REpsMatrix",
+    "Toeplitz",
     "h_phase",
     "h_shift",
     "h_element",
@@ -100,46 +102,40 @@ def eps_times_coeff(a: Scalar, k: int) -> REpsElement:
 
 
 # ---------------------------------------------------------------------------
-# Matrices over the algebra
+# Upper-triangular Toeplitz matrices over the algebra
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class REpsMatrix:
+class Toeplitz:
+    """The n x n upper-triangular Toeplitz matrix with entry profile[j - i]
+    at (i, j) for j >= i and zero below the diagonal: profile[0] is the
+    diagonal and profile[k] the entry on the k-th superdiagonal."""
     n: int
-    entries: Tuple[Tuple[REpsElement, ...], ...]
+    profile: Tuple[REpsElement, ...]
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[REpsElement]]) -> "REpsMatrix":
-        n = len(rows)
-        return REpsMatrix(n, tuple(tuple(r) for r in rows))
+    def identity(n: int) -> "Toeplitz":
+        return Toeplitz(n, (REpsElement.one(),) + (REpsElement(),) * (n - 1))
 
-    @staticmethod
-    def identity(n: int) -> "REpsMatrix":
-        one, zero = REpsElement.one(), REpsElement()
-        return REpsMatrix(n, tuple(
-            tuple(one if i == j else zero for j in range(n))
-            for i in range(n)))
-
-    def __mul__(self, other: "REpsMatrix") -> "REpsMatrix":
-        """The product, formed from the nonzero entries only: each nonzero
-        self[i][k] meets the nonzero (j, f) of row k of other once."""
+    def __mul__(self, other: "Toeplitz") -> "Toeplitz":
+        """The product by eq. (7): entry k of its profile is
+        sum_{m<=k} A_m B_{k-m}, formed from the nonzero entries only."""
         n = self.n
         if other.n != n:
             raise ValueError(f"cannot multiply n={n} by n={other.n}")
-        nonzero = [[(j, f) for j, f in enumerate(row) if not f.is_zero()]
-                   for row in other.entries]
-        zero = REpsElement()
-        rows = []
-        for left in self.entries:
-            acc: List[Optional[REpsElement]] = [None] * n
-            for e, right in zip(left, nonzero):
-                if e.is_zero():
-                    continue
-                for j, f in right:
-                    p = e * f
-                    acc[j] = p if acc[j] is None else acc[j] + p
-            rows.append(tuple(zero if x is None else x for x in acc))
-        return REpsMatrix(n, tuple(rows))
+        right = [(k, f) for k, f in enumerate(other.profile)
+                 if not f.is_zero()]
+        acc: List[Optional[REpsElement]] = [None] * n
+        for m, e in enumerate(self.profile):
+            if e.is_zero():
+                continue
+            for k, f in right:
+                if m + k >= n:
+                    break
+                p = e * f
+                acc[m + k] = p if acc[m + k] is None else acc[m + k] + p
+        return Toeplitz(n, tuple(REpsElement() if x is None else x
+                                 for x in acc))
 
 
 # ---------------------------------------------------------------------------
@@ -147,32 +143,21 @@ class REpsMatrix:
 # ---------------------------------------------------------------------------
 
 def h_element(n: int, diag: Scalar,
-              superdiag: Sequence[Scalar]) -> REpsMatrix:
+              superdiag: Sequence[Scalar]) -> Toeplitz:
     """The Toeplitz element with given diagonal phase and superdiagonal
     coefficients (a_1, ..., a_{n-1}); entry (i, i+k) is a_k*eps^k."""
     if len(superdiag) != n - 1:
         raise ValueError("need n-1 superdiagonal coefficients")
-    zero = REpsElement()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == i:
-                row.append(REpsElement(diag))
-            elif j > i:
-                row.append(eps_times_coeff(superdiag[j - i - 1], j - i))
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return REpsMatrix(n, tuple(rows))
+    return Toeplitz(n, (REpsElement(diag),) + tuple(
+        eps_times_coeff(a, k) for k, a in enumerate(superdiag, start=1)))
 
 
-def h_phase(n: int) -> REpsMatrix:
+def h_phase(n: int) -> Toeplitz:
     """The diagonal phase generator with the formal unit u."""
     return h_element(n, Scalar.var("u"), [Scalar.zero()] * (n - 1))
 
 
-def h_shift(n: int, j: int, a: Scalar) -> REpsMatrix:
+def h_shift(n: int, j: int, a: Scalar) -> Toeplitz:
     """The generator with a single coefficient a on the j-th superdiagonal."""
     if not 1 <= j <= n - 1:
         raise ValueError(f"shift index {j} out of range for n={n}")
@@ -181,12 +166,12 @@ def h_shift(n: int, j: int, a: Scalar) -> REpsMatrix:
     return h_element(n, Scalar.one(), coeffs)
 
 
-def h_shift_formal(n: int, j: int) -> REpsMatrix:
+def h_shift_formal(n: int, j: int) -> Toeplitz:
     """h_j(a) with a the formal symbol a{j}."""
     return h_shift(n, j, Scalar.var(f"a{j}"))
 
 
-def h_generators(n: int) -> List[Tuple[str, REpsMatrix]]:
+def h_generators(n: int) -> List[Tuple[str, Toeplitz]]:
     """The labelled generators of H: the formal phase, then each shift
     with a formal coefficient."""
     return [("phase", h_phase(n))] + [
@@ -197,55 +182,46 @@ def h_generators(n: int) -> List[Tuple[str, REpsMatrix]]:
 # Inverses of unit-diagonal-plus-unipotent elements
 # ---------------------------------------------------------------------------
 
-def group_inverse(g: REpsMatrix) -> REpsMatrix:
-    """Inverse of g = D(I + N) with D a constant unit-phase diagonal and N
-    strictly upper triangular, by back substitution on g x = I:
-    x_jj = d^-1 and x_ij = -d^-1 * sum_{i<k<=j} g_ik x_kj."""
-    n = g.n
-    d = g.entries[0][0]
+def group_inverse(g: Toeplitz) -> Toeplitz:
+    """Inverse of g = d(I + N) with d a single-term unit in the C-part and N
+    strictly upper triangular.  Row 0 of g x = I reads
+    sum_{m<=k} A_m X_{k-m} = [k = 0], so X_0 = d^-1 and
+    X_k = -d^-1 * sum_{1<=m<=k} A_m X_{k-m}: (n-1)(n+2)/2 element products
+    when every entry is nonzero.  By eq. (7) g x is then the Toeplitz
+    matrix of that row, I, and a right inverse in a group is the inverse."""
+    d = g.profile[0]
     if not d.b.is_zero() or not d.a.is_monomial():
         raise ValueError("diagonal must be a single-term unit in the C-part")
-    for i in range(n):
-        if g.entries[i][i] != d:
-            raise ValueError("diagonal entries must all equal the unit phase")
-        for j in range(i):
-            if not g.entries[i][j].is_zero():
-                raise ValueError("matrix must be upper triangular")
     d_inv = REpsElement(d.a.inverse_unit())
-    zero = REpsElement()
-    x = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        x[j][j] = d_inv
-        for i in range(j - 1, -1, -1):
-            acc = zero
-            for k in range(i + 1, j + 1):
-                e, f = g.entries[i][k], x[k][j]
-                if not e.is_zero() and not f.is_zero():
-                    acc = acc + e * f
-            if not acc.is_zero():
-                x[i][j] = -(d_inv * acc)
-    return REpsMatrix.from_rows(x)
+    x = [d_inv]
+    for k in range(1, g.n):
+        acc: Optional[REpsElement] = None
+        for m in range(1, k + 1):
+            e, f = g.profile[m], x[k - m]
+            if not e.is_zero() and not f.is_zero():
+                p = e * f
+                acc = p if acc is None else acc + p
+        x.append(REpsElement() if acc is None or acc.is_zero()
+                 else -(d_inv * acc))
+    return Toeplitz(g.n, tuple(x))
 
 
 # ---------------------------------------------------------------------------
 # Verification records for the matrix group
 # ---------------------------------------------------------------------------
 
-def _block_det(g: REpsMatrix) -> Optional[Scalar]:
-    """The determinant of the real 2n x 2n matrix of g, for upper-triangular
-    g, or None if g has a nonzero entry below the diagonal.  The real
-    matrix is then block upper triangular (the block of e is zero only
-    when e is), so its determinant is the product of the diagonal blocks'
-    determinants.  The block of a + b*eps is [[Re a + Re b, Im b - Im a],
-    [Im a + Im b, Re a - Re b]], whose determinant is
+def _block_det(g: Toeplitz) -> Scalar:
+    """The determinant of the real 2n x 2n matrix of g.  That matrix is
+    block upper triangular (the block of e is zero only when e is), so its
+    determinant is the product of the n diagonal blocks' determinants.  The
+    block of a + b*eps is [[Re a + Re b, Im b - Im a], [Im a + Im b,
+    Re a - Re b]], whose determinant is
     (Re a)^2 + (Im a)^2 - (Re b)^2 - (Im b)^2 = a*conj(a) - b*conj(b)."""
-    n = g.n
-    if any(not g.entries[i][j].is_zero() for i in range(n) for j in range(i)):
-        return None
+    a, b = g.profile[0].a, g.profile[0].b
+    block = a * a.conjugate() - b * b.conjugate()
     det = Scalar.one()
-    for i in range(n):
-        a, b = g.entries[i][i].a, g.entries[i][i].b
-        det = det * (a * a.conjugate() - b * b.conjugate())
+    for _ in range(g.n):
+        det = det * block
     return det
 
 
@@ -259,59 +235,15 @@ def h_det_check(n: int) -> CheckRecord:
     cases = [(f"{name}_det", g) for name, g in h_generators(n)]
     cases.append(("mixed_det", h_element(
         n, Scalar.var("u"), [Scalar.var("a1")] + [Scalar.zero()] * (n - 2))))
-    details = {}
-    ok = True
-    for key, g in cases:
-        det = _block_det(g)
-        if det is None:
-            details["below_diagonal"] = key
-            ok = False
-            break
-        details[key] = str(det)
-        ok = ok and det == Scalar.one()
+    dets = {key: _block_det(g) for key, g in cases}
     return CheckRecord(
         check_id=f"algebra.det.n{n}",
         statement=f"det of the embedded generators is identically 1 (n={n})",
         paper_ref="Lemma 4.2",
-        status=PASS if ok else FAIL,
-        details=details,
+        status=PASS if all(det == Scalar.one() for det in dets.values())
+        else FAIL,
+        details={key: str(det) for key, det in dets.items()},
     )
-
-
-def _toeplitz_form(m: REpsMatrix) -> Optional[List[REpsElement]]:
-    """If m is upper-triangular Toeplitz, return its diagonal profile
-    [d, a_1*eps, a_2*eps^2, ...]; otherwise None."""
-    n = m.n
-    profile = []
-    for k in range(n):
-        e = m.entries[0][k]
-        for i in range(1, n - k):
-            if m.entries[i][i + k] != e:
-                return None
-        profile.append(e)
-    for i in range(n):
-        for j in range(i):
-            if not m.entries[i][j].is_zero():
-                return None
-    return profile
-
-
-def _first_row_of_product(g: REpsMatrix, h: REpsMatrix) -> List[REpsElement]:
-    """Row 0 of g * h for upper-triangular h: entry k is
-    sum_{m<=k} g[0][m] * h[m][k], from the entries of h themselves and
-    formed, like ``REpsMatrix.__mul__``, from the nonzero entries only."""
-    zero = REpsElement()
-    row = []
-    for k in range(h.n):
-        acc: Optional[REpsElement] = None
-        for m in range(k + 1):
-            e, f = g.entries[0][m], h.entries[m][k]
-            if e.is_zero() or f.is_zero():
-                continue
-            p = e * f
-            acc = p if acc is None else acc + p
-        row.append(zero if acc is None else acc)
-    return row
 
 
 def h_closure_check(n: int, samples: int = 20, seed: int = 0) -> CheckRecord:
@@ -320,18 +252,9 @@ def h_closure_check(n: int, samples: int = 20, seed: int = 0) -> CheckRecord:
     Phases stay formal (u and v).  With no sample the check is skipped,
     since no product certifies it.
 
-    Each sample forms row 0 of its product alone, n(n+1)/2 element
-    products rather than the C(n+2, 3) of the full product.  Both factors
-    are first checked upper triangular and Toeplitz, with profiles A_m and
-    B_m; a factor that fails is the counterexample.  Then
-
-        (g g')_{i,i+k} = sum_{m=0..k} g_{i,i+m} g'_{i+m,i+k}
-                       = sum_{m=0..k} A_m B_{k-m},
-
-    which does not depend on i, and below the diagonal the index set of
-    the sum is empty.  So the product is upper triangular and Toeplitz,
-    and row 0 is its whole profile: the diagonal must be u*v and the k-th
-    entry must lie in C*eps^k."""
+    Each sample forms the profile of its product by eq. (7), n(n+1)/2
+    element products: the diagonal must be u*v and the k-th entry must lie
+    in C*eps^k."""
     rng = random.Random(seed)
     ok = True
     details = {"samples": samples}
@@ -344,12 +267,7 @@ def h_closure_check(n: int, samples: int = 20, seed: int = 0) -> CheckRecord:
               for _ in range(n - 1)]
         g = h_element(n, Scalar.var("u"), ca)
         gp = h_element(n, Scalar.var("v"), cb)
-        # the read-off is sound only for upper-triangular Toeplitz factors
-        if _toeplitz_form(g) is None or _toeplitz_form(gp) is None:
-            ok = False
-            details["counterexample"] = {"trial": trial}
-            break
-        profile = _first_row_of_product(g, gp)
+        profile = (g * gp).profile
         diag = profile[0]
         if not (diag.b.is_zero()
                 and diag.a == Scalar.var("u") * Scalar.var("v")):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Tuple
 
-from .clifford import REpsMatrix, h_element, h_generators, h_shift, \
+from .clifford import Toeplitz, h_element, h_generators, h_shift, \
     h_shift_formal
 from .distributions import ActionOnPowers, DistExpr, independence_rank
 from .records import FAIL, PASS, CheckRecord
@@ -149,10 +149,10 @@ _RATIONAL_UNITS = [
 ]
 
 
-def random_group_element(n: int, rng: random.Random) -> REpsMatrix:
+def random_group_element(n: int, rng: random.Random) -> Toeplitz:
     """A product of one to four generators with rational-unit phases and
     small Gaussian-rational shift coefficients."""
-    g = REpsMatrix.identity(n)
+    g = Toeplitz.identity(n)
     for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.4:
             phase = Scalar.from_gauss(rng.choice(_RATIONAL_UNITS))

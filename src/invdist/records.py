@@ -25,10 +25,6 @@ class CheckRecord:
     status: str
     details: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "id": self.check_id,

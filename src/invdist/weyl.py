@@ -26,7 +26,7 @@ from itertools import product
 from math import comb, perm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .clifford import REpsMatrix, group_inverse
+from .clifford import Toeplitz, group_inverse
 from .scalars import Scalar
 
 __all__ = [
@@ -204,14 +204,14 @@ class Substitution:
     inv: Tuple[Dict[int, Scalar], ...]
 
 
-def _rows_from_matrix(g: REpsMatrix) -> Tuple[Dict[int, Scalar], ...]:
-    """Linear forms for (g.z)_i = sum_j g_ij . z_j with the eps-twist."""
+def _rows_from_matrix(g: Toeplitz) -> Tuple[Dict[int, Scalar], ...]:
+    """Linear forms (g.z)_i = sum_{j>=i} profile[j-i] . z_j, eps-twisted."""
     n = g.n
     rows: List[Dict[int, Scalar]] = []
     for i in range(1, n + 1):
         form: Dict[int, Scalar] = {}
-        for j in range(1, n + 1):
-            e = g.entries[i - 1][j - 1]
+        for j in range(i, n + 1):
+            e = g.profile[j - i]
             if e.a:
                 form[sym_z(j)] = e.a
             if e.b:
@@ -223,7 +223,7 @@ def _rows_from_matrix(g: REpsMatrix) -> Tuple[Dict[int, Scalar], ...]:
     return tuple(rows)
 
 
-def substitution_from_group(g: REpsMatrix) -> Substitution:
+def substitution_from_group(g: Toeplitz) -> Substitution:
     """The substitution on (z, zbar) induced by g, with its exact inverse
     from ``group_inverse``."""
     return Substitution(g.n, _rows_from_matrix(g),

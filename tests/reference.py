@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from invdist.clifford import REpsElement, REpsMatrix, h_shift_formal
+from invdist.clifford import REpsElement, Toeplitz, h_shift_formal
 from invdist.distributions import DistExpr, RawTerm
 from invdist.orbits import ProjPoint, stratum_of
 from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
@@ -37,47 +37,101 @@ def iota_blocks(e: REpsElement) -> List[List[Scalar]]:
             [ia + ib, ra - rb]]
 
 
-def iota(m: REpsMatrix) -> List[List[Scalar]]:
+# A dense matrix over the algebra: a tuple of n rows of n entries.
+Dense = Tuple[Tuple[REpsElement, ...], ...]
+
+
+def dense(t: Toeplitz) -> Dense:
+    """The n x n matrix of a Toeplitz element, every entry written out:
+    profile[j - i] at (i, j) for j >= i, zero below the diagonal."""
+    zero = REpsElement()
+    return tuple(tuple(t.profile[j - i] if j >= i else zero
+                       for j in range(t.n)) for i in range(t.n))
+
+
+def iota(m: Dense) -> List[List[Scalar]]:
     """The reference embedding: the real 2n x 2n matrix of left
     multiplication on C^n = R^(2n) in the interleaved basis
     (x1, y1, ..., xn, yn), assembled from the 2x2 blocks."""
-    n = m.n
+    n = len(m)
     out = [[Scalar.zero()] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            blk = iota_blocks(m.entries[i][j])
+            blk = iota_blocks(m[i][j])
             for bi in range(2):
                 for bj in range(2):
                     out[2 * i + bi][2 * j + bj] = blk[bi][bj]
     return out
 
 
-def twisted_shift2(n: int) -> REpsMatrix:
+def twisted_shift2(n: int) -> Toeplitz:
     """The second shift generator h_2(a2) with a2*eps in place of
     a2*eps^2 = a2 on its second superdiagonal, which takes it out of H."""
-    rows = [list(r) for r in h_shift_formal(n, 2).entries]
-    for i in range(n - 2):
-        rows[i][i + 2] = REpsElement(Scalar.zero(), Scalar.var("a2"))
-    return REpsMatrix.from_rows(rows)
+    profile = list(h_shift_formal(n, 2).profile)
+    profile[2] = REpsElement(Scalar.zero(), Scalar.var("a2"))
+    return Toeplitz(n, tuple(profile))
 
 
-def dense_mul(x: REpsMatrix, y: REpsMatrix) -> REpsMatrix:
+def dense_mul(x: Dense, y: Dense) -> Dense:
     """The product by the dense n^3 loop over every index triple, each
     element product by the full formula
     (a+b*eps)(c+d*eps) = (ac + b*conj(d)) + (b*conj(c) + a*d)*eps."""
-    n = x.n
+    n = len(x)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             acc = REpsElement()
             for k in range(n):
-                e, f = x.entries[i][k], y.entries[k][j]
+                e, f = x[i][k], y[k][j]
                 acc = acc + REpsElement(e.a * f.a + e.b * f.b.conjugate(),
                                         e.b * f.a.conjugate() + e.a * f.b)
             row.append(acc)
         rows.append(tuple(row))
-    return REpsMatrix(n, tuple(rows))
+    return tuple(rows)
+
+
+def neumann_inverse(m: Dense) -> Dense:
+    """m^-1 = (I + N)^-1 D^-1 for m = D(I + N), D the constant diagonal
+    unit d and N strictly upper triangular, from the finite Neumann series
+    sum_k (-N)^k, with every product by ``dense_mul``."""
+    n = len(m)
+    d_inv = REpsElement(m[0][0].a.inverse_unit())
+    zero = REpsElement()
+    minus_n = tuple(tuple(-(d_inv * m[i][j]) if j > i else zero
+                          for j in range(n)) for i in range(n))
+    acc = power = tuple(tuple(REpsElement.one() if i == j else zero
+                              for j in range(n)) for i in range(n))
+    for _ in range(1, n):
+        power = dense_mul(power, minus_n)
+        acc = tuple(tuple(a + b for a, b in zip(ra, rb))
+                    for ra, rb in zip(acc, power))
+    return dense_mul(acc, tuple(tuple(d_inv if i == j else zero
+                                      for j in range(n)) for i in range(n)))
+
+
+def random_entry(rng, formal: bool) -> REpsElement:
+    """An element of one of the four kinds: zero, C-part only, eps-part
+    only, or both; with formal or plain Q(i) coefficients."""
+    def part():
+        c = Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                      rng.randint(-2, 2))
+        if formal:
+            c = c + Scalar.var(rng.choice(["a1", "a2~", "lam"])) \
+                * Scalar.var("u", rng.randint(-2, 2))
+        return c
+    kind = rng.randrange(4)
+    return REpsElement(part() if kind & 1 else Scalar.zero(),
+                       part() if kind & 2 else Scalar.zero())
+
+
+def random_toeplitz(n: int, rng, formal: bool,
+                    diag: Optional[REpsElement] = None) -> Toeplitz:
+    """A Toeplitz element whose entries are ``random_entry`` draws, with
+    the diagonal ``diag`` if one is given."""
+    first = random_entry(rng, formal) if diag is None else diag
+    return Toeplitz(n, (first,) + tuple(random_entry(rng, formal)
+                                        for _ in range(n - 1)))
 
 
 def mat_mul_scalar(A: List[List[Scalar]],
@@ -452,18 +506,35 @@ def _expand_power(j: int, sigma: AffineExponent, sub: Substitution,
     return out
 
 
+def _check_jet_shape(t: RawTerm, sub: Substitution) -> None:
+    """Raise ``ValueError`` unless g^-1 sends each delta variable z_k and
+    each power base z_j to c z_k (or c z_j) with |c| = 1 plus delta symbols
+    of other variables: the shape the jet expansion is exact on."""
+    dset = set(t.delta)
+    for k in (*t.delta, *t.powers):
+        row = sub.inv[sym_z(k)]
+        c = row.get(sym_z(k), Scalar.zero())
+        if c * c.conjugate() != Scalar.one():
+            raise ValueError(f"z{k} has the non-unit coefficient {c}")
+        for s in row:
+            if s != sym_z(k) and (s // 2 + 1 == k or s // 2 + 1 not in dset):
+                raise ValueError(f"z{k} maps to symbol {s}, off the delta "
+                                 "block")
+
+
 def act_group(expr: DistExpr, sub: Substitution) -> DistExpr:
     """g.T = T o g^-1 on any expression, derived deltas included, by jet
     expansion: the monomial substitutes through the inverse map, each power
     factor expands around z_j (``_expand_power``) and the delta block pulls
     back through the forward map (``transform_delta``).  The oracle of
-    ``DistExpr.act_group``, whose shape checks it assumes: g^-1 keeps the
-    delta variables among themselves, triangular with a unit-modulus
-    diagonal, and each power base reads only z_j, with a unit-modulus
-    coefficient, and delta symbols."""
+    ``DistExpr.act_group``.  It is exact only where g^-1 keeps the delta
+    variables among themselves with a unit-modulus diagonal and each power
+    base reads only z_j, with a unit-modulus coefficient, and delta
+    symbols; ``_check_jet_shape`` raises ``ValueError`` anywhere else."""
     n, width = expr.n, 2 * expr.n
     raws = []
     for t in expr.raw_terms():
+        _check_jet_shape(t, sub)
         order = sum(a + b for a, b in t.delta.values())
         # every combination of one jet of each power factor
         jets: List[Tuple[Scalar, Poly, Dict[int, AffineExponent]]] = [

@@ -7,14 +7,15 @@ from fractions import Fraction
 import pytest
 
 from invdist import clifford
-from invdist.clifford import (REpsElement, REpsMatrix, _block_det,
-                              _first_row_of_product, _toeplitz_form,
+from invdist.clifford import (REpsElement, Toeplitz, _block_det,
                               group_inverse, h_closure_check, h_det_check,
                               h_element, h_generators, h_phase, h_shift,
                               h_shift_formal)
+from invdist.records import FAIL, PASS
 from invdist.scalars import GaussianRational, Scalar, random_gaussian
 from reference import (CplxPairElement, act, cplx_pair_times_eps_power,
-                       dense_mul, iota, mat_mul_scalar)
+                       dense, dense_mul, iota, mat_mul_scalar,
+                       neumann_inverse, random_toeplitz)
 
 
 def scal(re, im=0):
@@ -24,45 +25,9 @@ def scal(re, im=0):
 EPS = REpsElement(Scalar.zero(), Scalar.one())
 
 
-def _neumann_inverse(g):
-    """g^-1 = (I + N)^-1 D^-1 with N = D^-1 (g - D), from the finite
-    Neumann series sum_k (-N)^k (the former kernel)."""
-    n = g.n
-    d_inv = REpsElement(g.entries[0][0].a.inverse_unit())
-    zero = REpsElement()
-    minus_n = REpsMatrix.from_rows([[-(d_inv * g.entries[i][j]) if j > i
-                                     else zero for j in range(n)]
-                                    for i in range(n)])
-    acc = power = REpsMatrix.identity(n)
-    for _ in range(1, n):
-        power = power * minus_n
-        acc = REpsMatrix.from_rows([[a + b for a, b in zip(ra, rb)]
-                                    for ra, rb in zip(acc.entries,
-                                                      power.entries)])
-    return acc * REpsMatrix.from_rows(
-        [[d_inv if i == j else zero for j in range(n)] for i in range(n)])
-
-
-def formal_triangular(n, rng):
-    """Upper-triangular matrix with the formal unit diagonal 3/5 u^2 and
-    independent formal entries above it (so not Toeplitz), some zero."""
-    diag = REpsElement(Scalar.var(
-        "u", 2, GaussianRational.of(Fraction(3, 5), Fraction(4, 5))))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == i:
-                row.append(diag)
-            elif j > i and rng.random() < 0.8:
-                row.append(REpsElement(
-                    Scalar.var(f"x{i}{j}") + scal(rng.randint(-2, 2)),
-                    Scalar.var(f"y{i}{j}", coeff=GaussianRational.of(
-                        0, rng.randint(1, 3)))))
-            else:
-                row.append(REpsElement())
-        rows.append(row)
-    return REpsMatrix.from_rows(rows)
+# the formal unit diagonal 3/5 u^2
+UNIT = REpsElement(Scalar.var(
+    "u", 2, GaussianRational.of(Fraction(3, 5), Fraction(4, 5))))
 
 
 def rand_elem(rng):
@@ -98,7 +63,7 @@ def det_scalar_matrix(m):
 def laplace_det(g):
     """det of the full real 2n x 2n matrix of g, with no reduction step:
     the formal phase u has conj(u) = u^-1 built in."""
-    return det_scalar_matrix(iota(g))
+    return det_scalar_matrix(iota(dense(g)))
 
 
 ROT = Scalar.var("u")
@@ -109,18 +74,6 @@ def generators(n):
     return ([g for _, g in h_generators(n)]
             + [h_element(n, ROT, [Scalar.var("a1")]
                          + [Scalar.zero()] * (n - 2))])
-
-
-def formal_rotation_triangular(n, rng):
-    """Upper-triangular matrix with the formal phase u on the diagonal and
-    formal entries above it, some zero."""
-    zero = REpsElement()
-    return REpsMatrix.from_rows([[
-        REpsElement(ROT) if j == i else
-        REpsElement(Scalar.var(f"x{i}{j}") + scal(rng.randint(-2, 2)),
-                    Scalar.var(f"y{i}{j}") * scal(0, rng.randint(1, 3)))
-        if j > i and rng.random() < 0.8 else zero
-        for j in range(n)] for i in range(n)])
 
 
 class TestAlgebraRelations:
@@ -164,15 +117,14 @@ class TestIota:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_multiplicative_on_random_samples(self, n):
         rng = random.Random(3)
-        for _ in range(25):
-            rows_a = [[rand_elem(rng) for _ in range(n)] for _ in range(n)]
-            rows_b = [[rand_elem(rng) for _ in range(n)] for _ in range(n)]
-            a = REpsMatrix(n, tuple(tuple(r) for r in rows_a))
-            b = REpsMatrix(n, tuple(tuple(r) for r in rows_b))
-            assert iota(a * b) == mat_mul_scalar(iota(a), iota(b))
+        for k in range(25):
+            formal = k % 2 == 1
+            a = dense(random_toeplitz(n, rng, formal))
+            b = dense(random_toeplitz(n, rng, formal))
+            assert iota(dense_mul(a, b)) == mat_mul_scalar(iota(a), iota(b))
 
     def test_identity_embeds_to_identity(self):
-        m = iota(REpsMatrix.identity(3))
+        m = iota(dense(Toeplitz.identity(3)))
         for i in range(6):
             for j in range(6):
                 expected = Scalar.one() if i == j else Scalar.zero()
@@ -182,7 +134,7 @@ class TestIota:
         # a + b*eps with a = p + iq, b = r + is maps to
         # [[p+r, -q+s], [q+s, p-r]]
         e = REpsElement(scal(1, 2), scal(3, 4))
-        blocks = iota(REpsMatrix(1, ((e,),)))
+        blocks = iota(((e,),))
         assert blocks[0][0] == scal(4)
         assert blocks[0][1] == scal(2)
         assert blocks[1][0] == scal(6)
@@ -192,11 +144,11 @@ class TestIota:
 class TestGroup:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_det_check_passes(self, n):
-        assert h_det_check(n).passed
+        assert h_det_check(n).status == PASS
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_closure_check_passes(self, n):
-        assert h_closure_check(n, samples=15, seed=5).passed
+        assert h_closure_check(n, samples=15, seed=5).status == PASS
 
     def test_closure_fails_off_the_eps_parity(self, monkeypatch):
         # odd shifts in the C-part: products stay Toeplitz with diagonal
@@ -204,28 +156,9 @@ class TestGroup:
         monkeypatch.setattr(clifford, "eps_times_coeff",
                             lambda a, k: REpsElement(a))
         record = h_closure_check(4, samples=3, seed=5)
-        assert not record.passed
+        assert record.status == FAIL
         assert record.details["counterexample"] == {"trial": 0,
                                                     "superdiagonal": 1}
-
-    @pytest.mark.parametrize("col", ["below", "diagonal"])
-    def test_closure_fails_on_a_non_toeplitz_last_row(self, monkeypatch, col):
-        # a stray entry in the last row of each factor: row 0 of the
-        # product never reads one below the diagonal, and one on it leaves
-        # row 0's diagonal and eps-parity intact, so only the check on the
-        # factors can see either
-        build = clifford.h_element
-
-        def broken(n, diag, superdiag):
-            rows = [list(r) for r in build(n, diag, superdiag).entries]
-            rows[-1][0 if col == "below" else -1] = \
-                REpsElement(Scalar.var("x"))
-            return REpsMatrix.from_rows(rows)
-
-        monkeypatch.setattr(clifford, "h_element", broken)
-        record = h_closure_check(4, samples=3, seed=5)
-        assert not record.passed
-        assert record.details["counterexample"] == {"trial": 0}
 
     def test_closure_is_skipped_without_samples(self):
         record = h_closure_check(3, samples=0)
@@ -237,46 +170,65 @@ class TestGroup:
         rng = random.Random(7)
         n = 4
         for _ in range(10):
-            g = REpsMatrix.identity(n)
+            g = Toeplitz.identity(n)
             for j in range(1, n):
                 a = GaussianRational.of(
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
                 g = g * h_shift(n, j, Scalar.from_gauss(a))
-            assert g * group_inverse(g) == REpsMatrix.identity(n)
-            assert group_inverse(g) * g == REpsMatrix.identity(n)
+            assert g * group_inverse(g) == Toeplitz.identity(n)
+            assert group_inverse(g) * g == Toeplitz.identity(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_group_inverse_matches_neumann_series(self, n):
+        # any profile of the four entry kinds over the unit diagonal
         rng = random.Random(50 + n)
-        identity = REpsMatrix.identity(n)
-        for _ in range(3):
-            g = formal_triangular(n, rng)
+        identity = Toeplitz.identity(n)
+        for formal in (False, True, True):
+            g = random_toeplitz(n, rng, formal, diag=UNIT)
             inv = group_inverse(g)
-            assert inv == _neumann_inverse(g)
+            assert dense(inv) == neumann_inverse(dense(g))
             assert g * inv == identity
             assert inv * g == identity
 
     def test_group_inverse_rejects_non_group_input(self):
         one, x = REpsElement.one(), REpsElement(Scalar.var("x"))
-        zero = REpsElement()
-        lower = REpsMatrix.from_rows([[one, zero], [x, one]])
-        unequal = REpsMatrix.from_rows([[one, x],
-                                        [zero, REpsElement(scal(0, 1))]])
-        not_unit = REpsMatrix.from_rows([[x + one, zero], [zero, x + one]])
-        eps_diag = REpsMatrix.from_rows(
-            [[EPS, zero], [zero, EPS]])
-        for g in (lower, unequal, not_unit, eps_diag):
+        not_unit = Toeplitz(2, (x + one, REpsElement()))
+        eps_diag = Toeplitz(2, (EPS, REpsElement()))
+        for g in (not_unit, eps_diag):
             with pytest.raises(ValueError):
                 group_inverse(g)
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_group_inverse_makes_one_product_per_recurrence_term(
+            self, n, monkeypatch):
+        # every shift and every entry of the inverse is nonzero, so X_k
+        # makes k products for its sum and one by d^-1
+        rng = random.Random(n)
+        g = h_element(n, Scalar.var("u"),
+                      [Scalar.from_gauss(random_gaussian(rng, 5, 5))
+                       for _ in range(n - 1)])
+        calls = []
+        mul = REpsElement.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(REpsElement, "__mul__", counted)
+        inv = group_inverse(g)
+        assert len(calls) == (n - 1) * (n + 2) // 2
+        monkeypatch.undo()
+        assert not any(e.is_zero() for e in g.profile + inv.profile)
+        assert g * inv == Toeplitz.identity(n)
+
     def test_formal_phase_inverse(self):
         g = h_phase(3)
-        assert g * group_inverse(g) == REpsMatrix.identity(3)
+        assert g * group_inverse(g) == Toeplitz.identity(3)
 
     def test_formal_shift_inverse(self):
         g = h_shift_formal(4, 1)
-        assert g * group_inverse(g) == REpsMatrix.identity(4)
+        assert g * group_inverse(g) == Toeplitz.identity(4)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_generators_are_labelled_in_order(self, n):
@@ -288,46 +240,18 @@ class TestGroup:
             assert g == h_shift_formal(n, j)
 
 
-def random_entry(rng, formal):
-    """An element of one of the four kinds: zero, C-part only, eps-part
-    only, or both; with formal or plain Q(i) coefficients."""
-    def part():
-        c = Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                      rng.randint(-2, 2))
-        if formal:
-            c = c + Scalar.var(rng.choice(["a1", "a2~", "lam"])) \
-                * Scalar.var("u", rng.randint(-2, 2))
-        return c
-    kind = rng.randrange(4)
-    return REpsElement(part() if kind & 1 else Scalar.zero(),
-                       part() if kind & 2 else Scalar.zero())
-
-
-def random_matrix(n, rng, formal, shape):
-    """A dense or upper-triangular matrix, or a dense one with a zero row
-    and a zero column."""
-    zero = REpsElement()
-    blank_row, blank_col = rng.randrange(n), rng.randrange(n)
-    return REpsMatrix.from_rows([[
-        zero if (shape == "triangular" and j < i)
-        or (shape == "holes" and (i == blank_row or j == blank_col))
-        else random_entry(rng, formal)
-        for j in range(n)] for i in range(n)])
-
-
 class TestSparseProduct:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("formal", [False, True])
     def test_matches_dense_oracle(self, n, formal):
         rng = random.Random(100 * n + formal)
-        for shape in ("dense", "triangular", "holes"):
-            for _ in range(3):
-                x = random_matrix(n, rng, formal, shape)
-                y = random_matrix(n, rng, formal, shape)
-                assert x * y == dense_mul(x, y)
+        for _ in range(9):
+            x = random_toeplitz(n, rng, formal)
+            y = random_toeplitz(n, rng, formal)
+            assert dense(x * y) == dense_mul(dense(x), dense(y))
 
     def test_mismatched_sizes_raise(self):
-        small, big = REpsMatrix.identity(3), h_shift(4, 1, Scalar.of(2))
+        small, big = Toeplitz.identity(3), h_shift(4, 1, Scalar.of(2))
         with pytest.raises(ValueError):
             small * big
         with pytest.raises(ValueError):
@@ -335,9 +259,9 @@ class TestSparseProduct:
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("formal", [False, True])
-    def test_first_row_matches_dense_oracle(self, n, formal):
-        # the read-off row is row 0 of the full product, and the full
-        # product of two H elements is the Toeplitz matrix it profiles
+    def test_h_product_matches_dense_oracle(self, n, formal):
+        # the full dense product of two H elements is the Toeplitz matrix
+        # of the product's profile
         rng = random.Random(200 * n)
         if formal:
             draws = [([Scalar.var(f"a{k}") for k in range(1, n)],
@@ -349,16 +273,13 @@ class TestSparseProduct:
         for ca, cb in draws:
             g = h_element(n, Scalar.var("u"), ca)
             gp = h_element(n, Scalar.var("v"), cb)
-            full = dense_mul(g, gp)
-            row = _first_row_of_product(g, gp)
-            assert row == list(full.entries[0])
-            assert _toeplitz_form(full) == row
+            assert dense(g * gp) == dense_mul(dense(g), dense(gp))
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_closure_sample_makes_one_product_per_first_row_pair(
             self, n, monkeypatch):
-        # the seed draws only nonzero shifts, so both factors are full
-        # upper triangles and row 0 of the product meets each m <= k once
+        # the seed draws only nonzero shifts, so both profiles are full
+        # and the product meets each pair m + k < n once
         seed = 3
         rng = random.Random(seed)
         assert all(random_gaussian(rng, 5, 5) for _ in range(2 * (n - 1)))
@@ -370,7 +291,7 @@ class TestSparseProduct:
             return mul(self, other)
 
         monkeypatch.setattr(REpsElement, "__mul__", counted)
-        assert h_closure_check(n, samples=1, seed=seed).passed
+        assert h_closure_check(n, samples=1, seed=seed).status == PASS
         assert len(calls) == n * (n + 1) // 2
 
 
@@ -381,18 +302,16 @@ class TestBlockDeterminant:
             assert _block_det(g) == laplace_det(g) == Scalar.one()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_formal_triangular_matches_laplace_oracle(self, n):
+    def test_random_profile_matches_laplace_oracle(self, n):
         rng = random.Random(60 + n)
-        for _ in range(3):
-            g = formal_rotation_triangular(n, rng)
+        for formal in (False, True, True):
+            g = random_toeplitz(n, rng, formal, diag=REpsElement(ROT))
             assert _block_det(g) == laplace_det(g) == Scalar.one()
         # a non-unit phase u + x on the diagonal, then also an eps part
         # y*eps there: not 1, still equal
         for x in (REpsElement(Scalar.var("x")),
                   REpsElement(Scalar.var("x"), Scalar.var("y"))):
-            h = REpsMatrix.from_rows([[e + x if j == i else e
-                                       for j, e in enumerate(row)]
-                                      for i, row in enumerate(g.entries)])
+            h = Toeplitz(n, (g.profile[0] + x,) + g.profile[1:])
             det = _block_det(h)
             assert det == laplace_det(h) and det != Scalar.one()
 
@@ -402,25 +321,6 @@ class TestBlockDeterminant:
                       + [Scalar.zero()] * (n - 2))
         assert _block_det(g) == laplace_det(g) == Scalar.of(4 ** n)
 
-    def test_entry_below_diagonal_is_refused(self):
-        one, zero = REpsElement.one(), REpsElement()
-        lower = REpsMatrix.from_rows([[one, zero], [EPS, one]])
-        assert laplace_det(lower) == Scalar.one()
-        assert _block_det(lower) is None
-
-    def test_check_fails_without_raising_below_diagonal(self, monkeypatch):
-        def lower_shift(n, j):
-            g = h_shift_formal(n, j)
-            rows = [list(r) for r in g.entries]
-            rows[n - 1][0] = REpsElement(Scalar.var(f"a{j}"))
-            return REpsMatrix.from_rows(rows)
-
-        monkeypatch.setattr(clifford, "h_shift_formal", lower_shift)
-        record = h_det_check(3)
-        assert not record.passed
-        assert record.details == {"phase_det": "1",
-                                  "below_diagonal": "shift1_det"}
-
     def test_pass_details_name_every_generator(self):
         record = h_det_check(4)
         assert record.details == {
@@ -428,7 +328,7 @@ class TestBlockDeterminant:
             "shift3_det": "1", "mixed_det": "1"}
 
     def test_det_check_at_n32(self):
-        assert h_det_check(32).passed
+        assert h_det_check(32).status == PASS
 
 
 class TestComplexified:

@@ -236,13 +236,13 @@ class TestVerifiers:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_lemma_d(self, n):
         record = verify_lemma_d(n)
-        assert record.passed
+        assert record.status == PASS
         assert record.check_id == f"lemma-d.D.n{n}"
         assert record.paper_ref == "Lemma 4.4"
 
     def test_lemma_dprime(self):
         record = verify_lemma_d(2)
-        assert record.passed
+        assert record.status == PASS
         assert record.check_id == "lemma-d.Dprime.n2"
         assert record.paper_ref == "n=2 proof display"
 
@@ -260,11 +260,11 @@ class TestVerifiers:
                         for t, c in rows[sym_z(j)].items()}
 
     def test_random_group_element_invertible(self):
-        from invdist.clifford import REpsMatrix, group_inverse
+        from invdist.clifford import Toeplitz, group_inverse
         rng = random.Random(13)
         for n in (2, 3, 4):
             g = random_group_element(n, rng)
-            assert g * group_inverse(g) == REpsMatrix.identity(n)
+            assert g * group_inverse(g) == Toeplitz.identity(n)
             substitution_from_group(g)  # reality holds
 
     @pytest.mark.parametrize("spec", [
@@ -276,7 +276,7 @@ class TestVerifiers:
     ])
     def test_invariance(self, spec):
         rec = verify_invariance(spec, work=FamilyWork(spec, 2, 3))
-        assert rec.passed, rec.details
+        assert rec.status == PASS, rec.details
 
     @pytest.mark.parametrize("spec", [
         FamilySpec(3, "T", 3),
@@ -297,7 +297,7 @@ class TestVerifiers:
         # not fixed by it; the failure carries that generator's label
         twist_shift2(monkeypatch)
         rec = verify_invariance(FamilySpec(3, "T", 2))
-        assert not rec.passed
+        assert rec.status == FAIL
         assert [f["generator"] for f in rec.details["failures"]] == ["shift2"]
 
     def test_invariance_degree_detail(self):
@@ -308,18 +308,18 @@ class TestVerifiers:
 
     def test_independence(self):
         rec = verify_independence(FamilySpec(3, "T", 5))
-        assert rec.passed
+        assert rec.status == PASS
         assert rec.details["rank"] == 6
 
     def test_independence_t2(self):
         rec = verify_independence(FamilySpec(2, "T2", 5, lam=Fraction(2)))
-        assert rec.passed
+        assert rec.status == PASS
         assert rec.details["rank"] == 6
 
     @pytest.mark.parametrize("n,j", [(3, 2), (4, 2), (4, 3)])
     def test_support_filtration(self, n, j):
         rec = verify_support_filtration(n, j, lmax=3)
-        assert rec.passed, rec.details
+        assert rec.status == PASS, rec.details
         assert rec.details["supports"] == [f"X{j}"] * 4
 
     @pytest.mark.parametrize("n,j", [(2, 1), (3, 1), (3, 3), (4, 4)])
@@ -395,7 +395,7 @@ class TestSharedInvarianceWork:
         twist_shift2(monkeypatch)
         spec = FamilySpec(3, "T", 2)
         standalone = verify_invariance(spec, work=FamilyWork(spec, 2, 3))
-        assert not standalone.passed
+        assert standalone.status == FAIL
         report, counts = self.run_counted(monkeypatch, n=3, lmax=4,
                                           samples=2, seed=3)
         status = {c.check_id: c.status for c in report.checks}
@@ -414,7 +414,7 @@ class TestSharedInvarianceWork:
     def test_work_must_match_the_check(self):
         spec = FamilySpec(3, "T", 2)
         work = FamilyWork(spec, 1, 0)
-        assert verify_invariance(replace(spec, l=1), work=work).passed
+        assert verify_invariance(replace(spec, l=1), work=work).status == PASS
         for other in (replace(spec, l=3), replace(spec, lam=Fraction(3)),
                       FamilySpec(4, "T", 2), FamilySpec(3, "Tbar", 2)):
             with pytest.raises(ValueError):
@@ -425,8 +425,9 @@ class TestSharedInvarianceWork:
         # a rank check needs the same chain: Tj(j=n-1) is T's chain, at the
         # same lam and length
         work = FamilyWork(FamilySpec(4, "T", 2))
-        assert verify_support_filtration(4, 3, 2, work=work).passed
-        assert verify_independence(FamilySpec(4, "T", 2), work=work).passed
+        assert verify_support_filtration(4, 3, 2, work=work).status == PASS
+        record = verify_independence(FamilySpec(4, "T", 2), work=work)
+        assert record.status == PASS
         for spec in (FamilySpec(4, "T", 2, lam=Fraction(3)),  # another lam
                      FamilySpec(4, "Tj", 2, j=2),             # another j
                      FamilySpec(4, "T", 1), FamilySpec(4, "T", 3)):

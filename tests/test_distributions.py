@@ -9,7 +9,7 @@ import pytest
 
 from invdist import distributions
 from invdist.cli import RunConfig, run_suite
-from invdist.clifford import REpsMatrix, h_element, h_generators, h_phase, \
+from invdist.clifford import Toeplitz, h_element, h_generators, h_phase, \
     h_shift
 from invdist.constructions import (FamilySpec, _seed, build_family,
                                    generator_substitutions,
@@ -149,7 +149,7 @@ ACTIONS = [(DistExpr.act_group, (0, 0)), (act_group_reference, (1, 1))]
 class TestGroupAction:
     def test_identity_action(self):
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
-        identity = substitution_from_group(REpsMatrix.identity(3))
+        identity = substitution_from_group(Toeplitz.identity(3))
         for act, order in ACTIONS:
             expr = DistExpr.single(3, powers={2: sigma}, delta={3: order})
             assert act(expr, identity) == expr
@@ -232,9 +232,17 @@ class TestActionShape:
                            match="maps outside"):
             chain[0].act_group(Substitution(n, rows, rows))
 
+    def test_reference_refuses_a_non_unit_diagonal(self):
+        # z -> 2z pulls delta(z_2) back to 4 delta(z_2), which the jet
+        # expansion would miss: the reference raises instead
+        g = h_element(2, Scalar.of(2), [Scalar.zero()])
+        with pytest.raises(ValueError, match="non-unit"):
+            act_group_reference(build_family(FamilySpec(2, "T2", 0))[0],
+                                substitution_from_group(g))
+
     def test_derived_delta_is_refused(self):
         expr = DistExpr.single(3, delta={3: (1, 0)})
-        identity = substitution_from_group(REpsMatrix.identity(3))
+        identity = substitution_from_group(Toeplitz.identity(3))
         with pytest.raises(ValueError, match="underived"):
             expr.act_group(identity)
 
@@ -243,7 +251,7 @@ def composite_substitutions(n):
     """The substitution of every generator of ``h_generators`` and of three
     products of them."""
     gens = dict(h_generators(n))
-    everything = REpsMatrix.identity(n)
+    everything = Toeplitz.identity(n)
     for g in gens.values():
         everything = everything * g
     return [substitution_from_group(g) for g in (

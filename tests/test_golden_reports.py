@@ -20,6 +20,8 @@ CASES = {
     "complex-orbits_n4_s2_seed7": dict(suite="complex-orbits", n=4,
                                        samples=2, seed=7),
     "algebra_n4_s5_seed7": dict(suite="algebra", n=4, samples=5, seed=7),
+    # the census workload's algebra config
+    "algebra_n8_s25": dict(suite="algebra", n=8, samples=25),
     "independence_n3_lmax4": dict(suite="independence", n=3, lmax=4),
     "invariance_n4_lmax4_s2_seed3": dict(suite="invariance", n=4, lmax=4,
                                          samples=2, seed=3),

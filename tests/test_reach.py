@@ -17,7 +17,6 @@ SRC = os.path.dirname(cli.__file__)
 ALLOWED = {
     "clifford.REpsElement.__str__":
         "prints h_closure_check's counterexample diagonal",
-    "records.CheckRecord.passed": "the verdict accessor of the public API",
     "scalars.GaussianRational.__bool__":
         "without it a zero value would be truthy",
     "scalars.GaussianRational.__repr__": "prints a value in test failures",

@@ -7,12 +7,13 @@ from math import comb, perm, prod
 
 import pytest
 
-from invdist.clifford import REpsMatrix, h_phase, h_shift, h_shift_formal
+from invdist.clifford import Toeplitz, h_generators, h_phase, h_shift, \
+    h_shift_formal
 from invdist.scalars import AffineExponent, GaussianRational, Scalar
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitute_poly, substitution_from_group, sym_conj,
                           sym_name, sym_z, sym_zbar)
-from reference import falling_factorial, op_parts
+from reference import dense, falling_factorial, neumann_inverse, op_parts
 
 
 def rand_poly(n, rng, nterms=3):
@@ -166,7 +167,7 @@ class TestSubstitution:
     def test_identity_fixes_polys(self):
         rng = random.Random(9)
         n = 3
-        s = substitution_from_group(REpsMatrix.identity(n))
+        s = substitution_from_group(Toeplitz.identity(n))
         p = rand_poly(n, rng)
         assert polys_equal(substitute_poly(p, s.fwd, 2 * n), p)
 
@@ -195,12 +196,39 @@ class TestSubstitution:
                         sym_conj(t): c.conjugate()
                         for t, c in rows[sym_z(j)].items()}
 
+    def test_rows_read_off_the_dense_matrix(self):
+        # (g z)_i = sum_j g_ij . z_j over every entry of the dense matrix,
+        # and the inverse rows off its Neumann-series inverse
+        def dense_rows(m):
+            rows = []
+            for row in m:
+                form = {}
+                for j, e in enumerate(row, start=1):
+                    if not e.a.is_zero():
+                        form[sym_z(j)] = e.a
+                    if not e.b.is_zero():
+                        form[sym_zbar(j)] = e.b
+                rows += [form, {sym_conj(t): c.conjugate()
+                                for t, c in form.items()}]
+            return tuple(rows)
+
+        for n in range(2, 7):
+            gens = dict(h_generators(n))
+            everything = Toeplitz.identity(n)
+            for g in gens.values():
+                everything = everything * g
+            for g in (*gens.values(), gens["phase"] * gens["shift1"],
+                      gens[f"shift{n - 1}"] * gens["phase"], everything):
+                s = substitution_from_group(g)
+                assert s.fwd == dense_rows(dense(g))
+                assert s.inv == dense_rows(neumann_inverse(dense(g)))
+
 
 class TestConjugateOp:
     def test_identity_substitution_fixes_ops(self):
         rng = random.Random(21)
         n = 2
-        identity = substitution_from_group(REpsMatrix.identity(n))
+        identity = substitution_from_group(Toeplitz.identity(n))
         for _ in range(10):
             op = rand_op(n, rng)
             assert op_parts(conjugate_op(op, identity)) == op_parts(op)
