@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 from .clifford import Toeplitz, h_element, h_generators, h_shift, \
     h_shift_formal
-from .distributions import ActionOnPowers, DistExpr, independence_rank
+from .distributions import DistExpr, Residuals, independence_rank
 from .records import FAIL, PASS, CheckRecord
 from .scalars import AffineExponent, GaussianRational, Scalar, \
     random_gaussian
@@ -220,11 +220,11 @@ class FamilyWork:
     """The work the family checks of one run share for one chain of orders
     0..spec.l, each part computed by the first check that reads it: the
     chain from one ``build_family`` call, its rank from one
-    ``independence_rank`` call, and the action on the chain
-    (``ActionOnPowers``) of every labelled generator of ``h_generators``,
-    then of ``composite_samples`` random composites drawn from
-    ``random.Random(seed)``: each reads the chain and holds its element's
-    difference operator g.D - D in place of g.D."""
+    ``independence_rank`` call, and the ``Residuals`` on the chain of
+    every labelled generator of ``h_generators``, then of
+    ``composite_samples`` random composites drawn from
+    ``random.Random(seed)``: each holds its element's difference operator
+    g.D - D and its residuals of the orders asked for so far."""
 
     spec: FamilySpec
     composite_samples: int = 0
@@ -251,8 +251,8 @@ class FamilyWork:
         return independence_rank(self.chain)
 
     @cached_property
-    def actions(self) -> List[Tuple[str, ActionOnPowers]]:
-        """(name, action) of each labelled generator, then of each
+    def residuals(self) -> List[Tuple[str, Residuals]]:
+        """(name, residuals) of each labelled generator, then of each
         composite, named "random composite"."""
         n = self.spec.n
         op = build_vector_field(n, *self.spec.row()[:2])
@@ -261,7 +261,7 @@ class FamilyWork:
             ("random composite",
              substitution_from_group(random_group_element(n, rng)))
             for _ in range(self.composite_samples)]
-        return [(name, ActionOnPowers(op, self.chain, sub))
+        return [(name, Residuals(op, self.chain, sub))
                 for name, sub in subs]
 
 
@@ -270,25 +270,29 @@ def verify_invariance(spec: FamilySpec, *,
     """Exact invariance of the family member under every generator (formal
     phase and formal shift coefficients), plus grading side checks and an
     optional belt-and-braces pass over the work's random composite group
-    elements.  The action is derived from the chain and each element's
-    difference operator E_g = g.D - D (``ActionOnPowers``) and compared with
-    the member itself; when the lower orders are fixed, a failure's
-    ``difference`` is E_g applied to the member of the order before.
+    elements.  By the induction of Proposition 4.5 (``Residuals``), an
+    element fixes the members of orders 0..l exactly when its residuals
+    g.T^0 - T^0 and E_g T^(k-1), 1 <= k <= l, are zero, with the difference
+    operator E_g = g.D - D of Lemma 4.4.  A failure's ``difference`` is the
+    first nonzero residual, which is g.T^l - T^l when the lower orders are
+    fixed; its ``order`` is given when it lies below l.
 
     ``work`` is the ``FamilyWork`` a run shares between its checks of the
-    orders 0..lmax, taken in increasing order, and its other checks of the
-    same chain; left out, it is built for ``spec`` alone, with no
-    composites."""
+    orders 0..lmax and its other checks of the same chain; left out, it is
+    built for ``spec`` alone, with no composites."""
     work = (work or FamilyWork(spec)).check(spec)
     expr = work.chain[spec.l]
     n = spec.n
     details = {"family": _family_name(spec), "l": spec.l}
     failures = []
-    for name, action in work.actions:
-        acted = action.at(spec.l)
-        if acted != expr:
+    for name, residuals in work.residuals:
+        failure = residuals.first_failure(spec.l)
+        if failure:
+            k, residual = failure
             failures.append({"generator": name,
-                             "difference": (acted - expr).canonical_str()})
+                             "difference": residual.canonical_str()})
+            if k < spec.l:
+                failures[-1]["order"] = k
             if name == "random composite":
                 break  # one failing composite is enough
     weights = expr.u1_weights()

@@ -11,7 +11,7 @@ delta at z_k = 0.  The rewrite rules
 (zero when the order is exhausted) are applied exhaustively, monomial
 factors shared between z_j and zbar_j are folded into the power factor,
 and terms are merged under a fixed total order, giving a unique canonical
-form.  Equality of canonical forms is the equality notion everywhere.
+form: two expressions are equal exactly when their difference has no term.
 
 The jet-pairing convention: <d^a dbar^b delta_k, z_k^p zbar_k^q> equals
 (-1)^(a+b) a! b! when (p, q) == (a, b) and 0 otherwise.  (The conventional
@@ -30,8 +30,8 @@ from .weyl import Expo, Substitution, WeylOp, conjugate_op, \
     substitute_poly, sym_conj, sym_name, sym_z, sym_zbar
 
 __all__ = [
-    "ActionOnPowers",
     "DistExpr",
+    "Residuals",
     "UnsupportedSubstitutionError",
     "SupportDescriptor",
     "independence_rank",
@@ -173,10 +173,6 @@ class DistExpr:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DistExpr) and self.n == other.n
-                and self.terms == other.terms)
 
     # -- differential operators -------------------------------------------
 
@@ -399,42 +395,32 @@ class SupportDescriptor:
         return f"X{self.stratum}" if self.stratum is not None else "irregular"
 
 
-class ActionOnPowers:
-    """The action of one group element g on each member D^l T of a chain
-    (``build_family``'s members of orders 0, 1, ...), derived from the
-    difference operator E_g = g.D - D (Lemma 4.4) without a second chain:
-    g.(D^l T) = (g.D) g.(D^(l-1) T) and g.D = D + E_g (Proposition 4.5).
+class Residuals:
+    """The residuals of one group element g on a chain (``build_family``'s
+    members T^0, T^1, ... with T^l = D T^(l-1)), by the induction of
+    Proposition 4.5: g.D = D + E_g with E_g = g.D - D (Lemma 4.4), so when g
+    fixes T^(l-1), g.T^l - T^l = E_g T^(l-1).  Hence g fixes T^0..T^l
+    exactly when the residual g.T^0 - T^0 of order 0 and E_g T^(k-1) of
+    each order 1 <= k <= l are all zero.
 
-    g.T and E_g are computed once.  Order 0 is g.T itself.  Order l is
-    main + E_g applied to order l - 1, where main is the chain's member of
-    order l when the acted member of order l - 1 equals the chain's member,
-    and D applied to it otherwise; the equality is tested, not assumed, so
-    every order is exact under any call pattern, and when the orders below
-    are fixed, the action differs from the member by exactly
-    E_g (D^(l-1) T)."""
+    E_g and the residual of order 0 are computed once; the residual of
+    order k is formed when first asked for, and none past the first
+    nonzero one."""
 
     def __init__(self, op: WeylOp, chain: Sequence[DistExpr],
                  sub: Substitution):
-        self.op = op
         self.chain = chain
         self.difference = conjugate_op(op, sub) - op  # E_g
-        self.order = 0
-        self.acted = chain[0].act_group(sub)  # g.(D^order T)
+        self.residuals = [chain[0].act_group(sub) - chain[0]]
 
-    def at(self, order: int) -> DistExpr:
-        """g.(D^order T).  Orders only advance: a lower order than the last
-        one asked for is an error."""
-        if order < self.order:
-            raise ValueError(f"order {order} is below the order "
-                             f"{self.order} already reached")
-        while self.order < order:
-            prev = self.acted
-            self.order += 1
-            main = self.chain[self.order] \
-                if prev == self.chain[self.order - 1] \
-                else prev.apply_weyl(self.op)
-            self.acted = main + prev.apply_weyl(self.difference)
-        return self.acted
+    def first_failure(self, order: int) -> Optional[Tuple[int, DistExpr]]:
+        """(k, residual) for the lowest order k <= ``order`` whose residual
+        is nonzero, or None when g fixes the members of orders 0..order."""
+        res = self.residuals
+        while len(res) <= order and res[-1].is_zero():
+            res.append(self.chain[len(res) - 1].apply_weyl(self.difference))
+        k = min(order, len(res) - 1)
+        return None if res[k].is_zero() else (k, res[k])
 
 
 # ---------------------------------------------------------------------------

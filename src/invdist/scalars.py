@@ -125,9 +125,7 @@ class GaussianRational:
         sign = "+" if b > 0 else "-"
         return f"({_ratio_str(a, d)}{sign}{_ratio_str(abs(b), d)}*i)"
 
-    def __repr__(self) -> str:
-        return (f"GaussianRational.from_triple({self.num_re}, {self.num_im}, "
-                f"{self.den})")
+    __repr__ = __str__
 
 
 def _canonical(num_re: int, num_im: int, den: int) -> GaussianRational:
@@ -453,8 +451,7 @@ class Scalar:
             parts.append("*".join(factors) if factors else "1")
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"Scalar({self})"
+    __repr__ = __str__
 
 
 _ZERO = Scalar({})

@@ -207,19 +207,17 @@ class Substitution:
 def _rows_from_matrix(g: Toeplitz) -> Tuple[Dict[int, Scalar], ...]:
     """Linear forms (g.z)_i = sum_{j>=i} profile[j-i] . z_j, eps-twisted."""
     n = g.n
+    # each nonzero part of each profile entry with its conjugate, taken once
+    # although the entry sits on several rows
+    parts = [[(sym, c, c.conjugate()) for sym, c in ((sym_z, e.a),
+                                                     (sym_zbar, e.b)) if c]
+             for e in g.profile]
     rows: List[Dict[int, Scalar]] = []
     for i in range(1, n + 1):
-        form: Dict[int, Scalar] = {}
-        for j in range(i, n + 1):
-            e = g.profile[j - i]
-            if e.a:
-                form[sym_z(j)] = e.a
-            if e.b:
-                form[sym_zbar(j)] = e.b
-        rows.append(form)
-        # conjugate row
-        rows.append({sym_conj(s): c.conjugate()
-                     for s, c in rows[-1].items()})
+        terms = [(sym(j), c, cc) for j in range(i, n + 1)
+                 for sym, c, cc in parts[j - i]]
+        rows.append({s: c for s, c, _ in terms})
+        rows.append({sym_conj(s): cc for s, _, cc in terms})  # conjugate row
     return tuple(rows)
 
 

@@ -160,6 +160,12 @@ def op_parts(op: WeylOp) -> Tuple[int, dict]:
     return op.n, op.terms
 
 
+def expr_parts(e: DistExpr) -> Tuple[int, dict]:
+    """An expression's size and its canonical terms, by which the tests
+    compare expressions."""
+    return e.n, e.terms
+
+
 def constant_value(x: Scalar) -> GaussianRational:
     if set(x.terms) - {()}:
         raise ValueError(f"not a constant scalar: {x}")

@@ -41,6 +41,17 @@ class TestRunSuite:
         ids = [c.check_id for c in report.checks]
         assert ids == sorted(ids)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_planned_ids_are_the_record_ids(self, suite, n):
+        # each id is written twice: in the plan, which names a skipped
+        # record, and in the check, which names an executed one
+        config = RunConfig(suite=suite, n=n, lmax=2, samples=3)
+        report = run_suite(config)
+        assert report.all_passed
+        assert sorted(c.check_id for c in report.checks) \
+            == sorted(check_id for check_id, _ in cli._plan(config))
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             RunConfig(suite="algebra", n=1).validate()

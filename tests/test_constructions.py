@@ -19,7 +19,7 @@ from invdist.records import FAIL, PASS, SKIPPED
 from invdist.scalars import AffineExponent, GaussianRational, Scalar
 from invdist.weyl import WeylOp, conjugate_op, substitution_from_group, \
     sym_conj, sym_z, sym_zbar
-from reference import act_group, op_parts, twisted_shift2
+from reference import act_group, expr_parts, op_parts, twisted_shift2
 
 import random
 
@@ -73,8 +73,8 @@ class TestFamilies:
         spec = FamilySpec(3, "T", 0)
         [expr] = build_family(spec)
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
-        assert expr == DistExpr.single(3, powers={2: sigma},
-                                       delta={3: (0, 0)})
+        assert expr_parts(expr) == expr_parts(
+            DistExpr.single(3, powers={2: sigma}, delta={3: (0, 0)}))
 
     def test_first_member_by_hand(self):
         # D T^0 = (1 - lam/2) zbar1 z2 |z2|^(-lam) delta
@@ -88,7 +88,7 @@ class TestFamilies:
             powers={2: sigma - 1}, delta={3: (0, 0)}) \
             + DistExpr.single(n, mono={sym_z(2): 1}, powers={2: sigma},
                               delta={3: (1, 0)})
-        assert expr == by_hand
+        assert expr_parts(expr) == expr_parts(by_hand)
 
     def test_family_is_one_chain(self):
         # T^l = D T^(l-1), and each member is the last of its own family
@@ -96,8 +96,10 @@ class TestFamilies:
         family = build_family(FamilySpec(3, "T", 3))
         assert len(family) == 4
         for l in range(1, 4):
-            assert family[l] == family[l - 1].apply_weyl(op)
-            assert family[l] == build_family(FamilySpec(3, "T", l))[-1]
+            assert expr_parts(family[l]) \
+                == expr_parts(family[l - 1].apply_weyl(op))
+            assert expr_parts(family[l]) \
+                == expr_parts(build_family(FamilySpec(3, "T", l))[-1])
 
     @pytest.mark.parametrize("spec,j,conjugate", [
         (FamilySpec(3, "T", 1), 2, False),
@@ -112,15 +114,17 @@ class TestFamilies:
         # the paper's operator of each family: D_{n-1} for T, its
         # conjugate for Tbar, D_j for Tj and D_1 = D' for T2
         family = build_family(spec)
-        assert family[1] == family[0].apply_weyl(
-            build_vector_field(spec.n, j, conjugate))
+        assert expr_parts(family[1]) == expr_parts(family[0].apply_weyl(
+            build_vector_field(spec.n, j, conjugate)))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("lam", [None, Fraction(3)])
     def test_t_is_tj_at_last_index(self, n, lam):
         # T is the j = n-1 member of the Tj families, member by member
-        assert build_family(FamilySpec(n, "T", 6, lam=lam)) \
-            == build_family(FamilySpec(n, "Tj", 6, j=n - 1, lam=lam))
+        assert list(map(expr_parts,
+                        build_family(FamilySpec(n, "T", 6, lam=lam)))) \
+            == list(map(expr_parts, build_family(
+                FamilySpec(n, "Tj", 6, j=n - 1, lam=lam))))
 
     @pytest.mark.parametrize("spec", [
         FamilySpec(3, "T", 24), FamilySpec(5, "T", 12),
@@ -136,7 +140,7 @@ class TestFamilies:
         expr = build_family(FamilySpec(2, "T2", 2))[-1]
         # (z1 d/dz2)^2 delta(z2) = z1^2 d^2 delta
         expected = DistExpr.single(2, mono={sym_z(1): 2}, delta={2: (2, 0)})
-        assert expr == expected
+        assert expr_parts(expr) == expr_parts(expected)
 
     @pytest.mark.parametrize("lam", [0.5, 3.0, "3"])
     def test_lambda_must_be_exact(self, lam):
@@ -148,8 +152,8 @@ class TestFamilies:
     def test_specialized_lambda(self):
         [expr] = build_family(FamilySpec(3, "T", 0, lam=Fraction(4)))
         # sigma = 1 - 4/2 = -1 stays a power factor
-        assert expr == DistExpr.single(
-            3, powers={2: AffineExponent.of(-1)}, delta={3: (0, 0)})
+        assert expr_parts(expr) == expr_parts(DistExpr.single(
+            3, powers={2: AffineExponent.of(-1)}, delta={3: (0, 0)}))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -290,7 +294,8 @@ class TestVerifiers:
         # operator, no operator power and no code of DistExpr.act_group
         for member in build_family(spec):
             for _, sub in generator_substitutions(spec.n):
-                assert act_group(member, sub) == member
+                assert expr_parts(act_group(member, sub)) \
+                    == expr_parts(member)
 
     def test_invariance_failure_names_the_generator(self, monkeypatch):
         # a2*eps in place of a2*eps^2 = a2 leaves H, and T of order 2 is
@@ -299,6 +304,23 @@ class TestVerifiers:
         rec = verify_invariance(FamilySpec(3, "T", 2))
         assert rec.status == FAIL
         assert [f["generator"] for f in rec.details["failures"]] == ["shift2"]
+
+    def test_invariance_failure_below_the_order_names_it(self, monkeypatch):
+        # the twisted shift2 first moves the member of order 2: a check at
+        # order 4 reports that order, with the difference of the order-2
+        # check, and only this failure
+        twist_shift2(monkeypatch)
+        at2 = verify_invariance(FamilySpec(3, "T", 2))
+        counts = {}
+        count_calls(monkeypatch, DistExpr, "apply_weyl", counts)
+        at4 = verify_invariance(FamilySpec(3, "T", 4))
+        # 4 steps of the chain and 4 residuals of each of the phase and
+        # shift1; none of shift2's past its first nonzero one, of order 2
+        assert counts["apply_weyl"] == 4 + 2 * 4 + 2
+        assert at4.status == FAIL
+        assert at4.details["failures"] == [
+            dict(at2.details["failures"][0], order=2)]
+        assert "order" not in at2.details["failures"][0]
 
     def test_invariance_degree_detail(self):
         rec = verify_invariance(FamilySpec(3, "T", 1))
@@ -414,14 +436,17 @@ class TestSharedInvarianceWork:
     def test_work_must_match_the_check(self):
         spec = FamilySpec(3, "T", 2)
         work = FamilyWork(spec, 1, 0)
-        assert verify_invariance(replace(spec, l=1), work=work).status == PASS
+        # orders come in any order, each with the record a fresh work gives
+        for l in (2, 0, 1):
+            record = verify_invariance(replace(spec, l=l), work=work)
+            fresh = verify_invariance(replace(spec, l=l),
+                                      work=FamilyWork(spec, 1, 0))
+            assert record.status == PASS
+            assert record.to_dict() == fresh.to_dict()
         for other in (replace(spec, l=3), replace(spec, lam=Fraction(3)),
                       FamilySpec(4, "T", 2), FamilySpec(3, "Tbar", 2)):
             with pytest.raises(ValueError):
                 verify_invariance(other, work=work)
-        # orders only advance
-        with pytest.raises(ValueError):
-            verify_invariance(replace(spec, l=0), work=work)
         # a rank check needs the same chain: Tj(j=n-1) is T's chain, at the
         # same lam and length
         work = FamilyWork(FamilySpec(4, "T", 2))

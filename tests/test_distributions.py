@@ -14,7 +14,7 @@ from invdist.clifford import Toeplitz, h_element, h_generators, h_phase, \
 from invdist.constructions import (FamilySpec, _seed, build_family,
                                    generator_substitutions,
                                    random_group_element)
-from invdist.distributions import (ActionOnPowers, DistExpr, RawTerm,
+from invdist.distributions import (DistExpr, RawTerm, Residuals,
                                    SupportDescriptor,
                                    UnsupportedSubstitutionError,
                                    _canonical_key, independence_rank)
@@ -23,7 +23,7 @@ from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitution_from_group, sym_z, sym_zbar)
 from reference import act_group as act_group_reference
-from reference import op_parts, twisted_shift2
+from reference import expr_parts, op_parts, twisted_shift2
 
 
 def delta_functional(expr: DistExpr, r: int, s: int) -> Scalar:
@@ -74,28 +74,28 @@ class TestRewriteRules:
         # z * d^2 delta = -2 d delta
         expr = DistExpr.single(1, mono={0: 1}, delta={1: (2, 0)})
         expected = DistExpr.single(1, coeff=Scalar.of(-2), delta={1: (1, 0)})
-        assert expr == expected
+        assert expr_parts(expr) == expr_parts(expected)
 
     def test_monomials_fold_into_power_factor(self):
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
         a = DistExpr.single(2, mono={sym_z(1): 1, sym_zbar(1): 1},
                             powers={1: sigma}, delta={2: (0, 0)})
         b = DistExpr.single(2, powers={1: sigma + 1}, delta={2: (0, 0)})
-        assert a == b
+        assert expr_parts(a) == expr_parts(b)
 
     def test_integer_power_becomes_monomial(self):
         a = DistExpr.single(2, powers={1: AffineExponent.of(2)},
                             delta={2: (0, 0)})
         b = DistExpr.single(2, mono={sym_z(1): 2, sym_zbar(1): 2},
                             delta={2: (0, 0)})
-        assert a == b
+        assert expr_parts(a) == expr_parts(b)
 
     def test_normalize_idempotent(self):
         sigma = AffineExponent(Fraction(2), Fraction(-1, 2))
         expr = DistExpr.single(3, mono={sym_zbar(1): 1, sym_z(2): 2},
                                powers={2: sigma}, delta={3: (1, 1)})
         again = DistExpr.from_raw(3, expr.raw_terms())
-        assert again == expr
+        assert expr_parts(again) == expr_parts(expr)
 
     def test_power_on_delta_variable_rejected(self):
         raw = RawTerm([0, 0, 0, 0], {2: AffineExponent(Fraction(1, 2))},
@@ -109,7 +109,8 @@ class TestDifferentiation:
         # d/dz1 of delta(z1) raises the derivative order
         expr = DistExpr.single(1, delta={1: (0, 0)})
         d = WeylOp.term(1, Scalar.one(), deriv={0: 1})
-        assert expr.apply_weyl(d) == DistExpr.single(1, delta={1: (1, 0)})
+        assert expr_parts(expr.apply_weyl(d)) \
+            == expr_parts(DistExpr.single(1, delta={1: (1, 0)}))
 
     def test_power_factor_derivative(self):
         # d/dz1 (z1 zbar1)^sigma = sigma zbar1 (z1 zbar1)^(sigma-1)
@@ -119,7 +120,7 @@ class TestDifferentiation:
         expected = DistExpr.single(
             2, coeff=sigma.as_scalar(), mono={sym_zbar(1): 1},
             powers={1: sigma - 1}, delta={2: (0, 0)})
-        assert expr.apply_weyl(d) == expected
+        assert expr_parts(expr.apply_weyl(d)) == expr_parts(expected)
 
     def test_apply_weyl_respects_composition(self):
         rng = random.Random(4)
@@ -131,8 +132,8 @@ class TestDifferentiation:
                             {rng.randrange(4): 1}, {rng.randrange(4): 1})
             b = WeylOp.term(n, Scalar.of(rng.randint(1, 3)),
                             {rng.randrange(4): 1}, {rng.randrange(4): 1})
-            assert expr.apply_weyl(b).apply_weyl(a) \
-                == expr.apply_weyl(a.compose(b))
+            assert expr_parts(expr.apply_weyl(b).apply_weyl(a)) \
+                == expr_parts(expr.apply_weyl(a.compose(b)))
 
 
 def shift_sub(n, j, re=Fraction(1, 2), im=Fraction(1, 3)):
@@ -152,7 +153,7 @@ class TestGroupAction:
         identity = substitution_from_group(Toeplitz.identity(3))
         for act, order in ACTIONS:
             expr = DistExpr.single(3, powers={2: sigma}, delta={3: order})
-            assert act(expr, identity) == expr
+            assert expr_parts(act(expr, identity)) == expr_parts(expr)
 
     def test_action_composes(self):
         # a left action: acting by g1, then by g3, is acting by g3 * g1;
@@ -167,8 +168,10 @@ class TestGroupAction:
                                    powers={2: sigma}, delta={3: order})
             seq = act(act(expr, substitution_from_group(g1)),
                       substitution_from_group(g3))
-            assert seq == act(expr, substitution_from_group(g3 * g1))
-            assert seq != act(expr, substitution_from_group(g1 * g3))
+            assert expr_parts(seq) == expr_parts(
+                act(expr, substitution_from_group(g3 * g1)))
+            assert expr_parts(seq) != expr_parts(
+                act(expr, substitution_from_group(g1 * g3)))
 
     def test_phase_action_on_delta(self):
         # the full-phase rotation fixes the delta block and rotates
@@ -191,7 +194,8 @@ class TestGroupAction:
             a = DistExpr.single(n, powers={2: sigma}, delta={3: order})
             b = DistExpr.single(n, mono={sym_zbar(1): 2}, powers={2: sigma},
                                 delta={3: (0, 0)})
-            assert act(a + b, sub) == act(a, sub) + act(b, sub)
+            assert expr_parts(act(a + b, sub)) \
+                == expr_parts(act(a, sub) + act(b, sub))
 
     def test_inverse_action_roundtrips(self):
         n = 3
@@ -201,7 +205,8 @@ class TestGroupAction:
         for act, order in ACTIONS:
             expr = DistExpr.single(n, mono={sym_zbar(1): 1},
                                    powers={2: sigma}, delta={3: order})
-            assert act(act(expr, sub), inverse) == expr
+            assert expr_parts(act(act(expr, sub), inverse)) \
+                == expr_parts(expr)
 
 
 class TestActionShape:
@@ -271,21 +276,22 @@ def test_order_zero_action_matches_jet_expansion(n):
     for spec in specs:
         member = build_family(spec)[0]
         for sub in subs:
-            assert member.act_group(sub) \
-                == act_group_reference(member, sub), (spec, sub)
+            assert expr_parts(member.act_group(sub)) \
+                == expr_parts(act_group_reference(member, sub)), (spec, sub)
 
 
 @pytest.mark.parametrize("spec", [
     FamilySpec(2, "T2", 4), FamilySpec(3, "T", 4), FamilySpec(3, "Tbar", 4),
     FamilySpec(4, "T", 4), FamilySpec(4, "Tbar", 4),
     FamilySpec(4, "Tj", 4, j=2)], ids=lambda s: f"{s.family}-n{s.n}")
-def test_action_on_powers_matches_the_power_of_the_conjugated_operator(
+def test_first_failure_is_where_the_conjugated_power_leaves_the_chain(
         spec):
-    # the derivation by powers: g.T^0 with C^l = (g.D)^l applied to it,
-    # C^l grown one compose at a time from the identity operator.  At
-    # n >= 3 the twisted shift2 lies outside H: its acted member leaves the
-    # chain at order 2, and from order 3 on the action differs from the
-    # chain member plus E_g of the acted member of the order before
+    # the derivation by powers: g.T^l is g.T^0, by the jet expansion, with
+    # (g.D)^l applied to it, (g.D)^l grown one compose at a time from the
+    # identity operator.  The first order where it leaves the chain is the
+    # first nonzero residual, whatever order the residuals are asked for
+    # in: none in H; order 2 for the twisted shift2, which at n >= 3 lies
+    # outside H, and there the residual is g.T^2 - T^2
     n = spec.n
     op, _ = _seed(spec)
     chain = build_family(spec)
@@ -293,21 +299,25 @@ def test_action_on_powers_matches_the_power_of_the_conjugated_operator(
     subs = [sub for _, sub in generator_substitutions(n)] + [
         substitution_from_group(random_group_element(n, random.Random(n)))]
     for sub in subs + ([twist] if twist else []):
-        action = ActionOnPowers(op, chain, sub)
-        acted_base, conjugated = chain[0].act_group(sub), conjugate_op(op, sub)
-        assert op_parts(action.difference) == op_parts(conjugated - op)
-        power = WeylOp.term(n, Scalar.one())
-        previous = None
+        residuals = Residuals(op, chain, sub)
+        acted_base = act_group_reference(chain[0], sub)
+        conjugated = conjugate_op(op, sub)
+        assert op_parts(residuals.difference) == op_parts(conjugated - op)
+        power, first = WeylOp.term(n, Scalar.one()), None
         for l in range(spec.l + 1):
-            expected = acted_base.apply_weyl(power)
-            assert action.at(l) == expected, (sub, l)
-            if sub is twist and l >= 2:
-                assert expected != chain[l]
-            if sub is twist and l >= 3:
-                assert expected != chain[l] + previous.apply_weyl(
-                    action.difference), l
-            previous = expected
+            derived = acted_base.apply_weyl(power) - chain[l]
+            if not derived.is_zero():
+                first = l
+                break
             power = power.compose(conjugated)
+        assert first == (2 if sub is twist else None), sub
+        for l in (spec.l, 0, 3, 1, 2):
+            failure = residuals.first_failure(l)
+            if first is None or l < first:
+                assert failure is None, (sub, l)
+            else:
+                assert failure[0] == first, (sub, l)
+                assert expr_parts(failure[1]) == expr_parts(derived)
 
 
 class TestGradings:

@@ -19,10 +19,8 @@ ALLOWED = {
         "prints h_closure_check's counterexample diagonal",
     "scalars.GaussianRational.__bool__":
         "without it a zero value would be truthy",
-    "scalars.GaussianRational.__repr__": "prints a value in test failures",
     "scalars.Scalar.__hash__":
         "dataclasses reject an unhashable field default",
-    "scalars.Scalar.__repr__": "prints a value in test failures",
     "weyl.WeylOp.compose": "resolved by name by invbench/spans.py; moves to "
                            "tests with the next benchmark change",
 }

@@ -7,12 +7,13 @@ from math import comb, perm, prod
 
 import pytest
 
-from invdist.clifford import Toeplitz, h_generators, h_phase, h_shift, \
-    h_shift_formal
+from invdist.clifford import Toeplitz, h_element, h_generators, h_phase, \
+    h_shift, h_shift_formal
 from invdist.scalars import AffineExponent, GaussianRational, Scalar
-from invdist.weyl import (Substitution, WeylOp, conjugate_op,
-                          substitute_poly, substitution_from_group, sym_conj,
-                          sym_name, sym_z, sym_zbar)
+from invdist.weyl import (Substitution, WeylOp, _rows_from_matrix,
+                          conjugate_op, substitute_poly,
+                          substitution_from_group, sym_conj, sym_name, sym_z,
+                          sym_zbar)
 from reference import dense, falling_factorial, neumann_inverse, op_parts
 
 
@@ -222,6 +223,20 @@ class TestSubstitution:
                 s = substitution_from_group(g)
                 assert s.fwd == dense_rows(dense(g))
                 assert s.inv == dense_rows(neumann_inverse(dense(g)))
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_rows_conjugate_each_entry_once(self, monkeypatch, n):
+        # profile entry k sits on n - k rows, and its one nonzero part is
+        # conjugated once, not once per row
+        g = h_element(n, Scalar.var("u"),
+                      [Scalar.var(f"a{k}") for k in range(1, n)])
+        calls = []
+        conjugate = Scalar.conjugate
+        monkeypatch.setattr(Scalar, "conjugate",
+                            lambda x: calls.append(x) or conjugate(x))
+        _rows_from_matrix(g)
+        monkeypatch.undo()
+        assert len(calls) == n
 
 
 class TestConjugateOp:
