@@ -15,9 +15,8 @@ from .distributions import DistExpr, SupportDescriptor, independence_rank
 from .constructions import (FamilySpec, build_family, build_vector_field,
                             verify_independence, verify_invariance,
                             verify_lemma_d, verify_support_filtration)
-from .orbits import (CplxProjPoint, ProjPoint, complex_orbit_check,
-                     enumerate_strata, orbit_dimension, stratum_of,
-                     transitivity_witness, zeta_invariant)
+from .orbits import (ProjPoint, complex_orbit_check, enumerate_strata,
+                     orbit_dimension, stratum_of, transitivity_witness)
 
 __all__ = [
     "CheckRecord", "PASS", "FAIL", "SKIPPED",
@@ -29,7 +28,6 @@ __all__ = [
     "FamilySpec", "build_family", "build_vector_field",
     "verify_independence", "verify_invariance", "verify_lemma_d",
     "verify_support_filtration",
-    "CplxProjPoint", "ProjPoint", "complex_orbit_check", "enumerate_strata",
+    "ProjPoint", "complex_orbit_check", "enumerate_strata",
     "orbit_dimension", "stratum_of", "transitivity_witness",
-    "zeta_invariant",
 ]

@@ -3,7 +3,8 @@
 Runs named check suites over the algebra, the conjugation identities, the
 invariant families, and the orbit pictures, then emits a text or JSON
 report.  Exit status is 0 exactly when every executed check passed, 1 when
-some check failed, 2 on a usage error or an unwritable ``--out``.
+some check failed, 2 on a usage error or an unwritable ``--out``, 3 when a
+check raised an exception.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = ["RunConfig", "Report", "run_suite", "emit_report", "main"]
 SUITES = ("algebra", "lemma-d", "invariance", "independence", "support",
           "orbits", "complex-orbits", "all")
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 # Suites that build RunConfig.family and so run at its lam.
 FAMILY_SUITES = ("invariance", "independence", "all")
@@ -96,6 +97,7 @@ class Report:
     config: RunConfig
     checks: List[CheckRecord]
     timings: List[float]  # seconds, parallel to checks
+    errored: bool = False  # a check raised, and its record says so
 
     def summary(self) -> dict:
         return {
@@ -140,21 +142,21 @@ def _zeta_labels(count: int) -> List[GaussianRational]:
 
 def _plan(config: RunConfig) -> List[Planned]:
     n, lmax = config.n, config.lmax
-    seed, samples = config.seed, config.samples
     plan: List[Planned] = []
     want = lambda s: config.suite in (s, "all")
     family = config.family
     # one FamilyWork per chain of this run (T and Tj(j=n-1) at one lam are
     # one chain), filled in by the first check that reads each part
     works: Dict[tuple, FamilyWork] = {}
-    work = lambda spec: works.setdefault(
-        (spec.n, spec.row()), FamilyWork(spec, min(samples, 5), seed))
+    work = lambda spec: works.setdefault((spec.n, spec.row()),
+                                         FamilyWork(spec))
 
     if want("algebra"):
         plan.append((f"algebra.det.n{n}", lambda: h_det_check(n)))
         plan.append((f"algebra.closure.n{n}",
-                     lambda: h_closure_check(n, samples=min(samples, 25),
-                                             seed=seed)))
+                     lambda: h_closure_check(
+                         n, samples=min(config.samples, 25),
+                         seed=config.seed)))
     if want("lemma-d"):
         which = "D" if n >= 3 else "Dprime"
         plan.append((f"lemma-d.{which}.n{n}", lambda: verify_lemma_d(n)))
@@ -182,23 +184,23 @@ def _plan(config: RunConfig) -> List[Planned]:
                              status=SKIPPED,
                              details={"reason": "not applicable at n = 2"})))
     if want("orbits"):
-        plan.append((f"orbits.census.n{n}",
-                     lambda: enumerate_strata(n, samples=samples, seed=seed)))
+        plan.append((f"orbits.census.n{n}", lambda: enumerate_strata(n)))
     if want("complex-orbits"):
         labels = _zeta_labels(100)
         plan.append((f"complex-orbits.n{n}",
-                     lambda: complex_orbit_check(
-                         n, labels, samples=min(samples, 10), seed=seed)))
+                     lambda: complex_orbit_check(n, labels)))
     return plan
 
 
 def run_suite(config: RunConfig) -> Report:
     """Execute the selected suite.  After the first failing check the
-    remaining planned checks are recorded as skipped, not executed."""
+    remaining planned checks are recorded as skipped, not executed.  A check
+    that raises is a failing record whose ``details`` name the exception,
+    its traceback goes to stderr, and the report is marked ``errored``."""
     config.validate()
     checks: List[CheckRecord] = []
     timings: List[float] = []
-    failed = False
+    failed = errored = False
     for check_id, thunk in _plan(config):
         if failed:
             checks.append(CheckRecord(
@@ -210,7 +212,18 @@ def run_suite(config: RunConfig) -> Report:
             timings.append(0.0)
             continue
         start = time.monotonic()
-        record = thunk()
+        try:
+            record = thunk()
+        except Exception as exc:
+            import traceback  # imported only here, off every passing run
+            traceback.print_exc()
+            errored = True
+            record = CheckRecord(
+                check_id=check_id,
+                statement="the check raised an exception",
+                paper_ref="n/a",
+                status=FAIL,
+                details={"error": f"{type(exc).__name__}: {exc}"})
         timings.append(time.monotonic() - start)
         checks.append(record)
         if record.status == FAIL:
@@ -218,7 +231,7 @@ def run_suite(config: RunConfig) -> Report:
     order = sorted(range(len(checks)), key=lambda i: checks[i].check_id)
     return Report(config,
                   [checks[i] for i in order],
-                  [timings[i] for i in order])
+                  [timings[i] for i in order], errored)
 
 
 def emit_report(report: Report, fmt: str) -> str:
@@ -313,7 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             print(f"error: cannot write the report: {exc}", file=sys.stderr)
             return 2
-    return 0 if report.all_passed else 1
+    return 3 if report.errored else 0 if report.all_passed else 1
 
 
 if __name__ == "__main__":

@@ -51,10 +51,6 @@ class REpsElement:
     a: Scalar = Scalar.zero()
     b: Scalar = Scalar.zero()
 
-    @staticmethod
-    def one() -> "REpsElement":
-        return REpsElement(Scalar.one())
-
     def __add__(self, other: "REpsElement") -> "REpsElement":
         # a sum of products of group-element entries keeps one zero part,
         # which is carried over without a Scalar sum
@@ -112,10 +108,6 @@ class Toeplitz:
     diagonal and profile[k] the entry on the k-th superdiagonal."""
     n: int
     profile: Tuple[REpsElement, ...]
-
-    @staticmethod
-    def identity(n: int) -> "Toeplitz":
-        return Toeplitz(n, (REpsElement.one(),) + (REpsElement(),) * (n - 1))
 
     def __mul__(self, other: "Toeplitz") -> "Toeplitz":
         """The product by eq. (7): entry k of its profile is

@@ -4,18 +4,15 @@ homogeneity, and support properties."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Tuple
 
-from .clifford import Toeplitz, h_element, h_generators, h_shift, \
-    h_shift_formal
+from .clifford import h_generators, h_shift_formal
 from .distributions import DistExpr, Residuals, independence_rank
 from .records import FAIL, PASS, CheckRecord
-from .scalars import AffineExponent, GaussianRational, Scalar, \
-    random_gaussian
+from .scalars import AffineExponent, Scalar
 from .weyl import Substitution, WeylOp, conjugate_op, substitution_from_group, \
     sym_z, sym_zbar
 
@@ -132,37 +129,12 @@ def build_family(spec: FamilySpec) -> List[DistExpr]:
 
 
 # ---------------------------------------------------------------------------
-# Generators of the group and sampled composites
+# Generators of the group
 # ---------------------------------------------------------------------------
 
 def generator_substitutions(n: int) -> List[Tuple[str, Substitution]]:
     """The substitution of each labelled generator of ``h_generators``."""
     return [(name, substitution_from_group(g)) for name, g in h_generators(n)]
-
-
-_RATIONAL_UNITS = [
-    GaussianRational.of(1),
-    GaussianRational.of(0, 1),
-    GaussianRational.of(Fraction(3, 5), Fraction(4, 5)),
-    GaussianRational.of(Fraction(5, 13), Fraction(-12, 13)),
-    GaussianRational.of(Fraction(-8, 17), Fraction(15, 17)),
-]
-
-
-def random_group_element(n: int, rng: random.Random) -> Toeplitz:
-    """A product of one to four generators with rational-unit phases and
-    small Gaussian-rational shift coefficients."""
-    g = Toeplitz.identity(n)
-    for _ in range(rng.randint(1, 4)):
-        if rng.random() < 0.4:
-            phase = Scalar.from_gauss(rng.choice(_RATIONAL_UNITS))
-            factor = h_element(n, phase, [Scalar.zero()] * (n - 1))
-        else:
-            j = rng.randint(1, n - 1)
-            a = Scalar.from_gauss(random_gaussian(rng, 3, 3))
-            factor = h_shift(n, j, a)
-        g = g * factor
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +193,12 @@ class FamilyWork:
     0..spec.l, each part computed by the first check that reads it: the
     chain from one ``build_family`` call, its rank from one
     ``independence_rank`` call, and the ``Residuals`` on the chain of
-    every labelled generator of ``h_generators``, then of
-    ``composite_samples`` random composites drawn from
-    ``random.Random(seed)``: each holds its element's difference operator
-    g.D - D and its residuals of the orders asked for so far."""
+    every labelled generator of ``h_generators``: each holds its
+    generator's difference operator g.D - D and its residuals of the
+    orders asked for so far.  The generators generate H, so invariance
+    under them is invariance under H."""
 
     spec: FamilySpec
-    composite_samples: int = 0
-    seed: int = 0
 
     def check(self, spec: FamilySpec, rank: bool = False) -> "FamilyWork":
         """This work, if it serves a check of ``spec``: the same n and
@@ -252,34 +222,27 @@ class FamilyWork:
 
     @cached_property
     def residuals(self) -> List[Tuple[str, Residuals]]:
-        """(name, residuals) of each labelled generator, then of each
-        composite, named "random composite"."""
+        """(name, residuals) of each labelled generator."""
         n = self.spec.n
         op = build_vector_field(n, *self.spec.row()[:2])
-        rng = random.Random(self.seed)
-        subs = generator_substitutions(n) + [
-            ("random composite",
-             substitution_from_group(random_group_element(n, rng)))
-            for _ in range(self.composite_samples)]
         return [(name, Residuals(op, self.chain, sub))
-                for name, sub in subs]
+                for name, sub in generator_substitutions(n)]
 
 
 def verify_invariance(spec: FamilySpec, *,
                       work: Optional[FamilyWork] = None) -> CheckRecord:
     """Exact invariance of the family member under every generator (formal
-    phase and formal shift coefficients), plus grading side checks and an
-    optional belt-and-braces pass over the work's random composite group
-    elements.  By the induction of Proposition 4.5 (``Residuals``), an
-    element fixes the members of orders 0..l exactly when its residuals
-    g.T^0 - T^0 and E_g T^(k-1), 1 <= k <= l, are zero, with the difference
-    operator E_g = g.D - D of Lemma 4.4.  A failure's ``difference`` is the
+    phase and formal shift coefficients), plus grading side checks.  By the
+    induction of Proposition 4.5 (``Residuals``), an element fixes the
+    members of orders 0..l exactly when its residuals g.T^0 - T^0 and
+    E_g T^(k-1), 1 <= k <= l, are zero, with the difference operator
+    E_g = g.D - D of Lemma 4.4.  A failure's ``difference`` is the
     first nonzero residual, which is g.T^l - T^l when the lower orders are
     fixed; its ``order`` is given when it lies below l.
 
     ``work`` is the ``FamilyWork`` a run shares between its checks of the
     orders 0..lmax and its other checks of the same chain; left out, it is
-    built for ``spec`` alone, with no composites."""
+    built for ``spec`` alone."""
     work = (work or FamilyWork(spec)).check(spec)
     expr = work.chain[spec.l]
     n = spec.n
@@ -293,8 +256,6 @@ def verify_invariance(spec: FamilySpec, *,
                              "difference": residual.canonical_str()})
             if k < spec.l:
                 failures[-1]["order"] = k
-            if name == "random composite":
-                break  # one failing composite is enough
     weights = expr.u1_weights()
     deg = expr.degree()
     lam = spec.row()[2]
@@ -306,7 +267,6 @@ def verify_invariance(spec: FamilySpec, *,
         "u1_weights": sorted(weights),
         "parity": expr.parity(),
         "degree": str(deg),
-        "composite_samples": work.composite_samples,
     })
     if failures:
         details["failures"] = failures

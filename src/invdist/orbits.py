@@ -6,34 +6,33 @@ index of the last nonzero complex coordinate; the stratum of index j is a
 (2j-1)-dimensional orbit.  Reachability: every point p of stratum j is
 G_p e_j for the Toeplitz element G_p read off its coordinates, so
 p ~ e_j ~ q for any q of the stratum; one identity G_z e_j = z over formal
-coordinates certifies it per stratum (see ``Witness``), so a sampled pair
-costs two ``stratum_of`` reads.  The dimension 2j-1 is then read at e_j
-alone, as the exact rank 2j of the tangent and radial directions there,
-read off the coordinates without building them (see ``orbit_dimension``).
+coordinates certifies it per stratum (see ``Witness``).  The dimension
+2j-1 is then read at e_j alone, as the exact rank 2j of the tangent and
+radial directions there, read off the coordinates without building them
+(see ``orbit_dimension``).  So the census reads every stratum at e_j and
+draws no point.
 
 The complexified label reads only the last two pairs of a point, and the
 upper-triangular group moves them through a two-row tail that reads only
-its diagonal and first shift (see ``_move_tail``).
+its diagonal and first shift (see ``_move_tail``); one formal identity
+certifies the label's invariance at every n.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .records import FAIL, PASS, CheckRecord
-from .scalars import GR_I, GaussianRational, Scalar, random_gaussian
+from .scalars import GR_I, GaussianRational, Scalar
 
 __all__ = [
     "ProjPoint",
-    "CplxProjPoint",
     "stratum_of",
     "stratum_dimension",
     "orbit_dimension",
     "transitivity_witness",
     "enumerate_strata",
-    "zeta_invariant",
     "complex_orbit_check",
     "Witness",
 ]
@@ -52,18 +51,6 @@ class ProjPoint:
     @property
     def n(self) -> int:
         return len(self.coords)
-
-
-@dataclass(frozen=True)
-class CplxProjPoint:
-    """A point of the complexified projective space: n pairs (z_j, w_j)
-    modulo the scaling c.(z, w) = (c z, conj(c) w)."""
-
-    coords: Tuple[Tuple[GaussianRational, GaussianRational], ...]
-
-    def __post_init__(self):
-        if all(z.is_zero() and w.is_zero() for z, w in self.coords):
-            raise ValueError("point needs a nonzero coordinate")
 
 
 def stratum_of(p: ProjPoint) -> int:
@@ -186,82 +173,46 @@ def transitivity_witness(p: ProjPoint, q: ProjPoint) -> Optional[Witness]:
 # Census
 # ---------------------------------------------------------------------------
 
-def _random_point(n: int, rng: random.Random) -> ProjPoint:
-    """A point of a uniformly drawn stratum j: j random coordinates, the
-    last redrawn while it is zero, then n - j zeros."""
-    j = rng.randint(1, n)
-    coords = [random_gaussian(rng, 4, 4) for _ in range(j)]
-    while coords[-1].is_zero():
-        coords[-1] = random_gaussian(rng, 4, 4)
-    return ProjPoint(tuple(coords) + (GaussianRational(),) * (n - j))
-
-
-WITNESS_PAIRS = 50
-
-
-def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
-                     residual_tol: int = 0) -> CheckRecord:
-    """Random census of the orbit structure: exactly n stratum labels,
-    reachability witnesses inside each stratum (a fixed pair, plus
-    ``WITNESS_PAIRS`` random pairs when it has two points), and each
-    stratum's exact tangent dimension 2j-1, read once at e_j.  A witness
-    fails when more than ``residual_tol`` of its rows miss the stratum's
-    identity G_z e_j = z.  That identity puts every point of stratum j in
-    the orbit of e_j, and the dimension is constant along an orbit, so
-    e_j stands for its stratum; a ``dim_failures`` entry names a stratum.
+def enumerate_strata(n: int, residual_tol: int = 0) -> CheckRecord:
+    """The orbit structure read at the unit points e_1, ..., e_n: exactly
+    n stratum labels, each stratum's exact tangent dimension 2j-1, and
+    reachability inside each stratum by its witness for the fixed pair
+    e_j -> i*e_j.  A witness fails when more than ``residual_tol`` of its
+    rows miss the stratum's identity G_z e_j = z.  That identity puts
+    every point of stratum j in the orbit of e_j, and the dimension is
+    constant along an orbit, so e_j stands for its stratum; a
+    ``dim_failures`` entry names a stratum.
 
     No pair across strata is reachable: every g in H is upper triangular
     with an invertible diagonal, so for p of stratum j, (g p)_m = 0 for
     m > j and (g p)_j = g_jj p_j is nonzero.  H preserves ``stratum_of``,
-    and ``cross_failures`` counts the cross-stratum pairs that
+    and ``cross_failures`` counts the pairs (e_j, e_{j+1}) that
     ``transitivity_witness`` does not decline."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    rng = random.Random(seed)
-    buckets: Dict[int, List[ProjPoint]] = {j: [] for j in range(1, n + 1)}
-    points = []
-    for j in range(1, n + 1):
-        unit = [GaussianRational()] * n
-        unit[j - 1] = GaussianRational.of(1)
-        points.append(ProjPoint(tuple(unit)))
-    points.extend(_random_point(n, rng) for _ in range(samples))
-    for p in points:
-        buckets[stratum_of(p)].append(p)
-    # the witnesses below reach every point of stratum j from e_j, so the
-    # orbit dimension at e_j is the stratum's
+
+    def unit(j: int, value: GaussianRational) -> ProjPoint:
+        coords = [GaussianRational()] * n
+        coords[j - 1] = value
+        return ProjPoint(tuple(coords))
+
+    units = [unit(j, GaussianRational.of(1)) for j in range(1, n + 1)]
+    labels = [stratum_of(e_j) for e_j in units]
     dim_failures = []
-    for j in range(1, n + 1):
-        d = orbit_dimension(points[j - 1])
+    max_residual = witness_failures = cross_failures = 0
+    for j, e_j in enumerate(units, 1):
+        d = orbit_dimension(e_j)
         if d != stratum_dimension(j):
             dim_failures.append({"stratum": j, "rank_dim": d,
                                  "expected": stratum_dimension(j)})
-    max_residual = 0
-    witness_failures = 0
-    cross_failures = 0
-    pairs_tested: Dict[str, int] = {}
-    for j, bucket in buckets.items():
-        # one fixed exact pair e_j -> i*e_j, drawn without the rng, so no
-        # stratum passes without a witness even at samples=0
-        e_j = points[j - 1]
-        pairs = [(e_j, ProjPoint(tuple(GR_I * c for c in e_j.coords)))]
-        if len(bucket) >= 2:
-            pairs.extend(rng.sample(bucket, 2) for _ in range(WITNESS_PAIRS))
-        for a, b in pairs:
-            w = transitivity_witness(a, b)
-            if w is None or w.residual > residual_tol:
-                witness_failures += 1
-            if w is not None:
-                max_residual = max(max_residual, w.residual)
-        pairs_tested[str(j)] = len(pairs)
-    # cross-stratum pairs must fail
-    for j in range(1, n):
-        if buckets[j] and buckets[j + 1]:
-            if transitivity_witness(buckets[j][0], buckets[j + 1][0]) \
-                    is not None:
-                cross_failures += 1
-    labels = sorted(j for j, b in buckets.items() if b)
+        w = transitivity_witness(e_j, unit(j, GR_I))
+        if w is None or w.residual > residual_tol:
+            witness_failures += 1
+        if w is not None:
+            max_residual = max(max_residual, w.residual)
+        if j < n and transitivity_witness(e_j, units[j]) is not None:
+            cross_failures += 1
     ok = (labels == list(range(1, n + 1)) and not dim_failures
-          and all(pairs_tested.values())
           and witness_failures == 0 and cross_failures == 0)
     return CheckRecord(
         check_id=f"orbits.census.n{n}",
@@ -271,16 +222,12 @@ def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
         paper_ref="Proposition 4.3",
         status=PASS if ok else FAIL,
         details={
-            "strata": {str(j): len(b) for j, b in buckets.items()},
             "dimensions": {str(j): stratum_dimension(j)
                            for j in range(1, n + 1)},
             "max_residual": max_residual,
             "dim_failures": dim_failures,
             "witness_failures": witness_failures,
-            "witness_pairs": pairs_tested,
             "cross_failures": cross_failures,
-            "samples": samples,
-            "seed": seed,
         },
     )
 
@@ -288,16 +235,6 @@ def enumerate_strata(n: int, samples: int = 100, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Complexified orbits
 # ---------------------------------------------------------------------------
-
-def zeta_invariant(p: CplxProjPoint) -> Optional[GaussianRational]:
-    """The ratio z_{n-1} / z_n on the locus w_n = 0, z_n != 0; None off
-    the locus.  Invariant under the complexified scaling and group."""
-    z_n, w_n = p.coords[-1]
-    if not w_n.is_zero() or z_n.is_zero():
-        return None
-    z_prev, _ = p.coords[-2]
-    return z_prev / z_n
-
 
 def _move_tail(diag, shift, tail):
     """Rows n-1 and n of g z, from the last two pairs of z, for the
@@ -337,64 +274,25 @@ def _symbolic_zeta_check() -> bool:
             and z_prev == zeta * z_last)
 
 
-def _random_cplx_unit(rng: random.Random) -> GaussianRational:
-    while True:
-        t = random_gaussian(rng, 4, 3)
-        if not t.is_zero():
-            return t
-
-
-def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational],
-                        samples: int = 50, seed: int = 0) -> CheckRecord:
+def complex_orbit_check(n: int, zeta_values: Sequence[GaussianRational]
+                        ) -> CheckRecord:
     """The ratio label is constant on complexified orbits, and distinct
     rational labels give pairwise distinct orbits, so the number of orbits
-    exceeds every finite bound.
-
-    Each label's point is drawn as its last two pairs alone, and each
-    sample draws the diagonal and the first shift pair alone: the label
-    reads only z_{n-1}, z_n and w_n, which ``_move_tail`` forms from just
-    those.  The pairs above and the shifts k >= 2 of a full element would
-    be drawn and never read.  The moved tail carries the label of the
-    moved point, for every n, and so does its scaling by c."""
+    exceeds every finite bound.  The label's invariance is the one formal
+    identity of ``_symbolic_zeta_check``, which holds for the full group
+    element at every n >= 2, so no value is sampled."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    rng = random.Random(seed)
     symbolic_ok = _symbolic_zeta_check()
     distinct = len(set(zeta_values)) == len(zeta_values)
-    numeric_failures = 0
-    for zeta in zeta_values:
-        # the last two pairs of a point on the ratio locus, whose label
-        # (zeta * zn) / zn is zeta exactly
-        zn = _random_cplx_unit(rng)
-        tail = CplxProjPoint(((zeta * zn, _random_cplx_unit(rng)),
-                              (zn, GaussianRational())))
-        for _ in range(samples):
-            t = _random_cplx_unit(rng)
-            diag = (t, t.conjugate().inverse())
-            shift = (_random_cplx_unit(rng), _random_cplx_unit(rng))
-            moved = CplxProjPoint(tuple(_move_tail(diag, shift, tail.coords)))
-            if zeta_invariant(moved) != zeta:
-                numeric_failures += 1
-                break
-            # scaling invariance
-            c = _random_cplx_unit(rng)
-            scaled = CplxProjPoint(tuple(
-                (c * z, c.conjugate() * w) for z, w in moved.coords))
-            if zeta_invariant(scaled) != zeta:
-                numeric_failures += 1
-                break
-    ok = symbolic_ok and distinct and numeric_failures == 0
     return CheckRecord(
         check_id=f"complex-orbits.n{n}",
         statement=(f"{len(zeta_values)} distinct ratio labels certify "
                    f"pairwise distinct complexified orbits (n={n})"),
         paper_ref="Proposition 4.10",
-        status=PASS if ok else FAIL,
+        status=PASS if symbolic_ok and distinct else FAIL,
         details={
             "symbolic_invariance": symbolic_ok,
             "distinct_labels": len(zeta_values) if distinct else "collision",
-            "numeric_failures": numeric_failures,
-            "samples_per_label": samples,
-            "seed": seed,
         },
     )

@@ -98,9 +98,6 @@ class GaussianRational:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         return _canonical(d * a, -d * b, norm)
 
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        return self * other.inverse()
-
     def is_zero(self) -> bool:
         return not (self.num_re or self.num_im)
 

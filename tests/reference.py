@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from invdist.clifford import REpsElement, Toeplitz, h_shift_formal
+from invdist.clifford import REpsElement, Toeplitz, h_element, h_shift, \
+    h_shift_formal
 from invdist.distributions import DistExpr, RawTerm
 from invdist.orbits import ProjPoint, stratum_of
 from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
@@ -64,12 +66,47 @@ def iota(m: Dense) -> List[List[Scalar]]:
     return out
 
 
+def identity(n: int) -> Toeplitz:
+    """The identity of H: diagonal 1 and every shift zero."""
+    return Toeplitz(n, (REpsElement(Scalar.one()),)
+                    + (REpsElement(),) * (n - 1))
+
+
 def twisted_shift2(n: int) -> Toeplitz:
     """The second shift generator h_2(a2) with a2*eps in place of
     a2*eps^2 = a2 on its second superdiagonal, which takes it out of H."""
     profile = list(h_shift_formal(n, 2).profile)
     profile[2] = REpsElement(Scalar.zero(), Scalar.var("a2"))
     return Toeplitz(n, tuple(profile))
+
+
+def factor_into_generators(g: Toeplitz) -> List[Toeplitz]:
+    """[phase(u), shift_1(b_1), ..., shift_{n-1}(b_{n-1})], whose product
+    is g exactly; ``ValueError`` when g lies outside H.
+
+    The shifts past k reach only the entries past k, so entry k of the
+    product is entry k of P = phase(u) shift_1(b_1) ... shift_{k-1}(b_{k-1})
+    times shift_k(b_k): P_k + u b_k eps^k.  So b_k is u^-1 (g_k - P_k) read
+    at eps^k, a triangular recurrence, and the other part of g_k - P_k
+    must be zero."""
+    n, diag = g.n, g.profile[0]
+    u = diag.a
+    if not diag.b.is_zero() or not u.is_monomial() \
+            or u * u.conjugate() != Scalar.one():
+        raise ValueError(f"the diagonal {diag} is not a unit phase")
+    factors = [h_element(n, u, [Scalar.zero()] * (n - 1))]
+    product = factors[0]
+    for k in range(1, n):
+        rest = g.profile[k] + -product.profile[k]
+        at_eps_k, other = (rest.b, rest.a) if k % 2 else (rest.a, rest.b)
+        if not other.is_zero():
+            raise ValueError(f"entry {k}, {g.profile[k]}, is not in "
+                             f"C eps^{k}")
+        factors.append(h_shift(n, k, u.inverse_unit() * at_eps_k))
+        product = product * factors[-1]
+    if product != g:
+        raise ValueError("the factors do not multiply to g")
+    return factors
 
 
 def dense_mul(x: Dense, y: Dense) -> Dense:
@@ -100,7 +137,7 @@ def neumann_inverse(m: Dense) -> Dense:
     zero = REpsElement()
     minus_n = tuple(tuple(-(d_inv * m[i][j]) if j > i else zero
                           for j in range(n)) for i in range(n))
-    acc = power = tuple(tuple(REpsElement.one() if i == j else zero
+    acc = power = tuple(tuple(REpsElement(Scalar.one()) if i == j else zero
                               for j in range(n)) for i in range(n))
     for _ in range(1, n):
         power = dense_mul(power, minus_n)
@@ -110,19 +147,24 @@ def neumann_inverse(m: Dense) -> Dense:
                                       for j in range(n)) for i in range(n)))
 
 
+def random_coefficient(rng, formal: bool) -> Scalar:
+    """A plain Q(i) value, plus a formal symbol times a power of the unit u
+    when ``formal``."""
+    c = Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                  rng.randint(-2, 2))
+    if formal:
+        c = c + Scalar.var(rng.choice(["a1", "a2~", "lam"])) \
+            * Scalar.var("u", rng.randint(-2, 2))
+    return c
+
+
 def random_entry(rng, formal: bool) -> REpsElement:
     """An element of one of the four kinds: zero, C-part only, eps-part
     only, or both; with formal or plain Q(i) coefficients."""
-    def part():
-        c = Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                      rng.randint(-2, 2))
-        if formal:
-            c = c + Scalar.var(rng.choice(["a1", "a2~", "lam"])) \
-                * Scalar.var("u", rng.randint(-2, 2))
-        return c
     kind = rng.randrange(4)
-    return REpsElement(part() if kind & 1 else Scalar.zero(),
-                       part() if kind & 2 else Scalar.zero())
+    return REpsElement(
+        random_coefficient(rng, formal) if kind & 1 else Scalar.zero(),
+        random_coefficient(rng, formal) if kind & 2 else Scalar.zero())
 
 
 def random_toeplitz(n: int, rng, formal: bool,
@@ -132,6 +174,30 @@ def random_toeplitz(n: int, rng, formal: bool,
     first = random_entry(rng, formal) if diag is None else diag
     return Toeplitz(n, (first,) + tuple(random_entry(rng, formal)
                                         for _ in range(n - 1)))
+
+
+# unit phases with rational parts
+RATIONAL_UNITS = [(1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5)),
+                  (Fraction(5, 13), Fraction(-12, 13)),
+                  (Fraction(-8, 17), Fraction(15, 17))]
+
+
+def random_h_element(n: int, rng, formal: bool) -> Toeplitz:
+    """An element of H: a rational unit phase on the diagonal (times a
+    power of the formal unit u when ``formal``) and ``random_coefficient``
+    a_k at eps^k on the k-th superdiagonal."""
+    phase = Scalar.of(*rng.choice(RATIONAL_UNITS))
+    if formal:
+        phase = phase * Scalar.var("u", rng.randint(-2, 2))
+    return h_element(n, phase, [random_coefficient(rng, formal)
+                                for _ in range(n - 1)])
+
+
+def generator_product(n: int, rng) -> Toeplitz:
+    """A plain element of H drawn as the product of its generator factors
+    by ``factor_into_generators``."""
+    return reduce(lambda x, y: x * y,
+                  factor_into_generators(random_h_element(n, rng, False)))
 
 
 def mat_mul_scalar(A: List[List[Scalar]],
@@ -170,6 +236,18 @@ def constant_value(x: Scalar) -> GaussianRational:
     if set(x.terms) - {()}:
         raise ValueError(f"not a constant scalar: {x}")
     return x.terms.get((), GaussianRational())
+
+
+def ratio_label(tail) -> Optional[Tuple[Fraction, Fraction]]:
+    """The complexified orbit label of a point from its last two pairs
+    (z_{n-1}, w_{n-1}), (z_n, w_n): the parts of z_{n-1} / z_n on the locus
+    w_n = 0, z_n != 0, formed over Fractions, and None off the locus."""
+    (z_prev, _), (z_last, w_last) = tail
+    (a, b), (c, d) = parts(z_prev), parts(z_last)
+    if parts(w_last) != (0, 0) or (c, d) == (0, 0):
+        return None
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
 
 
 @dataclass(frozen=True)

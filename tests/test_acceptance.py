@@ -128,15 +128,15 @@ def test_07_n_equals_2_branch():
 
 def test_08_orbit_census():
     """Exactly n strata with exact tangent-rank dimensions 2j-1 for
-    n in {2,3,4,5}; 50 random same-stratum witness pairs per stratum plus
-    the fixed one, each its stratum's exact read-off certificate
-    G_z e_j = z over formal coordinates (residual 0); < 30 s."""
+    n in {2,3,4,5}; per stratum the fixed witness pair e_j -> i*e_j, its
+    stratum's exact read-off certificate G_z e_j = z over formal
+    coordinates (residual 0), and no pair across strata; < 30 s."""
     start = time.monotonic()
     for n in (2, 3, 4, 5):
-        record = enumerate_strata(n, samples=100, seed=0, residual_tol=0)
+        record = enumerate_strata(n, residual_tol=0)
         assert record.status == PASS, record.details
-        assert record.details["witness_pairs"] == {
-            str(j): 51 for j in range(1, n + 1)}
+        assert record.details["witness_failures"] == 0
+        assert record.details["cross_failures"] == 0
         assert record.details["dimensions"] == {
             str(j): 2 * j - 1 for j in range(1, n + 1)}
         assert record.details["max_residual"] == 0
@@ -160,7 +160,7 @@ def test_10_complexified_orbit_continuum():
     from invdist.cli import _zeta_labels
     labels = _zeta_labels(100)
     assert len({parts(z) for z in labels}) == 100
-    record = complex_orbit_check(3, labels, samples=5, seed=0)
+    record = complex_orbit_check(3, labels)
     assert record.status == PASS, record.details
     assert record.details["symbolic_invariance"] is True
     assert record.details["distinct_labels"] == 100

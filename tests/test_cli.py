@@ -106,6 +106,21 @@ class TestRunSuite:
         assert report.checks
         assert all(c.status == PASS for c in report.checks)
 
+    @pytest.mark.parametrize("suite", [s for s in cli.SUITES
+                                       if s not in ("algebra", "all")])
+    def test_no_suite_prints_a_knob_it_ignores(self, suite):
+        # only algebra's closure products read --seed and --samples, so any
+        # other suite reports the same checks at every value of both
+        reports = []
+        for seed in (0, 5):
+            for samples in (0, 7):
+                data = json.loads(emit_report(run_suite(RunConfig(
+                    suite=suite, n=3, lmax=2, seed=seed, samples=samples)),
+                    "json"))
+                assert data.pop("config")["samples"] == samples
+                reports.append(data)
+        assert all(r == reports[0] for r in reports[1:])
+
     def test_zeta_labels_distinct(self):
         labels = _zeta_labels(100)
         assert len(labels) == 100
@@ -122,7 +137,7 @@ class TestEmitReport:
     def test_json_schema_fields(self):
         out = json.loads(emit_report(self._dummy_report(), "json"))
         assert set(out) == {"version", "config", "checks", "summary"}
-        assert out["version"] == 1
+        assert out["version"] == 2
         check = out["checks"][0]
         assert set(check) == {"id", "statement", "paper_ref", "status",
                               "details"}
@@ -200,6 +215,34 @@ class TestMain:
             ("a.bad", lambda: bad), ("b.good", lambda: good)])
         report = run_suite(RunConfig(suite="algebra"))
         assert [c.status for c in report.checks] == [FAIL, SKIPPED]
+
+    def test_exception_in_a_check_is_a_failing_record(self, monkeypatch,
+                                                      capsys):
+        # the check that raises fails with the exception as its details,
+        # later checks are skipped, the summary keeps its three keys, and
+        # the run exits 3
+        def raises():
+            raise ZeroDivisionError("boom")
+
+        def never():
+            raise AssertionError("ran a check after an error")
+
+        monkeypatch.setattr(cli, "_plan", lambda config: [
+            ("a.raises", raises), ("b.later", never)])
+        report = run_suite(RunConfig(suite="algebra"))
+        assert report.errored and not report.all_passed
+        assert [(c.check_id, c.status) for c in report.checks] \
+            == [("a.raises", FAIL), ("b.later", SKIPPED)]
+        assert report.checks[0].details == {
+            "error": "ZeroDivisionError: boom"}
+        assert "Traceback" in capsys.readouterr().err
+        assert main(["verify", "algebra", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.rstrip().endswith("ZeroDivisionError: boom")
+        data = json.loads(captured.out)
+        assert data["summary"] == {"pass": 0, "fail": 1, "skipped": 1}
+        assert data["checks"][0]["details"] == {
+            "error": "ZeroDivisionError: boom"}
 
     def test_python_m_invdist_prints_the_golden_report(self):
         res = run_cli("verify", "independence", "--n", "3", "--lmax", "4",

@@ -14,8 +14,10 @@ from invdist.clifford import (REpsElement, Toeplitz, _block_det,
 from invdist.records import FAIL, PASS
 from invdist.scalars import GaussianRational, Scalar, random_gaussian
 from reference import (CplxPairElement, act, cplx_pair_times_eps_power,
-                       dense, dense_mul, iota, mat_mul_scalar,
-                       neumann_inverse, random_toeplitz)
+                       dense, dense_mul, factor_into_generators, identity,
+                       iota,
+                       mat_mul_scalar, neumann_inverse, random_h_element,
+                       random_toeplitz, twisted_shift2)
 
 
 def scal(re, im=0):
@@ -124,7 +126,7 @@ class TestIota:
             assert iota(dense_mul(a, b)) == mat_mul_scalar(iota(a), iota(b))
 
     def test_identity_embeds_to_identity(self):
-        m = iota(dense(Toeplitz.identity(3)))
+        m = iota(dense(identity(3)))
         for i in range(6):
             for j in range(6):
                 expected = Scalar.one() if i == j else Scalar.zero()
@@ -170,29 +172,29 @@ class TestGroup:
         rng = random.Random(7)
         n = 4
         for _ in range(10):
-            g = Toeplitz.identity(n)
+            g = identity(n)
             for j in range(1, n):
                 a = GaussianRational.of(
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
                 g = g * h_shift(n, j, Scalar.from_gauss(a))
-            assert g * group_inverse(g) == Toeplitz.identity(n)
-            assert group_inverse(g) * g == Toeplitz.identity(n)
+            assert g * group_inverse(g) == identity(n)
+            assert group_inverse(g) * g == identity(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_group_inverse_matches_neumann_series(self, n):
         # any profile of the four entry kinds over the unit diagonal
         rng = random.Random(50 + n)
-        identity = Toeplitz.identity(n)
+        unit = identity(n)
         for formal in (False, True, True):
             g = random_toeplitz(n, rng, formal, diag=UNIT)
             inv = group_inverse(g)
             assert dense(inv) == neumann_inverse(dense(g))
-            assert g * inv == identity
-            assert inv * g == identity
+            assert g * inv == unit
+            assert inv * g == unit
 
     def test_group_inverse_rejects_non_group_input(self):
-        one, x = REpsElement.one(), REpsElement(Scalar.var("x"))
+        one, x = REpsElement(Scalar.one()), REpsElement(Scalar.var("x"))
         not_unit = Toeplitz(2, (x + one, REpsElement()))
         eps_diag = Toeplitz(2, (EPS, REpsElement()))
         for g in (not_unit, eps_diag):
@@ -220,15 +222,15 @@ class TestGroup:
         assert len(calls) == (n - 1) * (n + 2) // 2
         monkeypatch.undo()
         assert not any(e.is_zero() for e in g.profile + inv.profile)
-        assert g * inv == Toeplitz.identity(n)
+        assert g * inv == identity(n)
 
     def test_formal_phase_inverse(self):
         g = h_phase(3)
-        assert g * group_inverse(g) == Toeplitz.identity(3)
+        assert g * group_inverse(g) == identity(3)
 
     def test_formal_shift_inverse(self):
         g = h_shift_formal(4, 1)
-        assert g * group_inverse(g) == Toeplitz.identity(4)
+        assert g * group_inverse(g) == identity(4)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_generators_are_labelled_in_order(self, n):
@@ -238,6 +240,45 @@ class TestGroup:
         assert gens[0][1] == h_phase(n)
         for j, (_, g) in enumerate(gens[1:], start=1):
             assert g == h_shift_formal(n, j)
+
+
+class TestGeneration:
+    """``h_generators`` generates H: every element of H is the phase times
+    one shift per superdiagonal, with values in place of the generators'
+    symbols.  So invariance under the generators is invariance under H."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("formal", [False, True])
+    def test_every_element_factors_into_generators(self, n, formal):
+        rng = random.Random(40 + n)
+        gens = [g for _, g in h_generators(n)]
+        for _ in range(5):
+            g = random_h_element(n, rng, formal)
+            factors = factor_into_generators(g)
+            product = identity(n)
+            for f in factors:
+                product = product * f
+            assert product == g
+            assert factors[0].profile[0] == g.profile[0]
+            # each factor is nonzero only where its generator is
+            assert len(factors) == len(gens)
+            for f, gen in zip(factors, gens):
+                for e, e_gen in zip(f.profile, gen.profile):
+                    assert e.a.is_zero() or not e_gen.a.is_zero()
+                    assert e.b.is_zero() or not e_gen.b.is_zero()
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_twisted_shift2_is_refused(self, n):
+        # its k = 2 entry a2*eps lies in C*eps, not in C*eps^2 = C
+        with pytest.raises(ValueError, match="entry 2"):
+            factor_into_generators(twisted_shift2(n))
+        g = random_h_element(n, random.Random(n), True) * twisted_shift2(n)
+        with pytest.raises(ValueError, match="entry 2"):
+            factor_into_generators(g)
+
+    def test_non_unit_diagonal_is_refused(self):
+        with pytest.raises(ValueError, match="unit phase"):
+            factor_into_generators(h_element(3, scal(2), [scal(1)] * 2))
 
 
 class TestSparseProduct:
@@ -251,7 +292,7 @@ class TestSparseProduct:
             assert dense(x * y) == dense_mul(dense(x), dense(y))
 
     def test_mismatched_sizes_raise(self):
-        small, big = Toeplitz.identity(3), h_shift(4, 1, Scalar.of(2))
+        small, big = identity(3), h_shift(4, 1, Scalar.of(2))
         with pytest.raises(ValueError):
             small * big
         with pytest.raises(ValueError):

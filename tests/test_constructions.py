@@ -8,18 +8,18 @@ import pytest
 
 from invdist import clifford, constructions
 from invdist.cli import RunConfig, emit_report, run_suite
-from invdist.constructions import (FamilySpec, FamilyWork, build_family,
-                                   build_vector_field,
+from invdist.constructions import (FamilySpec, FamilyWork, _seed,
+                                   build_family, build_vector_field,
                                    generator_substitutions,
-                                   random_group_element,
                                    verify_independence, verify_invariance,
                                    verify_lemma_d, verify_support_filtration)
-from invdist.distributions import DistExpr
+from invdist.distributions import DistExpr, Residuals
 from invdist.records import FAIL, PASS, SKIPPED
 from invdist.scalars import AffineExponent, GaussianRational, Scalar
 from invdist.weyl import WeylOp, conjugate_op, substitution_from_group, \
     sym_conj, sym_z, sym_zbar
-from reference import act_group, expr_parts, op_parts, twisted_shift2
+from reference import act_group, expr_parts, generator_product, identity, \
+    op_parts, twisted_shift2
 
 import random
 
@@ -263,12 +263,12 @@ class TestVerifiers:
                         sym_conj(t): c.conjugate()
                         for t, c in rows[sym_z(j)].items()}
 
-    def test_random_group_element_invertible(self):
-        from invdist.clifford import Toeplitz, group_inverse
+    def test_products_of_generators_invertible(self):
+        from invdist.clifford import group_inverse
         rng = random.Random(13)
         for n in (2, 3, 4):
-            g = random_group_element(n, rng)
-            assert g * group_inverse(g) == Toeplitz.identity(n)
+            g = generator_product(n, rng)
+            assert g * group_inverse(g) == identity(n)
             substitution_from_group(g)  # reality holds
 
     @pytest.mark.parametrize("spec", [
@@ -279,8 +279,16 @@ class TestVerifiers:
         FamilySpec(2, "T2", 2),
     ])
     def test_invariance(self, spec):
-        rec = verify_invariance(spec, work=FamilyWork(spec, 2, 3))
+        rec = verify_invariance(spec)
         assert rec.status == PASS, rec.details
+        # the generators generate H, so products of them fix the family
+        # too: each of their residuals up to the order is zero
+        op, _ = _seed(spec)
+        chain = build_family(spec)
+        rng = random.Random(3)
+        for _ in range(2):
+            sub = substitution_from_group(generator_product(spec.n, rng))
+            assert Residuals(op, chain, sub).first_failure(spec.l) is None
 
     @pytest.mark.parametrize("spec", [
         FamilySpec(3, "T", 3),
@@ -365,24 +373,22 @@ class TestSharedInvarianceWork:
         return report, counts
 
     def test_work_counts_repeat_and_do_not_grow_per_order(self, monkeypatch):
-        n, lmax, samples = 4, 4, 2
-        first, counts = self.run_counted(monkeypatch, n=n, lmax=lmax,
-                                         samples=samples)
+        n, lmax = 4, 4
+        first, counts = self.run_counted(monkeypatch, n=n, lmax=lmax)
         assert first.all_passed
-        # the n generators of h_generators and the sampled composites
-        assert counts["substitution_from_group"] == n + samples
+        # the n generators of h_generators, and no other element
+        assert counts["substitution_from_group"] == n
         # lmax steps of the chain, and lmax steps of each element's action
-        assert counts["apply_weyl"] == lmax + lmax * (n + samples)
+        assert counts["apply_weyl"] == lmax + lmax * n
         # the shared work lives inside one run_suite call
-        again, counts_again = self.run_counted(monkeypatch, n=n, lmax=lmax,
-                                               samples=samples)
+        again, counts_again = self.run_counted(monkeypatch, n=n, lmax=lmax)
         assert counts_again == counts
         assert emit_report(again, "json") == emit_report(first, "json")
 
     def test_a_passing_run_applies_d_and_each_difference(self, monkeypatch):
         # the chain steps by D; each element's action steps by its
         # E_g = g.D - D alone, since every acted member equals the chain's
-        n, lmax, samples, seed = 4, 4, 2, 5
+        n, lmax = 4, 4
         ops = []
         apply_weyl = DistExpr.apply_weyl
 
@@ -391,15 +397,11 @@ class TestSharedInvarianceWork:
             return apply_weyl(expr, op)
 
         monkeypatch.setattr(DistExpr, "apply_weyl", recorded)
-        report = run_suite(RunConfig(suite="invariance", n=n, lmax=lmax,
-                                     samples=samples, seed=seed))
+        report = run_suite(RunConfig(suite="invariance", n=n, lmax=lmax))
         monkeypatch.undo()
         assert report.all_passed
         d = build_vector_field(n, n - 1)
-        rng = random.Random(seed)
-        subs = [sub for _, sub in generator_substitutions(n)] + [
-            substitution_from_group(random_group_element(n, rng))
-            for _ in range(samples)]
+        subs = [sub for _, sub in generator_substitutions(n)]
         conjugated = [conjugate_op(d, sub) for sub in subs]
         differences = [c - d for c in conjugated]
         assert differences[0].is_zero()  # the phase: g.D = D
@@ -416,10 +418,9 @@ class TestSharedInvarianceWork:
             self, monkeypatch):
         twist_shift2(monkeypatch)
         spec = FamilySpec(3, "T", 2)
-        standalone = verify_invariance(spec, work=FamilyWork(spec, 2, 3))
+        standalone = verify_invariance(spec, work=FamilyWork(spec))
         assert standalone.status == FAIL
-        report, counts = self.run_counted(monkeypatch, n=3, lmax=4,
-                                          samples=2, seed=3)
+        report, counts = self.run_counted(monkeypatch, n=3, lmax=4)
         status = {c.check_id: c.status for c in report.checks}
         assert status == {"invariance.T.n3.l0": PASS,
                           "invariance.T.n3.l1": PASS,
@@ -429,18 +430,18 @@ class TestSharedInvarianceWork:
         failed = next(c for c in report.checks if c.status == FAIL)
         assert failed.details == standalone.details
         # the chain is built to lmax = 4 at once; the actions of the 3
-        # generators and 2 composites each step to orders 1 and 2 only, and
-        # the skipped orders 3 and 4 apply nothing
-        assert counts["apply_weyl"] == 4 + 2 * (3 + 2)
+        # generators each step to orders 1 and 2 only, and the skipped
+        # orders 3 and 4 apply nothing
+        assert counts["apply_weyl"] == 4 + 2 * 3
 
     def test_work_must_match_the_check(self):
         spec = FamilySpec(3, "T", 2)
-        work = FamilyWork(spec, 1, 0)
+        work = FamilyWork(spec)
         # orders come in any order, each with the record a fresh work gives
         for l in (2, 0, 1):
             record = verify_invariance(replace(spec, l=l), work=work)
             fresh = verify_invariance(replace(spec, l=l),
-                                      work=FamilyWork(spec, 1, 0))
+                                      work=FamilyWork(spec))
             assert record.status == PASS
             assert record.to_dict() == fresh.to_dict()
         for other in (replace(spec, l=3), replace(spec, lam=Fraction(3)),

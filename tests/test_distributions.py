@@ -9,11 +9,10 @@ import pytest
 
 from invdist import distributions
 from invdist.cli import RunConfig, run_suite
-from invdist.clifford import Toeplitz, h_element, h_generators, h_phase, \
+from invdist.clifford import h_element, h_generators, h_phase, \
     h_shift
 from invdist.constructions import (FamilySpec, _seed, build_family,
-                                   generator_substitutions,
-                                   random_group_element)
+                                   generator_substitutions)
 from invdist.distributions import (DistExpr, RawTerm, Residuals,
                                    SupportDescriptor,
                                    UnsupportedSubstitutionError,
@@ -23,7 +22,8 @@ from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitution_from_group, sym_z, sym_zbar)
 from reference import act_group as act_group_reference
-from reference import expr_parts, op_parts, twisted_shift2
+from reference import expr_parts, generator_product, identity, op_parts, \
+    twisted_shift2
 
 
 def delta_functional(expr: DistExpr, r: int, s: int) -> Scalar:
@@ -150,10 +150,10 @@ ACTIONS = [(DistExpr.act_group, (0, 0)), (act_group_reference, (1, 1))]
 class TestGroupAction:
     def test_identity_action(self):
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
-        identity = substitution_from_group(Toeplitz.identity(3))
+        fixed = substitution_from_group(identity(3))
         for act, order in ACTIONS:
             expr = DistExpr.single(3, powers={2: sigma}, delta={3: order})
-            assert expr_parts(act(expr, identity)) == expr_parts(expr)
+            assert expr_parts(act(expr, fixed)) == expr_parts(expr)
 
     def test_action_composes(self):
         # a left action: acting by g1, then by g3, is acting by g3 * g1;
@@ -247,16 +247,16 @@ class TestActionShape:
 
     def test_derived_delta_is_refused(self):
         expr = DistExpr.single(3, delta={3: (1, 0)})
-        identity = substitution_from_group(Toeplitz.identity(3))
+        fixed = substitution_from_group(identity(3))
         with pytest.raises(ValueError, match="underived"):
-            expr.act_group(identity)
+            expr.act_group(fixed)
 
 
 def composite_substitutions(n):
     """The substitution of every generator of ``h_generators`` and of three
     products of them."""
     gens = dict(h_generators(n))
-    everything = Toeplitz.identity(n)
+    everything = identity(n)
     for g in gens.values():
         everything = everything * g
     return [substitution_from_group(g) for g in (
@@ -297,7 +297,7 @@ def test_first_failure_is_where_the_conjugated_power_leaves_the_chain(
     chain = build_family(spec)
     twist = substitution_from_group(twisted_shift2(n)) if n >= 3 else None
     subs = [sub for _, sub in generator_substitutions(n)] + [
-        substitution_from_group(random_group_element(n, random.Random(n)))]
+        substitution_from_group(generator_product(n, random.Random(n)))]
     for sub in subs + ([twist] if twist else []):
         residuals = Residuals(op, chain, sub)
         acted_base = act_group_reference(chain[0], sub)

@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 import reference
 from invdist import orbits
 from invdist.clifford import h_element
-from invdist.orbits import (CplxProjPoint, ProjPoint, _move_tail,
-                            _symbolic_zeta_check, complex_orbit_check,
-                            enumerate_strata, orbit_dimension,
-                            stratum_dimension, stratum_of,
-                            transitivity_witness, zeta_invariant)
+from invdist.orbits import (ProjPoint, _move_tail, _symbolic_zeta_check,
+                            complex_orbit_check, enumerate_strata,
+                            orbit_dimension, stratum_dimension, stratum_of,
+                            transitivity_witness)
 from invdist.records import FAIL, PASS
-from invdist.scalars import GaussianRational, Scalar, integer_rank
+from invdist.scalars import (GaussianRational, Scalar, integer_rank,
+                             random_gaussian)
 from reference import (CplxPairElement, act, apply_toeplitz, constant_value,
                        cplx_pair_times_eps_power, integer_coords,
-                       lie_directions, pair_solve, parts, triangular_rank)
+                       lie_directions, pair_solve, parts, ratio_label,
+                       triangular_rank)
 
 
 def G(re, im=0):
@@ -212,7 +213,7 @@ class TestTriangularCertificate:
             return integer_rank(vectors) - 1
 
         monkeypatch.setattr(orbits, "orbit_dimension", mutated_rank)
-        rec = enumerate_strata(n, samples=20, seed=1)
+        rec = enumerate_strata(n)
         assert rec.status == FAIL
         # the strata the mutation applies to, read off a dummy matrix
         broken = {j for j in range(1, n + 1)
@@ -222,10 +223,8 @@ class TestTriangularCertificate:
         assert all(f["expected"] == stratum_dimension(f["stratum"])
                    != f["rank_dim"] for f in failures)
 
-    @pytest.mark.parametrize("n, samples, seed", [(2, 0, 0), (4, 20, 1),
-                                                  (8, 1000, 3)])
-    def test_census_reads_one_dimension_per_stratum(self, n, samples, seed,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_census_reads_one_dimension_per_stratum(self, n, monkeypatch):
         calls = []
         dimension = orbits.orbit_dimension
 
@@ -234,7 +233,7 @@ class TestTriangularCertificate:
             return dimension(p)
 
         monkeypatch.setattr(orbits, "orbit_dimension", counted)
-        assert enumerate_strata(n, samples, seed).status == PASS
+        assert enumerate_strata(n).status == PASS
         assert [stratum_of(p) for p in calls] == list(range(1, n + 1))
 
 
@@ -339,7 +338,7 @@ class TestWitness:
     @pytest.mark.parametrize("mutate", READ_OFF_MUTATIONS)
     def test_census_fails_under_a_wrong_read_off(self, monkeypatch, mutate):
         monkeypatch.setattr(orbits, "_read_off", mutate)
-        rec = enumerate_strata(8, 1000, 3)
+        rec = enumerate_strata(8)
         assert rec.status == FAIL
         assert rec.details["witness_failures"] > 0
         assert rec.details["max_residual"] > 0
@@ -357,10 +356,10 @@ class TestWitness:
 
         monkeypatch.setattr(orbits, "_read_off", counted)
         monkeypatch.setattr(reference, "pair_solve", refuse)
-        assert enumerate_strata(8, 1000, 3).status == PASS
+        assert enumerate_strata(8).status == PASS
         assert sorted(calls) == list(range(1, 9))
         # a second census reads the memoised certificates
-        assert enumerate_strata(8, 1000, 4).status == PASS
+        assert enumerate_strata(8).status == PASS
         assert len(calls) == 8
 
     def test_cross_stratum_is_none(self):
@@ -372,35 +371,84 @@ class TestWitness:
             transitivity_witness(point(1, 0), point(1, 0, 0))
 
 
+def census_point(n, rng):
+    """A point of a uniformly drawn stratum j: j random coordinates, the
+    last redrawn while it is zero, then n - j zeros.  The census drew its
+    sample points this way before it read each stratum at e_j alone."""
+    j = rng.randint(1, n)
+    coords = [random_gaussian(rng, 4, 4) for _ in range(j)]
+    while coords[-1].is_zero():
+        coords[-1] = random_gaussian(rng, 4, 4)
+    return ProjPoint(tuple(coords) + (GaussianRational(),) * (n - j))
+
+
 class TestCensus:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_census_passes(self, n):
-        rec = enumerate_strata(n, samples=40, seed=1)
+        rec = enumerate_strata(n)
         assert rec.status == PASS, rec.details
         assert rec.details["dimensions"] == {
             str(j): 2 * j - 1 for j in range(1, n + 1)}
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_census_without_samples_tests_a_pair_per_stratum(self, n):
-        rec = enumerate_strata(n, samples=0)
-        assert rec.status == PASS, rec.details
-        pairs = rec.details["witness_pairs"]
-        assert set(pairs) == {str(j) for j in range(1, n + 1)}
-        assert all(count >= 1 for count in pairs.values())
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_census_makes_2n_minus_1_witness_calls(self, n, monkeypatch):
+        # per stratum the fixed pair e_j -> i*e_j, and the cross pair
+        # (e_j, e_{j+1}) below the top stratum
+        calls = []
+        witness = orbits.transitivity_witness
 
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_census_n8_every_witness_exact(self, seed):
-        # these seeds draw pairs with an irrational modulus ratio whose
-        # floating-point solve misses a 1e-9 residual
-        rec = enumerate_strata(8, samples=1000, seed=seed)
-        assert rec.status == PASS, rec.details
-        assert rec.details["witness_failures"] == 0
-        assert rec.details["max_residual"] == 0
+        def counted(p, q):
+            calls.append((stratum_of(p), stratum_of(q)))
+            return witness(p, q)
 
-    def test_census_deterministic(self):
-        a = enumerate_strata(3, samples=30, seed=9)
-        b = enumerate_strata(3, samples=30, seed=9)
-        assert a.to_dict() == b.to_dict()
+        monkeypatch.setattr(orbits, "transitivity_witness", counted)
+        assert enumerate_strata(n).status == PASS
+        assert sorted(calls) == sorted(
+            [(j, j) for j in range(1, n + 1)]
+            + [(j, j + 1) for j in range(1, n)])
+
+    def test_census_fails_when_a_cross_pair_is_reachable(self, monkeypatch):
+        monkeypatch.setattr(orbits, "transitivity_witness",
+                            lambda p, q: orbits.Witness(stratum_of(p), 0))
+        rec = enumerate_strata(4)
+        assert rec.status == FAIL
+        assert rec.details["cross_failures"] == 3
+
+
+class TestCensusDraws:
+    """The second derivation of the census, from random points: every
+    point lies in the stratum of its last nonzero coordinate, one of
+    1..n, and a pair in one stratum is reachable by the pair solve."""
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (4, 1), (8, 3), (8, 7)])
+    def test_random_points_land_in_the_last_nonzero_stratum(self, n, seed):
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(200):
+            p = census_point(n, rng)
+            last = max(m for m, c in enumerate(p.coords, 1)
+                       if parts(c) != (0, 0))
+            assert stratum_of(p) == last
+            seen.add(last)
+        assert seen == set(range(1, n + 1))
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (4, 1), (8, 3), (8, 7)])
+    def test_same_stratum_pairs_agree_with_the_pair_solve(self, n, seed):
+        rng = random.Random(seed)
+        buckets = {}
+        for _ in range(60):
+            p = census_point(n, rng)
+            buckets.setdefault(stratum_of(p), []).append(p)
+        for j, bucket in sorted(buckets.items()):
+            for p, q in (rng.sample(bucket, 2) for _ in range(
+                    5 if len(bucket) >= 2 else 0)):
+                w, solved = transitivity_witness(p, q), pair_solve(p, q)
+                assert (w.stratum, w.residual) == (j, 0)
+                assert solved.residual == 0
+            if j + 1 in buckets:
+                p, q = bucket[0], buckets[j + 1][0]
+                assert transitivity_witness(p, q) is None
+                assert pair_solve(p, q) is None
 
 
 def _cplx_apply_by_rows(diag, super_pairs, pairs):
@@ -433,8 +481,7 @@ def random_action(n, rng):
 class TestComplexOrbits:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_last_two_rows_read_only_the_last_two_pairs(self, n):
-        # complex_orbit_check and _symbolic_zeta_check move the tail
-        # alone: from the last two pairs and the first shift pair, it must
+        # _symbolic_zeta_check moves the tail alone: from the last two pairs and the first shift pair, it must
         # give the last two rows of the full element's image, formed
         # entry by entry through the matrix of algebra elements
         diag = (Scalar.var("t"), Scalar.var("tdual"))
@@ -444,7 +491,7 @@ class TestComplexOrbits:
                  for j in range(1, n + 1)]
         assert _move_tail(diag, super_pairs[0], pairs[-2:]) \
             == _cplx_apply_by_rows(diag, super_pairs, pairs)[-2:]
-        # the numeric samples move plain Q(i) values
+        # the tests move plain Q(i) tails too
         diag, super_pairs, pairs = random_action(n, random.Random(100 + n))
         lift = lambda pair: tuple(Scalar.from_gauss(x) for x in pair)
         want = _cplx_apply_by_rows(lift(diag), [lift(p) for p in super_pairs],
@@ -452,15 +499,15 @@ class TestComplexOrbits:
         assert _move_tail(diag, super_pairs[0], pairs[-2:]) == [
             (constant_value(z), constant_value(w)) for z, w in want[-2:]]
 
-    def test_zeta_on_locus(self):
-        p = CplxProjPoint(((G(1), G(2)), (G(3), G(1)), (G(6), G(0))))
-        assert zeta_invariant(p) == G(Fraction(1, 2))
+    def test_label_oracle_on_locus(self):
+        assert ratio_label(((G(3), G(1)), (G(6), G(0)))) \
+            == (Fraction(1, 2), 0)
+        assert ratio_label(((G(1, 1), G(0)), (G(0, 2), G(0)))) \
+            == (Fraction(1, 2), Fraction(-1, 2))
 
-    def test_zeta_off_locus(self):
-        p = CplxProjPoint(((G(1), G(2)), (G(3), G(1)), (G(6), G(1))))
-        assert zeta_invariant(p) is None
-        q = CplxProjPoint(((G(1), G(2)), (G(3), G(1)), (G(0), G(0))))
-        assert zeta_invariant(q) is None
+    def test_label_oracle_off_locus(self):
+        assert ratio_label(((G(3), G(1)), (G(6), G(1)))) is None
+        assert ratio_label(((G(3), G(1)), (G(0), G(0)))) is None
 
     @pytest.mark.parametrize("last", [(G(3, -1), G(0)), (G(3, -1), G(2, 1)),
                                       (G(0), G(2, 1)), (G(0), G(0))],
@@ -470,24 +517,31 @@ class TestComplexOrbits:
         # and no shift reaches it, so a tail on the ratio locus keeps its
         # label and a tail off it stays off
         rng = random.Random(7)
-        tail = CplxProjPoint(((G(1, 2), G(-1, 1)), last))
+
+        def unit():
+            while True:
+                t = random_gaussian(rng, 4, 3)
+                if not t.is_zero():
+                    return t
+
+        tail = ((G(1, 2), G(-1, 1)), last)
         for _ in range(10):
-            t = orbits._random_cplx_unit(rng)
-            shift = (orbits._random_cplx_unit(rng),
-                     orbits._random_cplx_unit(rng))
-            moved = CplxProjPoint(tuple(
-                _move_tail((t, t.conjugate().inverse()), shift, tail.coords)))
-            assert zeta_invariant(moved) == zeta_invariant(tail)
-        assert (zeta_invariant(tail) is None) == (last[0].is_zero()
-                                                  or not last[1].is_zero())
+            t = unit()
+            moved = _move_tail((t, t.conjugate().inverse()), (unit(), unit()),
+                               tail)
+            assert ratio_label(moved) == ratio_label(tail)
+        assert (ratio_label(tail) is None) == (last[0].is_zero()
+                                               or not last[1].is_zero())
 
     def test_symbolic_invariance(self):
         assert _symbolic_zeta_check()
 
     def test_complex_orbit_check(self):
         labels = [G(k) for k in range(12)]
-        rec = complex_orbit_check(3, labels, samples=6, seed=2)
+        rec = complex_orbit_check(3, labels)
         assert rec.status == PASS, rec.details
+        assert rec.details == {"symbolic_invariance": True,
+                               "distinct_labels": 12}
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_wrong_action_on_the_last_pair_fails(self, monkeypatch, n):
@@ -502,29 +556,12 @@ class TestComplexOrbits:
 
         monkeypatch.setattr(orbits, "_move_tail", broken)
         labels = [G(k, 1) for k in range(1, 5)]
-        rec = complex_orbit_check(n, labels, samples=3, seed=2)
+        rec = complex_orbit_check(n, labels)
         assert rec.status == FAIL
         assert rec.details["symbolic_invariance"] is False
-        assert rec.details["numeric_failures"] > 0
-
-    def test_draws_do_not_grow_with_n(self, monkeypatch):
-        # a label reads only the last two pairs, so no pair above them is
-        # drawn
-        counts = {}
-        draw = orbits._random_cplx_unit
-
-        def counted(rng):
-            counts[n] = counts.get(n, 0) + 1
-            return draw(rng)
-
-        monkeypatch.setattr(orbits, "_random_cplx_unit", counted)
-        labels = [G(k, 1) for k in range(1, 5)]
-        for n in (3, 8):
-            record = complex_orbit_check(n, labels, samples=3, seed=2)
-            assert record.status == PASS
-        assert counts[3] == counts[8]
 
     def test_label_collision_fails(self):
         labels = [G(1), G(1)]
-        rec = complex_orbit_check(2, labels, samples=2, seed=0)
+        rec = complex_orbit_check(2, labels)
         assert rec.status == FAIL
+        assert rec.details["distinct_labels"] == "collision"

@@ -32,7 +32,7 @@ class TestGaussianRational:
         a = GaussianRational.of(Fraction(3, 4), Fraction(-1, 2))
         b = GaussianRational.of(2, 5)
         assert (a + b) + -b == a
-        assert (a * b) / b == a
+        assert (a * b) * b.inverse() == a
         assert a * a.inverse() == GaussianRational.of(1)
 
     def test_conj_norm(self):
@@ -90,11 +90,9 @@ class TestAgainstFractionReference:
         if b.is_zero():
             with pytest.raises(ZeroDivisionError):
                 b.inverse()
-            with pytest.raises(ZeroDivisionError):
-                a / b
         else:
             assert_same(b.inverse(), rb.inverse())
-            assert_same(a / b, ra / rb)
+            assert_same(a * b.inverse(), ra / rb)
 
     @given(big_pairs, st.integers(-10**6, 10**6).filter(bool))
     @settings(max_examples=200, deadline=None)
@@ -116,8 +114,8 @@ class TestAgainstFractionReference:
         for c in (a, b):
             assert hash(c + b + -b) == hash(c)
         if not b.is_zero():
-            assert (a * b) / b == a
-            assert hash((a * b) / b) == hash(a)
+            assert (a * b) * b.inverse() == a
+            assert hash((a * b) * b.inverse()) == hash(a)
 
     def test_zero(self):
         zero = GaussianRational()
@@ -155,7 +153,7 @@ class TestAgainstFractionReference:
             raise AssertionError("a Fraction was built")
 
         monkeypatch.setattr(Fraction, "__new__", staticmethod(refuse))
-        results = [a + b, a * b, a / b, a.inverse(), a.conjugate(), -a]
+        results = [a + b, a * b, a.inverse(), a.conjugate(), -a]
         assert results[1] == b * a
         assert a != b and hash(a) == hash(a.conjugate().conjugate())
         assert str(a) == "(3/4-1/2*i)"
