@@ -4,7 +4,8 @@ Runs named check suites over the algebra, the conjugation identities, the
 invariant families, and the orbit pictures, then emits a text or JSON
 report.  Exit status is 0 exactly when every executed check passed, 1 when
 some check failed, 2 on a usage error or an unwritable ``--out``, 3 when a
-check raised an exception.
+check raised an exception.  Every check is an exact certificate and draws
+nothing at random, so a report depends on its configuration alone.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .clifford import h_closure_check, h_det_check
-from .constructions import (FamilySpec, FamilyWork, verify_independence,
-                            verify_invariance, verify_lemma_d,
-                            verify_support_filtration)
+from .constructions import (FamilySpec, FamilyWork, check_lam,
+                            verify_independence, verify_invariance,
+                            verify_lemma_d, verify_support_filtration)
 from .orbits import complex_orbit_check, enumerate_strata
 from .records import FAIL, PASS, SKIPPED, CheckRecord
 from .scalars import GaussianRational
@@ -33,7 +34,7 @@ __all__ = ["RunConfig", "Report", "run_suite", "emit_report", "main"]
 SUITES = ("algebra", "lemma-d", "invariance", "independence", "support",
           "orbits", "complex-orbits", "all")
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 # Suites that build RunConfig.family and so run at its lam.
 FAMILY_SUITES = ("invariance", "independence", "all")
@@ -49,23 +50,23 @@ class RunConfig:
     n: int = 3
     lmax: int = 4
     lam: Optional[Fraction] = None  # None = formal parameter
+    # inert: nothing reads them; invbench/workload.py still passes both
     seed: int = 0
-    samples: int = 100
+    samples: int = 0
     fmt: str = "text"
     out: Optional[str] = None
 
     def validate(self) -> None:
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
+        for flag, value in (("--n", self.n), ("--lmax", self.lmax)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{flag} must be an int, got {value!r}")
         if self.n < 2:
             raise ValueError("--n must be at least 2")
         if self.lmax < 0:
             raise ValueError("--lmax must be nonnegative")
-        if self.samples < 0:
-            raise ValueError("--samples must be nonnegative")
-        if self.lam is not None and not isinstance(self.lam, (int, Fraction)):
-            raise ValueError(f"--lambda must be formal, an int or a "
-                             f"Fraction, got {self.lam!r}")
+        check_lam(self.lam, "--lambda")
         if self.suite in FAMILY_SUITES:
             self.family.validate()
         if self.fmt not in ("text", "json"):
@@ -87,8 +88,6 @@ class RunConfig:
             "n": self.n,
             "lmax": self.lmax,
             "lambda": "formal" if lam is None else str(lam),
-            "seed": self.seed,
-            "samples": self.samples,
         }
 
 
@@ -153,10 +152,7 @@ def _plan(config: RunConfig) -> List[Planned]:
 
     if want("algebra"):
         plan.append((f"algebra.det.n{n}", lambda: h_det_check(n)))
-        plan.append((f"algebra.closure.n{n}",
-                     lambda: h_closure_check(
-                         n, samples=min(config.samples, 25),
-                         seed=config.seed)))
+        plan.append((f"algebra.closure.n{n}", lambda: h_closure_check(n)))
     if want("lemma-d"):
         which = "D" if n >= 3 else "Dprime"
         plan.append((f"lemma-d.{which}.n{n}", lambda: verify_lemma_d(n)))
@@ -235,7 +231,7 @@ def run_suite(config: RunConfig) -> Report:
 
 
 def emit_report(report: Report, fmt: str) -> str:
-    """Serialize.  JSON output is byte-stable for a fixed config and seed;
+    """Serialize.  JSON output is byte-stable for a fixed config;
     wall times therefore appear only in the text format."""
     if fmt == "json":
         return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -281,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--lambda", dest="lam", type=_parse_lambda,
                         default=None, metavar="p/q|formal",
                         help="spectral parameter (default formal)")
-    verify.add_argument("--seed", type=int, default=0,
-                        help="random seed (default 0)")
-    verify.add_argument("--samples", type=int, default=100,
-                        help="random sample count (default 100)")
     verify.add_argument("--format", dest="fmt", choices=("text", "json"),
                         default=None,
                         help=f"output format (default text, or "
@@ -302,8 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     fmt = args.fmt or os.environ.get(FORMAT_ENV_VAR, "text")
     config = RunConfig(suite=args.suite, n=args.n, lmax=args.lmax,
-                       lam=args.lam, seed=args.seed, samples=args.samples,
-                       fmt=fmt, out=args.out)
+                       lam=args.lam, fmt=fmt, out=args.out)
     try:
         config.validate()
     except ValueError as exc:

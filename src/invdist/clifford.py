@@ -22,12 +22,11 @@ is that convolution, and no other matrix is ever formed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .records import FAIL, PASS, SKIPPED, CheckRecord
-from .scalars import Scalar, random_gaussian
+from .records import FAIL, PASS, CheckRecord
+from .scalars import Scalar
 
 __all__ = [
     "REpsElement",
@@ -238,47 +237,41 @@ def h_det_check(n: int) -> CheckRecord:
     )
 
 
-def h_closure_check(n: int, samples: int = 20, seed: int = 0) -> CheckRecord:
-    """Products of random group elements stay in H: the Toeplitz form, with
-    multiplied diagonal phases and the k-th superdiagonal in C*eps^k.
-    Phases stay formal (u and v).  With no sample the check is skipped,
-    since no product certifies it.
+def h_closure_check(n: int) -> CheckRecord:
+    """H is closed under products (eq. (7)), certified by one product of
+    two fully formal elements: diagonals u and v, and k-th entries
+    a_k*eps^k and b_k*eps^k with every a_k and b_k a symbol.  Its profile
+    must have the diagonal exactly u*v and entry k in C*eps^k: a zero
+    C-part for odd k and a zero eps-part for even k.
 
-    Each sample forms the profile of its product by eq. (7), n(n+1)/2
-    element products: the diagonal must be u*v and the k-th entry must lie
-    in C*eps^k."""
-    rng = random.Random(seed)
-    ok = True
-    details = {"samples": samples}
-    if samples == 0:
-        details["reason"] = "no sampled product at --samples 0"
-    for trial in range(samples):
-        ca = [Scalar.from_gauss(random_gaussian(rng, 5, 5))
-              for _ in range(n - 1)]
-        cb = [Scalar.from_gauss(random_gaussian(rng, 5, 5))
-              for _ in range(n - 1)]
-        g = h_element(n, Scalar.var("u"), ca)
-        gp = h_element(n, Scalar.var("v"), cb)
-        profile = (g * gp).profile
-        diag = profile[0]
-        if not (diag.b.is_zero()
-                and diag.a == Scalar.var("u") * Scalar.var("v")):
-            ok = False
-            details["counterexample"] = {"trial": trial,
-                                         "diagonal": str(diag)}
-            break
+    Each part of the product's profile is a polynomial in the symbols and
+    their conjugates, Laurent in u and v.  Any two elements of H, with unit
+    phases u0, v0 and coefficients c_k, d_k, have as product its
+    specialisation u -> u0, v -> v0, a_k -> c_k, b_k -> d_k, with each
+    conjugate symbol sent to the conjugate value (conj(u) = u^-1, as
+    conj(u0) = u0^-1).  A zero polynomial stays zero under any
+    specialisation, and u*v specialises to the unit phase u0*v0, so the
+    check holds for all of H at this n.  The product makes n(n+1)/2
+    element products."""
+    u, v = Scalar.var("u"), Scalar.var("v")
+    g = h_element(n, u, [Scalar.var(f"a{k}") for k in range(1, n)])
+    gp = h_element(n, v, [Scalar.var(f"b{k}") for k in range(1, n)])
+    profile = (g * gp).profile
+    details = {"certificate": "formal product"}
+    diag = profile[0]
+    if not (diag.b.is_zero() and diag.a == u * v):
+        details["counterexample"] = {"diagonal": str(diag)}
+    else:
         # eps^k is 1 for even k and eps for odd k
         k = next((k for k in range(1, n) if not (
             profile[k].a if k % 2 else profile[k].b).is_zero()), None)
         if k is not None:
-            ok = False
-            details["counterexample"] = {"trial": trial, "superdiagonal": k}
-            break
+            details["counterexample"] = {"superdiagonal": k}
     return CheckRecord(
         check_id=f"algebra.closure.n{n}",
-        statement=("random products keep the Toeplitz form with "
+        statement=("products of elements of H keep the Toeplitz form with "
                    f"multiplied phases (n={n})"),
         paper_ref="eq. (7)",
-        status=SKIPPED if not samples else PASS if ok else FAIL,
+        status=FAIL if "counterexample" in details else PASS,
         details=details,
     )

@@ -65,6 +65,15 @@ _FAMILIES = {
 }
 
 
+def check_lam(lam, name: str) -> None:
+    """Refuse a lam that is not formal (None), an int or a Fraction.  A
+    bool is an int to Python, but would print as True or False."""
+    if lam is not None and (not isinstance(lam, (int, Fraction))
+                            or isinstance(lam, bool)):
+        raise ValueError(f"{name} must be formal, an int or a Fraction, "
+                         f"got {lam!r}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Which family to build: the members of order 0..l.
@@ -86,9 +95,7 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.l < 0:
             raise ValueError("order must be nonnegative")
-        if self.lam is not None and not isinstance(self.lam, (int, Fraction)):
-            raise ValueError(f"lam must be formal, an int or a Fraction, "
-                             f"got {self.lam!r}")
+        check_lam(self.lam, "lam")
         j = self.row()[0]
         if self.family == "T2":
             if self.n != 2 or self.lam not in (None, 2):

@@ -27,7 +27,6 @@ __all__ = [
     "Scalar",
     "AffineExponent",
     "integer_rank",
-    "random_gaussian",
     "rank_over_function_field",
 ]
 
@@ -141,26 +140,6 @@ def _ratio_str(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
-def _below(getrandbits, width: int) -> int:
-    """Uniform on [0, width) by the rejection loop of CPython's
-    ``Random.randint`` (3.11), so it consumes the same bits and returns
-    the same value as ``randint(lo, lo + width - 1) - lo``."""
-    k = width.bit_length()
-    r = getrandbits(k)
-    while r >= width:
-        r = getrandbits(k)
-    return r
-
-
-def random_gaussian(rng, top: int, den: int) -> GaussianRational:
-    """a/b + i*c/d with a, c uniform on [-top, top] and b, d on [1, den],
-    drawn in the order a, b, c, d, equal to the draws of ``rng.randint``."""
-    bits, span = rng.getrandbits, 2 * top + 1
-    a, b = _below(bits, span) - top, _below(bits, den) + 1
-    c, d = _below(bits, span) - top, _below(bits, den) + 1
-    return _canonical(a * d, c * b, b * d)
-
-
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
@@ -271,19 +250,16 @@ class Scalar:
         return _ONE
 
     @staticmethod
-    def from_gauss(g: GaussianRational) -> "Scalar":
-        return Scalar({_EMPTY_MONO: g})
-
-    @staticmethod
     def of(re, im=0) -> "Scalar":
         """re + i*im for ints or Fractions; an int is memoised, so
         ``Scalar.of(1) is Scalar.one()`` and a product by it short-circuits."""
         if type(re) is int and type(im) is int and not im:
             c = _INT_SCALARS.get(re)
             if c is None:
-                c = _INT_SCALARS[re] = Scalar.from_gauss(GaussianRational(re))
+                c = _INT_SCALARS[re] = Scalar(
+                    {_EMPTY_MONO: GaussianRational(re)})
             return c
-        return Scalar.from_gauss(GaussianRational.of(re, im))
+        return Scalar({_EMPTY_MONO: GaussianRational.of(re, im)})
 
     @staticmethod
     def var(name: str, exp: int = 1,
@@ -299,7 +275,7 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, GaussianRational):
-            return Scalar.from_gauss(x)
+            return Scalar({_EMPTY_MONO: x})
         if isinstance(x, (int, Fraction)):
             return Scalar.of(x)
         return NotImplemented

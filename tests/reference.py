@@ -17,7 +17,7 @@ from invdist.clifford import REpsElement, Toeplitz, h_element, h_shift, \
 from invdist.distributions import DistExpr, RawTerm
 from invdist.orbits import ProjPoint, stratum_of
 from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
-    _mono_sorted
+    _canonical, _mono_sorted
 from invdist.weyl import Poly, Substitution, WeylOp, poly_linear, poly_mul, \
     substitute_poly, sym_z, sym_zbar
 
@@ -145,6 +145,31 @@ def neumann_inverse(m: Dense) -> Dense:
                     for ra, rb in zip(acc, power))
     return dense_mul(acc, tuple(tuple(d_inv if i == j else zero
                                       for j in range(n)) for i in range(n)))
+
+
+def from_gauss(g: GaussianRational) -> Scalar:
+    """The constant scalar g."""
+    return Scalar.of(*parts(g))
+
+
+def _below(getrandbits, width: int) -> int:
+    """Uniform on [0, width) by the rejection loop of CPython's
+    ``Random.randint`` (3.11), so it consumes the same bits and returns
+    the same value as ``randint(lo, lo + width - 1) - lo``."""
+    k = width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return r
+
+
+def random_gaussian(rng, top: int, den: int) -> GaussianRational:
+    """a/b + i*c/d with a, c uniform on [-top, top] and b, d on [1, den],
+    drawn in the order a, b, c, d, equal to the draws of ``rng.randint``."""
+    bits, span = rng.getrandbits, 2 * top + 1
+    a, b = _below(bits, span) - top, _below(bits, den) + 1
+    c, d = _below(bits, span) - top, _below(bits, den) + 1
+    return _canonical(a * d, c * b, b * d)
 
 
 def random_coefficient(rng, formal: bool) -> Scalar:

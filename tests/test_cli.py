@@ -37,7 +37,7 @@ class TestRunSuite:
         assert report.summary() == {"pass": 1, "fail": 0, "skipped": 0}
 
     def test_checks_sorted_by_id(self):
-        report = run_suite(RunConfig(suite="all", n=2, samples=5))
+        report = run_suite(RunConfig(suite="all", n=2))
         ids = [c.check_id for c in report.checks]
         assert ids == sorted(ids)
 
@@ -46,7 +46,7 @@ class TestRunSuite:
     def test_planned_ids_are_the_record_ids(self, suite, n):
         # each id is written twice: in the plan, which names a skipped
         # record, and in the check, which names an executed one
-        config = RunConfig(suite=suite, n=n, lmax=2, samples=3)
+        config = RunConfig(suite=suite, n=n, lmax=2)
         report = run_suite(config)
         assert report.all_passed
         assert sorted(c.check_id for c in report.checks) \
@@ -60,11 +60,25 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             RunConfig(suite="algebra", lmax=-1).validate()
 
+    @pytest.mark.parametrize("suite", ["invariance", "orbits"])
+    def test_bool_lambda_is_refused(self, suite):
+        # a bool is an int to Python: it would run at lam = 1 and print
+        # "True" as the lambda
+        with pytest.raises(ValueError, match="--lambda"):
+            RunConfig(suite=suite, n=3, lmax=1, lam=True).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", True), ("n", 3.0), ("n", "3"), ("n", Fraction(3)),
+        ("lmax", True), ("lmax", False), ("lmax", 1.0), ("lmax", None)])
+    def test_non_int_n_or_lmax_is_refused(self, field, value):
+        config = RunConfig(suite="algebra", **{field: value})
+        with pytest.raises(ValueError, match=f"--{field} must be an int"):
+            config.validate()
+
     def test_int_lambda_reports_as_its_fraction(self):
         as_int, as_fraction = (
             emit_report(run_suite(RunConfig(suite="all", n=3, lmax=2,
-                                            samples=3, lam=lam,
-                                            fmt="json")), "json")
+                                            lam=lam, fmt="json")), "json")
             for lam in (3, Fraction(3)))
         assert as_int == as_fraction
 
@@ -94,32 +108,29 @@ class TestRunSuite:
             assert all(c.status == PASS for c in report.checks
                        if c.check_id != "support.n2")
 
-    @pytest.mark.parametrize("suite, samples", [("algebra", 5),
-                                                 ("orbits", 100)])
-    def test_suite_passes_at_n16(self, suite, samples):
-        report = run_suite(RunConfig(suite=suite, n=16, samples=samples))
+    @pytest.mark.parametrize("suite", ["algebra", "orbits"])
+    def test_suite_passes_at_n16(self, suite):
+        report = run_suite(RunConfig(suite=suite, n=16))
         assert report.checks
         assert all(c.status == PASS for c in report.checks)
 
     def test_orbits_passes_at_n32(self):
-        report = run_suite(RunConfig(suite="orbits", n=32, samples=100))
+        report = run_suite(RunConfig(suite="orbits", n=32))
         assert report.checks
         assert all(c.status == PASS for c in report.checks)
 
-    @pytest.mark.parametrize("suite", [s for s in cli.SUITES
-                                       if s not in ("algebra", "all")])
-    def test_no_suite_prints_a_knob_it_ignores(self, suite):
-        # only algebra's closure products read --seed and --samples, so any
-        # other suite reports the same checks at every value of both
-        reports = []
-        for seed in (0, 5):
-            for samples in (0, 7):
-                data = json.loads(emit_report(run_suite(RunConfig(
-                    suite=suite, n=3, lmax=2, seed=seed, samples=samples)),
-                    "json"))
-                assert data.pop("config")["samples"] == samples
-                reports.append(data)
-        assert all(r == reports[0] for r in reports[1:])
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_inert_seed_and_samples_change_no_report_byte(self, suite):
+        # RunConfig still accepts both fields, and nothing reads them
+        reports = {emit_report(run_suite(RunConfig(
+            suite=suite, n=3, lmax=2, seed=seed, samples=samples)), "json")
+            for seed in (0, 5) for samples in (0, 7, -1)}
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_config_names_only_what_the_run_reads(self, suite):
+        config = RunConfig(suite=suite, n=3, lmax=2).to_dict()
+        assert set(config) == {"suite", "n", "lmax", "lambda"}
 
     def test_zeta_labels_distinct(self):
         labels = _zeta_labels(100)
@@ -137,7 +148,7 @@ class TestEmitReport:
     def test_json_schema_fields(self):
         out = json.loads(emit_report(self._dummy_report(), "json"))
         assert set(out) == {"version", "config", "checks", "summary"}
-        assert out["version"] == 2
+        assert out["version"] == 3
         check = out["checks"][0]
         assert set(check) == {"id", "statement", "paper_ref", "status",
                               "details"}
@@ -269,17 +280,21 @@ class TestMain:
         assert res.stderr.startswith("error:")
         assert res.stdout == ""
 
-    def test_algebra_at_zero_samples_skips_closure(self):
-        # no sampled product certifies closure, so it is not a PASS; the
-        # determinant check still runs and the run still exits 0
-        res = run_cli("verify", "algebra", "--n", "3", "--samples", "0",
-                      "--format", "json")
+    @pytest.mark.parametrize("flag", [("--samples", "3"), ("--seed", "1"),
+                                      ("--samples", "0")])
+    def test_sampling_flags_are_usage_errors(self, flag):
+        # no check draws, so the command line has no knob for draws
+        res = run_cli("verify", "algebra", "--n", "3", *flag)
+        assert res.returncode == 2
+        assert res.stdout == ""
+
+    def test_algebra_certifies_closure_by_the_formal_product(self):
+        res = run_cli("verify", "algebra", "--n", "3", "--format", "json")
         assert res.returncode == 0
         checks = {c["id"]: c for c in json.loads(res.stdout)["checks"]}
         closure = checks["algebra.closure.n3"]
-        assert closure["status"] == SKIPPED
-        assert closure["details"] == {
-            "samples": 0, "reason": "no sampled product at --samples 0"}
+        assert closure["status"] == PASS
+        assert closure["details"] == {"certificate": "formal product"}
         assert checks["algebra.det.n3"]["status"] == PASS
 
     def test_n2_lambda_ignored_by_suites_without_families(self):
@@ -301,7 +316,7 @@ class TestMain:
         for suite, want in (("invariance", "2"), ("independence", "2"),
                             ("all", "2"), ("lemma-d", "formal")):
             res = run_cli("verify", suite, "--n", "2", "--lmax", "1",
-                          "--samples", "2", "--format", "json")
+                          "--format", "json")
             assert res.returncode == 0
             assert json.loads(res.stdout)["config"]["lambda"] == want
 
@@ -311,8 +326,8 @@ class TestMain:
         # the support filtration is a statement for generic lam, and the
         # other suites without families never read lam: --lambda changes
         # neither the checks nor the reported config
-        args = ["verify", suite, "--n", "3", "--lmax", "2", "--samples", "5",
-                "--format", "json"]
+        args = ["verify", suite, "--n", "3", "--lmax", "2", "--format",
+                "json"]
         formal, given = run_cli(*args), run_cli(*args, "--lambda", "4")
         assert formal.returncode == given.returncode == 0
         assert formal.stdout == given.stdout
@@ -325,7 +340,7 @@ class TestMain:
     def test_help_documents_defaults(self):
         res = run_cli("verify", "--help")
         assert res.returncode == 0
-        for phrase in ("default 3", "default 4", "default 100", "formal"):
+        for phrase in ("default 3", "default 4", "formal"):
             assert phrase in res.stdout
 
     def test_env_var_sets_format_but_flag_wins(self):
@@ -337,8 +352,7 @@ class TestMain:
         assert res.stdout.startswith("verification report")
 
     def test_json_byte_stable(self):
-        args = ["verify", "orbits", "--n", "3", "--samples", "15",
-                "--seed", "11", "--format", "json"]
+        args = ["verify", "orbits", "--n", "3", "--format", "json"]
         a, b = run_cli(*args), run_cli(*args)
         assert a.stdout == b.stdout
         assert a.returncode == 0

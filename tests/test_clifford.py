@@ -8,20 +8,20 @@ import pytest
 
 from invdist import clifford
 from invdist.clifford import (REpsElement, Toeplitz, _block_det,
-                              group_inverse, h_closure_check, h_det_check,
-                              h_element, h_generators, h_phase, h_shift,
-                              h_shift_formal)
+                              eps_times_coeff, group_inverse,
+                              h_closure_check, h_det_check, h_element,
+                              h_generators, h_phase, h_shift, h_shift_formal)
 from invdist.records import FAIL, PASS
-from invdist.scalars import GaussianRational, Scalar, random_gaussian
+from invdist.scalars import GaussianRational, Scalar
 from reference import (CplxPairElement, act, cplx_pair_times_eps_power,
-                       dense, dense_mul, factor_into_generators, identity,
-                       iota,
-                       mat_mul_scalar, neumann_inverse, random_h_element,
-                       random_toeplitz, twisted_shift2)
+                       dense, dense_mul, factor_into_generators, from_gauss,
+                       identity, iota, mat_mul_scalar, neumann_inverse,
+                       random_gaussian, random_h_element, random_toeplitz,
+                       twisted_shift2)
 
 
 def scal(re, im=0):
-    return Scalar.from_gauss(GaussianRational.of(Fraction(re), Fraction(im)))
+    return from_gauss(GaussianRational.of(Fraction(re), Fraction(im)))
 
 
 EPS = REpsElement(Scalar.zero(), Scalar.one())
@@ -37,7 +37,7 @@ def rand_elem(rng):
         return GaussianRational.of(
             Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
             Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-    return REpsElement(Scalar.from_gauss(g()), Scalar.from_gauss(g()))
+    return REpsElement(from_gauss(g()), from_gauss(g()))
 
 
 def det_scalar_matrix(m):
@@ -148,25 +148,50 @@ class TestGroup:
     def test_det_check_passes(self, n):
         assert h_det_check(n).status == PASS
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
     def test_closure_check_passes(self, n):
-        assert h_closure_check(n, samples=15, seed=5).status == PASS
+        record = h_closure_check(n)
+        assert record.status == PASS
+        assert record.details == {"certificate": "formal product"}
 
     def test_closure_fails_off_the_eps_parity(self, monkeypatch):
         # odd shifts in the C-part: products stay Toeplitz with diagonal
         # u*v, but their odd superdiagonals leave C*eps
         monkeypatch.setattr(clifford, "eps_times_coeff",
                             lambda a, k: REpsElement(a))
-        record = h_closure_check(4, samples=3, seed=5)
+        record = h_closure_check(4)
         assert record.status == FAIL
-        assert record.details["counterexample"] == {"trial": 0,
-                                                    "superdiagonal": 1}
+        assert record.details == {"certificate": "formal product",
+                                  "counterexample": {"superdiagonal": 1}}
 
-    def test_closure_is_skipped_without_samples(self):
-        record = h_closure_check(3, samples=0)
-        assert record.status == "skipped"
-        assert record.details == {
-            "samples": 0, "reason": "no sampled product at --samples 0"}
+    def test_closure_fails_on_a_diagonal_in_c_eps(self, monkeypatch):
+        # a diagonal u*eps is no unit phase: (u eps)(v eps) = u conj(v),
+        # which is u v^-1 and not u*v
+        h_element = clifford.h_element
+
+        def eps_diagonal(n, diag, superdiag):
+            g = h_element(n, diag, superdiag)
+            return Toeplitz(n, (REpsElement(Scalar.zero(), diag),)
+                            + g.profile[1:])
+
+        monkeypatch.setattr(clifford, "h_element", eps_diagonal)
+        record = h_closure_check(3)
+        assert record.status == FAIL
+        diagonal = REpsElement(Scalar.var("u") * Scalar.var("v", -1))
+        assert record.details["counterexample"] == {
+            "diagonal": str(diagonal)}
+
+    @pytest.mark.parametrize("m, rest", [(0, 0), (0, 1), (1, 0), (1, 1),
+                                         (2, 3), (3, 3), (4, 2), (5, 2)])
+    def test_each_convolution_term_lies_in_c_eps_k(self, m, rest):
+        # the closure lemma at every n, derived apart from the product:
+        # x eps^m times y eps^(k-m) lies in C eps^k for formal x and y, in
+        # each of the four parities of (m, k - m)
+        x, y = Scalar.var("x"), Scalar.var("y")
+        p = eps_times_coeff(x, m) * eps_times_coeff(y, rest)
+        k = m + rest
+        assert not p.is_zero()
+        assert (p.a if k % 2 else p.b).is_zero()
 
     def test_group_inverse(self):
         rng = random.Random(7)
@@ -177,7 +202,7 @@ class TestGroup:
                 a = GaussianRational.of(
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-                g = g * h_shift(n, j, Scalar.from_gauss(a))
+                g = g * h_shift(n, j, from_gauss(a))
             assert g * group_inverse(g) == identity(n)
             assert group_inverse(g) * g == identity(n)
 
@@ -208,7 +233,7 @@ class TestGroup:
         # makes k products for its sum and one by d^-1
         rng = random.Random(n)
         g = h_element(n, Scalar.var("u"),
-                      [Scalar.from_gauss(random_gaussian(rng, 5, 5))
+                      [from_gauss(random_gaussian(rng, 5, 5))
                        for _ in range(n - 1)])
         calls = []
         mul = REpsElement.__mul__
@@ -308,7 +333,7 @@ class TestSparseProduct:
             draws = [([Scalar.var(f"a{k}") for k in range(1, n)],
                       [Scalar.var(f"b{k}") for k in range(1, n)])]
         else:
-            draws = [[[Scalar.from_gauss(random_gaussian(rng, 5, 5))
+            draws = [[[from_gauss(random_gaussian(rng, 5, 5))
                        for _ in range(n - 1)] for _ in range(2)]
                      for _ in range(3)]
         for ca, cb in draws:
@@ -317,13 +342,10 @@ class TestSparseProduct:
             assert dense(g * gp) == dense_mul(dense(g), dense(gp))
 
     @pytest.mark.parametrize("n", [2, 5, 8])
-    def test_closure_sample_makes_one_product_per_first_row_pair(
-            self, n, monkeypatch):
-        # the seed draws only nonzero shifts, so both profiles are full
-        # and the product meets each pair m + k < n once
-        seed = 3
-        rng = random.Random(seed)
-        assert all(random_gaussian(rng, 5, 5) for _ in range(2 * (n - 1)))
+    def test_closure_makes_one_product_per_profile_pair(self, n,
+                                                        monkeypatch):
+        # both formal profiles are full, so the product meets each pair
+        # m + k < n once
         calls = []
         mul = REpsElement.__mul__
 
@@ -332,7 +354,7 @@ class TestSparseProduct:
             return mul(self, other)
 
         monkeypatch.setattr(REpsElement, "__mul__", counted)
-        assert h_closure_check(n, samples=1, seed=seed).status == PASS
+        assert h_closure_check(n).status == PASS
         assert len(calls) == n * (n + 1) // 2
 
 

@@ -142,11 +142,12 @@ class TestFamilies:
         expected = DistExpr.single(2, mono={sym_z(1): 2}, delta={2: (2, 0)})
         assert expr_parts(expr) == expr_parts(expected)
 
-    @pytest.mark.parametrize("lam", [0.5, 3.0, "3"])
+    @pytest.mark.parametrize("lam", [0.5, 3.0, "3", True, False])
     def test_lambda_must_be_exact(self, lam):
+        # a bool is an int to Python, but prints as True or False
         spec = FamilySpec(3, "T", 1, lam=lam)
         for call in (spec.validate, lambda: build_family(spec)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="lam must be formal"):
                 call()
 
     def test_specialized_lambda(self):
@@ -482,8 +483,7 @@ class TestOneWorkPerChain:
         counts = {}
         count_calls(monkeypatch, constructions, "build_family", counts)
         count_calls(monkeypatch, constructions, "independence_rank", counts)
-        report = run_suite(RunConfig(suite="all", n=n, lmax=3, samples=3,
-                                     lam=lam))
+        report = run_suite(RunConfig(suite="all", n=n, lmax=3, lam=lam))
         assert report.all_passed
         assert (counts["build_family"], counts["independence_rank"]) \
             == (chains, chains)

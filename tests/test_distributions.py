@@ -22,8 +22,8 @@ from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitution_from_group, sym_z, sym_zbar)
 from reference import act_group as act_group_reference
-from reference import expr_parts, generator_product, identity, op_parts, \
-    twisted_shift2
+from reference import expr_parts, from_gauss, generator_product, identity, \
+    op_parts, twisted_shift2
 
 
 def delta_functional(expr: DistExpr, r: int, s: int) -> Scalar:
@@ -138,7 +138,7 @@ class TestDifferentiation:
 
 def shift_sub(n, j, re=Fraction(1, 2), im=Fraction(1, 3)):
     a = GaussianRational.of(re, im)
-    return substitution_from_group(h_shift(n, j, Scalar.from_gauss(a)))
+    return substitution_from_group(h_shift(n, j, from_gauss(a)))
 
 
 # The action of ``DistExpr.act_group`` on members with underived deltas
@@ -161,7 +161,7 @@ class TestGroupAction:
         n = 3
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
         g3 = h_phase(n)
-        g1 = h_shift(n, 1, Scalar.from_gauss(
+        g1 = h_shift(n, 1, from_gauss(
             GaussianRational.of(Fraction(1, 2), Fraction(1, 3))))
         for act, order in ACTIONS:
             expr = DistExpr.single(n, mono={sym_zbar(1): 1},

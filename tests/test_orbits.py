@@ -16,12 +16,11 @@ from invdist.orbits import (ProjPoint, _move_tail, _symbolic_zeta_check,
                             orbit_dimension, stratum_dimension, stratum_of,
                             transitivity_witness)
 from invdist.records import FAIL, PASS
-from invdist.scalars import (GaussianRational, Scalar, integer_rank,
-                             random_gaussian)
+from invdist.scalars import GaussianRational, Scalar, integer_rank
 from reference import (CplxPairElement, act, apply_toeplitz, constant_value,
-                       cplx_pair_times_eps_power, integer_coords,
-                       lie_directions, pair_solve, parts, ratio_label,
-                       triangular_rank)
+                       cplx_pair_times_eps_power, from_gauss,
+                       integer_coords, lie_directions, pair_solve, parts,
+                       random_gaussian, ratio_label, triangular_rank)
 
 
 def G(re, im=0):
@@ -245,7 +244,7 @@ def read_off_image(p, j):
     code with ``orbits``' read-off and its sparse action.  Returns z and
     G_z e_j, each as n Scalars."""
     n = p.n
-    z = [Scalar.from_gauss(GaussianRational.from_triple(re, im, 1))
+    z = [from_gauss(GaussianRational.from_triple(re, im, 1))
          for re, im in integer_coords(p)]
     shifts = [z[j - 1 - k] for k in range(1, j)]
     g = h_element(n, z[j - 1], shifts + [Scalar.zero()] * (n - j))
@@ -493,7 +492,7 @@ class TestComplexOrbits:
             == _cplx_apply_by_rows(diag, super_pairs, pairs)[-2:]
         # the tests move plain Q(i) tails too
         diag, super_pairs, pairs = random_action(n, random.Random(100 + n))
-        lift = lambda pair: tuple(Scalar.from_gauss(x) for x in pair)
+        lift = lambda pair: tuple(from_gauss(x) for x in pair)
         want = _cplx_apply_by_rows(lift(diag), [lift(p) for p in super_pairs],
                                    [lift(p) for p in pairs])
         assert _move_tail(diag, super_pairs[0], pairs[-2:]) == [

@@ -62,11 +62,11 @@ def test_every_definition_is_reached_or_allowed(tmp_path, monkeypatch):
     sys.setprofile(hook)
     try:
         assert cli.main(["verify", "all", "--n", "3", "--lmax", "2",
-                         "--samples", "3", "--format", "json",
+                         "--format", "json",
                          "--out", str(tmp_path / "all.json")]) == 0
         twist_shift2(monkeypatch)
         assert cli.main(["verify", "invariance", "--n", "3", "--lmax", "3",
-                         "--samples", "1", "--lambda", "formal",
+                         "--lambda", "formal",
                          "--format", "text",
                          "--out", str(tmp_path / "twisted.txt")]) == 1
         # a repeated member defeats the disjoint-support certificate, so

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import invdist.scalars as scalar_module
 from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
                              _mono_mul, _mono_sorted, integer_rank,
-                             random_gaussian, rank_over_function_field, LAM)
+                             rank_over_function_field, LAM)
 from reference import FractionGaussian, constant_value, falling_factorial, \
-    generalized_binomial, loop_mul, parts, ref_mono_mul
+    from_gauss, generalized_binomial, loop_mul, parts, random_gaussian, \
+    ref_mono_mul
 
 U = Scalar.var("u")  # the unimodular phase symbol
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
@@ -23,7 +24,7 @@ gaussians = st.builds(GaussianRational, fractions, fractions)
 
 def at_lam(x, t):
     """x, a polynomial in lam alone, evaluated at lam = t."""
-    return sum((Scalar.from_gauss(c) * Scalar.of(t ** k)
+    return sum((from_gauss(c) * Scalar.of(t ** k)
                 for k, c in enumerate(x.lam_coeffs())), Scalar.zero())
 
 
@@ -163,9 +164,9 @@ class TestRandomGaussian:
     @pytest.mark.parametrize("top, den", [(4, 4), (4, 3), (5, 5), (3, 3)])
     @pytest.mark.parametrize("seed", [0, 1, 7, 11, 21])
     def test_draw_matches_randint(self, top, den, seed):
-        # the census, closure and complex-orbit reports depend on these
-        # exact values, so a Python whose randint draws differently must
-        # fail here rather than silently change the reports
+        # tests pin values drawn by reference.random_gaussian, so a Python
+        # whose randint draws differently must fail here rather than
+        # silently change what those tests check
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(500):
             a, b = ref.randint(-top, top), ref.randint(1, den)

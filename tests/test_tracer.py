@@ -51,9 +51,9 @@ def test_observers_count_the_traced_work(monkeypatch):
     monkeypatch.syspath_prepend(INVBENCH)
     import spans
 
-    configs = [RunConfig(suite="invariance", n=3, lmax=2, samples=0),
+    configs = [RunConfig(suite="invariance", n=3, lmax=2),
                RunConfig(suite="independence", n=3, lmax=2),
-               RunConfig(suite="orbits", n=3, samples=5)]
+               RunConfig(suite="orbits", n=3)]
     # no suite composes operators, and every chain a suite builds has rank
     # certified by disjoint supports, so compose and the elimination kernel
     # are called here directly: the latter through a chain that repeats a

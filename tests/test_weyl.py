@@ -14,8 +14,8 @@ from invdist.weyl import (Substitution, WeylOp, _rows_from_matrix,
                           conjugate_op, substitute_poly,
                           substitution_from_group, sym_conj, sym_name, sym_z,
                           sym_zbar)
-from reference import dense, falling_factorial, identity, neumann_inverse, \
-    op_parts
+from reference import dense, falling_factorial, from_gauss, identity, \
+    neumann_inverse, op_parts
 
 
 def rand_poly(n, rng, nterms=3):
@@ -25,7 +25,7 @@ def rand_poly(n, rng, nterms=3):
         expo = tuple(rng.randint(0, 2) for _ in range(2 * n))
         c = GaussianRational.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        p[expo] = p.get(expo, Scalar.zero()) + Scalar.from_gauss(c)
+        p[expo] = p.get(expo, Scalar.zero()) + from_gauss(c)
     return {k: v for k, v in p.items() if not v.is_zero()}
 
 
@@ -181,7 +181,7 @@ class TestSubstitution:
                                              rng.randint(1, 2)),
                                     Fraction(rng.randint(-3, 3),
                                              rng.randint(1, 2)))
-            s = substitution_from_group(h_shift(n, j, Scalar.from_gauss(a)))
+            s = substitution_from_group(h_shift(n, j, from_gauss(a)))
             p = rand_poly(n, rng)
             fwd_then_inv = substitute_poly(
                 substitute_poly(p, s.fwd, 2 * n), s.inv, 2 * n)
