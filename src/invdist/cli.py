@@ -10,13 +10,11 @@ nothing at random, so a report depends on its configuration alone.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -42,19 +40,21 @@ FAMILY_SUITES = ("invariance", "independence", "all")
 FORMAT_ENV_VAR = "INVDIST_FORMAT"
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """Configuration for one verification run."""
+    """Configuration for one verification run; ``lam`` None is the formal
+    parameter."""
 
-    suite: str
-    n: int = 3
-    lmax: int = 4
-    lam: Optional[Fraction] = None  # None = formal parameter
-    # inert: nothing reads them; invbench/workload.py still passes both
-    seed: int = 0
-    samples: int = 0
-    fmt: str = "text"
-    out: Optional[str] = None
+    __slots__ = ("suite", "n", "lmax", "lam", "seed", "samples", "fmt",
+                 "out")
+
+    def __init__(self, suite: str, n: int = 3, lmax: int = 4,
+                 lam: Optional[Fraction] = None, seed: int = 0,
+                 samples: int = 0, fmt: str = "text",
+                 out: Optional[str] = None):
+        self.suite, self.n, self.lmax, self.lam = suite, n, lmax, lam
+        # inert: nothing reads them; invbench/workload.py still passes both
+        self.seed, self.samples = seed, samples
+        self.fmt, self.out = fmt, out
 
     def validate(self) -> None:
         if self.suite not in SUITES:
@@ -91,12 +91,14 @@ class RunConfig:
         }
 
 
-@dataclass
 class Report:
-    config: RunConfig
-    checks: List[CheckRecord]
-    timings: List[float]  # seconds, parallel to checks
-    errored: bool = False  # a check raised, and its record says so
+    __slots__ = ("config", "checks", "timings", "errored")
+
+    def __init__(self, config: RunConfig, checks: List[CheckRecord],
+                 timings: List[float], errored: bool = False):
+        self.config, self.checks = config, checks
+        self.timings = timings  # seconds, parallel to checks
+        self.errored = errored  # a check raised, and its record says so
 
     def summary(self) -> dict:
         return {
@@ -160,7 +162,8 @@ def _plan(config: RunConfig) -> List[Planned]:
         for l in range(lmax + 1):
             plan.append((f"invariance.{family.family}.n{n}.l{l}",
                          lambda l=l, w=work(family): verify_invariance(
-                             replace(family, l=l), work=w)))
+                             FamilySpec(n, family.family, l, lam=family.lam),
+                             work=w)))
     if want("independence"):
         plan.append((f"independence.{family.family}.n{n}.lmax{lmax}",
                      lambda w=work(family): verify_independence(family,
@@ -258,11 +261,15 @@ def _parse_lambda(text: str) -> Optional[Fraction]:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        import argparse  # loaded already: only its parser calls this
         raise argparse.ArgumentTypeError(
             f"expected 'formal' or a rational p/q, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    # imported here, as traceback in run_suite: a caller of run_suite
+    # alone never parses a command line
+    import argparse
     parser = argparse.ArgumentParser(
         prog="invdist",
         description="verify the invariant-distribution computations")

@@ -22,8 +22,7 @@ is that convolution, and no other matrix is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .records import FAIL, PASS, CheckRecord
 from .scalars import Scalar
@@ -45,18 +44,13 @@ __all__ = [
 # Elements a + b*eps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class REpsElement:
-    a: Scalar = Scalar.zero()
-    b: Scalar = Scalar.zero()
+    """The element a + b*eps, immutable by convention."""
 
-    def __add__(self, other: "REpsElement") -> "REpsElement":
-        # a sum of products of group-element entries keeps one zero part,
-        # which is carried over without a Scalar sum
-        a, b = self.a, self.b
-        c, d = other.a, other.b
-        return REpsElement(c if a.is_zero() else a if c.is_zero() else a + c,
-                           d if b.is_zero() else b if d.is_zero() else b + d)
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Scalar = Scalar.zero(), b: Scalar = Scalar.zero()):
+        self.a, self.b = a, b
 
     def __neg__(self) -> "REpsElement":
         return REpsElement(-self.a, -self.b)
@@ -89,6 +83,17 @@ class REpsElement:
         return f"({self.a}) + ({self.b})*eps"
 
 
+def _sum(elements: Sequence[REpsElement]) -> REpsElement:
+    """The sum of the elements, each part added up by one ``Scalar.sum``:
+    entry k of a product sums up to k + 1 products, and repeated ``+``
+    would copy a partial sum that grows to k terms at each step.  A sum of
+    a generator's entries has at most one term, and is read off."""
+    if len(elements) < 2:
+        return elements[0] if elements else REpsElement()
+    return REpsElement(Scalar.sum(e.a for e in elements),
+                       Scalar.sum(e.b for e in elements))
+
+
 def eps_times_coeff(a: Scalar, k: int) -> REpsElement:
     """The element a*eps^k (eps^k is 1 for even k, eps for odd k)."""
     if k % 2 == 0:
@@ -100,13 +105,16 @@ def eps_times_coeff(a: Scalar, k: int) -> REpsElement:
 # Upper-triangular Toeplitz matrices over the algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Toeplitz:
     """The n x n upper-triangular Toeplitz matrix with entry profile[j - i]
     at (i, j) for j >= i and zero below the diagonal: profile[0] is the
-    diagonal and profile[k] the entry on the k-th superdiagonal."""
-    n: int
-    profile: Tuple[REpsElement, ...]
+    diagonal and profile[k] the entry on the k-th superdiagonal.
+    Immutable by convention."""
+
+    __slots__ = ("n", "profile")
+
+    def __init__(self, n: int, profile: Tuple[REpsElement, ...]):
+        self.n, self.profile = n, profile
 
     def __mul__(self, other: "Toeplitz") -> "Toeplitz":
         """The product by eq. (7): entry k of its profile is
@@ -114,19 +122,13 @@ class Toeplitz:
         n = self.n
         if other.n != n:
             raise ValueError(f"cannot multiply n={n} by n={other.n}")
-        right = [(k, f) for k, f in enumerate(other.profile)
-                 if not f.is_zero()]
-        acc: List[Optional[REpsElement]] = [None] * n
-        for m, e in enumerate(self.profile):
-            if e.is_zero():
-                continue
-            for k, f in right:
-                if m + k >= n:
-                    break
-                p = e * f
-                acc[m + k] = p if acc[m + k] is None else acc[m + k] + p
-        return Toeplitz(n, tuple(REpsElement() if x is None else x
-                                 for x in acc))
+        left = [(m, e) for m, e in enumerate(self.profile)
+                if not e.is_zero()]
+        right = {k: f for k, f in enumerate(other.profile)
+                 if not f.is_zero()}
+        return Toeplitz(n, tuple(
+            _sum([e * right[k - m] for m, e in left
+                  if m <= k and k - m in right]) for k in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +188,9 @@ def group_inverse(g: Toeplitz) -> Toeplitz:
     d_inv = REpsElement(d.a.inverse_unit())
     x = [d_inv]
     for k in range(1, g.n):
-        acc: Optional[REpsElement] = None
-        for m in range(1, k + 1):
-            e, f = g.profile[m], x[k - m]
-            if not e.is_zero() and not f.is_zero():
-                p = e * f
-                acc = p if acc is None else acc + p
-        x.append(REpsElement() if acc is None or acc.is_zero()
-                 else -(d_inv * acc))
+        acc = _sum([g.profile[m] * x[k - m] for m in range(1, k + 1)
+                    if not (g.profile[m].is_zero() or x[k - m].is_zero())])
+        x.append(REpsElement() if acc.is_zero() else -(d_inv * acc))
     return Toeplitz(g.n, tuple(x))
 
 

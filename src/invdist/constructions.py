@@ -4,7 +4,6 @@ homogeneity, and support properties."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Tuple
@@ -74,21 +73,20 @@ def check_lam(lam, name: str) -> None:
                          f"got {lam!r}")
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """Which family to build: the members of order 0..l.
 
     family: "T" | "Tbar" | "Tj" | "T2"; j only for "Tj"; lam None means the
     formal holomorphic parameter, otherwise a fixed rational value (an int
     or a Fraction).  ``validate`` is the one check of a family's n, j and
-    lam.
+    lam.  Immutable by convention.
     """
 
-    n: int
-    family: str
-    l: int
-    j: Optional[int] = None
-    lam: Optional[Fraction] = None
+    __slots__ = ("n", "family", "l", "j", "lam")
+
+    def __init__(self, n: int, family: str, l: int, j: Optional[int] = None,
+                 lam: Optional[Fraction] = None):
+        self.n, self.family, self.l, self.j, self.lam = n, family, l, j, lam
 
     def validate(self) -> None:
         if self.family not in _FAMILIES:
@@ -194,7 +192,6 @@ def _family_name(spec: FamilySpec) -> str:
     return spec.family
 
 
-@dataclass
 class FamilyWork:
     """The work the family checks of one run share for one chain of orders
     0..spec.l, each part computed by the first check that reads it: the
@@ -203,9 +200,12 @@ class FamilyWork:
     every labelled generator of ``h_generators``: each holds its
     generator's difference operator g.D - D and its residuals of the
     orders asked for so far.  The generators generate H, so invariance
-    under them is invariance under H."""
+    under them is invariance under H.  Each part is a ``cached_property``,
+    which keeps it in the instance's ``__dict__``, so this class has no
+    ``__slots__``."""
 
-    spec: FamilySpec
+    def __init__(self, spec: FamilySpec):
+        self.spec = spec
 
     def check(self, spec: FamilySpec, rank: bool = False) -> "FamilyWork":
         """This work, if it serves a check of ``spec``: the same n and
@@ -215,8 +215,9 @@ class FamilyWork:
         order_ok = spec.l == self.spec.l if rank else spec.l <= self.spec.l
         if (spec.n, spec.row()) != (self.spec.n, self.spec.row()) \
                 or not order_ok:
-            raise ValueError(f"the family work of {self.spec} does not "
-                             f"serve a check of {spec}")
+            have, want = ((s.n, s.row(), s.l) for s in (self.spec, spec))
+            raise ValueError(f"the family work of (n, (j, conjugate, lam), "
+                             f"l) = {have} does not serve a check of {want}")
         return self
 
     @cached_property

@@ -21,7 +21,6 @@ identity verified here is linear, so it is immaterial.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import perm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -46,14 +45,15 @@ class UnsupportedSubstitutionError(ValueError):
     """A group action hit a substitution outside the supported shape."""
 
 
-@dataclass
 class RawTerm:
     """Mutable scratch term used during rewriting."""
 
-    mono: List[int]
-    powers: Dict[int, AffineExponent]
-    delta: Dict[int, Tuple[int, int]]
-    coeff: Scalar
+    __slots__ = ("mono", "powers", "delta", "coeff")
+
+    def __init__(self, mono: List[int], powers: Dict[int, AffineExponent],
+                 delta: Dict[int, Tuple[int, int]], coeff: Scalar):
+        self.mono, self.powers, self.delta = mono, powers, delta
+        self.coeff = coeff
 
     def copy(self) -> "RawTerm":
         return RawTerm(list(self.mono), dict(self.powers),
@@ -381,15 +381,17 @@ def _term_sort_key(key: TermKey):
     return (delta, tuple((j, sigma.r, sigma.s) for j, sigma in powers), mono)
 
 
-@dataclass(frozen=True)
 class SupportDescriptor:
     """Delta-variable set S, leading free index j, and the stratum-closure
     label when S = {j+1, ..., n} (the support is then the closure of the
-    (2j-1)-dimensional stratum)."""
+    (2j-1)-dimensional stratum).  Immutable by convention."""
 
-    delta_vars: frozenset
-    leading_index: int
-    stratum: Optional[int]
+    __slots__ = ("delta_vars", "leading_index", "stratum")
+
+    def __init__(self, delta_vars: frozenset, leading_index: int,
+                 stratum: Optional[int]):
+        self.delta_vars, self.leading_index = delta_vars, leading_index
+        self.stratum = stratum
 
     def label(self) -> str:
         return f"X{self.stratum}" if self.stratum is not None else "irregular"

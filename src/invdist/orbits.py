@@ -20,7 +20,6 @@ certifies the label's invariance at every n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .records import FAIL, PASS, CheckRecord
@@ -38,15 +37,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ProjPoint:
-    """A point of (C^n \\ {0}) / R^x with exact coordinates."""
+    """A point of (C^n \\ {0}) / R^x with exact coordinates.  Immutable
+    by convention."""
 
-    coords: Tuple[GaussianRational, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if all(c.is_zero() for c in self.coords):
+    def __init__(self, coords: Tuple[GaussianRational, ...]):
+        if all(c.is_zero() for c in coords):
             raise ValueError("projective point needs a nonzero coordinate")
+        self.coords = coords
 
     @property
     def n(self) -> int:
@@ -138,7 +138,6 @@ def _stratum_residual(n: int, j: int) -> int:
 _CERTIFICATES: Dict[Tuple[int, int], int] = {}
 
 
-@dataclass
 class Witness:
     """p ~ e_j ~ q for two points of stratum j.
 
@@ -150,9 +149,11 @@ class Witness:
     certificate for the whole stratum; ``exact`` is True, since the
     identity is decided in exact arithmetic with no tolerance."""
 
-    stratum: int
-    residual: int
-    exact: bool = True
+    __slots__ = ("stratum", "residual")
+    exact = True
+
+    def __init__(self, stratum: int, residual: int):
+        self.stratum, self.residual = stratum, residual
 
 
 def transitivity_witness(p: ProjPoint, q: ProjPoint) -> Optional[Witness]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict
 
 PASS = "pass"
@@ -10,7 +9,6 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass
 class CheckRecord:
     """Outcome of one named verification check.
 
@@ -19,11 +17,15 @@ class CheckRecord:
     the counterexample serialization on failure).
     """
 
-    check_id: str
-    statement: str
-    paper_ref: str
-    status: str
-    details: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("check_id", "statement", "paper_ref", "status", "details")
+
+    def __init__(self, check_id: str, statement: str, paper_ref: str,
+                 status: str, details: Dict[str, Any]):
+        self.check_id = check_id
+        self.statement = statement
+        self.paper_ref = paper_ref
+        self.status = status
+        self.details = details
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -300,6 +300,18 @@ class Scalar:
 
     __radd__ = __add__
 
+    @staticmethod
+    def sum(scalars: Iterable["Scalar"]) -> "Scalar":
+        """The sum of the Scalars, each term added into one dict.  No
+        partial sum is built, so k operands of one term each cost O(k)
+        where repeated ``+`` copies a sum that grows to k terms."""
+        acc: Dict[Mono, GaussianRational] = {}
+        for x in scalars:
+            for m, c in x.terms.items():
+                prev = acc.get(m)
+                acc[m] = c if prev is None else prev + c
+        return Scalar(acc)
+
     def __neg__(self) -> "Scalar":
         return Scalar({m: -c for m, c in self.terms.items()})
 
@@ -368,10 +380,6 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         return self.terms == other.terms
-
-    # dataclasses reject an unhashable field default (REpsElement's zero)
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def free_symbols(self) -> frozenset:
         return frozenset(n for m in self.terms for n, _ in m)

@@ -21,7 +21,6 @@ product g2 * g1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb, perm
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -189,19 +188,20 @@ class WeylOp:
 # Linear substitutions induced by group elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Substitution:
     """A linear change of the 2n symbols with its exact inverse.
 
     ``fwd[s]`` expresses the image of symbol s as a linear form
     {symbol: coefficient}; ``inv`` likewise for the inverse map.
     Rows come in conjugate pairs (the zbar row is the entrywise conjugate
-    of the z row with z and zbar swapped).
+    of the z row with z and zbar swapped).  Immutable by convention.
     """
 
-    n: int
-    fwd: Tuple[Dict[int, Scalar], ...]
-    inv: Tuple[Dict[int, Scalar], ...]
+    __slots__ = ("n", "fwd", "inv")
+
+    def __init__(self, n: int, fwd: Tuple[Dict[int, Scalar], ...],
+                 inv: Tuple[Dict[int, Scalar], ...]):
+        self.n, self.fwd, self.inv = n, fwd, inv
 
 
 def _rows_from_matrix(g: Toeplitz) -> Tuple[Dict[int, Scalar], ...]:

@@ -7,7 +7,7 @@ construction that a test compares the engine with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,6 +30,12 @@ def _im_part(x: Scalar) -> Scalar:
     return (x - x.conjugate()) * Scalar.of(0, Fraction(-1, 2))
 
 
+def add(x: REpsElement, y: REpsElement) -> REpsElement:
+    """x + y, part by part: the engine adds its elements only inside a
+    product's sums (``clifford._sum``)."""
+    return REpsElement(x.a + y.a, x.b + y.b)
+
+
 def iota_blocks(e: REpsElement) -> List[List[Scalar]]:
     """2x2 real block of left multiplication by a + b*eps on C = R^2
     in the basis (x, y): z -> a*z + b*conj(z)."""
@@ -49,6 +55,18 @@ def dense(t: Toeplitz) -> Dense:
     zero = REpsElement()
     return tuple(tuple(t.profile[j - i] if j >= i else zero
                        for j in range(t.n)) for i in range(t.n))
+
+
+def value(x):
+    """The value of an ``REpsElement`` as its parts (a, b), of a
+    ``Toeplitz`` element as n and its profile's values, and of a dense
+    matrix or a row as its entries' values: nested tuples of Scalars, which
+    compare by value.  The engine's classes compare by identity."""
+    if isinstance(x, REpsElement):
+        return x.a, x.b
+    if isinstance(x, Toeplitz):
+        return x.n, value(x.profile)
+    return tuple(value(e) for e in x)
 
 
 def iota(m: Dense) -> List[List[Scalar]]:
@@ -97,14 +115,14 @@ def factor_into_generators(g: Toeplitz) -> List[Toeplitz]:
     factors = [h_element(n, u, [Scalar.zero()] * (n - 1))]
     product = factors[0]
     for k in range(1, n):
-        rest = g.profile[k] + -product.profile[k]
+        rest = add(g.profile[k], -product.profile[k])
         at_eps_k, other = (rest.b, rest.a) if k % 2 else (rest.a, rest.b)
         if not other.is_zero():
             raise ValueError(f"entry {k}, {g.profile[k]}, is not in "
                              f"C eps^{k}")
         factors.append(h_shift(n, k, u.inverse_unit() * at_eps_k))
         product = product * factors[-1]
-    if product != g:
+    if value(product) != value(g):
         raise ValueError("the factors do not multiply to g")
     return factors
 
@@ -121,8 +139,9 @@ def dense_mul(x: Dense, y: Dense) -> Dense:
             acc = REpsElement()
             for k in range(n):
                 e, f = x[i][k], y[k][j]
-                acc = acc + REpsElement(e.a * f.a + e.b * f.b.conjugate(),
-                                        e.b * f.a.conjugate() + e.a * f.b)
+                acc = add(acc, REpsElement(
+                    e.a * f.a + e.b * f.b.conjugate(),
+                    e.b * f.a.conjugate() + e.a * f.b))
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
@@ -141,7 +160,7 @@ def neumann_inverse(m: Dense) -> Dense:
                               for j in range(n)) for i in range(n))
     for _ in range(1, n):
         power = dense_mul(power, minus_n)
-        acc = tuple(tuple(a + b for a, b in zip(ra, rb))
+        acc = tuple(tuple(add(a, b) for a, b in zip(ra, rb))
                     for ra, rb in zip(acc, power))
     return dense_mul(acc, tuple(tuple(d_inv if i == j else zero
                                       for j in range(n)) for i in range(n)))
@@ -280,10 +299,11 @@ class CplxPairElement:
     """(a, c) + (b, d)*eps in the complexification
     (C (+) Cbar) (+) (C (+) Cbar)*eps, all four components scalars."""
 
-    a: Scalar = Scalar.zero()
-    c: Scalar = Scalar.zero()
-    b: Scalar = Scalar.zero()
-    d: Scalar = Scalar.zero()
+    # a factory: Scalar is unhashable, so dataclasses refuse it as a default
+    a: Scalar = field(default_factory=Scalar.zero)
+    c: Scalar = field(default_factory=Scalar.zero)
+    b: Scalar = field(default_factory=Scalar.zero)
+    d: Scalar = field(default_factory=Scalar.zero)
 
     @staticmethod
     def one() -> "CplxPairElement":

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,8 @@ def run_cli(*args, env=None, module="invdist.cli"):
         p for p in (SRC, full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
-    return subprocess.run([sys.executable, "-m", module, *args],
+    command = [sys.executable] + (["-m", module] if module else [])
+    return subprocess.run(command + list(args),
                           capture_output=True, text=True, env=full_env)
 
 
@@ -263,6 +265,40 @@ class TestMain:
                               "golden", "independence_n3_lmax4.json")
         with open(golden) as f:
             assert res.stdout == f.read()
+
+    def test_run_suite_loads_no_parser_and_main_still_parses(self):
+        # a fresh process, as the CLI and the benchmark start one: run_suite
+        # loads neither dataclasses (nor inspect, which dataclasses
+        # imports) nor argparse, which only main's parser needs; main then
+        # still parses a command line and reports a bad --lambda, raised in
+        # _parse_lambda, as a usage error
+        script = textwrap.dedent("""
+            import sys
+            from invdist import cli
+            cli.run_suite(cli.RunConfig(suite="all", n=3, lmax=2,
+                                        fmt="json"))
+            loaded = [m for m in ("dataclasses", "inspect", "argparse")
+                      if m in sys.modules]
+            import contextlib, io, json
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                ok = cli.main(["verify", "lemma-d", "--n", "3",
+                               "--format", "json"])
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                bad = cli.main(["verify", "all", "--lambda", "x/y"])
+            print(json.dumps({"loaded": loaded, "ok": ok, "bad": bad,
+                              "summary": json.loads(out.getvalue())["summary"],
+                              "err": err.getvalue()}))
+        """)
+        res = run_cli("-c", script, module=None)
+        assert res.returncode == 0, res.stderr
+        got = json.loads(res.stdout)
+        assert got["loaded"] == []
+        assert (got["ok"], got["summary"]) == \
+            (0, {"pass": 1, "fail": 0, "skipped": 0})
+        assert got["bad"] == 2
+        assert got["err"].startswith("usage: invdist verify")
+        assert "argument --lambda: expected 'formal' or a rational p/q, " \
+            "got 'x/y'" in got["err"]
 
     def test_usage_error_exit_two(self):
         res = run_cli("verify", "not-a-suite")

@@ -323,6 +323,15 @@ class TestFastPaths:
         cancelled = x + (-x)
         assert cancelled == Scalar.zero() and cancelled.terms == {}
 
+    @given(st.lists(laurent_scalars, max_size=5))
+    @settings(max_examples=200)
+    def test_sum_is_repeated_add(self, xs):
+        want: dict = {}
+        for x in xs:
+            want = loop_add(Scalar(want), x)
+        assert Scalar.sum(xs).terms == want
+        assert Scalar.sum(xs + [-x for x in xs]).terms == {}
+
     @given(laurent_scalars)
     @settings(max_examples=200)
     def test_memoised_conjugate(self, x):
