@@ -62,55 +62,49 @@ class RawTerm:
 
 def _canonical_key(t: RawTerm) -> Optional[Tuple[TermKey, Scalar]]:
     """Normalize one raw term to (key, coefficient); None when it rewrites
-    to zero."""
+    to zero.  One pass over the delta block absorbs the monomial factors of
+    each delta variable; one pass over the power factors folds the shared
+    exponents of z_j and zbar_j into the power factor and turns a
+    nonnegative-integer power factor back into monomials.  A power factor
+    on a delta variable is refused before either pass, so the two passes
+    touch disjoint variables."""
+    powers, delta = t.powers, t.delta
+    if powers and delta and not delta.keys().isdisjoint(powers):
+        j = next(j for j in powers if j in delta)
+        raise UnsupportedSubstitutionError(
+            f"power factor on delta variable z{j}")
     mono = list(t.mono)
     coeff = t.coeff
-    delta: Dict[int, Tuple[int, int]] = dict(t.delta)
-    powers: Dict[int, AffineExponent] = {}
-    for j, sigma in t.powers.items():
-        if j in delta:
-            raise UnsupportedSubstitutionError(
-                f"power factor on delta variable z{j}")
-        if not sigma.is_zero():
-            prev = powers.get(j)
-            powers[j] = sigma if prev is None else prev + sigma
-    # delta variables absorb their monomial factors
-    for k, (alpha, beta) in list(delta.items()):
-        p, q = mono[sym_z(k)], mono[sym_zbar(k)]
-        if p > alpha or q > beta:
-            return None
+    delta_key = []
+    for k, (alpha, beta) in sorted(delta.items()):
+        z = sym_z(k)  # z_k, and zbar_k at z + 1
+        p, q = mono[z], mono[z + 1]
         if p or q:
+            if p > alpha or q > beta:
+                return None
             f = perm(alpha, p) * perm(beta, q)
-            if (p + q) % 2:
-                f = -f
-            coeff = coeff * Scalar.of(f)
-            mono[sym_z(k)] = 0
-            mono[sym_zbar(k)] = 0
-            delta[k] = (alpha - p, beta - q)
-    # fold shared monomial exponents into the power factor, and convert
-    # nonnegative-integer power factors back to monomials
-    for j in list(powers):
-        sigma = powers[j]
-        m = min(mono[sym_z(j)], mono[sym_zbar(j)])
+            coeff = coeff * Scalar.of(-f if (p + q) % 2 else f)
+            mono[z] = mono[z + 1] = 0
+            alpha, beta = alpha - p, beta - q
+        delta_key.append((k, alpha, beta))
+    powers_key = []
+    for j, sigma in sorted(powers.items()):
+        if sigma.is_zero():
+            continue
+        z = sym_z(j)
+        m = min(mono[z], mono[z + 1])
         if m:
             sigma = sigma + m
-            mono[sym_z(j)] -= m
-            mono[sym_zbar(j)] -= m
-        if sigma.is_integer() and sigma.r >= 0:
-            e = int(sigma.r)
-            mono[sym_z(j)] += e
-            mono[sym_zbar(j)] += e
-            del powers[j]
-        elif sigma.is_zero():
-            del powers[j]
+            mono[z] -= m
+            mono[z + 1] -= m
+        if sigma.is_integer() and sigma.num_r >= 0:
+            mono[z] += sigma.num_r
+            mono[z + 1] += sigma.num_r
         else:
-            powers[j] = sigma
+            powers_key.append((j, sigma))
     if not coeff:
         return None
-    return ((tuple(mono),
-             tuple(sorted(powers.items())),
-             tuple(sorted((k, a, b) for k, (a, b) in delta.items()))),
-            coeff)
+    return (tuple(mono), tuple(powers_key), tuple(delta_key)), coeff
 
 
 class DistExpr:

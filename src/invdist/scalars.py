@@ -14,13 +14,17 @@ A coefficient of Q(i) is a ``GaussianRational``: a canonical triple
 (num_re + i*num_im)/den of Python ints, so every ring operation is integer
 arithmetic.  All arithmetic is exact; there is no floating point anywhere
 in this module.
+
+The exact rank kernel lives in ``rank`` and is re-exported here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from math import gcd
+from typing import Dict, Iterable, List, Tuple
+
+from .rank import integer_rank, rank_over_function_field
 
 __all__ = [
     "GaussianRational",
@@ -448,50 +452,74 @@ LAM = Scalar.var("lam")
 # ---------------------------------------------------------------------------
 
 class AffineExponent:
-    """An exponent of the form r + s*lam with rational r, s; ``of`` takes
-    ints or Fractions only, else raises ``TypeError``, and so do ``+`` and
-    ``-`` for an operand that is not an ``AffineExponent``.
+    """An exponent (num_r + num_s*lam)/den, that is r + s*lam with rational
+    r and s, held as three ints.
 
-    Immutable by convention.  A ``TermKey`` is hashed on every dict probe,
-    so the hash of the two Fractions is taken once, on construction.
+    The triple is canonical, as a ``GaussianRational``'s is: den > 0 and
+    gcd(num_r, num_s, den) == 1, so equal exponents have equal triples,
+    ``==`` compares ints, and ``+`` and ``-`` are integer arithmetic reduced
+    by one gcd.  A ``TermKey`` is hashed on every dict probe, so the hash
+    is taken once, on construction.  Immutable by convention.
+
+    ``AffineExponent(r, s)`` and ``.of(r, s)`` take ints or Fractions only,
+    else raise ``TypeError``, and so do ``+`` and ``-`` for an operand that
+    is not an exponent, an int or a Fraction; ``r`` and ``s`` read the
+    parts as Fractions.
     """
 
-    __slots__ = ("r", "s", "_hash")
+    __slots__ = ("num_r", "num_s", "den", "_hash")
 
-    def __init__(self, r: Fraction = Fraction(0), s: Fraction = Fraction(0)):
-        self.r, self.s = r, s
-        self._hash = hash((r, s))
-
-    @staticmethod
-    def of(r, s=0) -> "AffineExponent":
+    def __new__(cls, r=0, s=0) -> "AffineExponent":
         if not (isinstance(r, (int, Fraction))
                 and isinstance(s, (int, Fraction))):
             raise TypeError(f"expected ints or Fractions, got {r!r}, {s!r}")
-        return AffineExponent(Fraction(r), Fraction(s))
+        p, q = r.numerator, r.denominator
+        u, v = s.numerator, s.denominator
+        return _exponent(p * v, u * q, q * v)
+
+    @staticmethod
+    def of(r, s=0) -> "AffineExponent":
+        return AffineExponent(r, s)
 
     def __add__(self, other) -> "AffineExponent":
-        if isinstance(other, AffineExponent):
-            return AffineExponent(self.r + other.r, self.s + other.s)
-        return AffineExponent(self.r + _rational(other), self.s)
+        a, b, e = _exponent_parts(other)
+        d = self.den
+        if d == e:
+            return _exponent(self.num_r + a, self.num_s + b, d)
+        return _exponent(self.num_r * e + a * d, self.num_s * e + b * d,
+                         d * e)
 
     def __sub__(self, other) -> "AffineExponent":
-        if isinstance(other, AffineExponent):
-            return AffineExponent(self.r - other.r, self.s - other.s)
-        return AffineExponent(self.r - _rational(other), self.s)
+        a, b, e = _exponent_parts(other)
+        d = self.den
+        if d == e:
+            return _exponent(self.num_r - a, self.num_s - b, d)
+        return _exponent(self.num_r * e - a * d, self.num_s * e - b * d,
+                         d * e)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineExponent):
             return NotImplemented
-        return self.r == other.r and self.s == other.s
+        return (self.num_r == other.num_r and self.num_s == other.num_s
+                and self.den == other.den)
 
     def __hash__(self) -> int:
         return self._hash
 
+    @property
+    def r(self) -> Fraction:
+        return Fraction(self.num_r, self.den)
+
+    @property
+    def s(self) -> Fraction:
+        return Fraction(self.num_s, self.den)
+
     def is_zero(self) -> bool:
-        return not (self.r or self.s)
+        return not (self.num_r or self.num_s)
 
     def is_integer(self) -> bool:
-        return not self.s and self.r.denominator == 1
+        # canonical: with num_s == 0, gcd(num_r, den) == 1
+        return not self.num_s and self.den == 1
 
     def as_scalar(self) -> Scalar:
         """r + s*lam, memoised by value: each derivative step makes a new
@@ -503,95 +531,35 @@ class AffineExponent:
         return c
 
     def __str__(self) -> str:
-        if self.s == 0:
-            return str(self.r)
-        if self.r == 0:
-            return f"{self.s}*lam"
-        return f"{self.r}+{self.s}*lam"
+        r, s, d = self.num_r, self.num_s, self.den
+        if not s:
+            return _ratio_str(r, d)
+        if not r:
+            return f"{_ratio_str(s, d)}*lam"
+        return f"{_ratio_str(r, d)}+{_ratio_str(s, d)}*lam"
 
 
-_EXPONENT_SCALARS: Dict[AffineExponent, Scalar] = {}
+def _exponent(num_r: int, num_s: int, den: int) -> AffineExponent:
+    """(num_r + num_s*lam)/den in lowest terms, for den > 0."""
+    g = gcd(num_r, num_s, den)
+    if g != 1:
+        num_r, num_s, den = num_r // g, num_s // g, den // g
+    new = object.__new__(AffineExponent)
+    new.num_r, new.num_s, new.den = num_r, num_s, den
+    new._hash = hash((num_r, num_s, den))
+    return new
 
 
-def _rational(x) -> Fraction:
-    """x itself when it is an int or a Fraction, else ``TypeError``; a
-    float would put its binary expansion into an exact exponent."""
+def _exponent_parts(x) -> Tuple[int, int, int]:
+    """The triple of an exponent, or of an int or a Fraction as a constant
+    exponent, else ``TypeError``; a float would put its binary expansion
+    into an exact exponent."""
+    if isinstance(x, AffineExponent):
+        return x.num_r, x.num_s, x.den
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"expected an AffineExponent, int or Fraction, "
                         f"got {x!r}")
-    return x
+    return x.numerator, 0, x.denominator
 
 
-# ---------------------------------------------------------------------------
-# Exact rank: one fraction-free integer kernel
-# ---------------------------------------------------------------------------
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix, by Bareiss (1968) fraction-free
-    elimination.
-
-    Each step replaces the rows below the pivot by 2x2 cross products
-    divided by the previous pivot; by Sylvester's identity every entry is
-    then a minor of the input, so the division is exact and the numbers
-    stay bounded by Hadamard's bound.  Rows that become zero are dropped.
-    """
-    active = [list(r) for r in rows if any(r)]
-    rank, prev = 0, 1
-    while active and active[0]:
-        k = next((i for i, r in enumerate(active) if r[0]), None)
-        if k is None:
-            active = [r[1:] for r in active]
-            continue
-        pivot_row = active.pop(k)
-        pivot, tail = pivot_row[0], pivot_row[1:]
-        rank += 1
-        active = [new for new in (
-            [(pivot * x - r[0] * y) // prev for x, y in zip(r[1:], tail)]
-            for r in active) if any(new)]
-        prev = pivot
-    return rank
-
-
-def _horner(coeffs: Sequence[int], t: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def rank_over_function_field(matrix: Sequence[Sequence[Scalar]]) -> int:
-    """Exact generic rank of a matrix of lam-polynomials over Q(i)(lam).
-
-    Every minor is a polynomial in lam of degree at most D, the sum over
-    rows of each row's largest lam-degree.  A nonzero minor vanishes at no
-    more than D of the points lam = 0, 1, ..., D, and specialising lam never
-    raises the rank, so the generic rank is the largest specialised rank
-    over these D + 1 points.  Each specialised rank over Q(i) is half the
-    integer rank of the realified matrix [[A, -B], [B, A]], with each row's
-    denominators cleared.  Entries containing symbols other than lam are
-    rejected.
-    """
-    rows = []
-    degree = 0
-    for row in matrix:
-        coeffs = [entry.lam_coeffs() for entry in row]
-        scale = lcm(*[c.den for cs in coeffs for c in cs])
-        rows.append([([c.num_re * (scale // c.den) for c in cs],
-                      [c.num_im * (scale // c.den) for c in cs])
-                     for cs in coeffs])
-        degree += max([0] + [len(cs) - 1 for cs in coeffs])
-    if not rows:
-        return 0
-    full = min(len(rows), len(rows[0]))
-    best = 0
-    for t in range(degree + 1):
-        if best == full:
-            break
-        realified = []
-        for row in rows:
-            re = [_horner(a, t) for a, _ in row]
-            im = [_horner(b, t) for _, b in row]
-            realified.append(re + [-x for x in im])
-            realified.append(im + re)
-        best = max(best, integer_rank(realified) // 2)
-    return best
+_EXPONENT_SCALARS: Dict[AffineExponent, Scalar] = {}

@@ -14,9 +14,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from invdist.clifford import REpsElement, Toeplitz, h_element, h_shift, \
     h_shift_formal
-from invdist.distributions import DistExpr, RawTerm
+from invdist.distributions import DistExpr, RawTerm, \
+    UnsupportedSubstitutionError
 from invdist.orbits import ProjPoint, stratum_of
-from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
+from invdist.scalars import LAM, AffineExponent, GaussianRational, Scalar, \
     _canonical, _mono_sorted
 from invdist.weyl import Poly, Substitution, WeylOp, poly_linear, poly_mul, \
     substitute_poly, sym_z, sym_zbar
@@ -404,6 +405,42 @@ class FractionGaussian:
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
 
+@dataclass(frozen=True)
+class FractionExponent:
+    """An exponent r + s*lam with two Fraction parts: the direct
+    representation that ``AffineExponent``'s int triple is compared with.
+    ``+`` and ``-`` take an exponent, an int or a Fraction."""
+
+    r: Fraction = Fraction(0)
+    s: Fraction = Fraction(0)
+
+    def __add__(self, other) -> "FractionExponent":
+        if isinstance(other, FractionExponent):
+            return FractionExponent(self.r + other.r, self.s + other.s)
+        return FractionExponent(self.r + other, self.s)
+
+    def __sub__(self, other) -> "FractionExponent":
+        if isinstance(other, FractionExponent):
+            return FractionExponent(self.r - other.r, self.s - other.s)
+        return FractionExponent(self.r - other, self.s)
+
+    def is_zero(self) -> bool:
+        return not (self.r or self.s)
+
+    def is_integer(self) -> bool:
+        return not self.s and self.r.denominator == 1
+
+    def as_scalar(self) -> Scalar:
+        return Scalar.of(self.r) + Scalar.of(self.s) * LAM
+
+    def __str__(self) -> str:
+        if self.s == 0:
+            return str(self.r)
+        if self.r == 0:
+            return f"{self.s}*lam"
+        return f"{self.r}+{self.s}*lam"
+
+
 def _interleave(re: List[int], im: List[int]) -> List[int]:
     out = [0] * (2 * len(re))
     out[0::2] = re
@@ -681,3 +718,58 @@ def act_group(expr: DistExpr, sub: Substitution) -> DistExpr:
                                         {k: (a, b) for k, a, b in dkey},
                                         c * pc * dc))
     return DistExpr.from_raw(n, raws)
+
+
+# ---------------------------------------------------------------------------
+# Term normalization, step by step
+# ---------------------------------------------------------------------------
+
+def canonical_key(t: RawTerm):
+    """(key, coefficient) of one raw term, or None when it rewrites to
+    zero: the oracle of ``distributions._canonical_key``.  It works on
+    copies, one rule at a time: refuse a power factor on a delta variable,
+    absorb each delta variable's monomial factors, fold the shared
+    exponents of z_j and zbar_j into the power factor and turn a
+    nonnegative-integer power factor back into monomials, then sort."""
+    mono = list(t.mono)
+    coeff = t.coeff
+    delta = dict(t.delta)
+    powers = {}
+    for j, sigma in t.powers.items():
+        if j in delta:
+            raise UnsupportedSubstitutionError(
+                f"power factor on delta variable z{j}")
+        if not sigma.is_zero():
+            powers[j] = sigma
+    for k, (alpha, beta) in list(delta.items()):
+        p, q = mono[sym_z(k)], mono[sym_zbar(k)]
+        if p > alpha or q > beta:
+            return None
+        if p or q:
+            f = math.perm(alpha, p) * math.perm(beta, q)
+            if (p + q) % 2:
+                f = -f
+            coeff = coeff * Scalar.of(f)
+            mono[sym_z(k)] = 0
+            mono[sym_zbar(k)] = 0
+            delta[k] = (alpha - p, beta - q)
+    for j in list(powers):
+        sigma = powers[j]
+        m = min(mono[sym_z(j)], mono[sym_zbar(j)])
+        if m:
+            sigma = sigma + m
+            mono[sym_z(j)] -= m
+            mono[sym_zbar(j)] -= m
+        if sigma.is_integer() and sigma.r >= 0:
+            e = int(sigma.r)
+            mono[sym_z(j)] += e
+            mono[sym_zbar(j)] += e
+            del powers[j]
+        else:
+            powers[j] = sigma
+    if not coeff:
+        return None
+    return ((tuple(mono),
+             tuple(sorted(powers.items())),
+             tuple(sorted((k, a, b) for k, (a, b) in delta.items()))),
+            coeff)

@@ -167,6 +167,42 @@ class TestFamilies:
         with pytest.raises(ValueError):
             FamilySpec(2, "T2", 0, lam=Fraction(3)).validate()
 
+    def test_leibniz_steps_make_no_fraction(self, monkeypatch):
+        # the rank workload's chains, and one at an integer lam, where
+        # exponents turn into monomials: once their memos are warm, no step
+        # T^l = D T^(l-1) constructs or compares a Fraction
+        specs = [FamilySpec(3, "T", 8), FamilySpec(4, "Tj", 6, j=2),
+                 FamilySpec(4, "Tj", 6, j=3), FamilySpec(3, "T", 8, lam=4)]
+        for spec in specs:
+            build_family(spec)
+        counts = {"constructed": 0, "compared": 0}
+        inside = [False]
+        new, eq, apply_weyl = Fraction.__new__, Fraction.__eq__, \
+            DistExpr.apply_weyl
+
+        def counted_new(cls, *args, **kwargs):
+            counts["constructed"] += inside[0]
+            return new(cls, *args, **kwargs)
+
+        def counted_eq(self, other):
+            counts["compared"] += inside[0]
+            return eq(self, other)
+
+        def step(self, op):
+            inside[0] = True
+            try:
+                return apply_weyl(self, op)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        monkeypatch.setattr(Fraction, "__eq__", counted_eq)
+        monkeypatch.setattr(DistExpr, "apply_weyl", step)
+        families = [build_family(spec) for spec in specs]
+        monkeypatch.undo()
+        assert counts == {"constructed": 0, "compared": 0}
+        assert [len(f) for f in families] == [9, 7, 7, 9]
+
 
 def closed_form_chain(spec):
     """The terms of the members of order 0..l of a family at formal lam by

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invdist import distributions
 from invdist.cli import RunConfig, run_suite
@@ -22,6 +24,7 @@ from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
 from invdist.weyl import (Substitution, WeylOp, conjugate_op,
                           substitution_from_group, sym_z, sym_zbar)
 from reference import act_group as act_group_reference
+from reference import canonical_key as canonical_key_reference
 from reference import expr_parts, from_gauss, generator_product, identity, \
     op_parts, twisted_shift2
 
@@ -102,6 +105,74 @@ class TestRewriteRules:
                       {2: (0, 0)}, Scalar.one())
         with pytest.raises(UnsupportedSubstitutionError):
             _canonical_key(raw)
+
+
+# a power factor's exponent: integers (negative and zero too) as at an
+# integer lam, rationals as at a rational lam, and the formal r - lam/2
+exponents = st.one_of(
+    st.integers(-3, 3).map(AffineExponent.of),
+    st.builds(AffineExponent.of,
+              st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))),
+    st.builds(AffineExponent.of, st.integers(-3, 3),
+              st.sampled_from([Fraction(-1, 2), Fraction(1, 2), -1])))
+coefficients = st.sampled_from([Scalar.one(), Scalar.of(-3), LAM,
+                                Scalar.of(0, 1) + LAM, Scalar.zero()])
+
+
+@st.composite
+def raw_terms(draw):
+    """A raw term on up to three variables: monomial exponents up to 4
+    (above a delta's orders and shared by z_j and zbar_j alike), derived
+    deltas of orders up to 3, and now and then a power factor on a delta
+    variable, which the normalizer refuses."""
+    n = draw(st.integers(1, 3))
+    variables = st.integers(1, n)
+    mono = draw(st.lists(st.integers(0, 4), min_size=2 * n,
+                         max_size=2 * n))
+    delta = {k: (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+             for k in draw(st.lists(variables, unique=True))}
+    on_delta = draw(st.integers(0, 9)) == 0
+    powers = {j: draw(exponents)
+              for j in draw(st.lists(variables, unique=True))
+              if on_delta or j not in delta}
+    return RawTerm(mono, powers, delta, draw(coefficients))
+
+
+def normalized(normalize, t: RawTerm):
+    """What ``normalize`` makes of t: (key, coefficient terms), None, or
+    the refusal's message."""
+    try:
+        out = normalize(t)
+    except UnsupportedSubstitutionError as exc:
+        return str(exc)
+    return None if out is None else (out[0], out[1].terms)
+
+
+class TestNormalizerAgainstReference:
+    """The one-pass normalizer against the step-by-step one."""
+
+    @given(raw_terms())
+    @settings(max_examples=600, deadline=None)
+    # z1 zbar1^2 on delta1[1,2]: the sign (-1)^3 and the factor 1! 2!
+    @example(RawTerm([1, 2], {}, {1: (1, 2)}, Scalar.one()))
+    # z2^3 on delta2[2,3]: above the order, zero
+    @example(RawTerm([0, 0, 3, 0], {1: AffineExponent.of(1, -1)},
+                     {2: (2, 3)}, Scalar.one()))
+    # z1^2 zbar1^3 folds 2 into -2 - lam/2, and z2^2 zbar2^2 folds into
+    # (z2 zbar2)^-2, whose exponent becomes 0
+    @example(RawTerm([2, 3, 2, 2], {1: AffineExponent.of(-2, Fraction(-1, 2)),
+                                    2: AffineExponent.of(-2)},
+                     {}, LAM))
+    @example(RawTerm([1, 1, 0, 0], {1: AffineExponent.of(-3)}, {},
+                     Scalar.one()))
+    # the refusal comes before the zero of the exhausted delta1
+    @example(RawTerm([1, 0, 0, 0], {2: AffineExponent.of(1)},
+                     {1: (0, 0), 2: (0, 0)}, Scalar.one()))
+    def test_same_key_coefficient_or_refusal(self, t):
+        before = (list(t.mono), dict(t.powers), dict(t.delta))
+        assert normalized(_canonical_key, t) \
+            == normalized(canonical_key_reference, t)
+        assert (t.mono, t.powers, t.delta) == before
 
 
 class TestDifferentiation:
@@ -342,6 +413,20 @@ class TestGradings:
         # z1 delta^{(1,0)}(z2): weight(z1) = 1, weight of dz2-derivative -1
         expr = DistExpr.single(2, mono={0: 1}, delta={2: (1, 0)})
         assert expr.u1_weights() == {0}
+
+
+class TestDisplay:
+    def test_power_factors_print_in_value_order(self):
+        # as int triples 1/2 = (1, 0, 2) sorts before 1/3 = (1, 0, 3), and
+        # 1 + lam/2 = (2, 1, 2) before 1 + lam/3 = (3, 1, 3)
+        expr = DistExpr(2, {})
+        for r, s in ((Fraction(1, 2), 0), (Fraction(1, 3), 0),
+                     (1, Fraction(1, 2)), (1, Fraction(1, 3))):
+            expr = expr + DistExpr.single(
+                2, powers={1: AffineExponent.of(r, s)}, delta={2: (0, 0)})
+        assert expr.canonical_str() == " + ".join(
+            f"(1)*(z1*zbar1)^({sigma})*delta2[0,0]"
+            for sigma in ("1/3", "1/2", "1+1/3*lam", "1+1/2*lam"))
 
 
 class TestSupportAndRank:

@@ -13,9 +13,9 @@ import invdist.scalars as scalar_module
 from invdist.scalars import (AffineExponent, GaussianRational, Scalar,
                              _mono_mul, _mono_sorted, integer_rank,
                              rank_over_function_field, LAM)
-from reference import FractionGaussian, constant_value, falling_factorial, \
-    from_gauss, generalized_binomial, loop_mul, parts, random_gaussian, \
-    ref_mono_mul
+from reference import FractionExponent, FractionGaussian, constant_value, \
+    falling_factorial, from_gauss, generalized_binomial, loop_mul, parts, \
+    random_gaussian, ref_mono_mul
 
 U = Scalar.var("u")  # the unimodular phase symbol
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
@@ -482,12 +482,64 @@ class TestAffineExponent:
             "lam-only", "zero"])
     def test_equal_exponents_are_one_key(self, make_a, make_b, text):
         a, b = make_a(), make_b()
+        assert (a.num_r, a.num_s, a.den) == (b.num_r, b.num_s, b.den)
         assert a == b and hash(a) == hash(b)
         assert {a: "a"}[b] == "a" and len({a, b}) == 1
         assert str(a) == str(b) == text
         # a term key holding either one finds the other's entry
         assert {(0, ((2, a),)): 1}.get((0, ((2, b),))) == 1
         assert a != a + 1 and a != a + AffineExponent.of(0, 1)
+
+
+# an exponent's part: an int or a Fraction, zero often
+exponent_parts = st.one_of(st.just(0), st.integers(-30, 30),
+                           st.builds(Fraction, st.integers(-40, 40),
+                                     st.integers(1, 12)))
+exponent_pairs = st.tuples(exponent_parts, exponent_parts)
+
+
+def assert_same_exponent(e: AffineExponent, ref: FractionExponent) -> None:
+    assert e.den > 0 and gcd(e.num_r, e.num_s, e.den) == 1
+    assert type(e.r) is Fraction and type(e.s) is Fraction
+    assert (e.r, e.s) == (ref.r, ref.s)
+    assert str(e) == str(ref)
+    assert e.is_zero() == ref.is_zero()
+    assert e.is_integer() == ref.is_integer()
+    assert e.as_scalar() == ref.as_scalar()
+
+
+class TestExponentAgainstFractionReference:
+    """The int triple against the two-Fraction representation."""
+
+    @given(exponent_pairs, exponent_pairs, exponent_parts)
+    @settings(max_examples=300, deadline=None)
+    def test_operations(self, x, y, k):
+        a, b = AffineExponent(*x), AffineExponent(*y)
+        ra = FractionExponent(Fraction(x[0]), Fraction(x[1]))
+        rb = FractionExponent(Fraction(y[0]), Fraction(y[1]))
+        assert_same_exponent(a, ra)
+        assert_same_exponent(AffineExponent.of(*x), ra)
+        assert_same_exponent(a + b, ra + rb)
+        assert_same_exponent(a - b, ra - rb)
+        assert_same_exponent(a + k, ra + k)
+        assert_same_exponent(a - k, ra - k)
+        assert (a == b) == (ra == rb)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(exponent_pairs, exponent_pairs, exponent_parts)
+    @settings(max_examples=200, deadline=None)
+    def test_every_path_to_a_value_is_one_key(self, x, y, k):
+        a = AffineExponent(*x)
+        b = AffineExponent(*y)
+        for other in (AffineExponent.of(x[0]) + AffineExponent.of(0, x[1]),
+                      (a + k) - k, (a - b) + b, (a + b) - b,
+                      AffineExponent.of(0, x[1]) - (-x[0])):
+            assert other == a and hash(other) == hash(a)
+            assert (other.num_r, other.num_s, other.den) \
+                == (a.num_r, a.num_s, a.den)
+            assert {a: "a"}[other] == "a" and len({a, other}) == 1
+            assert {(1, ((2, a),)): 1}.get((1, ((2, other),))) == 1
 
 
 class TestBinomials:
