@@ -12,17 +12,17 @@ C^n = R^(2n), which sends a + b*eps to the 2x2 real block of
 z -> a*z + b*conj(z) in the basis (x, y); that block has determinant
 |a|^2 - |b|^2.
 
-Each element is held as its profile (``Toeplitz``): the diagonal and one
-entry per superdiagonal.  Upper-triangular Toeplitz matrices are closed
-under products (eq. (7)): if g and g' have profiles A_m and B_m, entry
-(i, i+k) of g g' is sum_{m=0..k} A_m B_{k-m}, which does not depend on i,
-and an entry below the diagonal is an empty sum.  So the product's profile
-is that convolution, and no other matrix is ever formed.
+Each element is held as the nonzero entries of its profile (``Toeplitz``):
+the diagonal and one entry per superdiagonal.  Upper-triangular Toeplitz
+matrices are closed under products (eq. (7)): if g and g' have profiles A_m
+and B_m, entry (i, i+k) of g g' is sum_{m=0..k} A_m B_{k-m}, which does not
+depend on i, and an entry below the diagonal is an empty sum.  So the
+product's profile is that convolution, and no other matrix is ever formed.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .records import FAIL, PASS, CheckRecord
 from .scalars import Scalar
@@ -106,15 +106,15 @@ def eps_times_coeff(a: Scalar, k: int) -> REpsElement:
 # ---------------------------------------------------------------------------
 
 class Toeplitz:
-    """The n x n upper-triangular Toeplitz matrix with entry profile[j - i]
-    at (i, j) for j >= i and zero below the diagonal: profile[0] is the
-    diagonal and profile[k] the entry on the k-th superdiagonal.
-    Immutable by convention."""
+    """The n x n upper-triangular Toeplitz matrix with entry A_(j-i) at
+    (i, j) for j >= i, zero below, held as its nonzero profile entries:
+    ``entries[k]`` is A_k (k = 0 the diagonal, k > 0 the k-th superdiagonal),
+    in increasing k; a missing k is zero.  Immutable by convention."""
 
-    __slots__ = ("n", "profile")
+    __slots__ = ("n", "entries")
 
-    def __init__(self, n: int, profile: Tuple[REpsElement, ...]):
-        self.n, self.profile = n, profile
+    def __init__(self, n: int, entries: Dict[int, REpsElement]):
+        self.n, self.entries = n, entries
 
     def __mul__(self, other: "Toeplitz") -> "Toeplitz":
         """The product by eq. (7): entry k of its profile is
@@ -122,13 +122,10 @@ class Toeplitz:
         n = self.n
         if other.n != n:
             raise ValueError(f"cannot multiply n={n} by n={other.n}")
-        left = [(m, e) for m, e in enumerate(self.profile)
-                if not e.is_zero()]
-        right = {k: f for k, f in enumerate(other.profile)
-                 if not f.is_zero()}
-        return Toeplitz(n, tuple(
-            _sum([e * right[k - m] for m, e in left
-                  if m <= k and k - m in right]) for k in range(n)))
+        left, right = self.entries.items(), other.entries
+        sums = ((k, _sum([a * right[k - m] for m, a in left
+                          if k - m in right])) for k in range(n))
+        return Toeplitz(n, {k: e for k, e in sums if not e.is_zero()})
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +138,23 @@ def h_element(n: int, diag: Scalar,
     coefficients (a_1, ..., a_{n-1}); entry (i, i+k) is a_k*eps^k."""
     if len(superdiag) != n - 1:
         raise ValueError("need n-1 superdiagonal coefficients")
-    return Toeplitz(n, (REpsElement(diag),) + tuple(
-        eps_times_coeff(a, k) for k, a in enumerate(superdiag, start=1)))
+    return Toeplitz(n, {k: eps_times_coeff(a, k)
+                        for k, a in enumerate([diag, *superdiag]) if a})
 
 
 def h_phase(n: int) -> Toeplitz:
     """The diagonal phase generator with the formal unit u."""
-    return h_element(n, Scalar.var("u"), [Scalar.zero()] * (n - 1))
+    return Toeplitz(n, {0: REpsElement(Scalar.var("u"))})
 
 
 def h_shift(n: int, j: int, a: Scalar) -> Toeplitz:
     """The generator with a single coefficient a on the j-th superdiagonal."""
     if not 1 <= j <= n - 1:
         raise ValueError(f"shift index {j} out of range for n={n}")
-    coeffs = [Scalar.zero()] * (n - 1)
-    coeffs[j - 1] = a
-    return h_element(n, Scalar.one(), coeffs)
+    entries = {0: REpsElement(Scalar.one())}
+    if a:
+        entries[j] = eps_times_coeff(a, j)
+    return Toeplitz(n, entries)
 
 
 def h_shift_formal(n: int, j: int) -> Toeplitz:
@@ -179,19 +177,24 @@ def group_inverse(g: Toeplitz) -> Toeplitz:
     """Inverse of g = d(I + N) with d a single-term unit in the C-part and N
     strictly upper triangular.  Row 0 of g x = I reads
     sum_{m<=k} A_m X_{k-m} = [k = 0], so X_0 = d^-1 and
-    X_k = -d^-1 * sum_{1<=m<=k} A_m X_{k-m}: (n-1)(n+2)/2 element products
-    when every entry is nonzero.  By eq. (7) g x is then the Toeplitz
-    matrix of that row, I, and a right inverse in a group is the inverse."""
-    d = g.profile[0]
+    X_k = -d^-1 * sum_{1<=m<=k} A_m X_{k-m} over nonzero terms only:
+    (n-1)(n+2)/2 element products when every entry is nonzero.  Then g x is
+    I by eq. (7), and a right inverse in a group is the inverse."""
+    d = g.entries.get(0, REpsElement())
     if not d.b.is_zero() or not d.a.is_monomial():
         raise ValueError("diagonal must be a single-term unit in the C-part")
     d_inv = REpsElement(d.a.inverse_unit())
-    x = [d_inv]
-    for k in range(1, g.n):
-        acc = _sum([g.profile[m] * x[k - m] for m in range(1, k + 1)
-                    if not (g.profile[m].is_zero() or x[k - m].is_zero())])
-        x.append(REpsElement() if acc.is_zero() else -(d_inv * acc))
-    return Toeplitz(g.n, tuple(x))
+    tail = [(m, e) for m, e in g.entries.items() if m]
+    # the k = m + k' with A_m and X_k' nonzero, visited in increasing order
+    x, due = {0: d_inv}, {m for m, _ in tail}
+    while due:
+        k = min(due)
+        due.remove(k)
+        acc = _sum([e * x[k - m] for m, e in tail if k - m in x])
+        if not acc.is_zero():
+            x[k] = -(d_inv * acc)
+            due.update(k + m for m, _ in tail if k + m < g.n)
+    return Toeplitz(g.n, x)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +208,8 @@ def _block_det(g: Toeplitz) -> Scalar:
     block of a + b*eps is [[Re a + Re b, Im b - Im a], [Im a + Im b,
     Re a - Re b]], whose determinant is
     (Re a)^2 + (Im a)^2 - (Re b)^2 - (Im b)^2 = a*conj(a) - b*conj(b)."""
-    a, b = g.profile[0].a, g.profile[0].b
-    block = a * a.conjugate() - b * b.conjugate()
+    d = g.entries.get(0, REpsElement())
+    block = d.a * d.a.conjugate() - d.b * d.b.conjugate()
     det = Scalar.one()
     for _ in range(g.n):
         det = det * block
@@ -253,15 +256,15 @@ def h_closure_check(n: int) -> CheckRecord:
     u, v = Scalar.var("u"), Scalar.var("v")
     g = h_element(n, u, [Scalar.var(f"a{k}") for k in range(1, n)])
     gp = h_element(n, v, [Scalar.var(f"b{k}") for k in range(1, n)])
-    profile = (g * gp).profile
+    entries = (g * gp).entries
     details = {"certificate": "formal product"}
-    diag = profile[0]
+    diag = entries.get(0, REpsElement())
     if not (diag.b.is_zero() and diag.a == u * v):
         details["counterexample"] = {"diagonal": str(diag)}
     else:
         # eps^k is 1 for even k and eps for odd k
-        k = next((k for k in range(1, n) if not (
-            profile[k].a if k % 2 else profile[k].b).is_zero()), None)
+        k = next((k for k, e in entries.items() if k and not (
+            e.a if k % 2 else e.b).is_zero()), None)
         if k is not None:
             details["counterexample"] = {"superdiagonal": k}
     return CheckRecord(

@@ -25,7 +25,7 @@ from math import perm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import AffineExponent, Scalar, rank_over_function_field
-from .weyl import Expo, Substitution, WeylOp, conjugate_op, \
+from .weyl import Expo, Substitution, WeylOp, conjugate_op, nonzero, \
     substitute_poly, sym_conj, sym_name, sym_z, sym_zbar
 
 __all__ = [
@@ -198,20 +198,20 @@ class DistExpr:
         """Normal-ordered operator applied by Leibniz differentiation."""
         if op.n != self.n:
             raise ValueError("dimension mismatch")
-        width = 2 * self.n
         raws: List[RawTerm] = []
         for (mono, deriv), c in op.terms.items():
             current = self.raw_terms()
-            for s in range(width):
+            for s in nonzero(deriv):
                 for _ in range(deriv[s]):
                     nxt: List[RawTerm] = []
                     for t in current:
                         nxt.extend(self._derive_term(t, s))
                     current = nxt
+            factors = [(s, mono[s]) for s in nonzero(mono)]
             for t in current:
                 t.coeff = t.coeff * c
-                for s in range(width):
-                    t.mono[s] += mono[s]
+                for s, e in factors:
+                    t.mono[s] += e
             raws.extend(current)
         return DistExpr.from_raw(self.n, raws)
 

@@ -184,7 +184,9 @@ def _mono_key(m: Mono):
 
 
 # Memos of the monomial product and conjugate, pure functions of their
-# keys; a run meets few distinct monomials.
+# keys.  The chains meet few monomials and hit them often.  The memos stay
+# unbounded because only the closure check grows them with n, by its
+# n(n+1)/2 monomial pairs (524,800 entries, ~217 MB, at algebra --n 1024).
 _MONO_PRODUCTS: Dict[Tuple[Mono, Mono], Mono] = {}
 _MONO_CONJUGATES: Dict[Mono, Mono] = {}
 

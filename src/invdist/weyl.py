@@ -21,9 +21,10 @@ product g2 * g1.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from math import comb, perm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import add
+from typing import Dict, Iterator, Tuple
 
 from .clifford import Toeplitz, group_inverse
 from .scalars import Scalar
@@ -61,11 +62,16 @@ Expo = Tuple[int, ...]
 Poly = Dict[Expo, Scalar]
 
 
+def nonzero(m: Expo) -> Iterator[int]:
+    """The symbols with a nonzero exponent in m, in increasing order."""
+    return compress(range(len(m)), m)
+
+
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
+            m = tuple(map(add, m1, m2))
             c = c1 * c2
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
@@ -75,17 +81,9 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 def poly_linear(form: Dict[int, Scalar], width: int) -> Poly:
     out: Poly = {}
     for s, c in form.items():
-        if c:
-            m = [0] * width
-            m[s] = 1
-            out[tuple(m)] = c
-    return out
-
-
-def poly_pow(p: Poly, e: int, width: int) -> Poly:
-    out: Poly = {tuple([0] * width): Scalar.one()}
-    for _ in range(e):
-        out = poly_mul(out, p)
+        m = [0] * width
+        m[s] = 1
+        out[tuple(m)] = c
     return out
 
 
@@ -188,88 +186,85 @@ class WeylOp:
 # Linear substitutions induced by group elements
 # ---------------------------------------------------------------------------
 
-class Substitution:
-    """A linear change of the 2n symbols with its exact inverse.
+class Rows:
+    """The rows of a Toeplitz element g, each built from g's nonzero profile
+    entries on its first read and memoised: row s is the image of symbol s
+    as a linear form {symbol: coefficient}, the z_i row (g.z)_i =
+    sum_{j>=i} A_(j-i) . z_j, eps-twisted, and the zbar_i row its conjugate
+    mirror; ``column(t)`` is {r: coefficient of symbol t in row r}."""
 
-    ``fwd[s]`` expresses the image of symbol s as a linear form
-    {symbol: coefficient}; ``inv`` likewise for the inverse map.
-    Rows come in conjugate pairs (the zbar row is the entrywise conjugate
-    of the z row with z and zbar swapped).  Immutable by convention.
-    """
+    __slots__ = ("n", "parts", "rows", "cols")
+
+    def __init__(self, g: Toeplitz):
+        # (k, q, c, conj c) per nonzero part c of A_k, at z (q = 0) or zbar (1)
+        self.n, self.rows, self.cols = g.n, {}, {}
+        self.parts = [(k, q, c, c.conjugate()) for k, e in g.entries.items()
+                      for q, c in enumerate((e.a, e.b)) if c]
+
+    def __getitem__(self, s: int) -> Dict[int, Scalar]:
+        if s not in self.rows:
+            i, r = divmod(s, 2)  # the zbar_i row (r = 1) swaps, conjugates
+            self.rows[s] = {2 * (i + k) + (q ^ r): cc if r else c
+                            for k, q, c, cc in self.parts if i + k < self.n}
+        return self.rows[s]
+
+    def column(self, t: int) -> Dict[int, Scalar]:
+        if t not in self.cols:
+            j, p = divmod(t, 2)
+            self.cols[t] = {2 * (j - k) + (q ^ p): cc if q ^ p else c
+                            for k, q, c, cc in reversed(self.parts) if k <= j}
+        return self.cols[t]
+
+
+class Substitution:
+    """A linear change of the 2n symbols with its exact inverse: ``fwd[s]``
+    is the image of symbol s as a linear form {symbol: coefficient}, and
+    ``inv[s]`` that of the inverse map.  Immutable by convention."""
 
     __slots__ = ("n", "fwd", "inv")
 
-    def __init__(self, n: int, fwd: Tuple[Dict[int, Scalar], ...],
-                 inv: Tuple[Dict[int, Scalar], ...]):
+    def __init__(self, n: int, fwd: Rows, inv: Rows):
         self.n, self.fwd, self.inv = n, fwd, inv
-
-
-def _rows_from_matrix(g: Toeplitz) -> Tuple[Dict[int, Scalar], ...]:
-    """Linear forms (g.z)_i = sum_{j>=i} profile[j-i] . z_j, eps-twisted."""
-    n = g.n
-    # each nonzero part of each profile entry with its conjugate, taken once
-    # although the entry sits on several rows
-    parts = [[(sym, c, c.conjugate()) for sym, c in ((sym_z, e.a),
-                                                     (sym_zbar, e.b)) if c]
-             for e in g.profile]
-    rows: List[Dict[int, Scalar]] = []
-    for i in range(1, n + 1):
-        terms = [(sym(j), c, cc) for j in range(i, n + 1)
-                 for sym, c, cc in parts[j - i]]
-        rows.append({s: c for s, c, _ in terms})
-        rows.append({sym_conj(s): cc for s, _, cc in terms})  # conjugate row
-    return tuple(rows)
 
 
 def substitution_from_group(g: Toeplitz) -> Substitution:
     """The substitution on (z, zbar) induced by g, with its exact inverse
-    from ``group_inverse``."""
-    return Substitution(g.n, _rows_from_matrix(g),
-                        _rows_from_matrix(group_inverse(g)))
+    from ``group_inverse``, each row built where read."""
+    return Substitution(g.n, Rows(g), Rows(group_inverse(g)))
 
 
-def substitute_poly(p: Poly, rows: Sequence[Dict[int, Scalar]],
+def substitute_poly(p: Poly, rows: Rows | Dict[int, Dict[int, Scalar]],
                     width: int) -> Poly:
-    """Apply the linear substitution to every symbol of a polynomial."""
+    """Apply the linear substitution to every symbol of a polynomial: each
+    monomial is the product of its symbols' rows, none for the empty one."""
     out: Poly = {}
+    one = tuple([0] * width)
     for mono, c in p.items():
-        term: Poly = {tuple([0] * width): c}
-        for s, e in enumerate(mono):
-            if e:
-                term = poly_mul(term, poly_pow(poly_linear(rows[s], width),
-                                               e, width))
+        term: Poly = {one: c}
+        for s in nonzero(mono):
+            for _ in range(mono[s]):
+                term = poly_mul(term, poly_linear(rows[s], width))
         for m, cc in term.items():
             prev = out.get(m)
             out[m] = cc if prev is None else prev + cc
     return {m: c for m, c in out.items() if c}
 
 
-def columns(rows: Sequence[Dict[int, Scalar]], among: Iterable[int],
-            width: int) -> List[Dict[int, Scalar]]:
-    """The transpose of the rows indexed by ``among``: ``cols[t][r]`` is
-    the coefficient of symbol t in row r."""
-    cols: List[Dict[int, Scalar]] = [{} for _ in range(width)]
-    for r in among:
-        for t, c in rows[r].items():
-            cols[t][r] = c
-    return cols
-
-
 def conjugate_op(d: WeylOp, s: Substitution) -> WeylOp:
     """The transformed operator g.D with (g.D)(f) = g.(D(g^-1.f)).
 
     Coefficients substitute through the inverse map; derivative symbols
-    transform by the transpose of the forward map (chain rule).
+    transform by the columns of the forward map (chain rule).
     """
     n = d.n
     width = 2 * n
     if s.n != n:
         raise ValueError("dimension mismatch")
-    cols = columns(s.fwd, range(width), width)
     acc: Dict[Tuple[Expo, Expo], Scalar] = {}
     for (mono, deriv), c in d.terms.items():
         coeff_poly = substitute_poly({mono: c}, s.inv, width)
         # d_t goes to sum_r F[r][t] d_r
+        cols = {t: s.fwd.column(t) for t in nonzero(deriv)}
         deriv_poly = substitute_poly({deriv: Scalar.one()}, cols, width)
         for pm, pc in coeff_poly.items():
             for dm, dc in deriv_poly.items():

@@ -50,12 +50,51 @@ def iota_blocks(e: REpsElement) -> List[List[Scalar]]:
 Dense = Tuple[Tuple[REpsElement, ...], ...]
 
 
+def profile(t: Toeplitz) -> Tuple[REpsElement, ...]:
+    """The profile of a Toeplitz element with its zero entries written out:
+    the diagonal, then one entry per superdiagonal."""
+    return tuple(t.entries.get(k, REpsElement()) for k in range(t.n))
+
+
+def toeplitz(n: int, entries: Sequence[REpsElement]) -> Toeplitz:
+    """The Toeplitz element of a written-out profile, its zeros dropped."""
+    return Toeplitz(n, {k: e for k, e in enumerate(entries)
+                        if not e.is_zero()})
+
+
 def dense(t: Toeplitz) -> Dense:
     """The n x n matrix of a Toeplitz element, every entry written out:
     profile[j - i] at (i, j) for j >= i, zero below the diagonal."""
-    zero = REpsElement()
-    return tuple(tuple(t.profile[j - i] if j >= i else zero
+    zero, p = REpsElement(), profile(t)
+    return tuple(tuple(p[j - i] if j >= i else zero
                        for j in range(t.n)) for i in range(t.n))
+
+
+def rows_from_matrix(m: Dense) -> Tuple[Dict[int, Scalar], ...]:
+    """All 2n rows of a dense matrix at once: the linear forms
+    (m z)_i = sum_j m_ij . z_j, eps-twisted, each followed by its conjugate
+    row.  The oracle of ``weyl.Rows``."""
+    rows: List[Dict[int, Scalar]] = []
+    for row in m:
+        form = {}
+        for j, e in enumerate(row, start=1):
+            if not e.a.is_zero():
+                form[sym_z(j)] = e.a
+            if not e.b.is_zero():
+                form[sym_zbar(j)] = e.b
+        rows += [form, {t ^ 1: c.conjugate() for t, c in form.items()}]
+    return tuple(rows)
+
+
+def columns(rows: Sequence[Dict[int, Scalar]], width: int
+            ) -> List[Dict[int, Scalar]]:
+    """The transpose of the rows: ``cols[t][r]`` is the coefficient of
+    symbol t in row r.  The oracle of ``weyl.Rows.column``."""
+    cols: List[Dict[int, Scalar]] = [{} for _ in range(width)]
+    for r, row in enumerate(rows):
+        for t, c in row.items():
+            cols[t][r] = c
+    return cols
 
 
 def value(x):
@@ -66,7 +105,7 @@ def value(x):
     if isinstance(x, REpsElement):
         return x.a, x.b
     if isinstance(x, Toeplitz):
-        return x.n, value(x.profile)
+        return x.n, value(profile(x))
     return tuple(value(e) for e in x)
 
 
@@ -87,16 +126,14 @@ def iota(m: Dense) -> List[List[Scalar]]:
 
 def identity(n: int) -> Toeplitz:
     """The identity of H: diagonal 1 and every shift zero."""
-    return Toeplitz(n, (REpsElement(Scalar.one()),)
-                    + (REpsElement(),) * (n - 1))
+    return Toeplitz(n, {0: REpsElement(Scalar.one())})
 
 
 def twisted_shift2(n: int) -> Toeplitz:
     """The second shift generator h_2(a2) with a2*eps in place of
     a2*eps^2 = a2 on its second superdiagonal, which takes it out of H."""
-    profile = list(h_shift_formal(n, 2).profile)
-    profile[2] = REpsElement(Scalar.zero(), Scalar.var("a2"))
-    return Toeplitz(n, tuple(profile))
+    return Toeplitz(n, {**h_shift_formal(n, 2).entries,
+                        2: REpsElement(Scalar.zero(), Scalar.var("a2"))})
 
 
 def factor_into_generators(g: Toeplitz) -> List[Toeplitz]:
@@ -108,7 +145,7 @@ def factor_into_generators(g: Toeplitz) -> List[Toeplitz]:
     times shift_k(b_k): P_k + u b_k eps^k.  So b_k is u^-1 (g_k - P_k) read
     at eps^k, a triangular recurrence, and the other part of g_k - P_k
     must be zero."""
-    n, diag = g.n, g.profile[0]
+    n, diag = g.n, profile(g)[0]
     u = diag.a
     if not diag.b.is_zero() or not u.is_monomial() \
             or u * u.conjugate() != Scalar.one():
@@ -116,10 +153,10 @@ def factor_into_generators(g: Toeplitz) -> List[Toeplitz]:
     factors = [h_element(n, u, [Scalar.zero()] * (n - 1))]
     product = factors[0]
     for k in range(1, n):
-        rest = add(g.profile[k], -product.profile[k])
+        rest = add(profile(g)[k], -profile(product)[k])
         at_eps_k, other = (rest.b, rest.a) if k % 2 else (rest.a, rest.b)
         if not other.is_zero():
-            raise ValueError(f"entry {k}, {g.profile[k]}, is not in "
+            raise ValueError(f"entry {k}, {profile(g)[k]}, is not in "
                              f"C eps^{k}")
         factors.append(h_shift(n, k, u.inverse_unit() * at_eps_k))
         product = product * factors[-1]
@@ -217,7 +254,7 @@ def random_toeplitz(n: int, rng, formal: bool,
     """A Toeplitz element whose entries are ``random_entry`` draws, with
     the diagonal ``diag`` if one is given."""
     first = random_entry(rng, formal) if diag is None else diag
-    return Toeplitz(n, (first,) + tuple(random_entry(rng, formal)
+    return toeplitz(n, (first,) + tuple(random_entry(rng, formal)
                                         for _ in range(n - 1)))
 
 

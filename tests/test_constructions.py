@@ -470,6 +470,36 @@ class TestSharedInvarianceWork:
         # orders 3 and 4 apply nothing
         assert counts["apply_weyl"] == 4 + 2 * 3
 
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_residuals_of_a_far_shift_do_not_grow_with_n(self, monkeypatch,
+                                                         k):
+        # E_g of shift_k reads the inverse rows of D's monomial symbols and
+        # the forward columns of its derivative symbols, all in the chain's
+        # window {z_(n-2), z_(n-1), z_n} (Lemma 4.4), and T^0's action reads
+        # the rows of z_(n-1) and z_n.  With 3 <= k <= n - 2 at n = 8, the
+        # residuals to order 4 build as many rows and columns, and make as
+        # many products, at n = 64 as at n = 8
+        def work(n):
+            spec = FamilySpec(n, "T", 4)
+            op, _ = _seed(spec)
+            chain = build_family(spec)
+            sub = substitution_from_group(clifford.h_shift_formal(n, k))
+            counts = {"REpsElement": 0, "Scalar": 0}
+            for owner in (clifford.REpsElement, Scalar):
+                def counted(x, y, mul=owner.__mul__, name=owner.__name__):
+                    counts[name] += 1
+                    return mul(x, y)
+
+                monkeypatch.setattr(owner, "__mul__", counted)
+            assert Residuals(op, chain, sub).first_failure(spec.l) is None
+            monkeypatch.undo()
+            return (counts, [len(rows.rows) for rows in (sub.fwd, sub.inv)],
+                    [len(rows.cols) for rows in (sub.fwd, sub.inv)])
+
+        at_8 = work(8)
+        assert at_8 == work(64)
+        assert at_8[0]["REpsElement"] == 0
+
     def test_work_must_match_the_check(self):
         spec = FamilySpec(3, "T", 2)
         work = FamilyWork(spec)

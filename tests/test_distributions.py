@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invdist import distributions
+from invdist import distributions, weyl
 from invdist.cli import RunConfig, run_suite
 from invdist.clifford import h_element, h_generators, h_phase, \
     h_shift
@@ -278,6 +278,22 @@ class TestGroupAction:
                                    powers={2: sigma}, delta={3: order})
             assert expr_parts(act(act(expr, sub), inverse)) \
                 == expr_parts(expr)
+
+    def test_order_zero_member_is_acted_on_with_no_product(self,
+                                                          monkeypatch):
+        # T^0 has no monomial, and substitute_poly maps the empty monomial
+        # to itself: acting on T^0 makes no polynomial product
+        n = 4
+        member = build_family(FamilySpec(n, "T", 0))[0]
+        calls = []
+        poly_mul = weyl.poly_mul
+        monkeypatch.setattr(weyl, "poly_mul",
+                            lambda p, q: calls.append(1) or poly_mul(p, q))
+        acted = [member.act_group(sub)
+                 for _, sub in generator_substitutions(n)]
+        monkeypatch.undo()
+        assert calls == []
+        assert [expr_parts(e) for e in acted] == [expr_parts(member)] * n
 
 
 class TestActionShape:

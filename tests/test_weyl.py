@@ -10,12 +10,11 @@ import pytest
 from invdist.clifford import h_element, h_generators, h_phase, \
     h_shift, h_shift_formal
 from invdist.scalars import AffineExponent, GaussianRational, Scalar
-from invdist.weyl import (Substitution, WeylOp, _rows_from_matrix,
-                          conjugate_op, substitute_poly,
-                          substitution_from_group, sym_conj, sym_name, sym_z,
-                          sym_zbar)
-from reference import dense, falling_factorial, from_gauss, identity, \
-    neumann_inverse, op_parts
+from invdist.weyl import (Rows, Substitution, WeylOp, conjugate_op,
+                          substitute_poly, substitution_from_group, sym_conj,
+                          sym_name, sym_z, sym_zbar)
+from reference import columns, dense, falling_factorial, from_gauss, \
+    identity, neumann_inverse, op_parts, rows_from_matrix
 
 
 def rand_poly(n, rng, nterms=3):
@@ -200,21 +199,12 @@ class TestSubstitution:
 
     def test_rows_read_off_the_dense_matrix(self):
         # (g z)_i = sum_j g_ij . z_j over every entry of the dense matrix,
-        # and the inverse rows off its Neumann-series inverse
-        def dense_rows(m):
-            rows = []
-            for row in m:
-                form = {}
-                for j, e in enumerate(row, start=1):
-                    if not e.a.is_zero():
-                        form[sym_z(j)] = e.a
-                    if not e.b.is_zero():
-                        form[sym_zbar(j)] = e.b
-                rows += [form, {sym_conj(t): c.conjugate()
-                                for t, c in form.items()}]
-            return tuple(rows)
-
-        for n in range(2, 7):
+        # and the inverse rows off its Neumann-series inverse: every row and
+        # column built where read equals the oracle's, whichever is read
+        # first
+        rng = random.Random(70)
+        for n in range(2, 9):
+            width = 2 * n
             gens = dict(h_generators(n))
             everything = identity(n)
             for g in gens.values():
@@ -222,22 +212,35 @@ class TestSubstitution:
             for g in (*gens.values(), gens["phase"] * gens["shift1"],
                       gens[f"shift{n - 1}"] * gens["phase"], everything):
                 s = substitution_from_group(g)
-                assert s.fwd == dense_rows(dense(g))
-                assert s.inv == dense_rows(neumann_inverse(dense(g)))
+                for rows, m in ((s.fwd, dense(g)),
+                                (s.inv, neumann_inverse(dense(g)))):
+                    expected = rows_from_matrix(m)
+                    expected_cols = columns(expected, width)
+                    reads = [(kind, t) for kind in ("row", "column")
+                             for t in range(width)]
+                    rng.shuffle(reads)
+                    for kind, t in reads:
+                        if kind == "row":
+                            assert rows[t] == expected[t], (n, kind, t)
+                        else:
+                            assert rows.column(t) == expected_cols[t], \
+                                (n, kind, t)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_rows_conjugate_each_entry_once(self, monkeypatch, n):
-        # profile entry k sits on n - k rows, and its one nonzero part is
-        # conjugated once, not once per row
+        # profile entry k sits on n - k rows and columns, and its one
+        # nonzero part is conjugated at most once, not once per read
         g = h_element(n, Scalar.var("u"),
                       [Scalar.var(f"a{k}") for k in range(1, n)])
         calls = []
         conjugate = Scalar.conjugate
         monkeypatch.setattr(Scalar, "conjugate",
-                            lambda x: calls.append(x) or conjugate(x))
-        _rows_from_matrix(g)
+                            lambda x: calls.append(str(x)) or conjugate(x))
+        rows = Rows(g)
+        for t in range(2 * n):
+            rows[t], rows.column(t)
         monkeypatch.undo()
-        assert len(calls) == n
+        assert len(calls) == len(set(calls)) <= n
 
 
 class TestConjugateOp:
