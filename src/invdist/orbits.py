@@ -5,8 +5,10 @@ Points carry Gaussian-rational coordinates.  Strata are labelled by the
 index of the last nonzero complex coordinate; the stratum of index j is a
 (2j-1)-dimensional orbit.  Reachability: every point p of stratum j is
 G_p e_j for the Toeplitz element G_p read off its coordinates, so
-p ~ e_j ~ q for any q of the stratum; one identity G_z e_j = z over formal
-coordinates certifies it per stratum (see ``Witness``).  The dimension
+p ~ e_j ~ q for any q of the stratum.  Row j - k of G_z e_j is
+z_{j-k} eps^k(1) = z_{j-k}, so one identity per parity of k, over formal
+j, k and coordinates, certifies every stratum at every n (see
+``Witness``); it is computed once per process.  The dimension
 2j-1 is then read at e_j alone, as the exact rank 2j of the tangent and
 radial directions there, read off the coordinates without building them
 (see ``orbit_dimension``).  So the census reads every stratum at e_j and
@@ -20,8 +22,9 @@ certifies the label's invariance at every n.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
+from .clifford import eps_times_coeff
 from .records import FAIL, PASS, CheckRecord
 from .scalars import GR_I, GaussianRational, Scalar
 
@@ -38,15 +41,19 @@ __all__ = [
 
 
 class ProjPoint:
-    """A point of (C^n \\ {0}) / R^x with exact coordinates.  Immutable
-    by convention."""
+    """A point of (C^n \\ {0}) / R^x with exact coordinates.  ``last`` is
+    the index of its last nonzero coordinate (1-based), found on
+    construction by one scan from the end.  Immutable by convention."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "last")
 
     def __init__(self, coords: Tuple[GaussianRational, ...]):
-        if all(c.is_zero() for c in coords):
+        for j, c in zip(range(len(coords), 0, -1), reversed(coords)):
+            if not c.is_zero():
+                break
+        else:
             raise ValueError("projective point needs a nonzero coordinate")
-        self.coords = coords
+        self.coords, self.last = coords, j
 
     @property
     def n(self) -> int:
@@ -55,10 +62,7 @@ class ProjPoint:
 
 def stratum_of(p: ProjPoint) -> int:
     """Index of the last nonzero complex coordinate (1-based)."""
-    for j in range(p.n, 0, -1):
-        if not p.coords[j - 1].is_zero():
-            return j
-    raise ValueError("zero vector")  # unreachable by construction
+    return p.last
 
 
 def stratum_dimension(j: int) -> int:
@@ -99,43 +103,41 @@ def orbit_dimension(p: ProjPoint) -> int:
 # Transitivity witnesses
 # ---------------------------------------------------------------------------
 
-def _read_off(z: Sequence, j: int) -> Tuple[object, List[object]]:
-    """(diagonal, shifts) of G_z for a point z of stratum j: the diagonal
-    z_j and the k-th shift z_{j-k}, for k = 1..j-1 (the shifts k >= j are
-    zero)."""
-    return z[j - 1], [z[j - 1 - k] for k in range(1, j)]
+def _read_off(j, k):
+    """The index of the coordinate that the k-th profile entry of G_z
+    reads, for a point z of stratum j (k = 0 the diagonal): z_{j-k}.  The
+    entries k >= j are zero."""
+    return j - k
 
 
-def _apply_sparse(diagonal, shifts, x: Sequence[Scalar]) -> List[Scalar]:
-    """G x for the upper-triangular Toeplitz element G with this diagonal
-    and k-th superdiagonal shifts[k-1]*eps^k, read only at the nonzero
-    entries of x: entry m reaches row m - k as v_k eps^k(x_m), and eps
-    conjugates once per power."""
-    image = [Scalar.zero()] * len(x)
-    for m, xm in enumerate(x):
-        if xm.is_zero():
-            continue
-        image[m] = image[m] + diagonal * xm
-        for k, v in enumerate(shifts[:m], 1):
-            image[m - k] = image[m - k] + v * (xm.conjugate() if k % 2
-                                               else xm)
-    return image
+def _read_off_misses() -> int:
+    """The parities of k for which row j - k of G_z e_j misses z_{j-k},
+    over formal j and k and a formal coordinate z_m named by its index m:
+    0 certifies G_p e_j = p for every point p of every stratum j at every
+    n, its coordinates substituted.
+
+    G_z is upper triangular and Toeplitz, so column j holds its k-th
+    profile entry at row j - k, and e_j reads column j alone.  That entry
+    is x eps^k with x the coordinate ``_read_off`` names, and it acts on
+    e_j's entry 1 as (a + b*eps).1 = a + b*conj(1).  eps^k depends only on
+    the parity of k, so two identities cover every k < j; the rows past j
+    are empty sums, zero as z is there."""
+    j, k = Scalar.var("j"), Scalar.var("k")
+
+    def z(index: Scalar) -> Scalar:
+        return Scalar.var(f"z[{index}]")
+
+    x, one = z(_read_off(j, k)), Scalar.one()
+    misses = 0
+    for parity in (0, 1):
+        entry = eps_times_coeff(x, parity)
+        misses += entry.a * one + entry.b * one.conjugate() != z(j - k)
+    return misses
 
 
-def _stratum_residual(n: int, j: int) -> int:
-    """The rows where G_z e_j and z differ, for the formal point
-    z = (z_1, ..., z_j, 0, ..., 0) of stratum j: 0 certifies G_p e_j = p
-    for every point p of the stratum, its coordinates substituted."""
-    z = [Scalar.var(f"z{m}") for m in range(1, j + 1)]
-    z += [Scalar.zero()] * (n - j)
-    unit = [Scalar.zero()] * n
-    unit[j - 1] = Scalar.one()
-    image = _apply_sparse(*_read_off(z, j), unit)
-    return sum(a != b for a, b in zip(image, z))
-
-
-# (n, j) -> _stratum_residual(n, j), a pure function of its key
-_CERTIFICATES: Dict[Tuple[int, int], int] = {}
+# _read_off_misses(), computed on the first witness: it depends on
+# neither n nor j
+_READ_OFF_MISSES: Optional[int] = None
 
 
 class Witness:
@@ -145,9 +147,10 @@ class Witness:
     z_{j-k}), maps e_j to z: since eps^k(1) = 1, row j - k of G_z e_j is
     z_{j-k}.  z_j is nonzero, so G_z/|z_j| lies in H and maps e_j to a
     positive multiple of z, the same projective point.  ``residual``
-    counts the rows where G_z e_j = z fails over formal coordinates, one
-    certificate for the whole stratum; ``exact`` is True, since the
-    identity is decided in exact arithmetic with no tolerance."""
+    counts the parities of k for which that read-off identity fails over
+    formal coordinates, one certificate for every stratum at every n;
+    ``exact`` is True, since the identity is decided in exact arithmetic
+    with no tolerance."""
 
     __slots__ = ("stratum", "residual")
     exact = True
@@ -157,17 +160,17 @@ class Witness:
 
 
 def transitivity_witness(p: ProjPoint, q: ProjPoint) -> Optional[Witness]:
-    """The stratum's read-off certificate when p and q share a stratum,
-    or None when the strata differ: two ``stratum_of`` reads, no solve."""
+    """The read-off certificate when p and q share a stratum, or None when
+    the strata differ: two ``stratum_of`` reads, no solve."""
+    global _READ_OFF_MISSES
     if p.n != q.n:
         raise ValueError("dimension mismatch")
     j = stratum_of(p)
     if stratum_of(q) != j:
         return None
-    residual = _CERTIFICATES.get((p.n, j))
-    if residual is None:
-        residual = _CERTIFICATES[p.n, j] = _stratum_residual(p.n, j)
-    return Witness(j, residual)
+    if _READ_OFF_MISSES is None:
+        _READ_OFF_MISSES = _read_off_misses()
+    return Witness(j, _READ_OFF_MISSES)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +181,12 @@ def enumerate_strata(n: int, residual_tol: int = 0) -> CheckRecord:
     """The orbit structure read at the unit points e_1, ..., e_n: exactly
     n stratum labels, each stratum's exact tangent dimension 2j-1, and
     reachability inside each stratum by its witness for the fixed pair
-    e_j -> i*e_j.  A witness fails when more than ``residual_tol`` of its
-    rows miss the stratum's identity G_z e_j = z.  That identity puts
-    every point of stratum j in the orbit of e_j, and the dimension is
-    constant along an orbit, so e_j stands for its stratum; a
-    ``dim_failures`` entry names a stratum.
+    e_j -> i*e_j.  A witness fails when more than ``residual_tol`` parities
+    of k miss the read-off identity G_z e_j = z (``_read_off_misses``),
+    which every witness shares.  That identity puts every point of stratum
+    j in the orbit of e_j, and the dimension is constant along an orbit,
+    so e_j stands for its stratum; a ``dim_failures`` entry names a
+    stratum.
 
     No pair across strata is reachable: every g in H is upper triangular
     with an invertible diagonal, so for p of stratum j, (g p)_m = 0 for
@@ -223,6 +227,7 @@ def enumerate_strata(n: int, residual_tol: int = 0) -> CheckRecord:
         paper_ref="Proposition 4.3",
         status=PASS if ok else FAIL,
         details={
+            "certificate": "read-off identity",
             "dimensions": {str(j): stratum_dimension(j)
                            for j in range(1, n + 1)},
             "max_residual": max_residual,

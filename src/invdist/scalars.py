@@ -184,9 +184,8 @@ def _mono_key(m: Mono):
 
 
 # Memos of the monomial product and conjugate, pure functions of their
-# keys.  The chains meet few monomials and hit them often.  The memos stay
-# unbounded because only the closure check grows them with n, by its
-# n(n+1)/2 monomial pairs (524,800 entries, ~217 MB, at algebra --n 1024).
+# keys.  The chains meet few monomials and hit them often, and the algebra
+# checks meet the same few pairs at every n, so the memos stay unbounded.
 _MONO_PRODUCTS: Dict[Tuple[Mono, Mono], Mono] = {}
 _MONO_CONJUGATES: Dict[Mono, Mono] = {}
 
@@ -305,18 +304,6 @@ class Scalar:
         return Scalar._nonzero(acc)
 
     __radd__ = __add__
-
-    @staticmethod
-    def sum(scalars: Iterable["Scalar"]) -> "Scalar":
-        """The sum of the Scalars, each term added into one dict.  No
-        partial sum is built, so k operands of one term each cost O(k)
-        where repeated ``+`` copies a sum that grows to k terms."""
-        acc: Dict[Mono, GaussianRational] = {}
-        for x in scalars:
-            for m, c in x.terms.items():
-                prev = acc.get(m)
-                acc[m] = c if prev is None else prev + c
-        return Scalar(acc)
 
     def __neg__(self) -> "Scalar":
         return Scalar({m: -c for m, c in self.terms.items()})

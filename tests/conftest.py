@@ -1,6 +1,6 @@
-"""Every test starts and ends with no orbit certificate memoised, so that
-a certificate cached by another test can neither hide a mutation nor skip
-the code a test means to reach."""
+"""Every test starts and ends with the orbit read-off identity not yet
+computed, so that a verdict cached by another test can neither hide a
+mutation nor skip the code a test means to reach."""
 
 import pytest
 
@@ -9,6 +9,6 @@ from invdist import orbits
 
 @pytest.fixture(autouse=True)
 def cold_certificates():
-    orbits._CERTIFICATES.clear()
+    orbits._READ_OFF_MISSES = None
     yield
-    orbits._CERTIFICATES.clear()
+    orbits._READ_OFF_MISSES = None

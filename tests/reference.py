@@ -12,8 +12,8 @@ from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from invdist.clifford import REpsElement, Toeplitz, h_element, h_shift, \
-    h_shift_formal
+from invdist.clifford import REpsElement, Toeplitz, _sum, h_element, \
+    h_shift, h_shift_formal
 from invdist.distributions import DistExpr, RawTerm, \
     UnsupportedSubstitutionError
 from invdist.orbits import ProjPoint, stratum_of
@@ -54,6 +54,21 @@ def profile(t: Toeplitz) -> Tuple[REpsElement, ...]:
     """The profile of a Toeplitz element with its zero entries written out:
     the diagonal, then one entry per superdiagonal."""
     return tuple(t.entries.get(k, REpsElement()) for k in range(t.n))
+
+
+def toeplitz_mul(g: Toeplitz, h: Toeplitz) -> Toeplitz:
+    """The product by eq. (7): entry k of its profile is
+    sum_{m<=k} A_m B_{k-m}, formed from the nonzero entries only, so two
+    full profiles make n(n+1)/2 element products.  The engine certifies
+    closure by the four-parity lemma and forms no product of two elements;
+    this is its second derivation, at the n a test picks."""
+    n = g.n
+    if h.n != n:
+        raise ValueError(f"cannot multiply n={n} by n={h.n}")
+    left, right = g.entries.items(), h.entries
+    sums = ((k, _sum([a * right[k - m] for m, a in left
+                      if k - m in right])) for k in range(n))
+    return Toeplitz(n, {k: e for k, e in sums if not e.is_zero()})
 
 
 def toeplitz(n: int, entries: Sequence[REpsElement]) -> Toeplitz:
@@ -159,7 +174,7 @@ def factor_into_generators(g: Toeplitz) -> List[Toeplitz]:
             raise ValueError(f"entry {k}, {profile(g)[k]}, is not in "
                              f"C eps^{k}")
         factors.append(h_shift(n, k, u.inverse_unit() * at_eps_k))
-        product = product * factors[-1]
+        product = toeplitz_mul(product, factors[-1])
     if value(product) != value(g):
         raise ValueError("the factors do not multiply to g")
     return factors
@@ -278,7 +293,7 @@ def random_h_element(n: int, rng, formal: bool) -> Toeplitz:
 def generator_product(n: int, rng) -> Toeplitz:
     """A plain element of H drawn as the product of its generator factors
     by ``factor_into_generators``."""
-    return reduce(lambda x, y: x * y,
+    return reduce(toeplitz_mul,
                   factor_into_generators(random_h_element(n, rng, False)))
 
 

@@ -324,13 +324,13 @@ class TestMain:
         assert res.returncode == 2
         assert res.stdout == ""
 
-    def test_algebra_certifies_closure_by_the_formal_product(self):
+    def test_algebra_certifies_closure_by_the_four_parity_lemma(self):
         res = run_cli("verify", "algebra", "--n", "3", "--format", "json")
         assert res.returncode == 0
         checks = {c["id"]: c for c in json.loads(res.stdout)["checks"]}
         closure = checks["algebra.closure.n3"]
         assert closure["status"] == PASS
-        assert closure["details"] == {"certificate": "formal product"}
+        assert closure["details"] == {"certificate": "four-parity lemma"}
         assert checks["algebra.det.n3"]["status"] == PASS
 
     def test_n2_lambda_ignored_by_suites_without_families(self):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from invdist import clifford
+from invdist import cli, clifford, scalars
 from invdist.clifford import (REpsElement, Toeplitz, _block_det,
                               eps_times_coeff, group_inverse,
                               h_closure_check, h_det_check, h_element,
@@ -17,7 +17,8 @@ from reference import (CplxPairElement, act, add, cplx_pair_times_eps_power,
                        dense, dense_mul, factor_into_generators, from_gauss,
                        identity, iota, mat_mul_scalar, neumann_inverse,
                        profile, random_gaussian, random_h_element,
-                       random_toeplitz, toeplitz, twisted_shift2, value)
+                       random_toeplitz, toeplitz, toeplitz_mul,
+                       twisted_shift2, value)
 
 
 def scal(re, im=0):
@@ -76,6 +77,48 @@ def generators(n):
     return ([g for _, g in h_generators(n)]
             + [h_element(n, ROT, [Scalar.var("a1")]
                          + [Scalar.zero()] * (n - 2))])
+
+
+def full_mul(x, y, c_part, eps_part):
+    """(a + b*eps)(c + d*eps) by the full formula, its two parts given as
+    functions of (a, b, c, d)."""
+    parts = (x.a, x.b, y.a, y.b)
+    return REpsElement(c_part(*parts), eps_part(*parts))
+
+
+def mul_eps_gets_b_conj_d(x, y):
+    # b*conj(d) added to the eps part instead of the C part
+    return full_mul(x, y, lambda a, b, c, d: a * c,
+                    lambda a, b, c, d: b * c.conjugate() + a * d
+                    + b * d.conjugate())
+
+
+def mul_conjugates_c(x, y):
+    # the C part a*conj(c) + b*conj(d): a diagonal product u*conj(v)
+    return full_mul(x, y, lambda a, b, c, d: a * c.conjugate()
+                    + b * d.conjugate(),
+                    lambda a, b, c, d: b * c.conjugate() + a * d)
+
+
+def eps_diagonal(a, k):
+    """``eps_times_coeff`` with a diagonal a*eps in place of a."""
+    return (REpsElement(Scalar.zero(), a) if k == 0
+            else eps_times_coeff(a, k))
+
+
+def formal_product_verdict(n):
+    """The closure verdict by the n(n+1)/2 formal product of two fully
+    formal elements of H (``reference.toeplitz_mul``): its diagonal must be
+    exactly u*v and its k-th entry in C*eps^k."""
+    u, v = Scalar.var("u"), Scalar.var("v")
+    g = clifford.h_element(n, u, [Scalar.var(f"a{k}") for k in range(1, n)])
+    gp = clifford.h_element(n, v, [Scalar.var(f"b{k}")
+                                   for k in range(1, n)])
+    entries = toeplitz_mul(g, gp).entries
+    diag = entries.get(0, REpsElement())
+    ok = diag.b.is_zero() and diag.a == u * v and all(
+        (e.a if k % 2 else e.b).is_zero() for k, e in entries.items())
+    return PASS if ok else FAIL
 
 
 class TestAlgebraRelations:
@@ -152,34 +195,38 @@ class TestGroup:
     def test_closure_check_passes(self, n):
         record = h_closure_check(n)
         assert record.status == PASS
-        assert record.details == {"certificate": "formal product"}
+        assert record.details == {"certificate": "four-parity lemma"}
 
     def test_closure_fails_off_the_eps_parity(self, monkeypatch):
-        # odd shifts in the C-part: products stay Toeplitz with diagonal
-        # u*v, but their odd superdiagonals leave C*eps
+        # odd shifts in the C-part: x times y eps^1 would lie in C, not in
+        # C*eps
         monkeypatch.setattr(clifford, "eps_times_coeff",
                             lambda a, k: REpsElement(a))
         record = h_closure_check(4)
         assert record.status == FAIL
-        assert record.details == {"certificate": "formal product",
-                                  "counterexample": {"superdiagonal": 1}}
+        assert record.details == {"certificate": "four-parity lemma",
+                                  "counterexample": {"parities": [0, 1]}}
 
     def test_closure_fails_on_a_diagonal_in_c_eps(self, monkeypatch):
         # a diagonal u*eps is no unit phase: (u eps)(v eps) = u conj(v),
         # which is u v^-1 and not u*v
-        h_element = clifford.h_element
-
-        def eps_diagonal(n, diag, superdiag):
-            g = h_element(n, diag, superdiag)
-            return Toeplitz(n, {**g.entries,
-                                0: REpsElement(Scalar.zero(), diag)})
-
-        monkeypatch.setattr(clifford, "h_element", eps_diagonal)
+        monkeypatch.setattr(clifford, "eps_times_coeff", eps_diagonal)
         record = h_closure_check(3)
         assert record.status == FAIL
         diagonal = REpsElement(Scalar.var("u") * Scalar.var("v", -1))
         assert record.details["counterexample"] == {
             "diagonal": str(diagonal)}
+
+    @pytest.mark.parametrize("mul, counterexample", [
+        (mul_eps_gets_b_conj_d, {"parities": [1, 1]}),
+        (mul_conjugates_c, {"diagonal": str(REpsElement(
+            Scalar.var("u") * Scalar.var("v", -1)))})])
+    def test_closure_fails_under_a_wrong_product(self, mul, counterexample,
+                                                 monkeypatch):
+        monkeypatch.setattr(REpsElement, "__mul__", mul)
+        record = h_closure_check(6)
+        assert record.status == FAIL
+        assert record.details["counterexample"] == counterexample
 
     @pytest.mark.parametrize("m, rest", [(0, 0), (0, 1), (1, 0), (1, 1),
                                          (2, 3), (3, 3), (4, 2), (5, 2)])
@@ -202,9 +249,10 @@ class TestGroup:
                 a = GaussianRational.of(
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-                g = g * h_shift(n, j, from_gauss(a))
-            assert value(g * group_inverse(g)) == value(identity(n))
-            assert value(group_inverse(g) * g) == value(identity(n))
+                g = toeplitz_mul(g, h_shift(n, j, from_gauss(a)))
+            inv = group_inverse(g)
+            assert value(toeplitz_mul(g, inv)) == value(identity(n))
+            assert value(toeplitz_mul(inv, g)) == value(identity(n))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_group_inverse_matches_neumann_series(self, n):
@@ -215,8 +263,8 @@ class TestGroup:
             g = random_toeplitz(n, rng, formal, diag=UNIT)
             inv = group_inverse(g)
             assert value(dense(inv)) == value(neumann_inverse(dense(g)))
-            assert value(g * inv) == unit
-            assert value(inv * g) == unit
+            assert value(toeplitz_mul(g, inv)) == unit
+            assert value(toeplitz_mul(inv, g)) == unit
 
     def test_group_inverse_rejects_non_group_input(self):
         one, x = REpsElement(Scalar.one()), REpsElement(Scalar.var("x"))
@@ -247,15 +295,15 @@ class TestGroup:
         assert len(calls) == (n - 1) * (n + 2) // 2
         monkeypatch.undo()
         assert not any(e.is_zero() for e in profile(g) + profile(inv))
-        assert value(g * inv) == value(identity(n))
+        assert value(toeplitz_mul(g, inv)) == value(identity(n))
 
     def test_formal_phase_inverse(self):
         g = h_phase(3)
-        assert value(g * group_inverse(g)) == value(identity(3))
+        assert value(toeplitz_mul(g, group_inverse(g))) == value(identity(3))
 
     def test_formal_shift_inverse(self):
         g = h_shift_formal(4, 1)
-        assert value(g * group_inverse(g)) == value(identity(4))
+        assert value(toeplitz_mul(g, group_inverse(g))) == value(identity(4))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_generators_are_labelled_in_order(self, n):
@@ -282,7 +330,7 @@ class TestGeneration:
             factors = factor_into_generators(g)
             product = identity(n)
             for f in factors:
-                product = product * f
+                product = toeplitz_mul(product, f)
             assert value(product) == value(g)
             assert value(profile(factors[0])[0]) == value(profile(g)[0])
             # each factor is nonzero only where its generator is
@@ -297,7 +345,8 @@ class TestGeneration:
         # its k = 2 entry a2*eps lies in C*eps, not in C*eps^2 = C
         with pytest.raises(ValueError, match="entry 2"):
             factor_into_generators(twisted_shift2(n))
-        g = random_h_element(n, random.Random(n), True) * twisted_shift2(n)
+        g = toeplitz_mul(random_h_element(n, random.Random(n), True),
+                         twisted_shift2(n))
         with pytest.raises(ValueError, match="entry 2"):
             factor_into_generators(g)
 
@@ -314,14 +363,15 @@ class TestSparseProduct:
         for _ in range(9):
             x = random_toeplitz(n, rng, formal)
             y = random_toeplitz(n, rng, formal)
-            assert value(dense(x * y)) == value(dense_mul(dense(x), dense(y)))
+            assert value(dense(toeplitz_mul(x, y))) \
+                == value(dense_mul(dense(x), dense(y)))
 
     def test_mismatched_sizes_raise(self):
         small, big = identity(3), h_shift(4, 1, Scalar.of(2))
         with pytest.raises(ValueError):
-            small * big
+            toeplitz_mul(small, big)
         with pytest.raises(ValueError):
-            big * small
+            toeplitz_mul(big, small)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("formal", [False, True])
@@ -339,23 +389,77 @@ class TestSparseProduct:
         for ca, cb in draws:
             g = h_element(n, Scalar.var("u"), ca)
             gp = h_element(n, Scalar.var("v"), cb)
-            assert value(dense(g * gp)) == value(dense_mul(dense(g), dense(gp)))
+            assert value(dense(toeplitz_mul(g, gp))) \
+                == value(dense_mul(dense(g), dense(gp)))
 
     @pytest.mark.parametrize("n", [2, 5, 8])
-    def test_closure_makes_one_product_per_profile_pair(self, n,
-                                                        monkeypatch):
+    def test_formal_product_makes_one_product_per_profile_pair(
+            self, n, monkeypatch):
         # both formal profiles are full, so the product meets each pair
         # m + k < n once
-        calls = []
-        mul = REpsElement.__mul__
-
-        def counted(self, other):
-            calls.append(1)
-            return mul(self, other)
-
-        monkeypatch.setattr(REpsElement, "__mul__", counted)
-        assert h_closure_check(n).status == PASS
+        calls = count_calls(monkeypatch, REpsElement, "__mul__")
+        assert formal_product_verdict(n) == PASS
         assert len(calls) == n * (n + 1) // 2
+
+
+def count_calls(monkeypatch, owner, name):
+    """The list that gets one entry per call of ``owner.name`` until
+    ``monkeypatch`` is undone."""
+    calls = []
+    method = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return method(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestFourParityLemma:
+    """The closure certificate is the same at every n, and the formal
+    product at the run's n, its second derivation, agrees with it."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_formal_product_agrees(self, n):
+        assert formal_product_verdict(n) == h_closure_check(n).status == PASS
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("owner, name, mutation", [
+        (clifford, "eps_times_coeff", lambda a, k: REpsElement(a)),
+        (clifford, "eps_times_coeff", eps_diagonal),
+        (REpsElement, "__mul__", mul_eps_gets_b_conj_d),
+        (REpsElement, "__mul__", mul_conjugates_c)])
+    def test_formal_product_agrees_under_a_mutation(self, n, owner, name,
+                                                    mutation, monkeypatch):
+        # from n = 3 on the product has a term (a1 eps)(b1 eps), so every
+        # parity pair meets the formal product too
+        monkeypatch.setattr(owner, name, mutation)
+        assert formal_product_verdict(n) == h_closure_check(n).status == FAIL
+
+    def test_a_product_of_odd_entries_misses_the_lemma_only_at_n2(
+            self, monkeypatch):
+        # at n = 2 no term (a_m eps^m)(b_(k-m) eps^(k-m)) has both m and
+        # k - m odd, so the formal product at that n cannot see a wrong
+        # product of two eps parts; the lemma sees it at every n
+        monkeypatch.setattr(REpsElement, "__mul__", mul_eps_gets_b_conj_d)
+        assert formal_product_verdict(2) == PASS
+        assert h_closure_check(2).status == FAIL
+
+    def test_five_element_products_at_every_n(self, monkeypatch):
+        calls = count_calls(monkeypatch, REpsElement, "__mul__")
+        for n in (1, 8, 512):
+            assert h_closure_check(n).status == PASS
+        assert len(calls) == 3 * 5
+
+    def test_scalar_products_do_not_grow_with_n(self, monkeypatch):
+        counts = []
+        for n in (8, 512):
+            calls = count_calls(monkeypatch, Scalar, "__mul__")
+            assert h_closure_check(n).status == PASS
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert counts[0] == counts[1] > 0
 
 
 class TestBlockDeterminant:
@@ -392,6 +496,48 @@ class TestBlockDeterminant:
 
     def test_det_check_at_n32(self):
         assert h_det_check(32).status == PASS
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_a_shift_with_diagonal_two_fails_with_its_determinant(
+            self, n, monkeypatch):
+        # the block of 2 has determinant 4, repeated n times down the
+        # diagonal: the record prints 4^n, not the block
+        shift = clifford.h_shift
+
+        def diagonal_two(n, j, a):
+            return Toeplitz(n, {**shift(n, j, a).entries,
+                                0: REpsElement(Scalar.of(2))})
+
+        monkeypatch.setattr(clifford, "h_shift", diagonal_two)
+        record = h_det_check(n)
+        assert record.status == FAIL
+        assert record.details == {
+            "phase_det": "1", "mixed_det": "1",
+            **{f"shift{j}_det": str(4 ** n) for j in range(1, n)}}
+
+    def test_unit_blocks_make_no_n_fold_product(self, monkeypatch):
+        # every block is 1, so no power is formed and the Scalar products
+        # are those of the two distinct diagonals' blocks, at any n
+        counts = []
+        for n in (8, 512):
+            calls = count_calls(monkeypatch, Scalar, "__mul__")
+            assert h_det_check(n).status == PASS
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert counts[0] == counts[1] < 8
+
+    def test_algebra_suite_memoises_o1_monomial_products(self, tmp_path,
+                                                         monkeypatch):
+        # the closure and det certificates meet the same monomial pairs at
+        # every n, so a cold product memo grows by the same few entries
+        sizes = []
+        for n in (8, 512):
+            monkeypatch.setattr(scalars, "_MONO_PRODUCTS", {})
+            assert cli.main(["verify", "algebra", "--n", str(n),
+                             "--format", "json",
+                             "--out", str(tmp_path / f"n{n}.json")]) == 0
+            sizes.append(len(scalars._MONO_PRODUCTS))
+        assert sizes[0] == sizes[1] < 16
 
 
 class TestComplexified:

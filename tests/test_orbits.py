@@ -258,19 +258,19 @@ def read_off_image(p, j):
     return z, image
 
 
-# Each read-off mutation breaks G_z e_j = z on every stratum j >= 2.
-def _shift_reads_past_j(z, j):
-    # the k-th shift reads z_{j+k}, zero on a point of stratum j
-    return z[j - 1], [z[j - 1 + k] if j + k <= len(z) else Scalar.zero()
-                      for k in range(1, j)]
+# Each read-off mutation names a coordinate other than z_{j-k} for the k-th
+# profile entry of G_z, so G_z e_j = z fails in both parities of k.
+def _shift_reads_past_j(j, k):
+    # the k-th entry reads z_{j+k}
+    return j + k
 
 
-def _diagonal_from_the_row_above(z, j):
-    # the diagonal read at row j - 1 (row n, zero, at j = 1)
-    return z[j - 2], [z[j - 1 - k] for k in range(1, j)]
+def _read_from_the_row_above(j, k):
+    # every entry read one row up, the diagonal z_{j-1}
+    return j - k - 1
 
 
-READ_OFF_MUTATIONS = [_shift_reads_past_j, _diagonal_from_the_row_above]
+READ_OFF_MUTATIONS = [_shift_reads_past_j, _read_from_the_row_above]
 
 
 class TestWitness:
@@ -339,16 +339,19 @@ class TestWitness:
         monkeypatch.setattr(orbits, "_read_off", mutate)
         rec = enumerate_strata(8)
         assert rec.status == FAIL
-        assert rec.details["witness_failures"] > 0
-        assert rec.details["max_residual"] > 0
+        assert rec.details["witness_failures"] == 8
+        assert rec.details["max_residual"] == 2
 
-    def test_census_builds_one_certificate_per_stratum(self, monkeypatch):
+    def test_read_off_identity_is_computed_once_per_process(self,
+                                                            monkeypatch):
+        # it depends on neither n nor j: two censuses of different n read
+        # one computation
         calls = []
         read_off = orbits._read_off
 
-        def counted(z, j):
-            calls.append(j)
-            return read_off(z, j)
+        def counted(j, k):
+            calls.append((j, k))
+            return read_off(j, k)
 
         def refuse(p, q):
             raise AssertionError("the census called the pair solve")
@@ -356,10 +359,13 @@ class TestWitness:
         monkeypatch.setattr(orbits, "_read_off", counted)
         monkeypatch.setattr(reference, "pair_solve", refuse)
         assert enumerate_strata(8).status == PASS
-        assert sorted(calls) == list(range(1, 9))
-        # a second census reads the memoised certificates
-        assert enumerate_strata(8).status == PASS
-        assert len(calls) == 8
+        assert enumerate_strata(64).status == PASS
+        assert len(calls) == 1
+        assert orbits._READ_OFF_MISSES == 0
+
+    def test_census_names_its_certificate(self):
+        rec = enumerate_strata(3)
+        assert rec.details["certificate"] == "read-off identity"
 
     def test_cross_stratum_is_none(self):
         assert transitivity_witness(point(1, 0, 0), point(1, 1, 0)) is None

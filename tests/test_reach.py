@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from invdist import cli, orbits, scalars
+from invdist import cli, scalars
 from test_constructions import repeat_first_member, twist_shift2
 
 SRC = os.path.dirname(cli.__file__)
@@ -54,8 +54,7 @@ def cold_memos(monkeypatch):
     whichever tests ran before; ``monkeypatch`` puts the warm memos back."""
     for module, name in ((scalars, "_MONO_PRODUCTS"),
                          (scalars, "_MONO_CONJUGATES"),
-                         (scalars, "_EXPONENT_SCALARS"),
-                         (orbits, "_CERTIFICATES")):
+                         (scalars, "_EXPONENT_SCALARS")):
         monkeypatch.setattr(module, name, {})
     monkeypatch.setattr(scalars, "_INT_SCALARS",
                         {0: scalars.Scalar.zero(), 1: scalars.Scalar.one()})

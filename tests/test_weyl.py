@@ -14,7 +14,7 @@ from invdist.weyl import (Rows, Substitution, WeylOp, conjugate_op,
                           substitute_poly, substitution_from_group, sym_conj,
                           sym_name, sym_z, sym_zbar)
 from reference import columns, dense, falling_factorial, from_gauss, \
-    identity, neumann_inverse, op_parts, rows_from_matrix
+    identity, neumann_inverse, op_parts, rows_from_matrix, toeplitz_mul
 
 
 def rand_poly(n, rng, nterms=3):
@@ -208,9 +208,11 @@ class TestSubstitution:
             gens = dict(h_generators(n))
             everything = identity(n)
             for g in gens.values():
-                everything = everything * g
-            for g in (*gens.values(), gens["phase"] * gens["shift1"],
-                      gens[f"shift{n - 1}"] * gens["phase"], everything):
+                everything = toeplitz_mul(everything, g)
+            for g in (*gens.values(),
+                      toeplitz_mul(gens["phase"], gens["shift1"]),
+                      toeplitz_mul(gens[f"shift{n - 1}"], gens["phase"]),
+                      everything):
                 s = substitution_from_group(g)
                 for rows, m in ((s.fwd, dense(g)),
                                 (s.inv, neumann_inverse(dense(g)))):
