@@ -25,8 +25,8 @@ from math import perm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import AffineExponent, Scalar, rank_over_function_field
-from .weyl import Expo, Substitution, WeylOp, conjugate_op, nonzero, \
-    substitute_poly, sym_conj, sym_name, sym_z, sym_zbar
+from .weyl import Mono, Substitution, WeylOp, conjugate_op, mono_factors, \
+    mono_sort_key, substitute_poly, sym_conj, sym_name, sym_z, sym_zbar
 
 __all__ = [
     "DistExpr",
@@ -38,7 +38,7 @@ __all__ = [
 
 Powers = Tuple[Tuple[int, AffineExponent], ...]
 Delta = Tuple[Tuple[int, int, int], ...]
-TermKey = Tuple[Expo, Powers, Delta]
+TermKey = Tuple[Mono, Powers, Delta]
 
 
 class UnsupportedSubstitutionError(ValueError):
@@ -46,17 +46,18 @@ class UnsupportedSubstitutionError(ValueError):
 
 
 class RawTerm:
-    """Mutable scratch term used during rewriting."""
+    """Mutable scratch term used during rewriting; ``mono`` is
+    {symbol: exponent} over the nonzero exponents."""
 
     __slots__ = ("mono", "powers", "delta", "coeff")
 
-    def __init__(self, mono: List[int], powers: Dict[int, AffineExponent],
+    def __init__(self, mono: Dict[int, int], powers: Dict[int, AffineExponent],
                  delta: Dict[int, Tuple[int, int]], coeff: Scalar):
         self.mono, self.powers, self.delta = mono, powers, delta
         self.coeff = coeff
 
     def copy(self) -> "RawTerm":
-        return RawTerm(list(self.mono), dict(self.powers),
+        return RawTerm(dict(self.mono), dict(self.powers),
                        dict(self.delta), self.coeff)
 
 
@@ -67,24 +68,25 @@ def _canonical_key(t: RawTerm) -> Optional[Tuple[TermKey, Scalar]]:
     exponents of z_j and zbar_j into the power factor and turns a
     nonnegative-integer power factor back into monomials.  A power factor
     on a delta variable is refused before either pass, so the two passes
-    touch disjoint variables."""
+    touch disjoint variables.  A pass that changes the monomial makes it
+    anew, so t is left as it was."""
     powers, delta = t.powers, t.delta
     if powers and delta and not delta.keys().isdisjoint(powers):
         j = next(j for j in powers if j in delta)
         raise UnsupportedSubstitutionError(
             f"power factor on delta variable z{j}")
-    mono = list(t.mono)
+    mono = t.mono
     coeff = t.coeff
     delta_key = []
     for k, (alpha, beta) in sorted(delta.items()):
         z = sym_z(k)  # z_k, and zbar_k at z + 1
-        p, q = mono[z], mono[z + 1]
-        if p or q:
+        if z in mono or z + 1 in mono:
+            p, q = mono.get(z, 0), mono.get(z + 1, 0)
             if p > alpha or q > beta:
                 return None
+            mono = {s: e for s, e in mono.items() if s // 2 + 1 != k}
             f = perm(alpha, p) * perm(beta, q)
             coeff = coeff * Scalar.of(-f if (p + q) % 2 else f)
-            mono[z] = mono[z + 1] = 0
             alpha, beta = alpha - p, beta - q
         delta_key.append((k, alpha, beta))
     powers_key = []
@@ -92,19 +94,21 @@ def _canonical_key(t: RawTerm) -> Optional[Tuple[TermKey, Scalar]]:
         if sigma.is_zero():
             continue
         z = sym_z(j)
-        m = min(mono[z], mono[z + 1])
+        p, q = mono.get(z, 0), mono.get(z + 1, 0)
+        m = p if p < q else q  # z_j and zbar_j each lose m, less what unfolds
         if m:
             sigma = sigma + m
-            mono[z] -= m
-            mono[z + 1] -= m
         if sigma.is_integer() and sigma.num_r >= 0:
-            mono[z] += sigma.num_r
-            mono[z + 1] += sigma.num_r
+            m -= sigma.num_r
         else:
             powers_key.append((j, sigma))
+        if m:
+            mono = {**mono, z: p - m, z + 1: q - m}
+            mono = {s: e for s, e in mono.items() if e}
     if not coeff:
         return None
-    return (tuple(mono), tuple(powers_key), tuple(delta_key)), coeff
+    return (tuple(sorted(mono.items())), tuple(powers_key),
+            tuple(delta_key)), coeff
 
 
 class DistExpr:
@@ -137,16 +141,14 @@ class DistExpr:
                mono: Dict[int, int] | None = None,
                powers: Dict[int, AffineExponent] | None = None,
                delta: Dict[int, Tuple[int, int]] | None = None) -> "DistExpr":
-        m = [0] * (2 * n)
-        for s, e in (mono or {}).items():
-            m[s] = e
-        return DistExpr.from_raw(
-            n, [RawTerm(m, dict(powers or {}), dict(delta or {}), coeff)])
+        mono = {s: e for s, e in (mono or {}).items() if e}
+        return DistExpr.from_raw(n, [RawTerm(
+            mono, dict(powers or {}), dict(delta or {}), coeff)])
 
     def raw_terms(self) -> List[RawTerm]:
         out = []
         for (mono, powers, delta), coeff in self.terms.items():
-            out.append(RawTerm(list(mono), dict(powers),
+            out.append(RawTerm(dict(mono), dict(powers),
                                {k: (a, b) for k, a, b in delta}, coeff))
         return out
 
@@ -174,10 +176,11 @@ class DistExpr:
         """Single derivative d/d(symbol s) of one term, by Leibniz."""
         j = s // 2 + 1
         out = []
-        e = t.mono[s]
+        e = t.mono.get(s)
         if e:
             nt = t.copy()
-            nt.mono[s] = e - 1
+            if nt.mono.pop(s) > 1:
+                nt.mono[s] = e - 1
             nt.coeff = nt.coeff * Scalar.of(e)
             out.append(nt)
         if j in t.powers:
@@ -185,7 +188,8 @@ class DistExpr:
             nt = t.copy()
             nt.coeff = nt.coeff * sigma.as_scalar()
             nt.powers[j] = sigma - 1
-            nt.mono[sym_conj(s)] += 1
+            c = sym_conj(s)
+            nt.mono[c] = nt.mono.get(c, 0) + 1
             out.append(nt)
         if j in t.delta:
             a, b = t.delta[j]
@@ -201,17 +205,16 @@ class DistExpr:
         raws: List[RawTerm] = []
         for (mono, deriv), c in op.terms.items():
             current = self.raw_terms()
-            for s in nonzero(deriv):
-                for _ in range(deriv[s]):
+            for s, e in deriv:
+                for _ in range(e):
                     nxt: List[RawTerm] = []
                     for t in current:
                         nxt.extend(self._derive_term(t, s))
                     current = nxt
-            factors = [(s, mono[s]) for s in nonzero(mono)]
             for t in current:
                 t.coeff = t.coeff * c
-                for s, e in factors:
-                    t.mono[s] += e
+                for s, e in mono:
+                    t.mono[s] = t.mono.get(s, 0) + e
             raws.extend(current)
         return DistExpr.from_raw(self.n, raws)
 
@@ -235,7 +238,6 @@ class DistExpr:
         back through a triangular real map with |det| = 1, so it is
         unchanged too.  The monomial substitutes through the inverse map,
         and ``from_raw`` drops every term that a delta variable kills."""
-        width = 2 * self.n
         raws: List[RawTerm] = []
         for (mono, powers, delta), coeff in self.terms.items():
             if any(a or b for _, a, b in delta):
@@ -277,9 +279,8 @@ class DistExpr:
                     raise UnsupportedSubstitutionError(
                         f"power-factor base for z{j} has non-unit leading "
                         f"coefficient ({c})")
-            for m, c in substitute_poly({mono: coeff}, sub.inv,
-                                        width).items():
-                raws.append(RawTerm(list(m), dict(powers),
+            for m, c in substitute_poly({mono: coeff}, sub.inv).items():
+                raws.append(RawTerm(dict(m), dict(powers),
                                     {k: (0, 0) for k in dset}, c))
         return DistExpr.from_raw(self.n, raws)
 
@@ -288,7 +289,7 @@ class DistExpr:
     def term_degrees(self) -> List[AffineExponent]:
         out = []
         for (mono, powers, delta), _ in self.terms.items():
-            d = AffineExponent.of(sum(mono))
+            d = AffineExponent.of(sum(e for _, e in mono))
             for _, sigma in powers:
                 d = d + sigma + sigma
             for _, a, b in delta:
@@ -306,7 +307,7 @@ class DistExpr:
     def parity(self) -> str:
         seen = set()
         for (mono, _powers, delta), _ in self.terms.items():
-            p = sum(mono) + sum(a + b for _, a, b in delta)
+            p = sum(e for _, e in mono) + sum(a + b for _, a, b in delta)
             seen.add(p % 2)
         if not seen or seen == {0}:
             return "even"
@@ -319,8 +320,7 @@ class DistExpr:
         equivalent to invariance under every diagonal phase."""
         out = set()
         for (mono, _powers, delta), _ in self.terms.items():
-            w = sum(mono[s] if s % 2 == 0 else -mono[s]
-                    for s in range(len(mono)))
+            w = sum(-e if s % 2 else e for s, e in mono)
             w -= sum(a - b for _, a, b in delta)
             out.add(w)
         return out
@@ -339,8 +339,8 @@ class DistExpr:
         for (mono, powers, _delta) in self.terms:
             for jj, _ in powers:
                 j = max(j, jj)
-            for s, e in enumerate(mono):
-                if e and (s // 2 + 1) not in S:
+            for s, _ in mono:
+                if s // 2 + 1 not in S:
                     j = max(j, s // 2 + 1)
         stratum = None
         if S == frozenset(range(j + 1, self.n + 1)):
@@ -356,10 +356,7 @@ class DistExpr:
         for key in sorted(self.terms, key=_term_sort_key):
             mono, powers, delta = key
             c = self.terms[key]
-            factors = [f"({c})"]
-            for s, e in enumerate(mono):
-                if e:
-                    factors.append(sym_name(s) + (f"^{e}" if e > 1 else ""))
+            factors = [f"({c})", *mono_factors(mono)]
             for j, sigma in powers:
                 factors.append(f"(z{j}*zbar{j})^({sigma})")
             for k, a, b in delta:
@@ -372,7 +369,8 @@ class DistExpr:
 
 def _term_sort_key(key: TermKey):
     mono, powers, delta = key
-    return (delta, tuple((j, sigma.r, sigma.s) for j, sigma in powers), mono)
+    return (delta, tuple((j, sigma.r, sigma.s) for j, sigma in powers),
+            mono_sort_key(mono))
 
 
 class SupportDescriptor:

@@ -201,11 +201,14 @@ def enumerate_strata(n: int, residual_tol: int = 0) -> CheckRecord:
         coords[j - 1] = value
         return ProjPoint(tuple(coords))
 
-    units = [unit(j, GaussianRational.of(1)) for j in range(1, n + 1)]
-    labels = [stratum_of(e_j) for e_j in units]
-    dim_failures = []
+    one = GaussianRational.of(1)
+    labels, dim_failures = [], []
     max_residual = witness_failures = cross_failures = 0
-    for j, e_j in enumerate(units, 1):
+    e_next = unit(1, one)
+    for j in range(1, n + 1):
+        # e_(j+1) serves the cross pair, then as the next e_j
+        e_j, e_next = e_next, unit(j + 1, one) if j < n else None
+        labels.append(stratum_of(e_j))
         d = orbit_dimension(e_j)
         if d != stratum_dimension(j):
             dim_failures.append({"stratum": j, "rank_dim": d,
@@ -215,7 +218,7 @@ def enumerate_strata(n: int, residual_tol: int = 0) -> CheckRecord:
             witness_failures += 1
         if w is not None:
             max_residual = max(max_residual, w.residual)
-        if j < n and transitivity_witness(e_j, units[j]) is not None:
+        if j < n and transitivity_witness(e_j, e_next) is not None:
             cross_failures += 1
     ok = (labels == list(range(1, n + 1)) and not dim_failures
           and witness_failures == 0 and cross_failures == 0)

@@ -21,10 +21,9 @@ product g2 * g1.
 
 from __future__ import annotations
 
-from itertools import compress, product
+from itertools import product
 from math import comb, perm
-from operator import add
-from typing import Dict, Iterator, Tuple
+from typing import Dict, List, Tuple
 
 from .clifford import Toeplitz, group_inverse
 from .scalars import Scalar
@@ -56,43 +55,55 @@ def sym_name(s: int) -> str:
     return f"z{j}" if s % 2 == 0 else f"zbar{j}"
 
 
-Expo = Tuple[int, ...]
+# A monomial in the 2n symbols: its nonzero (symbol, exponent) pairs in
+# increasing symbol order, () for 1.
+Mono = Tuple[Tuple[int, int], ...]
 
 # A polynomial in the 2n symbols with scalar coefficients.
-Poly = Dict[Expo, Scalar]
+Poly = Dict[Mono, Scalar]
 
 
-def nonzero(m: Expo) -> Iterator[int]:
-    """The symbols with a nonzero exponent in m, in increasing order."""
-    return compress(range(len(m)), m)
+def mono_of(exps: Dict[int, int]) -> Mono:
+    """The monomial with exponents {symbol: exponent}; zeros drop out."""
+    return tuple(sorted((s, e) for s, e in exps.items() if e))
+
+
+def mono_mul(m1: Mono, m2: Mono) -> Mono:
+    exps = dict(m1)
+    for s, e in m2:
+        exps[s] = exps.get(s, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def mono_sort_key(m: Mono) -> Mono:
+    """Orders monomials as their exponent vectors over the 2n symbols
+    compare: a symbol one lacks is a 0 in its vector."""
+    return tuple((-s, e) for s, e in m)
+
+
+def mono_factors(m: Mono, prefix: str = "") -> List[str]:
+    """The printed factors of m, each symbol with its exponent above 1."""
+    return [prefix + sym_name(s) + (f"^{e}" if e > 1 else "") for s, e in m]
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = tuple(map(add, m1, m2))
+            m = mono_mul(m1, m2)
             c = c1 * c2
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
     return {m: c for m, c in out.items() if c}
 
 
-def poly_linear(form: Dict[int, Scalar], width: int) -> Poly:
-    out: Poly = {}
-    for s, c in form.items():
-        m = [0] * width
-        m[s] = 1
-        out[tuple(m)] = c
-    return out
-
-
 class WeylOp:
-    """Normal-ordered operator: sum of coeff * z^mono * d^deriv terms."""
+    """Normal-ordered operator: sum of coeff * z^mono * d^deriv terms, each
+    keyed by (mono, deriv), two ``Mono``s."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Dict[Tuple[Expo, Expo], Scalar] | None = None):
+    def __init__(self, n: int, terms: Dict[Tuple[Mono, Mono], Scalar] | None = None):
         self.n = n
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
@@ -101,13 +112,7 @@ class WeylOp:
     @staticmethod
     def term(n: int, coeff: Scalar, mono: Dict[int, int] | None = None,
              deriv: Dict[int, int] | None = None) -> "WeylOp":
-        m = [0] * (2 * n)
-        d = [0] * (2 * n)
-        for s, e in (mono or {}).items():
-            m[s] = e
-        for s, e in (deriv or {}).items():
-            d[s] = e
-        return WeylOp(n, {(tuple(m), tuple(d)): coeff})
+        return WeylOp(n, {(mono_of(mono or {}), mono_of(deriv or {})): coeff})
 
     # -- linear structure -------------------------------------------------
 
@@ -138,23 +143,22 @@ class WeylOp:
         """
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        acc: Dict[Tuple[Expo, Expo], Scalar] = {}
+        acc: Dict[Tuple[Mono, Mono], Scalar] = {}
         for (m1, d1), c1 in self.terms.items():
+            b1 = dict(d1)
             for (m2, d2), c2 in other.terms.items():
                 base = c1 * c2
-                mono0 = tuple(a + b for a, b in zip(m1, m2))
-                deriv0 = tuple(a + b for a, b in zip(d1, d2))
+                mono0, deriv0 = dict(mono_mul(m1, m2)), dict(mono_mul(d1, d2))
                 # symbols where a derivative of self meets a monomial of other
-                syms = [s for s, (b, m) in enumerate(zip(d1, m2)) if b and m]
-                for ks in product(*(range(min(d1[s], m2[s]) + 1)
-                                    for s in syms)):
-                    mono, deriv, f = list(mono0), list(deriv0), 1
-                    for s, k in zip(syms, ks):
-                        if k:
-                            mono[s] -= k
-                            deriv[s] -= k
-                            f *= comb(d1[s], k) * perm(m2[s], k)
-                    key = (tuple(mono), tuple(deriv))
+                meets = [(s, b1[s], m) for s, m in m2 if s in b1]
+                for ks in product(*(range(min(b, m) + 1)
+                                    for _, b, m in meets)):
+                    mono, deriv, f = dict(mono0), dict(deriv0), 1
+                    for (s, b, m), k in zip(meets, ks):
+                        mono[s] -= k
+                        deriv[s] -= k
+                        f *= comb(b, k) * perm(m, k)
+                    key = (mono_of(mono), mono_of(deriv))
                     coeff = base if f == 1 else base * Scalar.of(f)
                     prev = acc.get(key)
                     acc[key] = coeff if prev is None else prev + coeff
@@ -166,17 +170,11 @@ class WeylOp:
         if not self.terms:
             return "0"
         parts = []
-        for (mono, deriv) in sorted(self.terms):
-            c = self.terms[(mono, deriv)]
-            factors = [f"({c})"]
-            for s, e in enumerate(mono):
-                if e:
-                    factors.append(sym_name(s) + (f"^{e}" if e > 1 else ""))
-            for s, e in enumerate(deriv):
-                if e:
-                    factors.append(f"d_{sym_name(s)}"
-                                   + (f"^{e}" if e > 1 else ""))
-            parts.append("*".join(factors))
+        for mono, deriv in sorted(self.terms, key=lambda k: (
+                mono_sort_key(k[0]), mono_sort_key(k[1]))):
+            parts.append("*".join([f"({self.terms[mono, deriv]})",
+                                   *mono_factors(mono),
+                                   *mono_factors(deriv, "d_")]))
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -233,17 +231,17 @@ def substitution_from_group(g: Toeplitz) -> Substitution:
     return Substitution(g.n, Rows(g), Rows(group_inverse(g)))
 
 
-def substitute_poly(p: Poly, rows: Rows | Dict[int, Dict[int, Scalar]],
-                    width: int) -> Poly:
+def substitute_poly(p: Poly, rows: Rows | Dict[int, Dict[int, Scalar]]
+                    ) -> Poly:
     """Apply the linear substitution to every symbol of a polynomial: each
     monomial is the product of its symbols' rows, none for the empty one."""
     out: Poly = {}
-    one = tuple([0] * width)
     for mono, c in p.items():
-        term: Poly = {one: c}
-        for s in nonzero(mono):
-            for _ in range(mono[s]):
-                term = poly_mul(term, poly_linear(rows[s], width))
+        term: Poly = {(): c}
+        for s, e in mono:
+            form = {((t, 1),): v for t, v in rows[s].items()}
+            for _ in range(e):
+                term = poly_mul(term, form)
         for m, cc in term.items():
             prev = out.get(m)
             out[m] = cc if prev is None else prev + cc
@@ -257,15 +255,14 @@ def conjugate_op(d: WeylOp, s: Substitution) -> WeylOp:
     transform by the columns of the forward map (chain rule).
     """
     n = d.n
-    width = 2 * n
     if s.n != n:
         raise ValueError("dimension mismatch")
-    acc: Dict[Tuple[Expo, Expo], Scalar] = {}
+    acc: Dict[Tuple[Mono, Mono], Scalar] = {}
     for (mono, deriv), c in d.terms.items():
-        coeff_poly = substitute_poly({mono: c}, s.inv, width)
+        coeff_poly = substitute_poly({mono: c}, s.inv)
         # d_t goes to sum_r F[r][t] d_r
-        cols = {t: s.fwd.column(t) for t in nonzero(deriv)}
-        deriv_poly = substitute_poly({deriv: Scalar.one()}, cols, width)
+        cols = {t: s.fwd.column(t) for t, _ in deriv}
+        deriv_poly = substitute_poly({deriv: Scalar.one()}, cols)
         for pm, pc in coeff_poly.items():
             for dm, dc in deriv_poly.items():
                 key = (pm, dm)

@@ -19,8 +19,7 @@ from invdist.distributions import DistExpr, RawTerm, \
 from invdist.orbits import ProjPoint, stratum_of
 from invdist.scalars import LAM, AffineExponent, GaussianRational, Scalar, \
     _canonical, _mono_sorted
-from invdist.weyl import Poly, Substitution, WeylOp, poly_linear, poly_mul, \
-    substitute_poly, sym_z, sym_zbar
+from invdist.weyl import Substitution, WeylOp, sym_z, sym_zbar
 
 
 def _re_part(x: Scalar) -> Scalar:
@@ -327,6 +326,90 @@ def expr_parts(e: DistExpr) -> Tuple[int, dict]:
     """An expression's size and its canonical terms, by which the tests
     compare expressions."""
     return e.n, e.terms
+
+
+# ---------------------------------------------------------------------------
+# Monomials as dense exponent vectors
+# ---------------------------------------------------------------------------
+
+# A polynomial keyed by dense exponent vectors, one entry per symbol.
+DensePoly = Dict[Tuple[int, ...], Scalar]
+
+
+def sparse(vector: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """The engine's key of the monomial with this exponent vector: its
+    nonzero (symbol, exponent) pairs in increasing symbol order."""
+    return tuple((s, e) for s, e in enumerate(vector) if e)
+
+
+def vector_of(mono, width: int) -> Tuple[int, ...]:
+    """The exponent vector of ``width`` symbols of a monomial given as
+    (symbol, exponent) pairs or as {symbol: exponent}: the inverse of
+    ``sparse``."""
+    out = [0] * width
+    for s, e in dict(mono).items():
+        out[s] = e
+    return tuple(out)
+
+
+def dense_poly_mul(p: DensePoly, q: DensePoly) -> DensePoly:
+    out: DensePoly = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, Scalar.zero()) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def dense_linear(form: Dict[int, Scalar], width: int) -> DensePoly:
+    """The linear form {symbol: coefficient} as a polynomial."""
+    return {tuple(int(t == s) for t in range(width)): c
+            for s, c in form.items()}
+
+
+def dense_substitute(p: DensePoly, rows, width: int) -> DensePoly:
+    """Every symbol s of p replaced by its linear form ``rows[s]``, one
+    factor at a time."""
+    out: DensePoly = {}
+    for mono, c in p.items():
+        term: DensePoly = {(0,) * width: c}
+        for s, e in enumerate(mono):
+            for _ in range(e):
+                term = dense_poly_mul(term, dense_linear(rows[s], width))
+        for m, cc in term.items():
+            out[m] = out.get(m, Scalar.zero()) + cc
+    return {m: c for m, c in out.items() if c}
+
+
+def _dense_factors(vector: Sequence[int], prefix: str = "") -> List[str]:
+    return [f"{prefix}{'zbar' if s % 2 else 'z'}{s // 2 + 1}"
+            + (f"^{e}" if e > 1 else "") for s, e in enumerate(vector) if e]
+
+
+def op_str(op: WeylOp) -> str:
+    """``WeylOp.__str__`` with each key written out as two exponent vectors
+    of width 2n, sorted as those vectors compare."""
+    width = 2 * op.n
+    rows = sorted((vector_of(m, width), vector_of(d, width), c)
+                  for (m, d), c in op.terms.items())
+    return " + ".join("*".join([f"({c})", *_dense_factors(m),
+                                *_dense_factors(d, "d_")])
+                      for m, d, c in rows) or "0"
+
+
+def expr_str(e: DistExpr) -> str:
+    """``DistExpr.canonical_str`` with each monomial written out as an
+    exponent vector of width 2n: terms sorted by delta block, power
+    factors, then that vector."""
+    width = 2 * e.n
+    rows = sorted((delta, tuple((j, x.r, x.s) for j, x in powers),
+                   vector_of(mono, width), (powers, c))
+                  for (mono, powers, delta), c in e.terms.items())
+    return " + ".join("*".join(
+        [f"({c})", *_dense_factors(m),
+         *(f"(z{j}*zbar{j})^({x})" for j, x in powers),
+         *(f"delta{k}[{a},{b}]" for k, a, b in delta)])
+        for delta, _, m, (powers, c) in rows) or "0"
 
 
 def constant_value(x: Scalar) -> GaussianRational:
@@ -691,7 +774,7 @@ def transform_delta(delta, sub):
 
 def _expand_power(j: int, sigma: AffineExponent, sub: Substitution,
                   order: int, width: int
-                  ) -> List[Tuple[Scalar, Poly, AffineExponent]]:
+                  ) -> List[Tuple[Scalar, DensePoly, AffineExponent]]:
     """The jets of |(g^-1 z)_j|^(2 sigma) up to ``order``, as
     (coefficient, polynomial, exponent) triples.
 
@@ -702,24 +785,24 @@ def _expand_power(j: int, sigma: AffineExponent, sub: Substitution,
     delta symbols than the delta block has derivatives, so it is zero."""
     row, rowbar = sub.inv[sym_z(j)], sub.inv[sym_zbar(j)]
     c = row.get(sym_z(j), Scalar.zero())
-    w = poly_linear({s: c.conjugate() * v for s, v in row.items()
-                     if s != sym_z(j)}, width)
-    wbar = poly_linear({s: c * v for s, v in rowbar.items()
-                        if s != sym_zbar(j)}, width)
+    w = dense_linear({s: c.conjugate() * v for s, v in row.items()
+                      if s != sym_z(j)}, width)
+    wbar = dense_linear({s: c * v for s, v in rowbar.items()
+                         if s != sym_zbar(j)}, width)
     out = []
-    wk: Poly = {tuple([0] * width): Scalar.one()}
+    wk: DensePoly = {(0,) * width: Scalar.one()}
     for k in range(order + 1):
         if k:
-            wk = poly_mul(wk, w)
+            wk = dense_poly_mul(wk, w)
         wkm = wk
         for m in range(order - k + 1):
             if m:
-                wkm = poly_mul(wkm, wbar)
+                wkm = dense_poly_mul(wkm, wbar)
             extra = [0] * width
             extra[sym_z(j)], extra[sym_zbar(j)] = m, k
             out.append((generalized_binomial(sigma, k)
                         * generalized_binomial(sigma, m),
-                        poly_mul(wkm, {tuple(extra): Scalar.one()}),
+                        dense_poly_mul(wkm, {tuple(extra): Scalar.one()}),
                         sigma - k - m))
     return out
 
@@ -755,18 +838,18 @@ def act_group(expr: DistExpr, sub: Substitution) -> DistExpr:
         _check_jet_shape(t, sub)
         order = sum(a + b for a, b in t.delta.values())
         # every combination of one jet of each power factor
-        jets: List[Tuple[Scalar, Poly, Dict[int, AffineExponent]]] = [
-            (t.coeff, substitute_poly({tuple(t.mono): Scalar.one()},
-                                      sub.inv, width), {})]
+        jets: List[Tuple[Scalar, DensePoly, Dict[int, AffineExponent]]] = [
+            (t.coeff, dense_substitute({vector_of(t.mono, width):
+                                        Scalar.one()}, sub.inv, width), {})]
         for j, sigma in t.powers.items():
-            jets = [(c0 * c1, poly_mul(p0, p1), {**pw, j: e})
+            jets = [(c0 * c1, dense_poly_mul(p0, p1), {**pw, j: e})
                     for c0, p0, pw in jets
                     for c1, p1, e in _expand_power(j, sigma, sub, order,
                                                    width)]
         for dkey, dc in transform_delta(t.delta, sub).items():
             for c, poly, powers in jets:
                 for mono, pc in poly.items():
-                    raws.append(RawTerm(list(mono), dict(powers),
+                    raws.append(RawTerm(dict(sparse(mono)), dict(powers),
                                         {k: (a, b) for k, a, b in dkey},
                                         c * pc * dc))
     return DistExpr.from_raw(n, raws)
@@ -782,8 +865,10 @@ def canonical_key(t: RawTerm):
     copies, one rule at a time: refuse a power factor on a delta variable,
     absorb each delta variable's monomial factors, fold the shared
     exponents of z_j and zbar_j into the power factor and turn a
-    nonnegative-integer power factor back into monomials, then sort."""
-    mono = list(t.mono)
+    nonnegative-integer power factor back into monomials, then sort; the
+    monomial is an exponent vector over every symbol the term names."""
+    n = max([s // 2 + 1 for s in t.mono] + [*t.powers, *t.delta], default=0)
+    mono = list(vector_of(t.mono, 2 * n))
     coeff = t.coeff
     delta = dict(t.delta)
     powers = {}
@@ -821,7 +906,7 @@ def canonical_key(t: RawTerm):
             powers[j] = sigma
     if not coeff:
         return None
-    return ((tuple(mono),
+    return ((sparse(mono),
              tuple(sorted(powers.items())),
              tuple(sorted((k, a, b) for k, (a, b) in delta.items()))),
             coeff)

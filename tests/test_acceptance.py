@@ -182,7 +182,7 @@ def test_11_rewrite_soundness_jet_pairing():
                     expr = DistExpr.single(1, mono={0: p, 1: q},
                                            delta={1: (a, b)})
                     for (mono, powers, delta), coeff in expr.terms.items():
-                        assert not powers and mono == (0, 0)
+                        assert not powers and mono == ()
                     for r in range(5):
                         for s in range(5):
                             got = Scalar.zero()

@@ -18,7 +18,7 @@ from invdist.scalars import AffineExponent, GaussianRational, Scalar
 from invdist.weyl import WeylOp, conjugate_op, substitution_from_group, \
     sym_conj, sym_z, sym_zbar
 from reference import act_group, expr_parts, generator_product, identity, \
-    op_parts, toeplitz_mul, twisted_shift2, value
+    op_parts, sparse, toeplitz_mul, twisted_shift2, value
 
 import random
 
@@ -232,7 +232,7 @@ def closed_form_chain(spec):
             first = (j + 1, 0, l - k) if conjugate else (j + 1, l - k, 0)
             delta = (first,) + tuple((i, 0, 0) for i in range(j + 2, n + 1))
             coeff = falling[k] * sympy.binomial(l, k)
-            terms[tuple(mono), ((j, sigma - k),), delta] = Scalar({
+            terms[sparse(mono), ((j, sigma - k),), delta] = Scalar({
                 (("lam", d),) if d else (): GaussianRational(
                     Fraction(int(c.p), int(c.q)))
                 for (d,), c in coeff.terms()})
@@ -479,7 +479,9 @@ class TestSharedInvarianceWork:
         # window {z_(n-2), z_(n-1), z_n} (Lemma 4.4), and T^0's action reads
         # the rows of z_(n-1) and z_n.  With 3 <= k <= n - 2 at n = 8, the
         # residuals to order 4 build as many rows and columns, and make as
-        # many products, at n = 64 as at n = 8
+        # many products, at n = 64 and 512 as at n = 8; and every monomial
+        # key of E_g, of the chain and of the acted T^0 is as long, since a
+        # key holds only its nonzero (symbol, exponent) pairs
         def work(n):
             spec = FamilySpec(n, "T", 4)
             op, _ = _seed(spec)
@@ -492,13 +494,18 @@ class TestSharedInvarianceWork:
                     return mul(x, y)
 
                 monkeypatch.setattr(owner, "__mul__", counted)
-            assert Residuals(op, chain, sub).first_failure(spec.l) is None
+            residuals = Residuals(op, chain, sub)
+            assert residuals.first_failure(spec.l) is None
             monkeypatch.undo()
+            keys = [sorted((len(m), len(d))
+                           for m, d in residuals.difference.terms)]
+            for expr in (*chain, chain[0].act_group(sub)):
+                keys.append(sorted(len(key[0]) for key in expr.terms))
             return (counts, [len(rows.rows) for rows in (sub.fwd, sub.inv)],
-                    [len(rows.cols) for rows in (sub.fwd, sub.inv)])
+                    [len(rows.cols) for rows in (sub.fwd, sub.inv)], keys)
 
         at_8 = work(8)
-        assert at_8 == work(64)
+        assert at_8 == work(64) == work(512)
         assert at_8[0]["REpsElement"] == 0
 
     def test_work_must_match_the_check(self):

@@ -26,7 +26,7 @@ from invdist.weyl import (Substitution, WeylOp, conjugate_op,
 from reference import act_group as act_group_reference
 from reference import canonical_key as canonical_key_reference
 from reference import expr_parts, from_gauss, generator_product, identity, \
-    op_parts, toeplitz_mul, twisted_shift2
+    expr_str, op_parts, sparse, toeplitz_mul, twisted_shift2, vector_of
 
 
 def delta_functional(expr: DistExpr, r: int, s: int) -> Scalar:
@@ -37,7 +37,7 @@ def delta_functional(expr: DistExpr, r: int, s: int) -> Scalar:
     for (mono, powers, delta), coeff in expr.terms.items():
         assert not powers
         ((_, a, b),) = delta
-        p, q = mono[0], mono[1]
+        p, q = vector_of(mono, 2)
         if p + r == a and q + s == b:
             sign = -1 if (a + b) % 2 else 1
             total = total + coeff * Scalar.of(
@@ -101,7 +101,8 @@ class TestRewriteRules:
         assert expr_parts(again) == expr_parts(expr)
 
     def test_power_on_delta_variable_rejected(self):
-        raw = RawTerm([0, 0, 0, 0], {2: AffineExponent(Fraction(1, 2))},
+        raw = RawTerm(dict(sparse([0, 0, 0, 0])),
+                      {2: AffineExponent(Fraction(1, 2))},
                       {2: (0, 0)}, Scalar.one())
         with pytest.raises(UnsupportedSubstitutionError):
             _canonical_key(raw)
@@ -120,12 +121,12 @@ coefficients = st.sampled_from([Scalar.one(), Scalar.of(-3), LAM,
 
 
 @st.composite
-def raw_terms(draw):
-    """A raw term on up to three variables: monomial exponents up to 4
-    (above a delta's orders and shared by z_j and zbar_j alike), derived
-    deltas of orders up to 3, and now and then a power factor on a delta
-    variable, which the normalizer refuses."""
-    n = draw(st.integers(1, 3))
+def raw_terms(draw, n=None):
+    """A raw term on ``n`` variables, or on up to three: monomial exponents
+    up to 4 (above a delta's orders and shared by z_j and zbar_j alike),
+    derived deltas of orders up to 3, and now and then a power factor on a
+    delta variable, which the normalizer refuses."""
+    n = n or draw(st.integers(1, 3))
     variables = st.integers(1, n)
     mono = draw(st.lists(st.integers(0, 4), min_size=2 * n,
                          max_size=2 * n))
@@ -135,7 +136,16 @@ def raw_terms(draw):
     powers = {j: draw(exponents)
               for j in draw(st.lists(variables, unique=True))
               if on_delta or j not in delta}
-    return RawTerm(mono, powers, delta, draw(coefficients))
+    return RawTerm(dict(sparse(mono)), powers, delta, draw(coefficients))
+
+
+@st.composite
+def expressions(draw):
+    """A sum of raw terms on up to six variables, none of them refused."""
+    n = draw(st.integers(1, 6))
+    terms = st.lists(raw_terms(n).filter(
+        lambda t: t.delta.keys().isdisjoint(t.powers)), max_size=8)
+    return DistExpr.from_raw(n, draw(terms))
 
 
 def normalized(normalize, t: RawTerm):
@@ -154,22 +164,24 @@ class TestNormalizerAgainstReference:
     @given(raw_terms())
     @settings(max_examples=600, deadline=None)
     # z1 zbar1^2 on delta1[1,2]: the sign (-1)^3 and the factor 1! 2!
-    @example(RawTerm([1, 2], {}, {1: (1, 2)}, Scalar.one()))
+    @example(RawTerm(dict(sparse([1, 2])), {}, {1: (1, 2)}, Scalar.one()))
     # z2^3 on delta2[2,3]: above the order, zero
-    @example(RawTerm([0, 0, 3, 0], {1: AffineExponent.of(1, -1)},
-                     {2: (2, 3)}, Scalar.one()))
+    @example(RawTerm(dict(sparse([0, 0, 3, 0])),
+                     {1: AffineExponent.of(1, -1)}, {2: (2, 3)},
+                     Scalar.one()))
     # z1^2 zbar1^3 folds 2 into -2 - lam/2, and z2^2 zbar2^2 folds into
     # (z2 zbar2)^-2, whose exponent becomes 0
-    @example(RawTerm([2, 3, 2, 2], {1: AffineExponent.of(-2, Fraction(-1, 2)),
-                                    2: AffineExponent.of(-2)},
+    @example(RawTerm(dict(sparse([2, 3, 2, 2])),
+                     {1: AffineExponent.of(-2, Fraction(-1, 2)),
+                      2: AffineExponent.of(-2)},
                      {}, LAM))
-    @example(RawTerm([1, 1, 0, 0], {1: AffineExponent.of(-3)}, {},
-                     Scalar.one()))
+    @example(RawTerm(dict(sparse([1, 1, 0, 0])), {1: AffineExponent.of(-3)},
+                     {}, Scalar.one()))
     # the refusal comes before the zero of the exhausted delta1
-    @example(RawTerm([1, 0, 0, 0], {2: AffineExponent.of(1)},
+    @example(RawTerm(dict(sparse([1, 0, 0, 0])), {2: AffineExponent.of(1)},
                      {1: (0, 0), 2: (0, 0)}, Scalar.one()))
     def test_same_key_coefficient_or_refusal(self, t):
-        before = (list(t.mono), dict(t.powers), dict(t.delta))
+        before = (dict(t.mono), dict(t.powers), dict(t.delta))
         assert normalized(_canonical_key, t) \
             == normalized(canonical_key_reference, t)
         assert (t.mono, t.powers, t.delta) == before
@@ -443,6 +455,23 @@ class TestDisplay:
         assert expr.canonical_str() == " + ".join(
             f"(1)*(z1*zbar1)^({sigma})*delta2[0,0]"
             for sigma in ("1/3", "1/2", "1+1/3*lam", "1+1/2*lam"))
+
+    @given(expressions())
+    @settings(max_examples=150, deadline=None)
+    def test_prints_as_the_dense_printer(self, expr):
+        assert expr.canonical_str() == expr_str(expr)
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(3, "T", 5), FamilySpec(4, "Tbar", 4),
+        FamilySpec(12, "Tj", 3, j=5), FamilySpec(5, "T", 4, lam=Fraction(2))])
+    def test_chain_and_residual_print_as_the_dense_printer(self, spec):
+        # the twisted shift2 leaves H: at formal lam its residual is nonzero
+        chain = build_family(spec)
+        op, _ = _seed(spec)
+        sub = substitution_from_group(twisted_shift2(spec.n))
+        residual = chain[-1].apply_weyl(conjugate_op(op, sub) - op)
+        for expr in (*chain, residual):
+            assert expr.canonical_str() == expr_str(expr)
 
 
 class TestSupportAndRank:

@@ -6,22 +6,27 @@ from fractions import Fraction
 from math import comb, perm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invdist.clifford import h_element, h_generators, h_phase, \
     h_shift, h_shift_formal
+from invdist.constructions import build_vector_field
 from invdist.scalars import AffineExponent, GaussianRational, Scalar
 from invdist.weyl import (Rows, Substitution, WeylOp, conjugate_op,
-                          substitute_poly, substitution_from_group, sym_conj,
-                          sym_name, sym_z, sym_zbar)
+                          mono_sort_key, substitute_poly,
+                          substitution_from_group, sym_conj, sym_name, sym_z,
+                          sym_zbar)
 from reference import columns, dense, falling_factorial, from_gauss, \
-    identity, neumann_inverse, op_parts, rows_from_matrix, toeplitz_mul
+    identity, neumann_inverse, op_parts, op_str, rows_from_matrix, sparse, \
+    toeplitz_mul, twisted_shift2, vector_of
 
 
 def rand_poly(n, rng, nterms=3):
     """Random polynomial in the 2n coordinate symbols."""
     p = {}
     for _ in range(nterms):
-        expo = tuple(rng.randint(0, 2) for _ in range(2 * n))
+        expo = sparse([rng.randint(0, 2) for _ in range(2 * n)])
         c = GaussianRational.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
         p[expo] = p.get(expo, Scalar.zero()) + from_gauss(c)
@@ -58,11 +63,14 @@ def rand_lam_op(n, rng, nterms=3, max_ord=3):
 
 def _compose_reference(a, b):
     """Normal-ordered a o b by recursion over the symbols, multiplying one
-    Scalar factor C(b, k) * falling(m, k) per symbol (the former kernel)."""
+    Scalar factor C(b, k) * falling(m, k) per symbol (the former kernel),
+    on exponent vectors of width 2n."""
     width = 2 * a.n
     acc = {}
     for (m1, d1), c1 in a.terms.items():
+        m1, d1 = vector_of(m1, width), vector_of(d1, width)
         for (m2, d2), c2 in b.terms.items():
+            m2, d2 = vector_of(m2, width), vector_of(d2, width)
             choices = [[(k, Scalar.of(comb(d1[s], k)) * falling_factorial(
                 AffineExponent.of(m2[s]), k))
                 for k in range(min(d1[s], m2[s]) + 1)]
@@ -70,8 +78,8 @@ def _compose_reference(a, b):
 
             def rec(s, coeff, ks):
                 if s == width:
-                    key = (tuple(m1[i] + m2[i] - ks[i] for i in range(width)),
-                           tuple(d1[i] - ks[i] + d2[i] for i in range(width)))
+                    key = (sparse(m1[i] + m2[i] - ks[i] for i in range(width)),
+                           sparse(d1[i] - ks[i] + d2[i] for i in range(width)))
                     prev = acc.get(key)
                     acc[key] = coeff if prev is None else prev + coeff
                     return
@@ -90,16 +98,62 @@ def polys_equal(p, q):
 
 def apply_poly(op, p):
     """op applied to the polynomial p term by term, with
-    d^b z^e = e!/(e-b)! z^(e-b) per symbol."""
+    d^b z^e = e!/(e-b)! z^(e-b) per symbol, on exponent vectors of width
+    2n."""
+    width = 2 * op.n
     out = {}
     for (m1, d1), c1 in op.terms.items():
+        m1, d1 = vector_of(m1, width), vector_of(d1, width)
         for mono, c in p.items():
+            mono = vector_of(mono, width)
             if any(e < b for e, b in zip(mono, d1)):
                 continue
             f = prod(perm(e, b) for e, b in zip(mono, d1))
-            key = tuple(e - b + m for e, b, m in zip(mono, d1, m1))
+            key = sparse(e - b + m for e, b, m in zip(mono, d1, m1))
             out[key] = out.get(key, Scalar.zero()) + c1 * c * Scalar.of(f)
     return {m: c for m, c in out.items() if c}
+
+
+# exponent vectors of one width 2n, n up to 6, mostly zeros
+vectors = st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(
+    st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=2 * n, max_size=2 * n),
+    max_size=12))
+
+
+@st.composite
+def operators(draw):
+    n = draw(st.integers(1, 6))
+    exponents = st.dictionaries(st.integers(0, 2 * n - 1), st.integers(0, 3),
+                                max_size=4)
+    op = WeylOp(n)
+    for _ in range(draw(st.integers(0, 6))):
+        c = Scalar.of(draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
+        op = op + WeylOp.term(n, c, draw(exponents), draw(exponents))
+    return op
+
+
+class TestMonomialKeys:
+    """A monomial key is the sparse form of an exponent vector of width 2n,
+    and orders and prints as that vector does."""
+
+    @given(vectors)
+    @settings(max_examples=200, deadline=None)
+    def test_sort_key_orders_as_the_dense_vectors(self, vs):
+        assert sorted(map(sparse, vs), key=mono_sort_key) \
+            == [sparse(v) for v in sorted(vs)]
+
+    @given(operators())
+    @settings(max_examples=150, deadline=None)
+    def test_prints_as_the_dense_printer(self, op):
+        assert str(op) == op_str(op)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 12])
+    def test_conjugated_field_prints_as_the_dense_printer(self, n):
+        op = build_vector_field(n, n - 1)
+        for g in (h_shift_formal(n, 1), twisted_shift2(n)):
+            got = conjugate_op(op, substitution_from_group(g))
+            assert str(got) == op_str(got)
+            assert str(got - op) == op_str(got - op)
 
 
 class TestWeylOp:
@@ -150,8 +204,8 @@ class TestWeylOp:
             # same term order too, so downstream iteration is unchanged
             assert list(got.terms) == list(want.terms)
             big_factor = big_factor or any(
-                d * m > 1 for _, d1 in a.terms for m2, _ in b.terms
-                for d, m in zip(d1, m2))
+                d * dict(m2).get(s, 0) > 1 for _, d1 in a.terms
+                for m2, _ in b.terms for s, d in d1)
         assert big_factor
 
     def test_compose_associative(self):
@@ -170,7 +224,7 @@ class TestSubstitution:
         n = 3
         s = substitution_from_group(identity(n))
         p = rand_poly(n, rng)
-        assert polys_equal(substitute_poly(p, s.fwd, 2 * n), p)
+        assert polys_equal(substitute_poly(p, s.fwd), p)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_group_substitution_invertible(self, n):
@@ -183,7 +237,7 @@ class TestSubstitution:
             s = substitution_from_group(h_shift(n, j, from_gauss(a)))
             p = rand_poly(n, rng)
             fwd_then_inv = substitute_poly(
-                substitute_poly(p, s.fwd, 2 * n), s.inv, 2 * n)
+                substitute_poly(p, s.fwd), s.inv)
             assert polys_equal(fwd_then_inv, p)
 
     def test_reality(self):
@@ -286,10 +340,10 @@ class TestConjugateOp:
             p = rand_poly(n, rng)
             lhs = apply_poly(conjugate_op(op, s), p)
             rhs = substitute_poly(
-                apply_poly(op, substitute_poly(p, s.fwd, 2 * n)), s.inv, 2 * n)
+                apply_poly(op, substitute_poly(p, s.fwd)), s.inv)
             assert polys_equal(lhs, rhs)
             reversed_order = substitute_poly(
-                apply_poly(op, substitute_poly(p, s.inv, 2 * n)), s.fwd, 2 * n)
+                apply_poly(op, substitute_poly(p, s.inv)), s.fwd)
             reversed_differs |= not polys_equal(lhs, reversed_order)
         # the samples tell the two orders apart
         assert reversed_differs
