@@ -25,7 +25,7 @@ elements is formed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .records import FAIL, PASS, CheckRecord
 from .scalars import Scalar
@@ -88,8 +88,8 @@ class REpsElement:
 
 def _sum(elements: Sequence[REpsElement]) -> REpsElement:
     """The sum of the elements, part by part.  Every sum the suites form
-    (an inverse entry of a generator) has at most one term, and is read
-    off."""
+    (an inverse entry of a generator) has at most one term; one term is
+    read off."""
     if len(elements) == 1:
         return elements[0]
     return REpsElement(sum((e.a for e in elements), Scalar.zero()),
@@ -164,28 +164,30 @@ def h_generators(n: int) -> List[Tuple[str, Toeplitz]]:
 # Inverses of unit-diagonal-plus-unipotent elements
 # ---------------------------------------------------------------------------
 
-def group_inverse(g: Toeplitz) -> Toeplitz:
-    """Inverse of g = d(I + N) with d a single-term unit in the C-part and N
-    strictly upper triangular.  Row 0 of g x = I reads
-    sum_{m<=k} A_m X_{k-m} = [k = 0], so X_0 = d^-1 and
+def group_inverse(g: Toeplitz) -> Iterator[Tuple[int, REpsElement]]:
+    """The inverse of g = d(I + N), d a single-term unit in the C-part and N
+    strictly upper triangular, as its profile's pairs (k, X_k), k = 0..n-1,
+    each formed when pulled; the diagonal is checked on the call.  Row 0 of
+    g x = I reads sum_{m<=k} A_m X_{k-m} = [k = 0], so X_0 = d^-1 and
     X_k = -d^-1 * sum_{1<=m<=k} A_m X_{k-m} over nonzero terms only:
     (n-1)(n+2)/2 element products when every entry is nonzero.  Then g x is
     I by eq. (7), and a right inverse in a group is the inverse."""
     d = g.entries.get(0, REpsElement())
     if not d.b.is_zero() or not d.a.is_monomial():
         raise ValueError("diagonal must be a single-term unit in the C-part")
-    d_inv = REpsElement(d.a.inverse_unit())
+    return _inverse_entries(g, REpsElement(d.a.inverse_unit()))
+
+
+def _inverse_entries(g: Toeplitz, d_inv: REpsElement
+                     ) -> Iterator[Tuple[int, REpsElement]]:
     tail = [(m, e) for m, e in g.entries.items() if m]
-    # the k = m + k' with A_m and X_k' nonzero, visited in increasing order
-    x, due = {0: d_inv}, {m for m, _ in tail}
-    while due:
-        k = min(due)
-        due.remove(k)
+    x = {0: d_inv}
+    yield 0, d_inv
+    for k in range(1, g.n):
         acc = _sum([e * x[k - m] for m, e in tail if k - m in x])
         if not acc.is_zero():
-            x[k] = -(d_inv * acc)
-            due.update(k + m for m, _ in tail if k + m < g.n)
-    return Toeplitz(g.n, x)
+            acc = x[k] = -(d_inv * acc)
+        yield k, acc
 
 
 # ---------------------------------------------------------------------------

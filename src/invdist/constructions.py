@@ -269,11 +269,11 @@ def verify_invariance(spec: FamilySpec, *,
     lam = spec.row()[2]
     expected_deg = AffineExponent.of(0, -1) if lam is None \
         else AffineExponent.of(-lam)
-    side_ok = (weights <= {0} and expr.parity() == "even"
-               and deg == expected_deg)
+    parity = expr.parity()
+    side_ok = weights <= {0} and parity == "even" and deg == expected_deg
     details.update({
         "u1_weights": sorted(weights),
-        "parity": expr.parity(),
+        "parity": parity,
         "degree": str(deg),
     })
     if failures:

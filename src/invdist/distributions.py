@@ -21,12 +21,15 @@ identity verified here is linear, so it is immaterial.)
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import perm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Optional, Sequence, Tuple
 
 from .scalars import AffineExponent, Scalar, rank_over_function_field
 from .weyl import Mono, Substitution, WeylOp, conjugate_op, mono_factors, \
-    mono_sort_key, substitute_poly, sym_conj, sym_name, sym_z, sym_zbar
+    mono_mul, mono_of, mono_sort_key, substitute_poly, sym_conj, sym_name, \
+    sym_z, sym_zbar
 
 __all__ = [
     "DistExpr",
@@ -45,70 +48,90 @@ class UnsupportedSubstitutionError(ValueError):
     """A group action hit a substitution outside the supported shape."""
 
 
-class RawTerm:
-    """Mutable scratch term used during rewriting; ``mono`` is
-    {symbol: exponent} over the nonzero exponents."""
-
-    __slots__ = ("mono", "powers", "delta", "coeff")
-
-    def __init__(self, mono: Dict[int, int], powers: Dict[int, AffineExponent],
-                 delta: Dict[int, Tuple[int, int]], coeff: Scalar):
-        self.mono, self.powers, self.delta = mono, powers, delta
-        self.coeff = coeff
-
-    def copy(self) -> "RawTerm":
-        return RawTerm(dict(self.mono), dict(self.powers),
-                       dict(self.delta), self.coeff)
+def _find(pairs: tuple, k: int) -> int:
+    """The index of the entry keyed k in sorted pairs, or -1."""
+    i = bisect_left(pairs, (k,))
+    return i if i < len(pairs) and pairs[i][0] == k else -1
 
 
-def _canonical_key(t: RawTerm) -> Optional[Tuple[TermKey, Scalar]]:
-    """Normalize one raw term to (key, coefficient); None when it rewrites
-    to zero.  One pass over the delta block absorbs the monomial factors of
-    each delta variable; one pass over the power factors folds the shared
-    exponents of z_j and zbar_j into the power factor and turns a
-    nonnegative-integer power factor back into monomials.  A power factor
-    on a delta variable is refused before either pass, so the two passes
-    touch disjoint variables.  A pass that changes the monomial makes it
-    anew, so t is left as it was."""
-    powers, delta = t.powers, t.delta
-    if powers and delta and not delta.keys().isdisjoint(powers):
-        j = next(j for j in powers if j in delta)
-        raise UnsupportedSubstitutionError(
-            f"power factor on delta variable z{j}")
-    mono = t.mono
-    coeff = t.coeff
-    delta_key = []
-    for k, (alpha, beta) in sorted(delta.items()):
-        z = sym_z(k)  # z_k, and zbar_k at z + 1
-        if z in mono or z + 1 in mono:
-            p, q = mono.get(z, 0), mono.get(z + 1, 0)
-            if p > alpha or q > beta:
-                return None
-            mono = {s: e for s, e in mono.items() if s // 2 + 1 != k}
-            f = perm(alpha, p) * perm(beta, q)
-            coeff = coeff * Scalar.of(-f if (p + q) % 2 else f)
-            alpha, beta = alpha - p, beta - q
-        delta_key.append((k, alpha, beta))
-    powers_key = []
-    for j, sigma in sorted(powers.items()):
-        if sigma.is_zero():
-            continue
-        z = sym_z(j)
-        p, q = mono.get(z, 0), mono.get(z + 1, 0)
-        m = p if p < q else q  # z_j and zbar_j each lose m, less what unfolds
-        if m:
-            sigma = sigma + m
-        if sigma.is_integer() and sigma.num_r >= 0:
-            m -= sigma.num_r
-        else:
-            powers_key.append((j, sigma))
-        if m:
-            mono = {**mono, z: p - m, z + 1: q - m}
-            mono = {s: e for s, e in mono.items() if e}
-    if not coeff:
+def _derive(key: TermKey, coeff: Scalar, s: int
+            ) -> Optional[Tuple[TermKey, Scalar]]:
+    """d/d(symbol s) of the canonical term coeff * key: one canonical term,
+    or None.  Only variable j = s // 2 + 1 changes; it is a delta variable,
+    a power factor's or neither, so one Leibniz term survives.  A delta
+    raises its order in s; (z_j zbar_j)^sigma gives sigma, the conjugate
+    symbol and sigma - 1, which folds back to sigma when the key holds s^e
+    (then the factor is e + sigma); else s^e gives e s^(e-1)."""
+    mono, powers, delta = key
+    j = s // 2 + 1
+    i, p = _find(mono, s), _find(powers, j)
+    if p >= 0:
+        sigma = powers[p][1]
+        if i < 0:
+            return (mono_mul(mono, ((sym_conj(s), 1),)),
+                    powers[:p] + ((j, sigma - 1),) + powers[p + 1:], delta), \
+                coeff * sigma.as_scalar()
+        return (mono_mul(mono, ((s, -1),)), powers, delta), \
+            coeff * (sigma + mono[i][1]).as_scalar()
+    if i >= 0:
+        return (mono_mul(mono, ((s, -1),)), powers, delta), \
+            coeff * Scalar.of(mono[i][1])
+    d = _find(delta, j)
+    if d < 0:
         return None
-    return (tuple(sorted(mono.items())), tuple(powers_key),
-            tuple(delta_key)), coeff
+    _, a, b = delta[d]
+    raised = (j, a, b + 1) if s & 1 else (j, a + 1, b)
+    return (mono, powers, delta[:d] + (raised,) + delta[d + 1:]), coeff
+
+
+def _times(key: TermKey, s: int, e: int) -> Optional[Tuple[TermKey, int]]:
+    """symbol^e times the canonical term key: the canonical key and its
+    integer factor, or None when a delta kills the term.  Only variable
+    j = s // 2 + 1 changes.  On a delta, z_j^e (zbar_j^e) lowers the order
+    a (b) by e with the factor (-1)^e a!/(a-e)!, or kills the term past
+    it; on a power factor, the exponent shared with the conjugate symbol
+    folds in, and a nonnegative-integer power unfolds into monomials."""
+    mono, powers, delta = key
+    j = s // 2 + 1
+    d = _find(delta, j)
+    if d >= 0:
+        _, a, b = delta[d]
+        order = b if s & 1 else a
+        if e > order:
+            return None
+        lowered = (j, a, b - e) if s & 1 else (j, a - e, b)
+        f = perm(order, e)
+        return (mono, powers, delta[:d] + (lowered,) + delta[d + 1:]), \
+            -f if e % 2 else f
+    p = _find(powers, j)
+    c = _find(mono, sym_conj(s)) if p >= 0 else -1
+    if c < 0:
+        return (mono_mul(mono, ((s, e),)), powers, delta), 1
+    m = min(e, mono[c][1])
+    sigma = powers[p][1] + m
+    if sigma.is_integer() and sigma.num_r >= 0:
+        m -= sigma.num_r
+        powers = powers[:p] + powers[p + 1:]
+    else:
+        powers = powers[:p] + ((j, sigma),) + powers[p + 1:]
+    return (mono_mul(mono, ((s, e - m), (sym_conj(s), -m))), powers,
+            delta), 1
+
+
+def _multiply(acc: Dict[TermKey, Scalar], mono: Mono, key: TermKey,
+              coeff: Scalar) -> None:
+    """Add coeff * mono * key to acc, one symbol at a time by ``_times``."""
+    f = 1
+    for s, e in mono:
+        hit = _times(key, s, e)
+        if hit is None:
+            return
+        key, g = hit
+        f *= g
+    if f != 1:
+        coeff = coeff * Scalar.of(f)
+    prev = acc.get(key)
+    acc[key] = coeff if prev is None else prev + coeff
 
 
 class DistExpr:
@@ -123,100 +146,65 @@ class DistExpr:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_raw(n: int, raws: Iterable[RawTerm]) -> "DistExpr":
-        acc: Dict[TermKey, Scalar] = {}
-        for t in raws:
-            if not t.coeff:
-                continue
-            normalized = _canonical_key(t)
-            if normalized is None:
-                continue
-            key, coeff = normalized
-            prev = acc.get(key)
-            acc[key] = coeff if prev is None else prev + coeff
-        return DistExpr(n, acc)
-
-    @staticmethod
     def single(n: int, coeff: Scalar = Scalar.one(),
                mono: Dict[int, int] | None = None,
                powers: Dict[int, AffineExponent] | None = None,
                delta: Dict[int, Tuple[int, int]] | None = None) -> "DistExpr":
-        mono = {s: e for s, e in (mono or {}).items() if e}
-        return DistExpr.from_raw(n, [RawTerm(
-            mono, dict(powers or {}), dict(delta or {}), coeff)])
-
-    def raw_terms(self) -> List[RawTerm]:
-        out = []
-        for (mono, powers, delta), coeff in self.terms.items():
-            out.append(RawTerm(dict(mono), dict(powers),
-                               {k: (a, b) for k, a, b in delta}, coeff))
-        return out
+        """The canonical term: the power factors (a nonnegative-integer one
+        unfolded) and the delta block, times the monomial by ``_multiply``;
+        a power factor on a delta variable is refused."""
+        powers, delta = powers or {}, delta or {}
+        for j in powers:
+            if j in delta:
+                raise UnsupportedSubstitutionError(
+                    f"power factor on delta variable z{j}")
+        unfolded, kept = {}, []
+        for j, sigma in sorted(powers.items()):
+            if sigma.is_integer() and sigma.num_r >= 0:
+                unfolded[sym_z(j)] = unfolded[sym_zbar(j)] = sigma.num_r
+            else:
+                kept.append((j, sigma))
+        acc: Dict[TermKey, Scalar] = {}
+        _multiply(acc, mono_of(mono or {}), (mono_of(unfolded), tuple(kept),
+                  tuple((k, a, b) for k, (a, b) in sorted(delta.items()))),
+                  coeff)
+        return DistExpr(n, acc)
 
     # -- linear structure -------------------------------------------------
 
-    def __add__(self, other: "DistExpr") -> "DistExpr":
+    def __sub__(self, other: "DistExpr") -> "DistExpr":
         acc = dict(self.terms)
         for k, c in other.terms.items():
             prev = acc.get(k)
-            acc[k] = c if prev is None else prev + c
+            acc[k] = -c if prev is None else prev - c
         return DistExpr(self.n, acc)
-
-    def __sub__(self, other: "DistExpr") -> "DistExpr":
-        return self + other.scale(Scalar.of(-1))
-
-    def scale(self, c: Scalar) -> "DistExpr":
-        return DistExpr(self.n, {k: c * v for k, v in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     # -- differential operators -------------------------------------------
 
-    def _derive_term(self, t: RawTerm, s: int) -> List[RawTerm]:
-        """Single derivative d/d(symbol s) of one term, by Leibniz."""
-        j = s // 2 + 1
-        out = []
-        e = t.mono.get(s)
-        if e:
-            nt = t.copy()
-            if nt.mono.pop(s) > 1:
-                nt.mono[s] = e - 1
-            nt.coeff = nt.coeff * Scalar.of(e)
-            out.append(nt)
-        if j in t.powers:
-            sigma = t.powers[j]
-            nt = t.copy()
-            nt.coeff = nt.coeff * sigma.as_scalar()
-            nt.powers[j] = sigma - 1
-            c = sym_conj(s)
-            nt.mono[c] = nt.mono.get(c, 0) + 1
-            out.append(nt)
-        if j in t.delta:
-            a, b = t.delta[j]
-            nt = t.copy()
-            nt.delta[j] = (a + 1, b) if s % 2 == 0 else (a, b + 1)
-            out.append(nt)
-        return out
-
     def apply_weyl(self, op: WeylOp) -> "DistExpr":
-        """Normal-ordered operator applied by Leibniz differentiation."""
+        """Normal-ordered operator applied by Leibniz: per operator term, e
+        steps of ``_derive`` per derivative of order e, then ``_multiply``."""
         if op.n != self.n:
             raise ValueError("dimension mismatch")
-        raws: List[RawTerm] = []
+        acc: Dict[TermKey, Scalar] = {}
         for (mono, deriv), c in op.terms.items():
-            current = self.raw_terms()
+            terms = self.terms
             for s, e in deriv:
                 for _ in range(e):
-                    nxt: List[RawTerm] = []
-                    for t in current:
-                        nxt.extend(self._derive_term(t, s))
-                    current = nxt
-            for t in current:
-                t.coeff = t.coeff * c
-                for s, e in mono:
-                    t.mono[s] = t.mono.get(s, 0) + e
-            raws.extend(current)
-        return DistExpr.from_raw(self.n, raws)
+                    step: Dict[TermKey, Scalar] = {}
+                    for key, coeff in terms.items():
+                        term = _derive(key, coeff, s)
+                        if term is not None:
+                            k, v = term
+                            prev = step.get(k)
+                            step[k] = v if prev is None else prev + v
+                    terms = step
+            for key, coeff in terms.items():
+                _multiply(acc, mono, key, coeff * c)
+        return DistExpr(self.n, acc)
 
     # -- group action -----------------------------------------------------
 
@@ -237,8 +225,8 @@ class DistExpr:
         |z_j|^2: each power factor is unchanged.  The delta block pulls
         back through a triangular real map with |det| = 1, so it is
         unchanged too.  The monomial substitutes through the inverse map,
-        and ``from_raw`` drops every term that a delta variable kills."""
-        raws: List[RawTerm] = []
+        and ``_multiply`` drops every term that a delta variable kills."""
+        acc: Dict[TermKey, Scalar] = {}
         for (mono, powers, delta), coeff in self.terms.items():
             if any(a or b for _, a, b in delta):
                 raise ValueError(f"act_group acts on underived deltas only, "
@@ -280,29 +268,22 @@ class DistExpr:
                         f"power-factor base for z{j} has non-unit leading "
                         f"coefficient ({c})")
             for m, c in substitute_poly({mono: coeff}, sub.inv).items():
-                raws.append(RawTerm(dict(m), dict(powers),
-                                    {k: (0, 0) for k in dset}, c))
-        return DistExpr.from_raw(self.n, raws)
+                _multiply(acc, m, ((), powers, delta), c)
+        return DistExpr(self.n, acc)
 
     # -- gradings ----------------------------------------------------------
 
-    def term_degrees(self) -> List[AffineExponent]:
-        out = []
-        for (mono, powers, delta), _ in self.terms.items():
+    def degree(self) -> Optional[AffineExponent]:
+        """The common homogeneity degree, or None when inhomogeneous."""
+        degs = set()
+        for mono, powers, delta in self.terms:
             d = AffineExponent.of(sum(e for _, e in mono))
             for _, sigma in powers:
                 d = d + sigma + sigma
             for _, a, b in delta:
                 d = d - (2 + a + b)
-            out.append(d)
-        return out
-
-    def degree(self) -> Optional[AffineExponent]:
-        """The common homogeneity degree, or None when inhomogeneous."""
-        degs = set(self.term_degrees())
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+            degs.add(d)
+        return degs.pop() if len(degs) == 1 else None
 
     def parity(self) -> str:
         seen = set()
@@ -330,7 +311,7 @@ class DistExpr:
     def formal_support(self) -> "SupportDescriptor":
         if self.is_zero():
             raise ValueError("zero expression has empty support")
-        dsets = {tuple(k for k, _, _ in delta)
+        dsets = {tuple(map(itemgetter(0), delta))
                  for (_, _, delta) in self.terms}
         if len(dsets) != 1:
             raise ValueError("mixed delta-variable sets")
@@ -342,9 +323,7 @@ class DistExpr:
             for s, _ in mono:
                 if s // 2 + 1 not in S:
                     j = max(j, s // 2 + 1)
-        stratum = None
-        if S == frozenset(range(j + 1, self.n + 1)):
-            stratum = j
+        stratum = j if S == frozenset(range(j + 1, self.n + 1)) else None
         return SupportDescriptor(S, j, stratum)
 
     # -- display -----------------------------------------------------------
@@ -355,13 +334,10 @@ class DistExpr:
         parts = []
         for key in sorted(self.terms, key=_term_sort_key):
             mono, powers, delta = key
-            c = self.terms[key]
-            factors = [f"({c})", *mono_factors(mono)]
-            for j, sigma in powers:
-                factors.append(f"(z{j}*zbar{j})^({sigma})")
-            for k, a, b in delta:
-                factors.append(f"delta{k}[{a},{b}]")
-            parts.append("*".join(factors))
+            parts.append("*".join([
+                f"({self.terms[key]})", *mono_factors(mono),
+                *(f"(z{j}*zbar{j})^({sigma})" for j, sigma in powers),
+                *(f"delta{k}[{a},{b}]" for k, a, b in delta)]))
         return " + ".join(parts)
 
     __repr__ = canonical_str

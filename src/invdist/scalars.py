@@ -503,9 +503,6 @@ class AffineExponent:
     def s(self) -> Fraction:
         return Fraction(self.num_s, self.den)
 
-    def is_zero(self) -> bool:
-        return not (self.num_r or self.num_s)
-
     def is_integer(self) -> bool:
         # canonical: with num_s == 0, gcd(num_r, den) == 1
         return not self.num_s and self.den == 1

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb, perm
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .clifford import Toeplitz, group_inverse
+from .clifford import REpsElement, Toeplitz, group_inverse
 from .scalars import Scalar
 
 __all__ = [
@@ -69,9 +69,19 @@ def mono_of(exps: Dict[int, int]) -> Mono:
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
+    """The product m1 m2: exponents add, and a symbol whose exponent sums
+    to zero drops out, so a factor with negative exponents divides."""
+    if not m2:
+        return m1
+    if not m1:
+        return m2
     exps = dict(m1)
     for s, e in m2:
-        exps[s] = exps.get(s, 0) + e
+        e += exps.get(s, 0)
+        if e:
+            exps[s] = e
+        else:
+            exps.pop(s, None)
     return tuple(sorted(exps.items()))
 
 
@@ -124,10 +134,11 @@ class WeylOp:
         return WeylOp(self.n, acc)
 
     def __sub__(self, other: "WeylOp") -> "WeylOp":
-        return self + (-other)
-
-    def __neg__(self) -> "WeylOp":
-        return WeylOp(self.n, {k: -c for k, c in self.terms.items()})
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            prev = acc.get(k)
+            acc[k] = -c if prev is None else prev - c
+        return WeylOp(self.n, acc)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -148,17 +159,19 @@ class WeylOp:
             b1 = dict(d1)
             for (m2, d2), c2 in other.terms.items():
                 base = c1 * c2
-                mono0, deriv0 = dict(mono_mul(m1, m2)), dict(mono_mul(d1, d2))
-                # symbols where a derivative of self meets a monomial of other
-                meets = [(s, b1[s], m) for s, m in m2 if s in b1]
-                for ks in product(*(range(min(b, m) + 1)
-                                    for _, b, m in meets)):
-                    mono, deriv, f = dict(mono0), dict(deriv0), 1
-                    for (s, b, m), k in zip(meets, ks):
-                        mono[s] -= k
-                        deriv[s] -= k
-                        f *= comb(b, k) * perm(m, k)
-                    key = (mono_of(mono), mono_of(deriv))
+                mono0, deriv0 = mono_mul(m1, m2), mono_mul(d1, d2)
+                # each contraction k where d^b of self meets z^m of other at
+                # a symbol s: both lowered by k at s, and its factor
+                choices = [[(((s, -k),) if k else (),
+                             comb(b1[s], k) * perm(m, k))
+                            for k in range(min(b1[s], m) + 1)]
+                           for s, m in m2 if s in b1]
+                for choice in product(*choices):
+                    drop, f = (), 1
+                    for pair, g in choice:
+                        drop += pair
+                        f *= g
+                    key = (mono_mul(mono0, drop), mono_mul(deriv0, drop))
                     coeff = base if f == 1 else base * Scalar.of(f)
                     prev = acc.get(key)
                     acc[key] = coeff if prev is None else prev + coeff
@@ -185,23 +198,32 @@ class WeylOp:
 # ---------------------------------------------------------------------------
 
 class Rows:
-    """The rows of a Toeplitz element g, each built from g's nonzero profile
-    entries on its first read and memoised: row s is the image of symbol s
-    as a linear form {symbol: coefficient}, the z_i row (g.z)_i =
-    sum_{j>=i} A_(j-i) . z_j, eps-twisted, and the zbar_i row its conjugate
-    mirror; ``column(t)`` is {r: coefficient of symbol t in row r}."""
+    """The rows of an n x n Toeplitz element g, each built on its first read
+    and memoised: row s is the image of symbol s as a linear form
+    {symbol: coefficient}, the z_i row (g.z)_i = sum_{j>=i} A_(j-i) . z_j,
+    eps-twisted, and the zbar_i row its conjugate mirror; ``column(t)`` is
+    {r: coefficient of symbol t in row r}.  The profile's pairs (k, A_k),
+    in increasing k, are pulled as far as a read needs: k < n - i for row
+    i, k <= j for column j."""
 
-    __slots__ = ("n", "parts", "rows", "cols")
+    __slots__ = ("n", "profile", "reach", "parts", "rows", "cols")
 
-    def __init__(self, g: Toeplitz):
+    def __init__(self, n: int, profile: Iterable[Tuple[int, REpsElement]]):
+        self.n, self.profile, self.reach = n, iter(profile), -1
         # (k, q, c, conj c) per nonzero part c of A_k, at z (q = 0) or zbar (1)
-        self.n, self.rows, self.cols = g.n, {}, {}
-        self.parts = [(k, q, c, c.conjugate()) for k, e in g.entries.items()
-                      for q, c in enumerate((e.a, e.b)) if c]
+        self.rows, self.cols, self.parts = {}, {}, []
+
+    def _pull(self, k: int) -> None:
+        """Pull the profile until every entry up to k is in ``parts``."""
+        while self.reach < k:
+            self.reach, e = next(self.profile, (k, REpsElement()))
+            self.parts += [(self.reach, q, c, c.conjugate())
+                           for q, c in enumerate((e.a, e.b)) if c]
 
     def __getitem__(self, s: int) -> Dict[int, Scalar]:
         if s not in self.rows:
             i, r = divmod(s, 2)  # the zbar_i row (r = 1) swaps, conjugates
+            self._pull(self.n - 1 - i)
             self.rows[s] = {2 * (i + k) + (q ^ r): cc if r else c
                             for k, q, c, cc in self.parts if i + k < self.n}
         return self.rows[s]
@@ -209,6 +231,7 @@ class Rows:
     def column(self, t: int) -> Dict[int, Scalar]:
         if t not in self.cols:
             j, p = divmod(t, 2)
+            self._pull(j)
             self.cols[t] = {2 * (j - k) + (q ^ p): cc if q ^ p else c
                             for k, q, c, cc in reversed(self.parts) if k <= j}
         return self.cols[t]
@@ -227,8 +250,9 @@ class Substitution:
 
 def substitution_from_group(g: Toeplitz) -> Substitution:
     """The substitution on (z, zbar) induced by g, with its exact inverse
-    from ``group_inverse``, each row built where read."""
-    return Substitution(g.n, Rows(g), Rows(group_inverse(g)))
+    from ``group_inverse``, each row and inverse entry formed where read."""
+    return Substitution(g.n, Rows(g.n, g.entries.items()),
+                        Rows(g.n, group_inverse(g)))
 
 
 def substitute_poly(p: Poly, rows: Rows | Dict[int, Dict[int, Scalar]]

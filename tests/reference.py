@@ -12,14 +12,13 @@ from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from invdist.clifford import REpsElement, Toeplitz, _sum, h_element, \
-    h_shift, h_shift_formal
-from invdist.distributions import DistExpr, RawTerm, \
-    UnsupportedSubstitutionError
+from invdist.clifford import REpsElement, Toeplitz, _sum, group_inverse, \
+    h_element, h_shift, h_shift_formal
+from invdist.distributions import DistExpr, UnsupportedSubstitutionError
 from invdist.orbits import ProjPoint, stratum_of
 from invdist.scalars import LAM, AffineExponent, GaussianRational, Scalar, \
     _canonical, _mono_sorted
-from invdist.weyl import Substitution, WeylOp, sym_z, sym_zbar
+from invdist.weyl import Substitution, WeylOp, sym_conj, sym_z, sym_zbar
 
 
 def _re_part(x: Scalar) -> Scalar:
@@ -68,6 +67,12 @@ def toeplitz_mul(g: Toeplitz, h: Toeplitz) -> Toeplitz:
     sums = ((k, _sum([a * right[k - m] for m, a in left
                       if k - m in right])) for k in range(n))
     return Toeplitz(n, {k: e for k, e in sums if not e.is_zero()})
+
+
+def inverse(g: Toeplitz) -> Toeplitz:
+    """The inverse of g with every entry of ``group_inverse`` pulled."""
+    return Toeplitz(g.n, {k: e for k, e in group_inverse(g)
+                          if not e.is_zero()})
 
 
 def toeplitz(n: int, entries: Sequence[REpsElement]) -> Toeplitz:
@@ -322,6 +327,16 @@ def op_parts(op: WeylOp) -> Tuple[int, dict]:
     return op.n, op.terms
 
 
+def expr_sum(*exprs: DistExpr) -> DistExpr:
+    """The sum of expressions of one n, term by term: the engine forms
+    only differences."""
+    acc: Dict = {}
+    for e in exprs:
+        for k, c in e.terms.items():
+            acc[k] = acc[k] + c if k in acc else c
+    return DistExpr(exprs[0].n, acc)
+
+
 def expr_parts(e: DistExpr) -> Tuple[int, dict]:
     """An expression's size and its canonical terms, by which the tests
     compare expressions."""
@@ -558,9 +573,6 @@ class FractionExponent:
         if isinstance(other, FractionExponent):
             return FractionExponent(self.r - other.r, self.s - other.s)
         return FractionExponent(self.r - other, self.s)
-
-    def is_zero(self) -> bool:
-        return not (self.r or self.s)
 
     def is_integer(self) -> bool:
         return not self.s and self.r.denominator == 1
@@ -834,7 +846,7 @@ def act_group(expr: DistExpr, sub: Substitution) -> DistExpr:
     symbols; ``_check_jet_shape`` raises ``ValueError`` anywhere else."""
     n, width = expr.n, 2 * expr.n
     raws = []
-    for t in expr.raw_terms():
+    for t in raw_terms(expr):
         _check_jet_shape(t, sub)
         order = sum(a + b for a, b in t.delta.values())
         # every combination of one jet of each power factor
@@ -852,16 +864,97 @@ def act_group(expr: DistExpr, sub: Substitution) -> DistExpr:
                     raws.append(RawTerm(dict(sparse(mono)), dict(powers),
                                         {k: (a, b) for k, a, b in dkey},
                                         c * pc * dc))
-    return DistExpr.from_raw(n, raws)
+    return from_raw(n, raws)
 
 
 # ---------------------------------------------------------------------------
-# Term normalization, step by step
+# Raw terms: normalization step by step, and the Leibniz step on raw terms
 # ---------------------------------------------------------------------------
+
+class RawTerm:
+    """A term before normalization: ``mono`` is {symbol: exponent}, with no
+    rewrite applied between the monomial, the power factors {j: sigma} and
+    the delta block {k: (a, b)}."""
+
+    __slots__ = ("mono", "powers", "delta", "coeff")
+
+    def __init__(self, mono: Dict[int, int], powers: Dict[int, AffineExponent],
+                 delta: Dict[int, Tuple[int, int]], coeff: Scalar):
+        self.mono, self.powers, self.delta = mono, powers, delta
+        self.coeff = coeff
+
+    def copy(self) -> "RawTerm":
+        return RawTerm(dict(self.mono), dict(self.powers),
+                       dict(self.delta), self.coeff)
+
+
+def raw_terms(expr: DistExpr) -> List[RawTerm]:
+    """The canonical terms of expr as raw terms."""
+    return [RawTerm(dict(mono), dict(powers),
+                    {k: (a, b) for k, a, b in delta}, coeff)
+            for (mono, powers, delta), coeff in expr.terms.items()]
+
+
+def from_raw(n: int, raws: Sequence[RawTerm]) -> DistExpr:
+    """The sum of raw terms, each normalized by ``canonical_key``."""
+    acc: Dict = {}
+    for t in raws:
+        normalized = canonical_key(t) if t.coeff else None
+        if normalized is not None:
+            key, coeff = normalized
+            acc[key] = acc[key] + coeff if key in acc else coeff
+    return DistExpr(n, acc)
+
+
+def derive_term(t: RawTerm, s: int) -> List[RawTerm]:
+    """Single derivative d/d(symbol s) of one raw term, by Leibniz, with no
+    rewrite: a monomial, a power-factor and a delta term."""
+    j = s // 2 + 1
+    out = []
+    e = t.mono.get(s)
+    if e:
+        nt = t.copy()
+        if nt.mono.pop(s) > 1:
+            nt.mono[s] = e - 1
+        nt.coeff = nt.coeff * Scalar.of(e)
+        out.append(nt)
+    if j in t.powers:
+        sigma = t.powers[j]
+        nt = t.copy()
+        nt.coeff = nt.coeff * sigma.as_scalar()
+        nt.powers[j] = sigma - 1
+        c = sym_conj(s)
+        nt.mono[c] = nt.mono.get(c, 0) + 1
+        out.append(nt)
+    if j in t.delta:
+        a, b = t.delta[j]
+        nt = t.copy()
+        nt.delta[j] = (a + 1, b) if s % 2 == 0 else (a, b + 1)
+        out.append(nt)
+    return out
+
+
+def apply_weyl(expr: DistExpr, op: WeylOp) -> DistExpr:
+    """The oracle of ``DistExpr.apply_weyl``: per operator term, every raw
+    term of every derivative step is kept apart, the monomial and the
+    coefficient multiply in, and only the sum is normalized."""
+    raws: List[RawTerm] = []
+    for (mono, deriv), c in op.terms.items():
+        current = raw_terms(expr)
+        for s, e in deriv:
+            for _ in range(e):
+                current = [nt for t in current for nt in derive_term(t, s)]
+        for t in current:
+            t.coeff = t.coeff * c
+            for s, e in mono:
+                t.mono[s] = t.mono.get(s, 0) + e
+        raws.extend(current)
+    return from_raw(expr.n, raws)
+
 
 def canonical_key(t: RawTerm):
     """(key, coefficient) of one raw term, or None when it rewrites to
-    zero: the oracle of ``distributions._canonical_key``.  It works on
+    zero: the oracle of ``DistExpr.single``.  It works on
     copies, one rule at a time: refuse a power factor on a delta variable,
     absorb each delta variable's monomial factors, fold the shared
     exponents of z_j and zbar_j into the power factor and turn a
@@ -876,7 +969,7 @@ def canonical_key(t: RawTerm):
         if j in delta:
             raise UnsupportedSubstitutionError(
                 f"power factor on delta variable z{j}")
-        if not sigma.is_zero():
+        if sigma.r or sigma.s:
             powers[j] = sigma
     for k, (alpha, beta) in list(delta.items()):
         p, q = mono[sym_z(k)], mono[sym_zbar(k)]

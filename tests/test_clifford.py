@@ -15,7 +15,8 @@ from invdist.records import FAIL, PASS
 from invdist.scalars import GaussianRational, Scalar
 from reference import (CplxPairElement, act, add, cplx_pair_times_eps_power,
                        dense, dense_mul, factor_into_generators, from_gauss,
-                       identity, iota, mat_mul_scalar, neumann_inverse,
+                       identity, inverse, iota, mat_mul_scalar,
+                       neumann_inverse,
                        profile, random_gaussian, random_h_element,
                        random_toeplitz, toeplitz, toeplitz_mul,
                        twisted_shift2, value)
@@ -250,7 +251,7 @@ class TestGroup:
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                     Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
                 g = toeplitz_mul(g, h_shift(n, j, from_gauss(a)))
-            inv = group_inverse(g)
+            inv = inverse(g)
             assert value(toeplitz_mul(g, inv)) == value(identity(n))
             assert value(toeplitz_mul(inv, g)) == value(identity(n))
 
@@ -261,7 +262,7 @@ class TestGroup:
         unit = value(identity(n))
         for formal in (False, True, True):
             g = random_toeplitz(n, rng, formal, diag=UNIT)
-            inv = group_inverse(g)
+            inv = inverse(g)
             assert value(dense(inv)) == value(neumann_inverse(dense(g)))
             assert value(toeplitz_mul(g, inv)) == unit
             assert value(toeplitz_mul(inv, g)) == unit
@@ -291,19 +292,41 @@ class TestGroup:
             return mul(self, other)
 
         monkeypatch.setattr(REpsElement, "__mul__", counted)
-        inv = group_inverse(g)
+        inv = inverse(g)
         assert len(calls) == (n - 1) * (n + 2) // 2
         monkeypatch.undo()
         assert not any(e.is_zero() for e in profile(g) + profile(inv))
         assert value(toeplitz_mul(g, inv)) == value(identity(n))
 
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_group_inverse_forms_each_entry_when_pulled(self, n,
+                                                        monkeypatch):
+        # X_k makes k products for its sum and one by d^-1 when it is
+        # pulled, and none before: the first three entries make 0 + 2 + 3
+        # products at every n, and equal the entries of the whole inverse
+        rng = random.Random(n)
+        g = h_element(n, Scalar.var("u"),
+                      [from_gauss(random_gaussian(rng, 5, 5))
+                       for _ in range(n - 1)])
+        whole = profile(inverse(g))
+        calls = []
+        mul = REpsElement.__mul__
+        monkeypatch.setattr(REpsElement, "__mul__",
+                            lambda x, y: calls.append(1) or mul(x, y))
+        entries = group_inverse(g)
+        assert calls == []
+        for k in range(3):
+            pulled, e = next(entries)
+            assert pulled == k and value(e) == value(whole[k])
+            assert len(calls) == k * (k + 3) // 2
+
     def test_formal_phase_inverse(self):
         g = h_phase(3)
-        assert value(toeplitz_mul(g, group_inverse(g))) == value(identity(3))
+        assert value(toeplitz_mul(g, inverse(g))) == value(identity(3))
 
     def test_formal_shift_inverse(self):
         g = h_shift_formal(4, 1)
-        assert value(toeplitz_mul(g, group_inverse(g))) == value(identity(4))
+        assert value(toeplitz_mul(g, inverse(g))) == value(identity(4))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_generators_are_labelled_in_order(self, n):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from invdist import clifford, constructions
+from invdist import clifford, constructions, distributions, weyl
 from invdist.cli import RunConfig, emit_report, run_suite
 from invdist.constructions import (FamilySpec, FamilyWork, _seed,
                                    build_family, build_vector_field,
@@ -17,8 +17,8 @@ from invdist.records import FAIL, PASS, SKIPPED
 from invdist.scalars import AffineExponent, GaussianRational, Scalar
 from invdist.weyl import WeylOp, conjugate_op, substitution_from_group, \
     sym_conj, sym_z, sym_zbar
-from reference import act_group, expr_parts, generator_product, identity, \
-    op_parts, sparse, toeplitz_mul, twisted_shift2, value
+from reference import act_group, expr_parts, expr_sum, generator_product, \
+    identity, inverse, op_parts, sparse, toeplitz_mul, twisted_shift2, value
 
 import random
 
@@ -81,12 +81,12 @@ class TestFamilies:
         n = 3
         expr = build_family(FamilySpec(n, "T", 1))[-1]
         sigma = AffineExponent(Fraction(1), Fraction(-1, 2))
-        by_hand = DistExpr.single(
-            n, coeff=sigma.as_scalar(),
-            mono={sym_zbar(1): 1, sym_z(2): 1},
-            powers={2: sigma - 1}, delta={3: (0, 0)}) \
-            + DistExpr.single(n, mono={sym_z(2): 1}, powers={2: sigma},
-                              delta={3: (1, 0)})
+        by_hand = expr_sum(
+            DistExpr.single(n, coeff=sigma.as_scalar(),
+                            mono={sym_zbar(1): 1, sym_z(2): 1},
+                            powers={2: sigma - 1}, delta={3: (0, 0)}),
+            DistExpr.single(n, mono={sym_z(2): 1}, powers={2: sigma},
+                            delta={3: (1, 0)}))
         assert expr_parts(expr) == expr_parts(by_hand)
 
     def test_family_is_one_chain(self):
@@ -300,11 +300,10 @@ class TestVerifiers:
                         for t, c in rows[sym_z(j)].items()}
 
     def test_products_of_generators_invertible(self):
-        from invdist.clifford import group_inverse
         rng = random.Random(13)
         for n in (2, 3, 4):
             g = generator_product(n, rng)
-            assert value(toeplitz_mul(g, group_inverse(g))) \
+            assert value(toeplitz_mul(g, inverse(g))) \
                 == value(identity(n))
             substitution_from_group(g)  # reality holds
 
@@ -471,22 +470,26 @@ class TestSharedInvarianceWork:
         # orders 3 and 4 apply nothing
         assert counts["apply_weyl"] == 4 + 2 * 3
 
-    @pytest.mark.parametrize("k", [3, 4, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
     def test_residuals_of_a_far_shift_do_not_grow_with_n(self, monkeypatch,
                                                          k):
         # E_g of shift_k reads the inverse rows of D's monomial symbols and
         # the forward columns of its derivative symbols, all in the chain's
         # window {z_(n-2), z_(n-1), z_n} (Lemma 4.4), and T^0's action reads
-        # the rows of z_(n-1) and z_n.  With 3 <= k <= n - 2 at n = 8, the
-        # residuals to order 4 build as many rows and columns, and make as
-        # many products, at n = 64 and 512 as at n = 8; and every monomial
-        # key of E_g, of the chain and of the acted T^0 is as long, since a
-        # key holds only its nonzero (symbol, exponent) pairs
+        # the rows of z_(n-1) and z_n.  Those inverse rows read the inverse
+        # entries X_0..X_2 only, each formed when first read.  So from the
+        # substitution on, with k <= n - 2 at n = 8, the residuals to order
+        # 4 build as many rows and columns, and make as many products, at
+        # n = 64 and 512 as at n = 8: shift1 forms X_1 and X_2 at two
+        # products each, shift2 forms X_2, and a shift past 2 forms none;
+        # and every monomial key of E_g, of the chain and of the acted T^0
+        # is as long, since a key holds only its nonzero (symbol, exponent)
+        # pairs
         def work(n):
             spec = FamilySpec(n, "T", 4)
             op, _ = _seed(spec)
             chain = build_family(spec)
-            sub = substitution_from_group(clifford.h_shift_formal(n, k))
+            g = clifford.h_shift_formal(n, k)
             counts = {"REpsElement": 0, "Scalar": 0}
             for owner in (clifford.REpsElement, Scalar):
                 def counted(x, y, mul=owner.__mul__, name=owner.__name__):
@@ -494,6 +497,7 @@ class TestSharedInvarianceWork:
                     return mul(x, y)
 
                 monkeypatch.setattr(owner, "__mul__", counted)
+            sub = substitution_from_group(g)
             residuals = Residuals(op, chain, sub)
             assert residuals.first_failure(spec.l) is None
             monkeypatch.undo()
@@ -506,7 +510,27 @@ class TestSharedInvarianceWork:
 
         at_8 = work(8)
         assert at_8 == work(64) == work(512)
-        assert at_8[0]["REpsElement"] == 0
+        assert at_8[0]["REpsElement"] == {1: 4, 2: 2}.get(k, 0)
+
+    def test_the_chain_step_does_not_grow_with_the_delta_block(
+            self, monkeypatch):
+        # Tj at j = 2 carries the delta block {z_3..z_n}; D_2 reads only
+        # z_1, z_2 and z_3, and each step's rules touch only the variable
+        # they change, so the chain makes as many symbol lookups and rule
+        # calls at n = 256 as at n = 16
+        def work(n):
+            counts = {}
+            for module in (weyl, distributions, constructions):
+                count_calls(monkeypatch, module, "sym_z", counts)
+            for rule in ("_derive", "_times"):
+                count_calls(monkeypatch, distributions, rule, counts)
+            chain = build_family(FamilySpec(n, "Tj", 4, j=2))
+            monkeypatch.undo()
+            return counts, [len(member.terms) for member in chain]
+
+        at_16 = work(16)
+        assert at_16 == work(256)
+        assert at_16[0]["_derive"] and at_16[0]["_times"]
 
     def test_work_must_match_the_check(self):
         spec = FamilySpec(3, "T", 2)

@@ -508,7 +508,6 @@ def assert_same_exponent(e: AffineExponent, ref: FractionExponent) -> None:
     assert type(e.r) is Fraction and type(e.s) is Fraction
     assert (e.r, e.s) == (ref.r, ref.s)
     assert str(e) == str(ref)
-    assert e.is_zero() == ref.is_zero()
     assert e.is_integer() == ref.is_integer()
     assert e.as_scalar() == ref.as_scalar()
 
