@@ -11,7 +11,7 @@ from .scalars import (AffineExponent, GaussianRational, Scalar,
 from .clifford import (REpsElement, Toeplitz, group_inverse, h_element,
                        h_phase, h_shift)
 from .weyl import Substitution, WeylOp, conjugate_op, substitution_from_group
-from .distributions import DistExpr, SupportDescriptor, independence_rank
+from .distributions import DistExpr, independence_rank
 from .constructions import (FamilySpec, build_family, build_vector_field,
                             verify_independence, verify_invariance,
                             verify_lemma_d, verify_support_filtration)
@@ -24,7 +24,7 @@ __all__ = [
     "REpsElement", "Toeplitz",
     "group_inverse", "h_element", "h_phase", "h_shift",
     "Substitution", "WeylOp", "conjugate_op", "substitution_from_group",
-    "DistExpr", "SupportDescriptor", "independence_rank",
+    "DistExpr", "independence_rank",
     "FamilySpec", "build_family", "build_vector_field",
     "verify_independence", "verify_invariance", "verify_lemma_d",
     "verify_support_filtration",

@@ -11,7 +11,6 @@ nothing at random, so a report depends on its configuration alone.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import time
@@ -127,20 +126,6 @@ class Report:
 Planned = Tuple[str, Callable[[], CheckRecord]]
 
 
-def _zeta_labels(count: int) -> List[GaussianRational]:
-    """Deterministic distinct rational labels 0, 1, 1/2, 1/3, 2/3, ..."""
-    labels = [GaussianRational()]
-    q = 1
-    while len(labels) < count:
-        q += 1
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:  # p/q in lowest terms
-                labels.append(GaussianRational.from_triple(p, 0, q))
-                if len(labels) == count:
-                    break
-    return labels
-
-
 def _plan(config: RunConfig) -> List[Planned]:
     n, lmax = config.n, config.lmax
     plan: List[Planned] = []
@@ -185,7 +170,7 @@ def _plan(config: RunConfig) -> List[Planned]:
     if want("orbits"):
         plan.append((f"orbits.census.n{n}", lambda: enumerate_strata(n)))
     if want("complex-orbits"):
-        labels = _zeta_labels(100)
+        labels = [GaussianRational.of(k) for k in range(100)]
         plan.append((f"complex-orbits.n{n}",
                      lambda: complex_orbit_check(n, labels)))
     return plan

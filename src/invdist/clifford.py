@@ -59,23 +59,8 @@ class REpsElement:
         return REpsElement(-self.a, -self.b)
 
     def __mul__(self, other: "REpsElement") -> "REpsElement":
-        # (a+b*eps)(c+d*eps) = (ac + b*conj(d)) + (b*conj(c) + a*d)*eps;
-        # every entry of an h_element has a zero a or a zero b, and only
-        # the products of two nonzero parts are formed
-        a, b = self.a, self.b
-        c, d = other.a, other.b
-        if b.is_zero():
-            if d.is_zero():
-                return REpsElement(a * c)
-            if c.is_zero():
-                return REpsElement(Scalar.zero(), a * d)
-            return REpsElement(a * c, a * d)
-        if a.is_zero():
-            if c.is_zero():
-                return REpsElement(b * d.conjugate())
-            if d.is_zero():
-                return REpsElement(Scalar.zero(), b * c.conjugate())
-            return REpsElement(b * d.conjugate(), b * c.conjugate())
+        # the product of the module docstring; Scalar skips a zero part
+        a, b, c, d = self.a, self.b, other.a, other.b
         return REpsElement(a * c + b * d.conjugate(),
                            b * c.conjugate() + a * d)
 
@@ -84,16 +69,6 @@ class REpsElement:
 
     def __str__(self) -> str:
         return f"({self.a}) + ({self.b})*eps"
-
-
-def _sum(elements: Sequence[REpsElement]) -> REpsElement:
-    """The sum of the elements, part by part.  Every sum the suites form
-    (an inverse entry of a generator) has at most one term; one term is
-    read off."""
-    if len(elements) == 1:
-        return elements[0]
-    return REpsElement(sum((e.a for e in elements), Scalar.zero()),
-                       sum((e.b for e in elements), Scalar.zero()))
 
 
 def eps_times_coeff(a: Scalar, k: int) -> REpsElement:
@@ -184,7 +159,9 @@ def _inverse_entries(g: Toeplitz, d_inv: REpsElement
     x = {0: d_inv}
     yield 0, d_inv
     for k in range(1, g.n):
-        acc = _sum([e * x[k - m] for m, e in tail if k - m in x])
+        terms = [e * x[k - m] for m, e in tail if k - m in x]
+        acc = REpsElement(sum((t.a for t in terms), Scalar.zero()),
+                          sum((t.b for t in terms), Scalar.zero()))
         if not acc.is_zero():
             acc = x[k] = -(d_inv * acc)
         yield k, acc

@@ -321,7 +321,7 @@ def verify_support_filtration(n: int, j: int, lmax: int, *,
     spec = FamilySpec(n, "Tj", lmax, j)
     work = (work or FamilyWork(spec)).check(spec, rank=True)
     supports = [e.formal_support() for e in work.chain]
-    support_ok = all(s.stratum == j for s in supports)
+    support_ok = all(s == j for s in supports)
     rank = work.rank
     rank_ok = rank == lmax + 1
     excluded = f"2N + {2 + 2 * n - 2 * j}"
@@ -332,7 +332,8 @@ def verify_support_filtration(n: int, j: int, lmax: int, *,
         paper_ref="Proposition 4.8",
         status=PASS if (support_ok and rank_ok) else FAIL,
         details={
-            "supports": [s.label() for s in supports],
+            "supports": ["irregular" if s is None else f"X{s}"
+                         for s in supports],
             "rank": rank,
             "expected_rank": lmax + 1,
             "lambda": "formal",

@@ -35,7 +35,6 @@ __all__ = [
     "DistExpr",
     "Residuals",
     "UnsupportedSubstitutionError",
-    "SupportDescriptor",
     "independence_rank",
 ]
 
@@ -308,7 +307,11 @@ class DistExpr:
 
     # -- support -----------------------------------------------------------
 
-    def formal_support(self) -> "SupportDescriptor":
+    def formal_support(self) -> Optional[int]:
+        """The stratum index j when every term carries the delta variables
+        {j+1, ..., n}, j the leading free index: the support is then the
+        closure of the (2j-1)-dimensional stratum.  None for any other
+        delta set; ``ValueError`` for zero or mixed delta sets."""
         if self.is_zero():
             raise ValueError("zero expression has empty support")
         dsets = {tuple(map(itemgetter(0), delta))
@@ -323,8 +326,7 @@ class DistExpr:
             for s, _ in mono:
                 if s // 2 + 1 not in S:
                     j = max(j, s // 2 + 1)
-        stratum = j if S == frozenset(range(j + 1, self.n + 1)) else None
-        return SupportDescriptor(S, j, stratum)
+        return j if S == frozenset(range(j + 1, self.n + 1)) else None
 
     # -- display -----------------------------------------------------------
 
@@ -347,22 +349,6 @@ def _term_sort_key(key: TermKey):
     mono, powers, delta = key
     return (delta, tuple((j, sigma.r, sigma.s) for j, sigma in powers),
             mono_sort_key(mono))
-
-
-class SupportDescriptor:
-    """Delta-variable set S, leading free index j, and the stratum-closure
-    label when S = {j+1, ..., n} (the support is then the closure of the
-    (2j-1)-dimensional stratum).  Immutable by convention."""
-
-    __slots__ = ("delta_vars", "leading_index", "stratum")
-
-    def __init__(self, delta_vars: frozenset, leading_index: int,
-                 stratum: Optional[int]):
-        self.delta_vars, self.leading_index = delta_vars, leading_index
-        self.stratum = stratum
-
-    def label(self) -> str:
-        return f"X{self.stratum}" if self.stratum is not None else "irregular"
 
 
 class Residuals:

@@ -48,8 +48,7 @@ class GaussianRational:
     arithmetic reduced by one three-way gcd.  Immutable by convention.
 
     ``GaussianRational(re, im)`` and ``.of(re, im)`` take ints or
-    Fractions only, else raise ``TypeError``; ``from_triple`` takes the
-    integer triple.
+    Fractions only, else raise ``TypeError``.
     """
 
     __slots__ = ("num_re", "num_im", "den")
@@ -65,15 +64,6 @@ class GaussianRational:
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
         return GaussianRational(re, im)
-
-    @staticmethod
-    def from_triple(num_re: int, num_im: int, den: int) -> "GaussianRational":
-        """(num_re + i*num_im)/den for ints with den != 0."""
-        if den == 0:
-            raise ZeroDivisionError("Gaussian rational with zero denominator")
-        if den < 0:
-            num_re, num_im, den = -num_re, -num_im, -den
-        return _canonical(num_re, num_im, den)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         d, e = self.den, other.den
@@ -226,7 +216,9 @@ class Scalar:
 
     Immutable; operations return new values, except that a zero or unit
     operand short-circuits: x + 0 is x, x * 0 is zero, x * 1 is x, and zero
-    is self-conjugate.
+    is self-conjugate.  ``+``, ``*`` and ``==`` take Scalars only, so an
+    int, Fraction or GaussianRational operand raises ``TypeError`` or
+    compares unequal; ``Scalar.of`` lifts an int or a Fraction.
     Canonical form (sorted terms, zero coefficients pruned) is maintained
     on construction.
     """
@@ -275,19 +267,8 @@ class Scalar:
 
     # -- ring operations --------------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> "Scalar":
-        if isinstance(x, Scalar):
-            return x
-        if isinstance(x, GaussianRational):
-            return Scalar({_EMPTY_MONO: x})
-        if isinstance(x, (int, Fraction)):
-            return Scalar.of(x)
-        return NotImplemented
-
     def __add__(self, other) -> "Scalar":
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        if type(other) is not Scalar:
             return NotImplemented
         if not other.terms:
             return self
@@ -303,20 +284,14 @@ class Scalar:
                 acc[m] = total
         return Scalar._nonzero(acc)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Scalar":
         return Scalar({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Scalar":
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "Scalar":
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        if type(other) is not Scalar:
             return NotImplemented
         if other is _ONE:
             return self
@@ -369,8 +344,7 @@ class Scalar:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
+        if type(other) is not Scalar:
             return NotImplemented
         return self.terms == other.terms
 
@@ -407,8 +381,6 @@ class Scalar:
         coeffs = [GR_ZERO] * (deg + 1)
         for m, c in self.terms.items():
             coeffs[dict(m).get("lam", 0)] = c
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
         return coeffs
 
     # -- display ----------------------------------------------------------

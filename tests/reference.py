@@ -12,7 +12,7 @@ from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from invdist.clifford import REpsElement, Toeplitz, _sum, group_inverse, \
+from invdist.clifford import REpsElement, Toeplitz, group_inverse, \
     h_element, h_shift, h_shift_formal
 from invdist.distributions import DistExpr, UnsupportedSubstitutionError
 from invdist.orbits import ProjPoint, stratum_of
@@ -22,7 +22,7 @@ from invdist.weyl import Substitution, WeylOp, sym_conj, sym_z, sym_zbar
 
 
 def _re_part(x: Scalar) -> Scalar:
-    return (x + x.conjugate()) * Fraction(1, 2)
+    return (x + x.conjugate()) * Scalar.of(Fraction(1, 2))
 
 
 def _im_part(x: Scalar) -> Scalar:
@@ -30,8 +30,8 @@ def _im_part(x: Scalar) -> Scalar:
 
 
 def add(x: REpsElement, y: REpsElement) -> REpsElement:
-    """x + y, part by part: the engine adds its elements only inside a
-    product's sums (``clifford._sum``)."""
+    """x + y, part by part: the engine adds elements only part by part,
+    inside the sums of ``group_inverse``."""
     return REpsElement(x.a + y.a, x.b + y.b)
 
 
@@ -64,8 +64,9 @@ def toeplitz_mul(g: Toeplitz, h: Toeplitz) -> Toeplitz:
     if h.n != n:
         raise ValueError(f"cannot multiply n={n} by n={h.n}")
     left, right = g.entries.items(), h.entries
-    sums = ((k, _sum([a * right[k - m] for m, a in left
-                      if k - m in right])) for k in range(n))
+    sums = ((k, reduce(add, [a * right[k - m] for m, a in left
+                             if k - m in right], REpsElement()))
+            for k in range(n))
     return Toeplitz(n, {k: e for k, e in sums if not e.is_zero()})
 
 
@@ -221,6 +222,15 @@ def neumann_inverse(m: Dense) -> Dense:
                     for ra, rb in zip(acc, power))
     return dense_mul(acc, tuple(tuple(d_inv if i == j else zero
                                       for j in range(n)) for i in range(n)))
+
+
+def from_triple(num_re: int, num_im: int, den: int) -> GaussianRational:
+    """(num_re + i*num_im)/den for ints with den != 0."""
+    if den == 0:
+        raise ZeroDivisionError("Gaussian rational with zero denominator")
+    if den < 0:
+        num_re, num_im, den = -num_re, -num_im, -den
+    return _canonical(num_re, num_im, den)
 
 
 def from_gauss(g: GaussianRational) -> Scalar:

@@ -12,6 +12,7 @@ from math import factorial
 
 import pytest
 
+from invdist import cli
 from invdist.clifford import REpsElement, h_det_check
 from invdist.constructions import (FamilySpec, build_family,
                                    verify_independence, verify_invariance,
@@ -154,13 +155,20 @@ def test_09_support_filtration(n, j):
     assert record.details["rank"] == lmax + 1
 
 
-def test_10_complexified_orbit_continuum():
-    """zeta-invariance symbolic; 100 distinct rational zeta values give
-    100 pairwise-distinct complexified orbit labels; exact."""
-    from invdist.cli import _zeta_labels
-    labels = _zeta_labels(100)
-    assert len({parts(z) for z in labels}) == 100
-    record = complex_orbit_check(3, labels)
+def test_10_complexified_orbit_continuum(monkeypatch):
+    """zeta-invariance symbolic; the 100 distinct rational zeta values the
+    complex-orbits suite plans give 100 pairwise-distinct complexified
+    orbit labels; exact."""
+    planned = []
+
+    def check(n, labels):
+        planned.append(labels)
+        return complex_orbit_check(n, labels)
+
+    monkeypatch.setattr(cli, "complex_orbit_check", check)
+    record, = cli.run_suite(cli.RunConfig(suite="complex-orbits", n=3)).checks
+    labels, = planned
+    assert len(labels) == len({parts(z) for z in labels}) == 100
     assert record.status == PASS, record.details
     assert record.details["symbolic_invariance"] is True
     assert record.details["distinct_labels"] == 100

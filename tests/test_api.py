@@ -1,6 +1,6 @@
-"""Every name in the ``__all__`` of each ``invdist`` module resolves, and no
-module imports ``random``: every verdict rests on an exact certificate, so
-nothing in the package draws."""
+"""Every name in the ``__all__`` of each ``invdist`` module resolves, every
+name a module imports is used, and no module imports ``random``: every
+verdict rests on an exact certificate, so nothing in the package draws."""
 
 import ast
 import importlib
@@ -35,3 +35,22 @@ def test_no_module_imports_random(name):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert "random" not in imported
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    # a name a module imports is read in that module or exported by its
+    # __all__, so no deletion leaves an import behind
+    module = importlib.import_module(name)
+    with open(module.__file__) as fh:
+        tree = ast.parse(fh.read(), os.path.basename(module.__file__))
+    imported, used = set(), set(getattr(module, "__all__", ()))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert sorted(imported - used) == []

@@ -12,10 +12,8 @@ import pytest
 
 import invdist
 from invdist import cli
-from invdist.cli import (Report, RunConfig, emit_report, main, run_suite,
-                         _zeta_labels)
+from invdist.cli import Report, RunConfig, emit_report, main, run_suite
 from invdist.records import FAIL, PASS, SKIPPED, CheckRecord
-from reference import parts
 
 # the source tree the tests import, so the CLI subprocess runs the same code
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(invdist.__file__)))
@@ -133,11 +131,6 @@ class TestRunSuite:
     def test_config_names_only_what_the_run_reads(self, suite):
         config = RunConfig(suite=suite, n=3, lmax=2).to_dict()
         assert set(config) == {"suite", "n", "lmax", "lambda"}
-
-    def test_zeta_labels_distinct(self):
-        labels = _zeta_labels(100)
-        assert len(labels) == 100
-        assert len({parts(z) for z in labels}) == 100
 
 
 class TestEmitReport:

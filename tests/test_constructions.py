@@ -388,6 +388,23 @@ class TestVerifiers:
         assert rec.status == PASS, rec.details
         assert rec.details["supports"] == [f"X{j}"] * 4
 
+    def test_support_filtration_fails_on_an_irregular_member(self,
+                                                             monkeypatch):
+        # the order-1 member swapped for a term supported off the strata;
+        # the rank still holds, so the support alone fails the record
+        build = constructions.build_family
+
+        def irregular_order_1(spec):
+            chain = build(spec)
+            chain[1] = DistExpr.single(spec.n, delta={spec.n: (0, 0)})
+            return chain
+
+        monkeypatch.setattr(constructions, "build_family", irregular_order_1)
+        rec = verify_support_filtration(4, 2, lmax=3)
+        assert rec.details["supports"] == ["X2", "irregular", "X2", "X2"]
+        assert rec.details["rank"] == rec.details["expected_rank"]
+        assert rec.status == FAIL
+
     @pytest.mark.parametrize("n,j", [(2, 1), (3, 1), (3, 3), (4, 4)])
     def test_support_filtration_range(self, n, j):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from invdist.clifford import h_element, h_generators, h_phase, \
     h_shift
 from invdist.constructions import (FamilySpec, _seed, build_family,
                                    generator_substitutions)
-from invdist.distributions import (DistExpr, Residuals, SupportDescriptor,
+from invdist.distributions import (DistExpr, Residuals,
                                    UnsupportedSubstitutionError,
                                    independence_rank)
 from invdist.scalars import AffineExponent, GaussianRational, Scalar, \
@@ -548,14 +548,27 @@ class TestDisplay:
 
 
 class TestSupportAndRank:
+    SIGMA = AffineExponent(Fraction(2), Fraction(-1, 2))
+
     def test_formal_support(self):
-        sigma = AffineExponent(Fraction(2), Fraction(-1, 2))
-        expr = DistExpr.single(4, powers={2: sigma},
+        expr = DistExpr.single(4, powers={2: self.SIGMA},
                                delta={3: (0, 0), 4: (1, 1)})
-        desc = expr.formal_support()
-        assert isinstance(desc, SupportDescriptor)
-        assert desc.stratum == 2
-        assert desc.label() == "X2"
+        assert expr.formal_support() == 2
+
+    @pytest.mark.parametrize("delta", [
+        {4: (0, 0)}, {3: (1, 0)}, {1: (0, 0), 3: (0, 0), 4: (0, 0)}],
+        ids=["no-z3", "no-z4", "extra-z1"])
+    def test_formal_support_off_the_strata(self, delta):
+        # leading index 2 at n = 4, and a delta set other than {3, 4}
+        expr = DistExpr.single(4, powers={2: self.SIGMA}, delta=delta)
+        assert expr.formal_support() is None
+
+    def test_formal_support_refuses_mixed_delta_sets(self):
+        a = DistExpr.single(4, powers={2: self.SIGMA},
+                            delta={3: (0, 0), 4: (0, 0)})
+        b = DistExpr.single(4, powers={2: self.SIGMA}, delta={4: (0, 0)})
+        with pytest.raises(ValueError, match="mixed"):
+            (a - b).formal_support()
 
     def test_independence_rank_basics(self):
         n = 2

@@ -18,7 +18,7 @@ from invdist.orbits import (ProjPoint, _move_tail, _symbolic_zeta_check,
 from invdist.records import FAIL, PASS
 from invdist.scalars import GaussianRational, Scalar, integer_rank
 from reference import (CplxPairElement, act, apply_toeplitz, constant_value,
-                       cplx_pair_times_eps_power, from_gauss,
+                       cplx_pair_times_eps_power, from_gauss, from_triple,
                        integer_coords, lie_directions, pair_solve, parts,
                        random_gaussian, ratio_label, triangular_rank)
 
@@ -88,7 +88,7 @@ class TestStrata:
         assert lie_directions(p) == expected
 
 
-big_gaussians = st.builds(GaussianRational.from_triple,
+big_gaussians = st.builds(from_triple,
                           st.integers(-10**30, 10**30),
                           st.integers(-10**30, 10**30),
                           st.integers(1, 10**12))
@@ -244,8 +244,7 @@ def read_off_image(p, j):
     code with ``orbits``' read-off and its sparse action.  Returns z and
     G_z e_j, each as n Scalars."""
     n = p.n
-    z = [from_gauss(GaussianRational.from_triple(re, im, 1))
-         for re, im in integer_coords(p)]
+    z = [Scalar.of(re, im) for re, im in integer_coords(p)]
     shifts = [z[j - 1 - k] for k in range(1, j)]
     g = h_element(n, z[j - 1], shifts + [Scalar.zero()] * (n - j))
     unit = [Scalar.one() if m == j - 1 else Scalar.zero() for m in range(n)]
@@ -267,7 +266,7 @@ def _shift_reads_past_j(j, k):
 
 def _read_from_the_row_above(j, k):
     # every entry read one row up, the diagonal z_{j-1}
-    return j - k - 1
+    return j - k - Scalar.one()
 
 
 READ_OFF_MUTATIONS = [_shift_reads_past_j, _read_from_the_row_above]
