@@ -128,11 +128,12 @@ def h_shift_formal(n: int, j: int) -> Toeplitz:
     return h_shift(n, j, Scalar.var(f"a{j}"))
 
 
-def h_generators(n: int) -> List[Tuple[str, Toeplitz]]:
-    """The labelled generators of H: the formal phase, then each shift
-    with a formal coefficient."""
-    return [("phase", h_phase(n))] + [
-        (f"shift{j}", h_shift_formal(n, j)) for j in range(1, n)]
+def h_generators(n: int) -> Iterator[Tuple[str, Toeplitz]]:
+    """The labelled generators of H, each formed when pulled: the formal
+    phase, then each shift with a formal coefficient."""
+    yield "phase", h_phase(n)
+    for j in range(1, n):
+        yield f"shift{j}", h_shift_formal(n, j)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from .clifford import h_generators, h_shift_formal
 from .distributions import DistExpr, Residuals, independence_rank
 from .records import FAIL, PASS, CheckRecord
 from .scalars import AffineExponent, Scalar
-from .weyl import Substitution, WeylOp, conjugate_op, substitution_from_group, \
-    sym_z, sym_zbar
+from .weyl import WeylOp, conjugate_op, substitution_from_group, sym_z, \
+    sym_zbar
 
 __all__ = [
     "FamilySpec",
@@ -134,15 +134,6 @@ def build_family(spec: FamilySpec) -> List[DistExpr]:
 
 
 # ---------------------------------------------------------------------------
-# Generators of the group
-# ---------------------------------------------------------------------------
-
-def generator_substitutions(n: int) -> List[Tuple[str, Substitution]]:
-    """The substitution of each labelled generator of ``h_generators``."""
-    return [(name, substitution_from_group(g)) for name, g in h_generators(n)]
-
-
-# ---------------------------------------------------------------------------
 # Named verification procedures
 # ---------------------------------------------------------------------------
 
@@ -196,8 +187,9 @@ class FamilyWork:
     """The work the family checks of one run share for one chain of orders
     0..spec.l, each part computed by the first check that reads it: the
     chain from one ``build_family`` call, its rank from one
-    ``independence_rank`` call, and the ``Residuals`` on the chain of
-    every labelled generator of ``h_generators``: each holds its
+    ``independence_rank`` call, and the invariance work of ``residuals``:
+    the ``Residuals`` on the chain of each labelled generator of
+    ``h_generators`` that the window lemma leaves, each holding its
     generator's difference operator g.D - D and its residuals of the
     orders asked for so far.  The generators generate H, so invariance
     under them is invariance under H.  Each part is a ``cached_property``,
@@ -229,12 +221,51 @@ class FamilyWork:
         return independence_rank(self.chain)
 
     @cached_property
-    def residuals(self) -> List[Tuple[str, Residuals]]:
-        """(name, residuals) of each labelled generator."""
+    def residuals(self) -> Tuple[List[Tuple[str, Residuals]], dict]:
+        """(name, residuals) of each labelled generator the window lemma
+        leaves, and {"width": w, "decided": how many it decided}.
+
+        The window is {z_m..z_n}, of width w = n - m + 1, m the least
+        variable index that a term of D or a key of a chain member reads
+        (each ``Mono``, power and delta tuple is sorted, so its first pair
+        holds its least index).  The lemma (Lemma 4.4, made local) decides
+        g with no substitution, ``conjugate_op`` or residual when its
+        profile has the diagonal exactly 1 and no entry at distances
+        1..w-1; it reads the profile, not the generator's label:
+        1. g is upper-triangular Toeplitz, so the inverse row of a window
+           symbol z_i reads only window symbols and the entries X_k,
+           k <= n - i < w.  By the recurrence of ``group_inverse``,
+           X_0 = 1 and X_k = -sum_{1<=m<=k} A_m X_(k-m) = 0 for 0 < k < w,
+           so these rows are the identity.
+        2. The forward column of a derivative symbol of D, at a window
+           variable j, is its own symbol plus entries A_k at distances
+           k >= w, on the variables j - k < m, below the window.
+        3. So E_g = g.D - D is a sum of terms that each differentiate a
+           variable below the window, and ``_derive`` of a term that does
+           not hold its variable gives no term: E_g T^l = 0 at every l.
+           T^0 reads only window symbols, whose inverse rows are the
+           identity, so g.T^0 = T^0.
+        Every other generator's residuals are formed by ``Residuals``."""
         n = self.spec.n
         op = build_vector_field(n, *self.spec.row()[:2])
-        return [(name, Residuals(op, self.chain, sub))
-                for name, sub in generator_substitutions(n)]
+        reads = [mono[0][0] // 2 + 1 for key in op.terms for mono in key
+                 if mono]
+        for member in self.chain:
+            for mono, powers, delta in member.terms:
+                reads += [pairs[0][0] for pairs in (powers, delta) if pairs]
+                if mono:
+                    reads.append(mono[0][0] // 2 + 1)
+        w = n - min(reads) + 1
+        kept, decided = [], 0
+        for name, g in h_generators(n):
+            d = g.entries.get(0)
+            if d and d.a == Scalar.one() and d.b.is_zero() \
+                    and not any(0 < k < w for k in g.entries):
+                decided += 1
+            else:
+                kept.append((name, Residuals(op, self.chain,
+                                             substitution_from_group(g))))
+        return kept, {"width": w, "decided": decided}
 
 
 def verify_invariance(spec: FamilySpec, *,
@@ -246,7 +277,10 @@ def verify_invariance(spec: FamilySpec, *,
     E_g T^(k-1), 1 <= k <= l, are zero, with the difference operator
     E_g = g.D - D of Lemma 4.4.  A failure's ``difference`` is the
     first nonzero residual, which is g.T^l - T^l when the lower orders are
-    fixed; its ``order`` is given when it lies below l.
+    fixed; its ``order`` is given when it lies below l.  The generators
+    that the window lemma decides (``FamilyWork.residuals``) fix every
+    order; when there are any, ``window_lemma`` gives the window width and
+    their number.
 
     ``work`` is the ``FamilyWork`` a run shares between its checks of the
     orders 0..lmax and its other checks of the same chain; left out, it is
@@ -256,7 +290,8 @@ def verify_invariance(spec: FamilySpec, *,
     n = spec.n
     details = {"family": _family_name(spec), "l": spec.l}
     failures = []
-    for name, residuals in work.residuals:
+    kept, window = work.residuals
+    for name, residuals in kept:
         failure = residuals.first_failure(spec.l)
         if failure:
             k, residual = failure
@@ -276,6 +311,8 @@ def verify_invariance(spec: FamilySpec, *,
         "parity": parity,
         "degree": str(deg),
     })
+    if window["decided"]:
+        details["window_lemma"] = dict(window)
     if failures:
         details["failures"] = failures
     ok = not failures and side_ok

@@ -66,6 +66,8 @@ class GaussianRational:
         return GaussianRational(re, im)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
+        if type(other) is not GaussianRational:
+            return NotImplemented
         d, e = self.den, other.den
         if d == e:
             return _canonical(self.num_re + other.num_re,
@@ -77,6 +79,8 @@ class GaussianRational:
         return _canonical(-self.num_re, -self.num_im, self.den)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+        if type(other) is not GaussianRational:
+            return NotImplemented
         a, b, c, d = self.num_re, self.num_im, other.num_re, other.num_im
         return _canonical(a * c - b * d, a * d + b * c, self.den * other.den)
 

@@ -13,12 +13,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from invdist.clifford import REpsElement, Toeplitz, group_inverse, \
-    h_element, h_shift, h_shift_formal
+    h_element, h_generators, h_shift, h_shift_formal
 from invdist.distributions import DistExpr, UnsupportedSubstitutionError
 from invdist.orbits import ProjPoint, stratum_of
 from invdist.scalars import LAM, AffineExponent, GaussianRational, Scalar, \
     _canonical, _mono_sorted
-from invdist.weyl import Substitution, WeylOp, sym_conj, sym_z, sym_zbar
+from invdist.weyl import Substitution, WeylOp, substitution_from_group, \
+    sym_conj, sym_z, sym_zbar
 
 
 def _re_part(x: Scalar) -> Scalar:
@@ -309,6 +310,12 @@ def generator_product(n: int, rng) -> Toeplitz:
     by ``factor_into_generators``."""
     return reduce(toeplitz_mul,
                   factor_into_generators(random_h_element(n, rng, False)))
+
+
+def generator_substitutions(n: int) -> List[Tuple[str, Substitution]]:
+    """The substitution of every labelled generator of ``h_generators``,
+    with none decided by the window lemma: the all-generators path."""
+    return [(name, substitution_from_group(g)) for name, g in h_generators(n)]
 
 
 def mat_mul_scalar(A: List[List[Scalar]],

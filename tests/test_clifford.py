@@ -330,7 +330,7 @@ class TestGroup:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_generators_are_labelled_in_order(self, n):
-        gens = h_generators(n)
+        gens = list(h_generators(n))
         assert [name for name, _ in gens] \
             == ["phase"] + [f"shift{j}" for j in range(1, n)]
         assert value(gens[0][1]) == value(h_phase(n))

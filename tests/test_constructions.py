@@ -9,7 +9,6 @@ from invdist import clifford, constructions, distributions, weyl
 from invdist.cli import RunConfig, emit_report, run_suite
 from invdist.constructions import (FamilySpec, FamilyWork, _seed,
                                    build_family, build_vector_field,
-                                   generator_substitutions,
                                    verify_independence, verify_invariance,
                                    verify_lemma_d, verify_support_filtration)
 from invdist.distributions import DistExpr, Residuals
@@ -18,7 +17,8 @@ from invdist.scalars import AffineExponent, GaussianRational, Scalar
 from invdist.weyl import WeylOp, conjugate_op, substitution_from_group, \
     sym_conj, sym_z, sym_zbar
 from reference import act_group, expr_parts, expr_sum, generator_product, \
-    identity, inverse, op_parts, sparse, toeplitz_mul, twisted_shift2, value
+    generator_substitutions, identity, inverse, op_parts, sparse, \
+    toeplitz_mul, twisted_shift2, value
 
 import random
 
@@ -429,10 +429,13 @@ class TestSharedInvarianceWork:
         n, lmax = 4, 4
         first, counts = self.run_counted(monkeypatch, n=n, lmax=lmax)
         assert first.all_passed
-        # the n generators of h_generators, and no other element
-        assert counts["substitution_from_group"] == n
+        # the generators of h_generators that the window lemma leaves, and
+        # no other element: at width 3 it decides shift3
+        left = FamilyWork(FamilySpec(n, "T", lmax)).residuals[0]
+        assert [name for name, _ in left] == ["phase", "shift1", "shift2"]
+        assert counts["substitution_from_group"] == len(left)
         # lmax steps of the chain, and lmax steps of each element's action
-        assert counts["apply_weyl"] == lmax + lmax * n
+        assert counts["apply_weyl"] == lmax + lmax * len(left)
         # the shared work lives inside one run_suite call
         again, counts_again = self.run_counted(monkeypatch, n=n, lmax=lmax)
         assert counts_again == counts
@@ -440,7 +443,8 @@ class TestSharedInvarianceWork:
 
     def test_a_passing_run_applies_d_and_each_difference(self, monkeypatch):
         # the chain steps by D; each element's action steps by its
-        # E_g = g.D - D alone, since every acted member equals the chain's
+        # E_g = g.D - D alone, since every acted member equals the chain's;
+        # the window lemma decides shift3, the last, whose E_g is not applied
         n, lmax = 4, 4
         ops = []
         apply_weyl = DistExpr.apply_weyl
@@ -459,11 +463,12 @@ class TestSharedInvarianceWork:
         differences = [c - d for c in conjugated]
         assert differences[0].is_zero()  # the phase: g.D = D
         assert all(not e.is_zero() for e in differences[1:])
-        assert len(ops) == lmax + lmax * len(subs)
+        assert len(ops) == lmax + lmax * (len(subs) - 1)
         seen = [op_parts(op) for op in ops]
         assert seen.count(op_parts(d)) == lmax
-        for e in differences:
+        for e in differences[:-1]:
             assert seen.count(op_parts(e)) == lmax
+        assert op_parts(differences[-1]) not in seen
         for c in conjugated[1:]:
             assert op_parts(c) not in seen
 
@@ -581,6 +586,127 @@ class TestSharedInvarianceWork:
         lam_work = FamilyWork(FamilySpec(4, "T", 2, lam=Fraction(3)))
         with pytest.raises(ValueError):
             verify_support_filtration(4, 3, 2, work=lam_work)
+
+
+class TestWindowLemma:
+    """``FamilyWork.residuals`` leaves out each generator whose profile the
+    window lemma decides, and forms its residuals for every other one."""
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_an_invariance_run_forms_three_substitutions(self, monkeypatch,
+                                                         n):
+        # the phase, shift1 and shift2; the lemma decides shift3..shift(n-1)
+        counts = {}
+        count_calls(monkeypatch, constructions, "substitution_from_group",
+                    counts)
+        count_calls(monkeypatch, distributions, "conjugate_op", counts)
+        report = run_suite(RunConfig(suite="invariance", n=n, lmax=3))
+        monkeypatch.undo()
+        assert report.all_passed
+        assert counts == {"substitution_from_group": 3, "conjugate_op": 3}
+        for record in report.checks:
+            assert record.details["window_lemma"] \
+                == {"width": 3, "decided": n - 3}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 64])
+    def test_decided_generators_agree_with_their_residuals(self, n):
+        # the all-generators loop: every generator's residuals to order 6
+        # on the old path, a decided one's among them, give each order's
+        # verdict, which the records of the shared work must repeat; a left
+        # generator's residuals are the work's own, on that same path
+        lmax = 6
+        for spec in [FamilySpec(n, "T", lmax), FamilySpec(n, "Tbar", lmax)] \
+                + [FamilySpec(n, "Tj", lmax, j=j) for j in range(2, n)]:
+            work = FamilyWork(spec)
+            kept, window = work.residuals
+            left = dict(kept)
+            op, _ = _seed(spec)
+            first = {}
+            for name, g in clifford.h_generators(n):
+                residuals = left.get(name) or Residuals(
+                    op, work.chain, substitution_from_group(g))
+                failure = residuals.first_failure(lmax)
+                first[name] = None if failure is None else failure[0]
+                assert name in left or failure is None, (spec.row(), name)
+            assert window["decided"] == n - len(left)
+            for l in range(lmax + 1):
+                record = verify_invariance(
+                    FamilySpec(n, spec.family, l, j=spec.j), work=work)
+                failed = [name for name, k in first.items()
+                          if k is not None and k <= l]
+                assert [f["generator"] for f in
+                        record.details.get("failures", [])] == failed
+                assert record.status == (FAIL if failed else PASS)
+
+    def test_an_entry_outside_h_in_the_window_is_declined(self,
+                                                          monkeypatch):
+        # shift4 at n = 8 with an extra b on the first superdiagonal, in the
+        # C-part where H has b*eps: outside H, and at a distance below the
+        # width 3, so the lemma declines it whatever its label
+        h_shift_formal = clifford.h_shift_formal
+
+        def shift(n, j):
+            g = h_shift_formal(n, j)
+            if j != 4:
+                return g
+            return clifford.Toeplitz(n, dict(sorted(
+                {**g.entries, 1: clifford.REpsElement(Scalar.var("b"))}
+                .items())))
+
+        monkeypatch.setattr(clifford, "h_shift_formal", shift)
+        spec = FamilySpec(8, "T", 3)
+        work = FamilyWork(spec)
+        assert [name for name, _ in work.residuals[0]] \
+            == ["phase", "shift1", "shift2", "shift4"]
+        record = verify_invariance(spec, work=work)
+        assert record.status == FAIL
+        assert [f["generator"] for f in record.details["failures"]] \
+            == ["shift4"]
+        assert record.details["window_lemma"] == {"width": 3, "decided": 4}
+
+    def test_a_term_of_d_below_the_window_widens_it(self, monkeypatch):
+        # z_(n-3) d/dz_(n-3) added to D reads z_(n-3) and leaves the chain
+        # as it is (no member holds z_(n-3)); the width becomes 4, so shift3
+        # goes through its residuals
+        n = 8
+        build = constructions.build_vector_field
+        chain = build_family(FamilySpec(n, "T", 3))
+
+        def widened(n, j, conjugate=False):
+            return build(n, j, conjugate) + WeylOp.term(
+                n, Scalar.one(), {sym_z(n - 3): 1}, {sym_z(n - 3): 1})
+
+        monkeypatch.setattr(constructions, "build_vector_field", widened)
+        spec = FamilySpec(n, "T", 3)
+        work = FamilyWork(spec)
+        assert [expr_parts(e) for e in work.chain] \
+            == [expr_parts(e) for e in chain]
+        left, window = work.residuals
+        assert [name for name, _ in left] \
+            == ["phase", "shift1", "shift2", "shift3"]
+        assert window == {"width": 4, "decided": n - 4}
+        assert verify_invariance(spec, work=work).status == PASS
+
+    @pytest.mark.parametrize("extra", [
+        dict(mono={sym_z(5): 1}),
+        dict(delta={k: (0, 0) for k in range(5, 9)})])
+    def test_a_chain_term_below_the_window_widens_it(self, monkeypatch,
+                                                     extra):
+        # every member minus a term that reads z_(n-3) = z_5, by its
+        # monomial or by its delta block z_5..z_8: D is as it was, but the
+        # chain reads z_5, so the width is 4 again
+        n = 8
+        build = constructions.build_family
+
+        def widened(spec):
+            return [member - DistExpr.single(n, **extra)
+                    for member in build(spec)]
+
+        monkeypatch.setattr(constructions, "build_family", widened)
+        left, window = FamilyWork(FamilySpec(n, "T", 3)).residuals
+        assert [name for name, _ in left] \
+            == ["phase", "shift1", "shift2", "shift3"]
+        assert window == {"width": 4, "decided": n - 4}
 
 
 class TestOneWorkPerChain:

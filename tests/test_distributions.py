@@ -13,8 +13,7 @@ from invdist import distributions, weyl
 from invdist.cli import RunConfig, run_suite
 from invdist.clifford import h_element, h_generators, h_phase, \
     h_shift
-from invdist.constructions import (FamilySpec, _seed, build_family,
-                                   generator_substitutions)
+from invdist.constructions import FamilySpec, _seed, build_family
 from invdist.distributions import (DistExpr, Residuals,
                                    UnsupportedSubstitutionError,
                                    independence_rank)
@@ -26,8 +25,8 @@ from reference import act_group as act_group_reference
 from reference import apply_weyl as apply_weyl_reference
 from reference import canonical_key as canonical_key_reference
 from reference import RawTerm, expr_parts, expr_str, expr_sum, from_gauss, \
-    from_raw, generator_product, identity, op_parts, sparse, toeplitz_mul, \
-    twisted_shift2, vector_of
+    from_raw, generator_product, generator_substitutions, identity, \
+    op_parts, sparse, toeplitz_mul, twisted_shift2, vector_of
 
 
 def delta_functional(expr: DistExpr, r: int, s: int) -> Scalar:

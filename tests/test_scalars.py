@@ -237,9 +237,11 @@ class TestScalar:
         assert not one == other
         assert one != other
 
-    @pytest.mark.parametrize("other", [1, 0, Fraction(1, 2)])
+    @pytest.mark.parametrize("other", [1, 0, Fraction(1, 2),
+                                       GaussianRational.of(1)])
     def test_reflected_operands_are_refused(self, other):
-        # no __radd__, and __rmul__ refuses as __mul__ does
+        # no __radd__, and __rmul__ refuses as __mul__ does; a
+        # GaussianRational refuses a Scalar operand first, as Scalar does
         with pytest.raises(TypeError):
             other + Scalar.one()
         with pytest.raises(TypeError):
